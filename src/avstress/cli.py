@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import math
 import os
 import shutil
@@ -125,10 +126,11 @@ def cmd_run(args) -> int:
 
 def _campaign_row(campaign_dir: str, asd_convention: str):
     scenario = load_scenario_file(os.path.join(campaign_dir, "scenario.yaml"))
-    import json
-
     with open(os.path.join(campaign_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
+    # the copy is always named scenario.yaml; `run` takes the id from the
+    # name of the file it was given, which the manifest records
+    scenario_id = os.path.splitext(manifest["scenario_file"])[0]
     log = persist.read_campaign_log(os.path.join(campaign_dir, "campaign.jsonl"))
     episodes = []
     for rec in log:
@@ -138,7 +140,7 @@ def _campaign_row(campaign_dir: str, asd_convention: str):
         episodes.append(episode)
     stats = metrics.campaign_stats(episodes, scenario, asd_convention=asd_convention)
     return (
-        scenario.scenario_id,
+        scenario_id,
         manifest["sampler"]["kind"],
         manifest["seed"],
         stats,

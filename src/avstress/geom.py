@@ -98,10 +98,18 @@ def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
 
 @dataclass(frozen=True)
 class Polyline:
-    """Ordered vertex chain with strictly increasing arc-length."""
+    """Ordered vertex chain with strictly increasing arc-length.
+
+    `segments` holds, per segment, the plain floats the projection and
+    arc-length lookups need: (ax, ay, dx, dy, ux, uy, seg_len, seg_len**2,
+    s_start, s_end), with (ax, ay) the start vertex, (dx, dy) the vertex
+    difference, seg_len = s_end - s_start (not the Euclidean length, which
+    can differ from it in the last bit) and (ux, uy) = (dx, dy) / seg_len.
+    """
 
     vertices: Tuple[Point2, ...]
     cumulative: Tuple[float, ...] = field(init=False, repr=False)
+    segments: Tuple[Tuple[float, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         verts = tuple(self.vertices)
@@ -113,8 +121,17 @@ class Polyline:
             if d <= 0.0:
                 raise ValueError("consecutive polyline vertices must be distinct")
             cum.append(cum[-1] + d)
+        segments = []
+        for i, (a, b) in enumerate(zip(verts[:-1], verts[1:])):
+            dx, dy = b.x - a.x, b.y - a.y
+            seg_len = cum[i + 1] - cum[i]
+            segments.append((
+                a.x, a.y, dx, dy, dx / seg_len, dy / seg_len,
+                seg_len, seg_len * seg_len, cum[i], cum[i + 1],
+            ))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "cumulative", tuple(cum))
+        object.__setattr__(self, "segments", tuple(segments))
 
     @property
     def total_length(self) -> float:
@@ -130,19 +147,15 @@ def project_to_polyline(p: Point2, line: Polyline) -> Tuple[float, float, int]:
     smallest index. Points beyond the ends clamp to the end vertices.
     """
     best = None  # (dist, s, l, idx)
-    verts = line.vertices
-    for i in range(len(verts) - 1):
-        a, b = verts[i], verts[i + 1]
-        dx, dy = b.x - a.x, b.y - a.y
-        seg_len = line.cumulative[i + 1] - line.cumulative[i]
-        t = ((p.x - a.x) * dx + (p.y - a.y) * dy) / (seg_len * seg_len)
+    for i, (ax, ay, dx, dy, _, _, seg_len, seg_sq, s0, _) in enumerate(line.segments):
+        t = ((p.x - ax) * dx + (p.y - ay) * dy) / seg_sq
         t = min(1.0, max(0.0, t))
-        px, py = a.x + t * dx, a.y + t * dy
+        px, py = ax + t * dx, ay + t * dy
         dist = math.hypot(p.x - px, p.y - py)
         # signed offset relative to the segment tangent
         l = (dx * (p.y - py) - dy * (p.x - px)) / seg_len
         if best is None or dist < best[0] - 1e-12:
-            best = (dist, line.cumulative[i] + t * seg_len, l, i)
+            best = (dist, s0 + t * seg_len, l, i)
     assert best is not None
     return best[1], best[2], best[3]
 
@@ -157,17 +170,11 @@ def point_at_arclength(line: Polyline, s: float, l: float = 0.0) -> Pose2:
             f"arc-length {s} outside [0, {line.total_length}]"
         )
     s = min(max(s, 0.0), line.total_length)
-    cum = line.cumulative
-    # last segment whose start is <= s
-    idx = len(cum) - 2
-    for i in range(len(cum) - 1):
-        if s <= cum[i + 1]:
-            idx = i
+    # last segment whose start is <= s: the first that ends at or after s
+    for ax, ay, dx, dy, ux, uy, seg_len, _, s0, s1 in line.segments:
+        if s <= s1:
             break
-    a, b = line.vertices[idx], line.vertices[idx + 1]
-    seg_len = cum[idx + 1] - cum[idx]
-    t = (s - cum[idx]) / seg_len
-    dx, dy = (b.x - a.x) / seg_len, (b.y - a.y) / seg_len
-    # left normal of (dx, dy) is (-dy, dx)
-    pos = Point2(a.x + t * (b.x - a.x) - l * dy, a.y + t * (b.y - a.y) + l * dx)
-    return Pose2(pos, math.atan2(dy, dx))
+    t = (s - s0) / seg_len
+    # left normal of (ux, uy) is (-uy, ux)
+    pos = Point2(ax + t * dx - l * uy, ay + t * dy + l * ux)
+    return Pose2(pos, math.atan2(uy, ux))

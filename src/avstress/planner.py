@@ -15,11 +15,14 @@ import math
 import subprocess
 import sys
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from .geom import Point2, point_at_arclength, project_to_polyline
+from .geom import Point2, Polyline, point_at_arclength
+# bound here, though unused, because benchmarks/bench_trace.py counts the
+# planner's geometry calls through this module's names
+from .geom import project_to_polyline  # noqa: F401
 from .scenario import Lane, MapModel, Scenario
-from .sim import AgentState, JointState, bicycle_step, pure_pursuit_steer
+from .sim import AgentState, JointState, bicycle_step
 
 LANE_SNAP_RANGE = 10.0
 LATERAL_DECAY_TAU = 1.0
@@ -27,15 +30,18 @@ LATERAL_DECAY_TAU = 1.0
 
 @dataclass(frozen=True)
 class Prediction:
-    agent_id: str
     waypoints: List[Point2]  # one per future step, length = horizon
+
+
+# (x, y, heading, speed) of the ego at one rollout step
+StateTuple = Tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
 class PlanCandidate:
     target_lane: str
     accel: float
-    states: List[AgentState]
+    states: List[StateTuple]
     cost: float
     min_clearance: float
 
@@ -74,23 +80,54 @@ def predict_constant_velocity(
             sk = min(s0 + k * agent.speed * dt, total)
             lk = l0 * math.exp(-k * dt / LATERAL_DECAY_TAU)
             waypoints.append(point_at_arclength(lane.centerline, sk, lk).position)
-    return Prediction(agent_id="", waypoints=waypoints)
+    return Prediction(waypoints=waypoints)
 
 
 def _rollout(
-    state: AgentState, lane: Lane, accel: float, horizon: int, dt: float, v_max: float
-) -> List[AgentState]:
-    """Constant-acceleration pure-pursuit rollout onto a lane centerline."""
+    state: StateTuple, centerline: Polyline, accel: float, horizon: int, dt: float,
+    v_max: float,
+) -> List[StateTuple]:
+    """Constant-acceleration pure-pursuit rollout onto a lane centerline.
+
+    Each step projects the ego onto the centerline, takes the point a
+    lookahead of max(5 m, speed) further along it, and makes one
+    `bicycle_step` toward it. The projection and the lookahead point are
+    `project_to_polyline` and `point_at_arclength` inlined over the
+    centerline's segment data with the same floating-point operations, so
+    the states are bit-identical to composing those functions. Only the
+    lateral offset and heading they also return, which the rollout does not
+    use, are left out.
+    """
+    segments = centerline.segments
+    total = centerline.total_length
+    x, y, heading, speed = state
     states = []
-    cur = state
     for _ in range(horizon):
-        s, _, _ = project_to_polyline(cur.position, lane.centerline)
-        lookahead = max(5.0, 1.0 * cur.speed)
-        s_target = min(s + lookahead, lane.centerline.total_length)
-        target = point_at_arclength(lane.centerline, s_target).position
-        steer = pure_pursuit_steer(cur, target)
-        cur = bicycle_step(cur, accel, steer, dt, v_max)
-        states.append(cur)
+        # project_to_polyline: closest segment, ties to the smallest index
+        best = math.inf
+        for ax, ay, dx, dy, _, _, seg_len, seg_sq, s0, _ in segments:
+            t = ((x - ax) * dx + (y - ay) * dy) / seg_sq
+            t = t if t > 0.0 else 0.0  # min(1.0, max(0.0, t))
+            t = t if t < 1.0 else 1.0
+            dist = math.hypot(x - (ax + t * dx), y - (ay + t * dy))
+            if dist < best - 1e-12:
+                best = dist
+                s = s0 + t * seg_len
+        s_target = s + (speed if speed > 5.0 else 5.0)  # s + max(5.0, speed)
+        if s_target > total:
+            s_target = total
+        # point_at_arclength: the first segment that ends at or after s_target
+        for ax, ay, dx, dy, ux, uy, seg_len, _, s0, s1 in segments:
+            if s_target <= s1:
+                break
+        t = (s_target - s0) / seg_len
+        # with point_at_arclength's zero lateral-offset terms, so the target
+        # is its position bit for bit, signed zeros included
+        tx = ax + t * dx - 0.0 * uy
+        ty = ay + t * dy + 0.0 * ux
+        state = bicycle_step(x, y, heading, speed, accel, tx, ty, dt, v_max)
+        states.append(state)
+        x, y, heading, speed = state
     return states
 
 
@@ -124,26 +161,21 @@ class LatticePlanner:
             if aid != ego_id
         ]
 
+        waypoints = [[(wp.x, wp.y) for wp in pred.waypoints] for pred in predictions]
+        start = (ego.position.x, ego.position.y, ego.heading, ego.speed)
+        goal_x, goal_y = scenario.ego_goal.x, scenario.ego_goal.y
         out = []
         for lane in self._candidate_lanes(ego, scenario):
             for accel in p.accel_grid:
-                states = _rollout(ego, lane, accel, horizon, dt, scenario.sim.v_max)
+                states = _rollout(start, lane.centerline, accel, horizon, dt, scenario.sim.v_max)
                 clearance = math.inf
-                for pred in predictions:
-                    for k in range(horizon):
-                        d = math.hypot(
-                            states[k].position.x - pred.waypoints[k].x,
-                            states[k].position.y - pred.waypoints[k].y,
-                        )
-                        clearance = min(clearance, d)
-                terminal = states[-1].position
-                cost = (
-                    math.hypot(
-                        terminal.x - scenario.ego_goal.x,
-                        terminal.y - scenario.ego_goal.y,
-                    )
-                    + p.comfort_weight * abs(accel)
-                )
+                for wps in waypoints:
+                    for (x, y, _, _), (px, py) in zip(states, wps):
+                        d = math.hypot(x - px, y - py)
+                        if d < clearance:
+                            clearance = d
+                x, y, _, _ = states[-1]
+                cost = math.hypot(x - goal_x, y - goal_y) + p.comfort_weight * abs(accel)
                 out.append(
                     PlanCandidate(
                         target_lane=lane.id,
@@ -163,7 +195,10 @@ class LatticePlanner:
             best = min(feasible, key=lambda c: c.cost)
         else:
             best = max(cands, key=lambda c: c.min_clearance)
-        return best.states[: scenario.sim.replan_every]
+        return [
+            AgentState(Point2(x, y), heading, speed)
+            for x, y, heading, speed in best.states[: scenario.sim.replan_every]
+        ]
 
 
 class ConstantVelocityEgoStub:

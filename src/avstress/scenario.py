@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import yaml
 
 from .geom import Point2, Polyline, point_at_arclength, project_to_polyline
+from .sobol import MAX_DIM as SOBOL_MAX_DIM
 
 
 class ScenarioError(ValueError):
@@ -225,6 +226,15 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
     ids = [a.id for a in agents]
     if len(set(ids)) != len(ids):
         raise ScenarioError("agents: duplicate agent ids")
+    n_simulated = sum(1 for a in agents if a.role == "simulated")
+    # the GP's hyperparameter restarts are Sobol points in 2 dimensions per
+    # prompted agent plus 2 (signal and noise scale)
+    if 2 * n_simulated + 2 > SOBOL_MAX_DIM:
+        raise ScenarioError(
+            f"agents: {n_simulated} simulated agents need {2 * n_simulated + 2} Sobol "
+            f"dimensions, over the limit of {SOBOL_MAX_DIM} "
+            f"(at most {(SOBOL_MAX_DIM - 2) // 2} simulated agents)"
+        )
 
     goal_entry = _require(doc, "ego_goal", "", dict)
     ego_goal = Point2(_num(goal_entry, "x", "ego_goal"), _num(goal_entry, "y", "ego_goal"))

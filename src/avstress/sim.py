@@ -8,7 +8,8 @@ iteration order never matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import atan2, cos, hypot, sin, tan
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from .geom import Point2, OrientedBox, boxes_overlap, normalize_angle
@@ -65,30 +66,46 @@ class PolicyHandle(Protocol):
 
 
 def bicycle_step(
-    state: AgentState, accel: float, steer: float, dt: float, v_max: float
-) -> AgentState:
-    """One kinematic-bicycle integration step with speed clamped to [0, v_max]."""
-    steer = min(STEER_LIMIT, max(-STEER_LIMIT, steer))
-    accel = min(ACCEL_MAX, max(ACCEL_MIN, accel))
-    v = state.speed
-    x = state.position.x + v * math.cos(state.heading) * dt
-    y = state.position.y + v * math.sin(state.heading) * dt
-    heading = normalize_angle(state.heading + v / WHEELBASE * math.tan(steer) * dt)
-    speed = min(max(v + accel * dt, 0.0), v_max)
-    return AgentState(Point2(x, y), heading, speed)
+    x: float,
+    y: float,
+    heading: float,
+    speed: float,
+    accel: float,
+    target_x: float,
+    target_y: float,
+    dt: float,
+    v_max: float,
+) -> Tuple[float, float, float, float]:
+    """One kinematic-bicycle step, steered by pure pursuit toward a target.
 
-
-def pure_pursuit_steer(state: AgentState, target: Point2) -> float:
-    """Steering angle toward a target point, clamped to the wheel limit."""
-    dx = target.x - state.position.x
-    dy = target.y - state.position.y
-    dist = math.hypot(dx, dy)
-    if dist < 1.0:
-        return 0.0
-    alpha = normalize_angle(math.atan2(dy, dx) - state.heading)
-    lookahead = max(5.0, 1.0 * state.speed)
-    steer = math.atan2(2.0 * WHEELBASE * math.sin(alpha), lookahead)
-    return min(STEER_LIMIT, max(-STEER_LIMIT, steer))
+    The steering angle points the front wheels at (target_x, target_y) with
+    a lookahead of max(5 m, speed), or is zero when the target is within
+    1 m. Steering and acceleration are clamped to the vehicle limits and
+    the new speed to [0, v_max]. Works on plain floats and returns the new
+    (x, y, heading, speed), so the planner's rollouts allocate nothing per
+    step; this is the only dynamics definition in the package.
+    """
+    dx = target_x - x
+    dy = target_y - y
+    if hypot(dx, dy) < 1.0:
+        steer = 0.0
+    else:
+        alpha = normalize_angle(atan2(dy, dx) - heading)
+        lookahead = speed if speed > 5.0 else 5.0  # max(5.0, speed)
+        steer = atan2(2.0 * WHEELBASE * sin(alpha), lookahead)
+    # the clamps are min(hi, max(lo, v)) and min(max(v, 0.0), v_max) written
+    # as the conditionals those calls evaluate, which are faster here
+    steer = steer if steer > -STEER_LIMIT else -STEER_LIMIT
+    steer = steer if steer < STEER_LIMIT else STEER_LIMIT
+    accel = accel if accel > ACCEL_MIN else ACCEL_MIN
+    accel = accel if accel < ACCEL_MAX else ACCEL_MAX
+    x_next = x + speed * cos(heading) * dt
+    y_next = y + speed * sin(heading) * dt
+    heading_next = normalize_angle(heading + speed / WHEELBASE * tan(steer) * dt)
+    speed_next = speed + accel * dt
+    speed_next = 0.0 if 0.0 > speed_next else speed_next
+    speed_next = v_max if v_max < speed_next else speed_next
+    return x_next, y_next, heading_next, speed_next
 
 
 @dataclass(frozen=True)
@@ -172,10 +189,11 @@ class ReactivePolicy:
             v_target = min(self.v_desired, math.sqrt(2.0 * COMFORT_DECEL * dist_goal))
         a_goal = (v_target - me.speed) / dt
         a_follow = self._follow_accel(me, world)
-        accel = min(a_goal, a_follow)
-        accel = min(ACCEL_MAX, max(ACCEL_MIN, accel))
-        steer = pure_pursuit_steer(me, self.goal)
-        return bicycle_step(me, accel, steer, dt, self.scenario.sim.v_max)
+        x, y, heading, speed = bicycle_step(
+            me.position.x, me.position.y, me.heading, me.speed, min(a_goal, a_follow),
+            self.goal.x, self.goal.y, dt, self.scenario.sim.v_max,
+        )
+        return AgentState(Point2(x, y), heading, speed)
 
 
 class ScriptedPolicy:

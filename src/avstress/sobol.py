@@ -1,8 +1,11 @@
 """Unscrambled Sobol sequence from Joe-Kuo direction numbers.
 
 Indexing starts at 1; index 0 would be the all-zeros point, which is never
-used as a sample. Supports up to 10 dimensions, which covers the search
-cubes this package builds (2 coordinates per prompted agent).
+used as a sample. Supports up to 21 dimensions. The search cube has 2
+coordinates per prompted agent and the GP's restart cube 2 more, so this
+caps a scenario at 9 simulated agents (`scenario.load_scenario` checks it).
+The table entries are those of the new-joe-kuo-6.21201 file that scipy
+ships, so the points equal `scipy.stats.qmc.Sobol(d, scramble=False)`'s.
 """
 from __future__ import annotations
 
@@ -22,6 +25,17 @@ _JOE_KUO = [
     (5, 2, [1, 1, 5, 5, 17]),
     (5, 4, [1, 1, 5, 5, 5]),
     (5, 7, [1, 1, 7, 11, 19]),
+    (5, 11, [1, 1, 5, 1, 1]),
+    (5, 13, [1, 1, 1, 3, 11]),
+    (5, 14, [1, 3, 5, 5, 31]),
+    (6, 1, [1, 3, 3, 9, 7, 49]),
+    (6, 13, [1, 1, 1, 15, 21, 21]),
+    (6, 16, [1, 3, 1, 13, 27, 49]),
+    (6, 19, [1, 1, 1, 15, 7, 5]),
+    (6, 22, [1, 3, 1, 15, 13, 25]),
+    (6, 25, [1, 1, 5, 5, 19, 61]),
+    (7, 1, [1, 3, 7, 11, 23, 15, 103]),
+    (7, 4, [1, 3, 7, 13, 13, 15, 69]),
 ]
 
 MAX_DIM = len(_JOE_KUO) + 1

@@ -65,7 +65,9 @@ def matern52(a: Sequence[float], b: Sequence[float], params: KernelParams) -> fl
 
 
 def _factor(K: np.ndarray, noise_variance: float) -> Tuple[np.ndarray, float]:
-    """Cholesky of K + (noise + jitter) I, escalating jitter on failure."""
+    """Cholesky of K + (noise + jitter) I, escalating jitter while the matrix
+    is not positive definite. Any other error, such as the ValueError for a
+    non-finite matrix, propagates at once: more jitter cannot fix it."""
     n = K.shape[0]
     jitter = JITTER_FLOOR
     while True:
@@ -73,8 +75,6 @@ def _factor(K: np.ndarray, noise_variance: float) -> Tuple[np.ndarray, float]:
             L = cholesky(K + (noise_variance + jitter) * np.eye(n), lower=True)
             return L, jitter
         except np.linalg.LinAlgError:
-            pass
-        except Exception:
             pass
         jitter *= 3.0
         if jitter > JITTER_CEIL:

@@ -27,6 +27,24 @@ sim: {dt: 0.1, horizon_steps: 80, replan_every: 5, v_max: 15.0}
 """
 
 
+def scenario_with_agents(n_simulated):
+    """TWO_LANE_YAML plus simulated agents npc2..npcN in the right lane."""
+    extra_agents = "".join(
+        f"  - {{id: npc{k}, role: simulated, x: {15.0 + 10 * k}, y: 0.0, heading: 0.0, "
+        f"speed: 10.0, length: 4.8, width: 2.0}}\n"
+        for k in range(2, n_simulated + 1)
+    )
+    extra_domains = "".join(
+        f"  - {{agent_id: npc{k}, lane: right, s_min: {80.0 + 10 * k}, s_max: 175.0, "
+        f"l_min: -1.75, l_max: 1.75}}\n"
+        for k in range(2, n_simulated + 1)
+    )
+    text = TWO_LANE_YAML.replace("ego_goal:", extra_agents + "ego_goal:").replace(
+        "sim: {dt", extra_domains + "sim: {dt"
+    )
+    return load_scenario(text, scenario_id=f"synthetic_{n_simulated}")
+
+
 @pytest.fixture
 def two_lane_scenario():
     return load_scenario(TWO_LANE_YAML, scenario_id="two_lane")

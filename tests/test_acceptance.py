@@ -18,7 +18,7 @@ from avstress.cli import main as cli_main
 from avstress.metrics import asd, campaign_stats, criticality_score, trajectory_distance
 from avstress.optimizer import Observation, SamplerConfig, run_campaign, suggest_next
 from avstress.planner import LatticePlanner, predict_constant_velocity
-from avstress.scenario import PRESET_NAMES, load_preset, load_scenario
+from avstress.scenario import PRESET_NAMES, load_preset
 from avstress.sim import AgentState, ScriptedPolicy, initial_joint_state, simulate_episode
 from avstress.sobol import sobol_point, sobol_points
 from avstress.surrogate import (
@@ -28,7 +28,7 @@ from avstress.surrogate import (
     log_marginal_likelihood,
     posterior,
 )
-from conftest import TWO_LANE_YAML, make_episode
+from conftest import make_episode, scenario_with_agents
 
 
 def _criterion(num, name):
@@ -44,28 +44,11 @@ def _criterion(num, name):
     return Reporter()
 
 
-def _scenario_with_agents(n_simulated):
-    extra_agents = "".join(
-        f"  - {{id: npc{k}, role: simulated, x: {15.0 + 10 * k}, y: 0.0, heading: 0.0, "
-        f"speed: 10.0, length: 4.8, width: 2.0}}\n"
-        for k in range(2, n_simulated + 1)
-    )
-    extra_domains = "".join(
-        f"  - {{agent_id: npc{k}, lane: right, s_min: {80.0 + 10 * k}, s_max: 175.0, "
-        f"l_min: -1.75, l_max: 1.75}}\n"
-        for k in range(2, n_simulated + 1)
-    )
-    text = TWO_LANE_YAML.replace("ego_goal:", extra_agents + "ego_goal:").replace(
-        "sim: {dt", extra_domains + "sim: {dt"
-    )
-    return load_scenario(text, scenario_id=f"synthetic_{n_simulated}")
-
-
 def test_criterion_1_scoring_oracle():
     with _criterion(1, "scoring oracle equivalence"):
         rng = np.random.default_rng(100)
         start = time.monotonic()
-        scenarios = {n: _scenario_with_agents(n) for n in (1, 2, 3)}
+        scenarios = {n: scenario_with_agents(n) for n in (1, 2, 3)}
         for _ in range(200):
             n_sim = int(rng.integers(1, 4))  # 2-4 agents total
             scenario = scenarios[n_sim]

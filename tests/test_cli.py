@@ -110,6 +110,16 @@ class TestReport:
         assert len(data) == 2
         assert "bo" in data[0] and "sobol" in data[1]  # sorted within scenario
 
+    def test_preset_csv_equals_stats_csv(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert run_cli("run", "front", "--sampler", "sobol", "--budget", "3", "--out", out) == 0
+        out_dir = capsys.readouterr().out.strip()
+        csv_path = str(tmp_path / "table.csv")
+        assert run_cli("report", out_dir, "--csv", csv_path) == 0
+        assert "front" in capsys.readouterr().out
+        with open(csv_path, "rb") as fh, open(os.path.join(out_dir, "stats.csv"), "rb") as ref:
+            assert fh.read() == ref.read()
+
     def test_row_matches_direct_metrics(self, scenario_file, tmp_path, capsys):
         dirs = self.make_campaigns(scenario_file, tmp_path, capsys)
         csv_path = str(tmp_path / "table.csv")

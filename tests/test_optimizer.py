@@ -12,9 +12,10 @@ from avstress.optimizer import (
     suggest_next,
     ucb,
 )
-from avstress.planner import ConstantVelocityEgoStub
+from avstress.planner import ConstantVelocityEgoStub, LatticePlanner
 from avstress.sobol import sobol_point, sobol_points
 from avstress.surrogate import KernelParams, build_model, posterior_batch
+from conftest import scenario_with_agents
 
 
 def short_scale_params():
@@ -214,6 +215,16 @@ class TestRunCampaign:
         for rec in result.records:
             assert rec.failed
             assert rec.score == -math.inf
+
+
+    @pytest.mark.parametrize("kind,n_simulated", [("bo", 5), ("sobol", 6)])
+    def test_many_agents_complete(self, kind, n_simulated):
+        # the GP's restarts need 2 * agents + 2 Sobol dimensions: 12 at 5 agents
+        scenario = scenario_with_agents(n_simulated)
+        result = run_campaign(scenario, SamplerConfig(kind=kind, budget=4), LatticePlanner())
+        assert len(result.records) == 4
+        assert [r.failure_reason for r in result.records if r.failed] == []
+        assert all(len(r.prompt) == 2 * n_simulated for r in result.records)
 
 
 class TestSplitPrompt:

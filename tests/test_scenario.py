@@ -8,7 +8,8 @@ from avstress.scenario import (
     load_scenario,
     prompt_to_world,
 )
-from conftest import TWO_LANE_YAML
+from avstress.sobol import MAX_DIM
+from conftest import TWO_LANE_YAML, scenario_with_agents
 
 
 def test_load_valid_scenario(two_lane_scenario):
@@ -69,6 +70,13 @@ def test_zero_simulated_agents_rejected():
     text = _broken(TWO_LANE_YAML, "role: simulated", "role: ego")
     with pytest.raises(ScenarioError):
         load_scenario(text)
+
+
+def test_agent_count_limited_by_sobol_dimensions():
+    most = (MAX_DIM - 2) // 2
+    assert len(scenario_with_agents(most).simulated_agents) == most
+    with pytest.raises(ScenarioError, match=f"limit of {MAX_DIM}"):
+        scenario_with_agents(most + 1)
 
 
 def test_goal_domain_behind_agent_rejected():

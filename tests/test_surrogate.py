@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from avstress import surrogate
 from avstress.surrogate import (
     InsufficientDataError,
     KernelParams,
@@ -145,6 +146,30 @@ class TestPosterior:
         _, v0 = posterior_batch(base, probes)
         _, v1 = posterior_batch(dup, probes)
         assert np.all(v1 <= v0 + 1e-9)
+
+
+class TestFactor:
+    def test_jitter_escalates_until_positive_definite(self):
+        # eigenvalues 2 + 1e-6 and -1e-6: needs jitter above 1e-6
+        K = np.array([[1.0, 1.0 + 1e-6], [1.0 + 1e-6, 1.0]])
+        L, jitter = surrogate._factor(K, 0.0)
+        assert 1e-6 < jitter <= surrogate.JITTER_CEIL
+        np.testing.assert_allclose(L @ L.T, K + jitter * np.eye(2))
+
+    def test_non_finite_matrix_raises_at_once(self, monkeypatch):
+        calls = []
+        original = surrogate.cholesky
+
+        def counting_cholesky(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(surrogate, "cholesky", counting_cholesky)
+        with pytest.raises(ValueError) as raised:
+            surrogate._factor(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-6)
+        # LinAlgError is a ValueError too: it would mean the jitter loop ran
+        assert not isinstance(raised.value, np.linalg.LinAlgError)
+        assert len(calls) == 1
 
 
 class TestFit:
