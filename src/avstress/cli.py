@@ -70,7 +70,6 @@ def cmd_run(args) -> int:
             budget=args.budget,
             beta=args.beta,
             candidates=args.candidates,
-            seed=args.seed,
         )
     except ValueError as exc:
         raise CliError(str(exc))
@@ -81,7 +80,7 @@ def cmd_run(args) -> int:
         raise CliError(f"invalid scenario config: {exc}")
 
     out_root = args.out or os.environ.get(OUT_ROOT_ENV, ".")
-    out_dir = os.path.join(out_root, f"{scenario.scenario_id}_{cfg.kind}_s{cfg.seed}")
+    out_dir = os.path.join(out_root, f"{scenario.scenario_id}_{cfg.kind}")
     episodes_dir = os.path.join(out_dir, "episodes")
     os.makedirs(episodes_dir, exist_ok=True)
     shutil.copyfile(scenario_path, os.path.join(out_dir, "scenario.yaml"))
@@ -116,7 +115,7 @@ def cmd_run(args) -> int:
             scores=[r.metrics for r in good],
             asd_convention=args.asd_convention,
         )
-        row = persist.stats_csv_row(scenario.scenario_id, cfg.kind, cfg.seed, stats)
+        row = persist.stats_csv_row(scenario.scenario_id, cfg.kind, stats)
         persist.write_stats_csv(os.path.join(out_dir, "stats.csv"), [row])
     else:
         print("warning: too few successful episodes for stats", file=sys.stderr)
@@ -124,7 +123,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _campaign_row(campaign_dir: str, asd_convention: str):
+def _campaign_row(campaign_dir: str):
     scenario = load_scenario_file(os.path.join(campaign_dir, "scenario.yaml"))
     with open(os.path.join(campaign_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -138,25 +137,22 @@ def _campaign_row(campaign_dir: str, asd_convention: str):
             continue
         episode, _ = persist.read_episode(os.path.join(campaign_dir, rec["episode_file"]))
         episodes.append(episode)
-    stats = metrics.campaign_stats(episodes, scenario, asd_convention=asd_convention)
-    return (
-        scenario_id,
-        manifest["sampler"]["kind"],
-        manifest["seed"],
-        stats,
+    stats = metrics.campaign_stats(
+        episodes, scenario, asd_convention=manifest["conventions"]["asd"]
     )
+    return scenario_id, manifest["sampler"]["kind"], stats
 
 
 def cmd_report(args) -> int:
     rows = []
     for d in args.campaign_dirs:
         try:
-            rows.append(_campaign_row(d, args.asd_convention))
+            rows.append(_campaign_row(d))
         except Exception as exc:
             print(f"warning: skipping '{d}': {exc}", file=sys.stderr)
     if not rows:
         raise CliError("no readable campaigns")
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    rows.sort(key=lambda r: (r[0], r[1]))
     header = (
         f"{'scenario':<14}{'sampler':<9}{'n':>4}{'coll%':>8}{'min_dist':>16}"
         f"{'ttc':>16}{'ego_asd':>9}{'agent_asd':>10}"
@@ -164,14 +160,14 @@ def cmd_report(args) -> int:
     print(header)
     print("-" * len(header))
     csv_rows = []
-    for scenario_id, sampler, seed, s in rows:
+    for scenario_id, sampler, s in rows:
         ttc = "inf" if not math.isfinite(s.ttc_mean) else f"{s.ttc_mean:.2f}+-{s.ttc_std:.2f}"
         print(
             f"{scenario_id:<14}{sampler:<9}{s.n_episodes:>4}{s.coll_rate:>8.1f}"
             f"{f'{s.min_dist_mean:.2f}+-{s.min_dist_std:.2f}':>16}{ttc:>16}"
             f"{s.ego_asd:>9.2f}{s.agent_asd:>10.2f}"
         )
-        csv_rows.append(persist.stats_csv_row(scenario_id, sampler, seed, s))
+        csv_rows.append(persist.stats_csv_row(scenario_id, sampler, s))
     if args.csv:
         persist.write_stats_csv(args.csv, csv_rows)
     return 0
@@ -267,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", help="scenario config file or preset name")
     run_p.add_argument("--sampler", choices=("bo", "sobol"), default="bo")
     run_p.add_argument("--budget", type=int, default=75)
-    run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--beta", type=float, default=2.0)
     run_p.add_argument("--candidates", type=int, default=1024)
     run_p.add_argument("--out", default=None, help=f"output root (default ${OUT_ROOT_ENV} or .)")
@@ -281,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p = sub.add_parser("report", help="tabulate campaign statistics")
     rep_p.add_argument("campaign_dirs", nargs="+")
     rep_p.add_argument("--csv", default=None, help="also write rows to this CSV file")
-    rep_p.add_argument("--asd-convention", choices=("paper", "mean_pairwise"), default="paper")
     rep_p.set_defaults(func=cmd_report)
 
     gp_p = sub.add_parser("export-gp", help="refit and export the GP posterior grid")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import surrogate
 from .geom import Point2
-from .metrics import EpisodeScore, criticality_score, score_episode
+from .metrics import EpisodeScore, score_episode
 from .scenario import Scenario, prompt_to_world
 from .sim import Episode, PlannerHandle, ReactivePolicy, simulate_episode
 from .sobol import sobol_point, sobol_points
@@ -29,7 +29,6 @@ PERTURBATION = 0.02
 class Observation:
     prompt: Tuple[float, ...]
     score: float  # -inf marks a failed episode
-    episode_id: str = ""
 
     @property
     def valid(self) -> bool:
@@ -42,8 +41,6 @@ class SamplerConfig:
     budget: int = 75
     beta: float = 2.0
     candidates: int = 1024
-    seed: int = 0
-    nu: float = 2.5
     # pin the GP hyperparameters instead of refitting by MLE each iteration
     fixed_params: Optional[surrogate.KernelParams] = None
 
@@ -58,24 +55,23 @@ class SamplerConfig:
             raise ValueError("candidate count must be >= 16")
 
 
-def ucb(mean: float, variance: float, beta: float) -> float:
-    """Upper confidence bound acquisition value."""
-    if variance < 0:
+def ucb(mean: np.ndarray, variance: np.ndarray, beta: float) -> np.ndarray:
+    """Upper confidence bound at each candidate (GP-UCB, Srinivas et al. 2010)."""
+    if np.any(variance < 0):
         raise ValueError("variance must be >= 0")
-    return mean + beta * math.sqrt(variance)
+    return mean + beta * np.sqrt(variance)
 
 
 def _candidate_set(history: List[Observation], cfg: SamplerConfig, dim: int) -> np.ndarray:
+    """Sobol points, then the 2^dim corners of a +-PERTURBATION box around
+    each observed prompt (failed ones too), clipped to the unit cube. The
+    corners run in binary order, the last coordinate fastest, '-' before '+'."""
     cands = sobol_points(cfg.candidates, dim=dim, start=1)
-    locals_ = []
-    for obs in history:
-        base = np.asarray(obs.prompt)
-        for signs in np.ndindex(*(2,) * dim):
-            delta = np.where(np.array(signs) == 0, -PERTURBATION, PERTURBATION)
-            locals_.append(np.clip(base + delta, 0.0, 1.0))
-    if locals_:
-        cands = np.vstack([cands, np.array(locals_)])
-    return cands
+    bits = (np.arange(2**dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
+    deltas = np.where(bits == 0, -PERTURBATION, PERTURBATION)
+    base = np.array([obs.prompt for obs in history])
+    locals_ = np.clip(base[:, None, :] + deltas, 0.0, 1.0).reshape(-1, dim)
+    return np.vstack([cands, locals_])
 
 
 def suggest_next(
@@ -96,10 +92,9 @@ def suggest_next(
     if cfg.fixed_params is not None:
         model = surrogate.build_model(X, y, cfg.fixed_params, standardize=True)
     else:
-        model = surrogate.fit(X, y, nu=cfg.nu)
+        model = surrogate.fit(X, y)
     cands = _candidate_set(history, cfg, dim)
-    mean, var = surrogate.posterior_batch(model, cands)
-    acq = mean + cfg.beta * np.sqrt(np.maximum(var, 0.0))
+    acq = ucb(*surrogate.posterior_batch(model, cands), cfg.beta)
     best = int(np.argmax(acq))  # first index wins ties
     return tuple(float(v) for v in cands[best])
 
@@ -121,17 +116,6 @@ class CampaignResult:
     scenario_id: str
     sampler: SamplerConfig
     records: List[EpisodeRecord] = field(default_factory=list)
-
-    @property
-    def observations(self) -> List[Observation]:
-        return [
-            Observation(prompt=r.prompt, score=r.score, episode_id=str(r.iteration))
-            for r in self.records
-        ]
-
-    @property
-    def episodes(self) -> List[Episode]:
-        return [r.episode for r in self.records if r.episode is not None]
 
 
 def split_prompt(
@@ -187,7 +171,7 @@ def run_campaign(
                 record.failure_reason = episode.failure_reason
             else:
                 record.metrics = score_episode(episode, scenario)
-                record.score = criticality_score(episode, scenario)
+                record.score = record.metrics.g
         except Exception as exc:
             record.failed = True
             record.failure_reason = str(exc)

@@ -28,7 +28,7 @@ TTC_CONVENTION = "per-step footprint gap over forward-difference closing speed"
 
 STATS_COLUMNS = (
     "scenario,sampler,n,coll_pct,min_dist_mean,min_dist_std,"
-    "ttc_mean,ttc_std,ttc_inf_count,ego_asd,agent_asd,seed"
+    "ttc_mean,ttc_std,ttc_inf_count,ego_asd,agent_asd"
 )
 
 
@@ -50,9 +50,7 @@ def write_manifest(
             "budget": cfg.budget,
             "beta": cfg.beta,
             "candidates": cfg.candidates,
-            "nu": cfg.nu,
         },
-        "seed": cfg.seed,
         "tool_version": TOOL_VERSION,
         "conventions": {"ttc": TTC_CONVENTION, "asd": asd_convention},
     }
@@ -178,9 +176,7 @@ def read_campaign_log(path: str) -> List[dict]:
     return records
 
 
-def stats_csv_row(
-    scenario_id: str, sampler: str, seed: int, stats: CampaignStats
-) -> str:
+def stats_csv_row(scenario_id: str, sampler: str, stats: CampaignStats) -> str:
     def fmt(v: float) -> str:
         return "inf" if not math.isfinite(v) else f"{v:.6g}"
 
@@ -197,7 +193,6 @@ def stats_csv_row(
             str(stats.ttc_inf_count),
             fmt(stats.ego_asd),
             fmt(stats.agent_asd),
-            str(seed),
         ]
     )
 

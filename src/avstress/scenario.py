@@ -296,6 +296,8 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
         raise ScenarioError("sim.dt: must be > 0")
     if sim.replan_every < 1:
         raise ScenarioError("sim.replan_every: must be >= 1")
+    if sim.v_max <= 0:
+        raise ScenarioError("sim.v_max: must be > 0")
 
     planner_entry = doc.get("planner", {})
     planner_overrides = {}

@@ -1,6 +1,6 @@
 """Gaussian-process regression over the unit-square prompt space.
 
-Matern kernel with per-dimension (ARD) length scales, exact inference via
+Matern-5/2 kernel with per-dimension (ARD) length scales, exact inference via
 Cholesky factorization, and hyperparameter selection by maximizing the log
 marginal likelihood from multiple deterministic starts. Targets are
 standardized internally so acquisition weights are scale-free.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -30,15 +30,12 @@ class KernelParams:
     signal_variance: float
     length_scales: Tuple[float, ...]
     noise_variance: float
-    nu: float = 2.5
 
     def __post_init__(self):
         if self.signal_variance <= 0 or any(l <= 0 for l in self.length_scales):
             raise ValueError("kernel amplitudes and length scales must be positive")
         if self.noise_variance < JITTER_FLOOR:
             object.__setattr__(self, "noise_variance", JITTER_FLOOR)
-        if self.nu not in (1.5, 2.5):
-            raise ValueError("supported Matern smoothness: 1.5 or 2.5")
 
 
 def _scaled_dist(a: np.ndarray, b: np.ndarray, ls: np.ndarray) -> np.ndarray:
@@ -46,22 +43,14 @@ def _scaled_dist(a: np.ndarray, b: np.ndarray, ls: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.einsum("ijk,ijk->ij", diff, diff), 0.0))
 
 
-def _matern_of_r(r: np.ndarray, nu: float) -> np.ndarray:
-    if nu == 2.5:
-        c = math.sqrt(5.0)
-        return (1.0 + c * r + 5.0 * r * r / 3.0) * np.exp(-c * r)
-    c = math.sqrt(3.0)
-    return (1.0 + c * r) * np.exp(-c * r)
+def _matern_of_r(r: np.ndarray) -> np.ndarray:
+    c = math.sqrt(5.0)
+    return (1.0 + c * r + 5.0 * r * r / 3.0) * np.exp(-c * r)
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
     r = _scaled_dist(np.atleast_2d(a), np.atleast_2d(b), np.asarray(params.length_scales))
-    return params.signal_variance * _matern_of_r(r, params.nu)
-
-
-def matern52(a: Sequence[float], b: Sequence[float], params: KernelParams) -> float:
-    """Matern covariance between two prompts (nu taken from params)."""
-    return float(kernel_matrix(np.atleast_2d(a), np.atleast_2d(b), params)[0, 0])
+    return params.signal_variance * _matern_of_r(r)
 
 
 def _factor(K: np.ndarray, noise_variance: float) -> Tuple[np.ndarray, float]:
@@ -98,6 +87,13 @@ class GpModel:
         return len(self.targets)
 
 
+def _standardization(y: np.ndarray) -> Tuple[float, float]:
+    """(mean, std) that map raw targets to zero mean and unit spread; a
+    constant target vector keeps std 1."""
+    std = float(np.std(y))
+    return float(np.mean(y)), std if std > 1e-9 else 1.0
+
+
 def build_model(
     inputs: np.ndarray,
     targets: np.ndarray,
@@ -109,12 +105,7 @@ def build_model(
     y = np.asarray(targets, dtype=float).ravel()
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    if standardize:
-        y_mean = float(np.mean(y))
-        std = float(np.std(y))
-        y_std = std if std > 1e-9 else 1.0
-    else:
-        y_mean, y_std = 0.0, 1.0
+    y_mean, y_std = _standardization(y) if standardize else (0.0, 1.0)
     z = (y - y_mean) / y_std
     K = kernel_matrix(X, X, params)
     L, _ = _factor(K, params.noise_variance)
@@ -126,7 +117,7 @@ def build_model(
 
 
 def log_marginal_likelihood(
-    inputs: np.ndarray, targets: np.ndarray, log_theta: np.ndarray, nu: float = 2.5
+    inputs: np.ndarray, targets: np.ndarray, log_theta: np.ndarray
 ) -> Tuple[float, np.ndarray]:
     """Log marginal likelihood and its gradient in log-parameter space.
 
@@ -141,8 +132,7 @@ def log_marginal_likelihood(
     sn2 = math.exp(2.0 * log_theta[d + 1])
 
     r = _scaled_dist(X, X, ls)
-    f = _matern_of_r(r, nu)
-    K = sf2 * f
+    K = sf2 * _matern_of_r(r)
     L, jitter = _factor(K, sn2)
     alpha = cho_solve((L, True), y)
     ll = (
@@ -157,10 +147,7 @@ def log_marginal_likelihood(
 
     grad = np.empty(d + 2)
     # g(r) = -f'(r)/r, finite at r = 0
-    if nu == 2.5:
-        g = (5.0 / 3.0) * (1.0 + math.sqrt(5.0) * r) * np.exp(-math.sqrt(5.0) * r)
-    else:
-        g = 3.0 * np.exp(-math.sqrt(3.0) * r)
+    g = (5.0 / 3.0) * (1.0 + math.sqrt(5.0) * r) * np.exp(-math.sqrt(5.0) * r)
     for k in range(d):
         d2 = (X[:, k, None] - X[None, :, k]) ** 2 / ls[k] ** 2
         dK = sf2 * g * d2  # w.r.t. log l_k
@@ -170,7 +157,7 @@ def log_marginal_likelihood(
     return ll, grad
 
 
-def fit(inputs: np.ndarray, targets: np.ndarray, nu: float = 2.5) -> GpModel:
+def fit(inputs: np.ndarray, targets: np.ndarray) -> GpModel:
     """Fit hyperparameters by multi-start MLE and condition on the data.
 
     Eight L-BFGS starts are taken from a Sobol grid over the log-parameter
@@ -183,11 +170,9 @@ def fit(inputs: np.ndarray, targets: np.ndarray, nu: float = 2.5) -> GpModel:
         raise InsufficientDataError("GP fit needs at least 2 observations")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    n, d = X.shape
+    d = X.shape[1]
 
-    y_mean = float(np.mean(y))
-    std = float(np.std(y))
-    y_std = std if std > 1e-9 else 1.0
+    y_mean, y_std = _standardization(y)
     z = (y - y_mean) / y_std
     z_std = float(np.std(z))
     if z_std < 1e-9:
@@ -199,7 +184,7 @@ def fit(inputs: np.ndarray, targets: np.ndarray, nu: float = 2.5) -> GpModel:
     starts = lo + sobol_points(8, dim=d + 2, start=1) * (hi - lo)
 
     def objective(log_theta):
-        ll, grad = log_marginal_likelihood(X, z, log_theta, nu=nu)
+        ll, grad = log_marginal_likelihood(X, z, log_theta)
         return -ll, -grad
 
     best = None
@@ -215,16 +200,9 @@ def fit(inputs: np.ndarray, targets: np.ndarray, nu: float = 2.5) -> GpModel:
     params = KernelParams(
         signal_variance=math.exp(2.0 * theta[d]),
         length_scales=tuple(np.exp(theta[:d])),
-        noise_variance=max(math.exp(2.0 * theta[d + 1]), JITTER_FLOOR),
-        nu=nu,
+        noise_variance=math.exp(2.0 * theta[d + 1]),
     )
-    K = kernel_matrix(X, X, params)
-    L, _ = _factor(K, params.noise_variance)
-    alpha = cho_solve((L, True), z)
-    return GpModel(
-        inputs=X, targets=y, params=params, y_mean=y_mean, y_std=y_std,
-        chol=L, alpha=alpha,
-    )
+    return build_model(X, y, params, standardize=True)
 
 
 def posterior_batch(model: GpModel, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -240,11 +218,6 @@ def posterior_batch(model: GpModel, xs: np.ndarray) -> Tuple[np.ndarray, np.ndar
     var_z = model.params.signal_variance - np.sum(v * v, axis=0)
     var_z = np.maximum(var_z, 0.0)
     return model.y_mean + model.y_std * mean_z, model.y_std**2 * var_z
-
-
-def posterior(model: GpModel, x: Sequence[float]) -> Tuple[float, float]:
-    mean, var = posterior_batch(model, np.atleast_2d(x))
-    return float(mean[0]), float(var[0])
 
 
 def posterior_grid(model: GpModel, resolution: int) -> np.ndarray:

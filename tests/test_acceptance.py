@@ -26,7 +26,7 @@ from avstress.surrogate import (
     build_model,
     kernel_matrix,
     log_marginal_likelihood,
-    posterior,
+    posterior_batch,
 )
 from conftest import make_episode, scenario_with_agents
 
@@ -95,9 +95,8 @@ def test_criterion_2_gp_correctness():
         X = rng.random((8, 2))
         y = rng.normal(size=8)
         model = build_model(X, y, params)
-        for xi, yi in zip(X, y):
-            mean, _ = posterior(model, xi)
-            assert abs(mean - yi) < 1e-4
+        mean, _ = posterior_batch(model, X)
+        assert np.all(np.abs(mean - y) < 1e-4)
         # (c) Gram-matrix positive semidefiniteness
         for _ in range(50):
             X = rng.random((int(rng.integers(3, 15)), 2))
@@ -248,8 +247,7 @@ def test_criterion_7_run_determinism(tmp_path, capsys):
         for tag in ("a", "b"):
             out_root = str(tmp_path / tag)
             code = cli_main(
-                ["run", "front", "--sampler", "bo", "--budget", "6",
-                 "--seed", "3", "--out", out_root]
+                ["run", "front", "--sampler", "bo", "--budget", "6", "--out", out_root]
             )
             assert code == 0
             out_dir = capsys.readouterr().out.strip().splitlines()[-1]

@@ -37,8 +37,7 @@ class TestRun:
     def test_sobol_budget_three(self, scenario_file, tmp_path, capsys):
         out = str(tmp_path / "out")
         code = run_cli(
-            "run", scenario_file, "--sampler", "sobol", "--budget", "3",
-            "--seed", "7", "--out", out,
+            "run", scenario_file, "--sampler", "sobol", "--budget", "3", "--out", out,
         )
         assert code == 0
         out_dir = capsys.readouterr().out.strip()
@@ -110,9 +109,14 @@ class TestReport:
         assert len(data) == 2
         assert "bo" in data[0] and "sobol" in data[1]  # sorted within scenario
 
-    def test_preset_csv_equals_stats_csv(self, tmp_path, capsys):
+    @pytest.mark.parametrize("convention", ["paper", "mean_pairwise"])
+    def test_preset_csv_equals_stats_csv(self, convention, tmp_path, capsys):
+        # report takes the ASD convention from the campaign's manifest
         out = str(tmp_path / "out")
-        assert run_cli("run", "front", "--sampler", "sobol", "--budget", "3", "--out", out) == 0
+        assert run_cli(
+            "run", "front", "--sampler", "sobol", "--budget", "3", "--out", out,
+            "--asd-convention", convention,
+        ) == 0
         out_dir = capsys.readouterr().out.strip()
         csv_path = str(tmp_path / "table.csv")
         assert run_cli("report", out_dir, "--csv", csv_path) == 0

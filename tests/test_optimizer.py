@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from avstress.optimizer import (
+    PERTURBATION,
     Observation,
     SamplerConfig,
+    _candidate_set,
     prompt_dim,
     run_campaign,
     split_prompt,
@@ -34,6 +36,8 @@ def corner_history():
 class TestUcb:
     def test_arithmetic(self):
         assert ucb(1.0, 4.0, 2.0) == pytest.approx(5.0)
+        acq = ucb(np.array([1.0, -1.0, 0.5]), np.array([4.0, 0.0, 0.25]), 2.0)
+        np.testing.assert_allclose(acq, [5.0, -1.0, 1.5])
 
     def test_beta_zero_is_pure_exploitation(self):
         assert ucb(-3.2, 7.0, 0.0) == pytest.approx(-3.2)
@@ -45,6 +49,37 @@ class TestUcb:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             ucb(0.0, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            ucb(np.zeros(3), np.array([1.0, -1e-12, 0.0]), 1.0)
+
+
+def loop_candidate_set(history, cfg, dim):
+    """The per-observation loop that _candidate_set's broadcast replaced."""
+    cands = sobol_points(cfg.candidates, dim=dim, start=1)
+    locals_ = []
+    for obs in history:
+        base = np.asarray(obs.prompt)
+        for signs in np.ndindex(*(2,) * dim):
+            delta = np.where(np.array(signs) == 0, -PERTURBATION, PERTURBATION)
+            locals_.append(np.clip(base + delta, 0.0, 1.0))
+    if locals_:
+        cands = np.vstack([cands, np.array(locals_)])
+    return cands
+
+
+class TestCandidateSet:
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_equals_per_observation_loop(self, dim):
+        # prompts on the cube's faces are clipped; failed prompts still count
+        rng = np.random.default_rng(dim)
+        prompts = [tuple(rng.random(dim)) for _ in range(5)]
+        prompts += [(0.0,) * dim, (1.0,) * dim, tuple([0.0, 1.0] * (dim // 2))]
+        history = [Observation(prompt=p, score=float(i)) for i, p in enumerate(prompts)]
+        history[3] = Observation(prompt=history[3].prompt, score=-math.inf)
+        cfg = SamplerConfig(kind="bo", budget=20, candidates=32)
+        got = _candidate_set(history, cfg, dim)
+        assert got.shape == (32 + len(history) * 2**dim, dim)
+        assert np.array_equal(got, loop_candidate_set(history, cfg, dim))
 
 
 class TestSuggestNext:

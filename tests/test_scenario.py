@@ -79,6 +79,14 @@ def test_agent_count_limited_by_sobol_dimensions():
         scenario_with_agents(most + 1)
 
 
+@pytest.mark.parametrize("v_max", ["0.0", "-1.0"])
+def test_non_positive_v_max_rejected(v_max):
+    # every episode would fail at its first planner step, yet `run` exits 0
+    text = _broken(TWO_LANE_YAML, "v_max: 15.0", f"v_max: {v_max}")
+    with pytest.raises(ScenarioError, match=r"sim\.v_max"):
+        load_scenario(text)
+
+
 def test_goal_domain_behind_agent_rejected():
     # npc sits at arc-length 75 on the left lane; a domain starting at 10
     # lies behind it

@@ -1,0 +1,47 @@
+"""The benchmark's per-layer tracer must find every entry point it wraps.
+
+`benchmarks/bench_trace.py` wraps program functions by name (module
+attributes, names imported into other modules, class attributes). A deleted
+or renamed entry point would otherwise only show up when the benchmark runs
+with `--trace 1`.
+"""
+import os
+import sys
+
+import avstress
+import avstress.cli
+import avstress.persist
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+
+import bench_trace  # noqa: E402
+
+
+def bindings():
+    timed, counted = bench_trace._layers(avstress)
+    return [(owner, attr) for _, group in timed + counted for owner, attr in group]
+
+
+def test_install_wraps_and_uninstall_restores(tmp_path, capsys):
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr in bindings()]
+    tracer = bench_trace.Tracer()
+    tracer.install(avstress)
+    try:
+        for owner, attr, original in originals:
+            assert owner.__dict__[attr] is not original, f"{owner.__name__}.{attr}"
+        assert avstress.cli.main(
+            ["run", "front", "--sampler", "bo", "--budget", "3", "--out", str(tmp_path)]
+        ) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+
+    totals = tracer.totals()
+    for layer in ("optimizer.suggest_next", "surrogate.fit", "surrogate.posterior_batch",
+                  "sobol", "sim.simulate_episode", "planner.plan", "persist.write"):
+        assert totals[layer][0] > 0, layer
+    assert tracer.counts["surrogate.lml_evals"] > 0
+    assert tracer.counts["optimizer.candidates_scored"] > 0
