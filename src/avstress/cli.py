@@ -6,7 +6,7 @@ Exit codes: 0 success, 2 usage/config error, 3 irrecoverable runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import glob
 import json
 import math
 import os
@@ -17,14 +17,8 @@ import numpy as np
 
 from . import metrics, persist, surrogate
 from .optimizer import SamplerConfig, run_campaign
-from .planner import LatticePlanner, PlannerParams
-from .scenario import (
-    PRESET_NAMES,
-    Scenario,
-    ScenarioError,
-    SimParams,
-    load_scenario_file,
-)
+from .planner import LatticePlanner
+from .scenario import PRESET_NAMES, ScenarioError, load_scenario_file
 
 OUT_ROOT_ENV = "AVSTRESS_OUT"
 
@@ -45,23 +39,6 @@ def _resolve_scenario_path(name: str) -> str:
     raise CliError(f"scenario '{name}' is neither a file nor a preset name")
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    sim = scenario.sim
-    updates = {}
-    if args.dt is not None:
-        updates["dt"] = args.dt
-    if args.horizon is not None:
-        updates["horizon_steps"] = args.horizon
-    if args.replan_every is not None:
-        updates["replan_every"] = args.replan_every
-    if updates:
-        sim = dataclasses.replace(sim, **updates)
-    overrides = dict(scenario.planner_overrides)
-    if args.d_safe is not None:
-        overrides["d_safe"] = args.d_safe
-    return dataclasses.replace(scenario, sim=sim, planner_overrides=overrides)
-
-
 def cmd_run(args) -> int:
     scenario_path = _resolve_scenario_path(args.scenario)
     try:
@@ -75,7 +52,6 @@ def cmd_run(args) -> int:
         raise CliError(str(exc))
     try:
         scenario = load_scenario_file(scenario_path)
-        scenario = _apply_overrides(scenario, args)
     except ScenarioError as exc:
         raise CliError(f"invalid scenario config: {exc}")
 
@@ -83,6 +59,10 @@ def cmd_run(args) -> int:
     out_dir = os.path.join(out_root, f"{scenario.scenario_id}_{cfg.kind}")
     episodes_dir = os.path.join(out_dir, "episodes")
     os.makedirs(episodes_dir, exist_ok=True)
+    # this run replaces any earlier campaign in the directory
+    stale = glob.glob(os.path.join(episodes_dir, "ep_*.jsonl"))
+    for path in stale + glob.glob(os.path.join(out_dir, "stats.csv")):
+        os.remove(path)
     shutil.copyfile(scenario_path, os.path.join(out_dir, "scenario.yaml"))
     persist.write_manifest(out_dir, scenario_path, cfg, args.asd_convention)
 
@@ -102,7 +82,7 @@ def cmd_run(args) -> int:
                 file=sys.stderr,
             )
 
-    planner = LatticePlanner(PlannerParams())
+    planner = LatticePlanner()
     try:
         result = run_campaign(scenario, cfg, planner, episode_sink=sink)
     finally:
@@ -266,10 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--beta", type=float, default=2.0)
     run_p.add_argument("--candidates", type=int, default=1024)
     run_p.add_argument("--out", default=None, help=f"output root (default ${OUT_ROOT_ENV} or .)")
-    run_p.add_argument("--dt", type=float, default=None)
-    run_p.add_argument("--horizon", type=int, default=None)
-    run_p.add_argument("--replan-every", type=int, default=None)
-    run_p.add_argument("--d-safe", type=float, default=None)
     run_p.add_argument("--asd-convention", choices=("paper", "mean_pairwise"), default="paper")
     run_p.set_defaults(func=cmd_run)
 

@@ -10,12 +10,9 @@ is meant to exploit.
 """
 from __future__ import annotations
 
-import json
 import math
-import subprocess
-import sys
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .geom import Point2, Polyline, point_at_arclength
 # bound here, though unused, because benchmarks/bench_trace.py counts the
@@ -26,6 +23,13 @@ from .sim import AgentState, JointState, bicycle_step
 
 LANE_SNAP_RANGE = 10.0
 LATERAL_DECAY_TAU = 1.0
+# candidates that come closer than this to a predicted waypoint are infeasible
+D_SAFE = 3.0
+# rollout length, stretched to sim.replan_every when that is longer so that
+# every plan covers a whole replan interval
+HORIZON_STEPS = 30
+ACCEL_GRID = (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
+COMFORT_WEIGHT = 0.1
 
 
 @dataclass(frozen=True)
@@ -44,14 +48,6 @@ class PlanCandidate:
     states: List[StateTuple]
     cost: float
     min_clearance: float
-
-
-@dataclass(frozen=True)
-class PlannerParams:
-    d_safe: float = 3.0
-    horizon_steps: int = 30
-    accel_grid: tuple = (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
-    comfort_weight: float = 0.1
 
 
 def predict_constant_velocity(
@@ -134,9 +130,6 @@ def _rollout(
 class LatticePlanner:
     """Deterministic candidate-enumeration planner (the system under test)."""
 
-    def __init__(self, params: PlannerParams = PlannerParams()):
-        self.params = params
-
     def _candidate_lanes(self, ego: AgentState, scenario: Scenario) -> List[Lane]:
         current, _, _, _ = scenario.map.nearest_lane(ego.position)
         lanes = [current]
@@ -145,12 +138,8 @@ class LatticePlanner:
                 lanes.append(scenario.map.lane(ref))
         return lanes
 
-    def d_safe(self, scenario: Scenario) -> float:
-        return scenario.planner_overrides.get("d_safe", self.params.d_safe)
-
     def candidates(self, world: JointState, scenario: Scenario) -> List[PlanCandidate]:
-        p = self.params
-        horizon = int(scenario.planner_overrides.get("horizon_steps", p.horizon_steps))
+        horizon = max(HORIZON_STEPS, scenario.sim.replan_every)
         dt = scenario.sim.dt
         ego_id = scenario.ego.id
         ego = world.states[ego_id]
@@ -166,7 +155,7 @@ class LatticePlanner:
         goal_x, goal_y = scenario.ego_goal.x, scenario.ego_goal.y
         out = []
         for lane in self._candidate_lanes(ego, scenario):
-            for accel in p.accel_grid:
+            for accel in ACCEL_GRID:
                 states = _rollout(start, lane.centerline, accel, horizon, dt, scenario.sim.v_max)
                 clearance = math.inf
                 for wps in waypoints:
@@ -175,7 +164,7 @@ class LatticePlanner:
                         if d < clearance:
                             clearance = d
                 x, y, _, _ = states[-1]
-                cost = math.hypot(x - goal_x, y - goal_y) + p.comfort_weight * abs(accel)
+                cost = math.hypot(x - goal_x, y - goal_y) + COMFORT_WEIGHT * abs(accel)
                 out.append(
                     PlanCandidate(
                         target_lane=lane.id,
@@ -189,8 +178,7 @@ class LatticePlanner:
 
     def plan(self, world: JointState, scenario: Scenario) -> List[AgentState]:
         cands = self.candidates(world, scenario)
-        d_safe = self.d_safe(scenario)
-        feasible = [c for c in cands if c.min_clearance >= d_safe]
+        feasible = [c for c in cands if c.min_clearance >= D_SAFE]
         if feasible:
             best = min(feasible, key=lambda c: c.cost)
         else:
@@ -220,80 +208,3 @@ class ConstantVelocityEgoStub:
             )
             out.append(cur)
         return out
-
-
-def _state_to_wire(state: AgentState) -> list:
-    return [state.position.x, state.position.y, state.heading, state.speed]
-
-
-def _state_from_wire(row) -> AgentState:
-    return AgentState(Point2(float(row[0]), float(row[1])), float(row[2]), float(row[3]))
-
-
-class StdioPlannerAdapter:
-    """Bridges plan() calls to an external planner process over stdio.
-
-    Protocol: one JSON line per request
-        {"timestep": t, "agents": {id: [x, y, heading, speed], ...}}
-    answered by one JSON line
-        {"states": [[x, y, heading, speed], ...]}   (length = replan_every)
-    The child receives the scenario config file path as its last argument.
-    """
-
-    def __init__(self, command: List[str], scenario_path: str):
-        self._proc = subprocess.Popen(
-            command + [scenario_path],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-        )
-
-    def plan(self, world: JointState, scenario: Scenario) -> List[AgentState]:
-        request = {
-            "timestep": world.timestep,
-            "agents": {aid: _state_to_wire(s) for aid, s in world.states.items()},
-        }
-        assert self._proc.stdin is not None and self._proc.stdout is not None
-        self._proc.stdin.write(json.dumps(request, sort_keys=True) + "\n")
-        self._proc.stdin.flush()
-        line = self._proc.stdout.readline()
-        if not line:
-            raise RuntimeError("external planner closed its output stream")
-        reply = json.loads(line)
-        return [_state_from_wire(row) for row in reply["states"]]
-
-    def close(self):
-        if self._proc.stdin is not None:
-            self._proc.stdin.close()
-        self._proc.wait(timeout=10)
-
-
-def serve_stdio(planner, scenario: Scenario, stdin=None, stdout=None) -> None:
-    """Serve a Python planner over the stdio protocol (used by the child)."""
-    stdin = stdin or sys.stdin
-    stdout = stdout or sys.stdout
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        request = json.loads(line)
-        world = JointState(
-            int(request["timestep"]),
-            {aid: _state_from_wire(row) for aid, row in request["agents"].items()},
-        )
-        states = planner.plan(world, scenario)
-        stdout.write(
-            json.dumps({"states": [_state_to_wire(s) for s in states]}) + "\n"
-        )
-        stdout.flush()
-
-
-def main() -> None:  # pragma: no cover - exercised via subprocess in tests
-    from .scenario import load_scenario_file
-
-    scenario = load_scenario_file(sys.argv[-1])
-    serve_stdio(LatticePlanner(), scenario)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -7,7 +7,7 @@ malformed geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
@@ -102,7 +102,6 @@ class Scenario:
     ego_goal: Point2
     goal_domains: Dict[str, GoalDomain]
     sim: SimParams
-    planner_overrides: Dict[str, float] = field(default_factory=dict)
 
     @property
     def ego(self) -> AgentConfig:
@@ -190,6 +189,10 @@ def _drivable_l_range(map_model: MapModel, lane: Lane) -> Tuple[float, float]:
     return lo, hi
 
 
+# the whole run configuration: the CLI adds only sampler and output options
+TOP_LEVEL_KEYS = ("map", "agents", "ego_goal", "goal_domains", "sim")
+
+
 def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
     """Parse and validate a YAML scenario config."""
     try:
@@ -198,6 +201,11 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
         raise ScenarioError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("config root must be a mapping")
+    for key in doc:
+        if key not in TOP_LEVEL_KEYS:
+            raise ScenarioError(
+                f"{key}: unknown top-level key; expected one of {', '.join(TOP_LEVEL_KEYS)}"
+            )
 
     lane_entries = _require(_require(doc, "map", "", dict), "lanes", "map", list)
     if not lane_entries:
@@ -299,15 +307,6 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
     if sim.v_max <= 0:
         raise ScenarioError("sim.v_max: must be > 0")
 
-    planner_entry = doc.get("planner", {})
-    planner_overrides = {}
-    if planner_entry:
-        if not isinstance(planner_entry, dict):
-            raise ScenarioError("planner: must be a mapping")
-        for key in ("d_safe", "horizon_steps"):
-            if key in planner_entry:
-                planner_overrides[key] = float(planner_entry[key])
-
     return Scenario(
         scenario_id=scenario_id,
         map=map_model,
@@ -315,7 +314,6 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
         ego_goal=ego_goal,
         goal_domains=domains,
         sim=sim,
-        planner_overrides=planner_overrides,
     )
 
 

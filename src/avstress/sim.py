@@ -20,6 +20,14 @@ STEER_LIMIT = 0.5
 ACCEL_MIN = -6.0
 ACCEL_MAX = 3.0
 COMFORT_DECEL = 2.0
+# the reactive agent's car-following (IDM) model, and the corridor ahead of
+# it in which another agent counts as its leader
+IDM_ACCEL_MAX = 2.0
+IDM_DECEL_COMFORT = 3.0
+IDM_GAP_MIN = 2.0
+IDM_HEADWAY = 1.5
+LEADER_RANGE = 60.0
+LEADER_HALF_WIDTH = 2.0
 
 
 class SimulationError(RuntimeError):
@@ -108,33 +116,16 @@ def bicycle_step(
     return x_next, y_next, heading_next, speed_next
 
 
-@dataclass(frozen=True)
-class IdmParams:
-    accel_max: float = 2.0
-    decel_comfort: float = 3.0
-    gap_min: float = 2.0
-    headway: float = 1.5
-    ahead_range: float = 60.0
-    corridor_half_width: float = 2.0
-
-
 class ReactivePolicy:
     """Goal-seeking driver: pure pursuit laterally, stopping + car-following
     longitudinally. The goal point plays the role of a behavior prompt; it is
     fixed at construction for the whole episode.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        agent_id: str,
-        goal: Point2,
-        idm: IdmParams = IdmParams(),
-    ):
+    def __init__(self, scenario: Scenario, agent_id: str, goal: Point2):
         self.scenario = scenario
         self.agent_id = agent_id
         self.goal = goal
-        self.idm = idm
         cfg = next(a for a in scenario.agents if a.id == agent_id)
         self.v_desired = min(cfg.v_desired, scenario.sim.v_max)
         self.length = cfg.length
@@ -151,9 +142,9 @@ class ReactivePolicy:
             ry = other.position.y - me.position.y
             lon = rx * c + ry * s
             lat = -rx * s + ry * c
-            if lon <= 0.0 or lon > self.idm.ahead_range:
+            if lon <= 0.0 or lon > LEADER_RANGE:
                 continue
-            if abs(lat) > self.idm.corridor_half_width:
+            if abs(lat) > LEADER_HALF_WIDTH:
                 continue
             if best is None or lon < best[0]:
                 gap = lon - 0.5 * (self.length + self._lengths[aid])
@@ -168,13 +159,12 @@ class ReactivePolicy:
             return ACCEL_MAX
         gap, v_lead = found
         gap = max(gap, 0.1)
-        p = self.idm
         v = me.speed
         v0 = max(self.v_desired, 0.1)
-        s_star = p.gap_min + v * p.headway + v * (v - v_lead) / (
-            2.0 * math.sqrt(p.accel_max * p.decel_comfort)
+        s_star = IDM_GAP_MIN + v * IDM_HEADWAY + v * (v - v_lead) / (
+            2.0 * math.sqrt(IDM_ACCEL_MAX * IDM_DECEL_COMFORT)
         )
-        return p.accel_max * (1.0 - (v / v0) ** 4 - (max(s_star, 0.0) / gap) ** 2)
+        return IDM_ACCEL_MAX * (1.0 - (v / v0) ** 4 - (max(s_star, 0.0) / gap) ** 2)
 
     def step(self, world: JointState) -> AgentState:
         me = world.states[self.agent_id]

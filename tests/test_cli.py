@@ -60,6 +60,25 @@ class TestRun:
             dirs.append(capsys.readouterr().out.strip())
         assert read_bytes_tree(dirs[0]) == read_bytes_tree(dirs[1])
 
+    @pytest.mark.parametrize("budget", [2, 1])
+    def test_rerun_replaces_previous_campaign(self, budget, scenario_file, tmp_path, capsys):
+        # a shorter run into the directory of a budget-4 campaign leaves
+        # nothing of it behind, also no stats.csv when it has too few
+        # episodes to write one
+        shared = str(tmp_path / "shared")
+        argv = ("run", scenario_file, "--sampler", "sobol", "--out")
+        assert run_cli(*argv, shared, "--budget", "4") == 0
+        first = capsys.readouterr().out.strip()
+        assert os.path.exists(os.path.join(first, "stats.csv"))
+        assert run_cli(*argv, shared, "--budget", str(budget)) == 0
+        assert capsys.readouterr().out.strip() == first
+        assert run_cli(*argv, str(tmp_path / "fresh"), "--budget", str(budget)) == 0
+        fresh = capsys.readouterr().out.strip()
+        assert read_bytes_tree(first) == read_bytes_tree(fresh)
+        eps = sorted(os.listdir(os.path.join(first, "episodes")))
+        assert eps == [f"ep_{i:04d}.jsonl" for i in range(budget)]
+        assert os.path.exists(os.path.join(first, "stats.csv")) == (budget >= 2)
+
     def test_zero_budget_rejected_without_outputs(self, scenario_file, tmp_path):
         out = str(tmp_path / "out")
         code = run_cli("run", scenario_file, "--budget", "0", "--out", out)

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from avstress.optimizer import (
     suggest_next,
     ucb,
 )
-from avstress.planner import ConstantVelocityEgoStub, LatticePlanner
+from avstress.planner import HORIZON_STEPS, ConstantVelocityEgoStub, LatticePlanner
+from avstress.scenario import load_scenario
 from avstress.sobol import sobol_point, sobol_points
 from avstress.surrogate import KernelParams, build_model, posterior_batch
 from conftest import scenario_with_agents
@@ -260,6 +262,18 @@ class TestRunCampaign:
         assert len(result.records) == 4
         assert [r.failure_reason for r in result.records if r.failed] == []
         assert all(len(r.prompt) == 2 * n_simulated for r in result.records)
+
+    def test_replan_interval_longer_than_planner_horizon(self):
+        # the planner rolls out max(HORIZON_STEPS, replan_every) steps, so a
+        # 40-step replan interval gets 40 states from a 30-step horizon
+        assert HORIZON_STEPS < 40
+        text = resources.files("avstress").joinpath("presets/front.yaml").read_text()
+        scenario = load_scenario(text.replace("replan_every: 5", "replan_every: 40"), "front")
+        assert scenario.sim.replan_every == 40
+        cfg = SamplerConfig(kind="sobol", budget=2)
+        result = run_campaign(scenario, cfg, LatticePlanner())
+        assert len(result.records) == 2
+        assert [r.failure_reason for r in result.records if r.failed] == []
 
 
 class TestSplitPrompt:

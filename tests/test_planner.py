@@ -1,25 +1,11 @@
 import math
-import os
-import sys
 
 import pytest
 
 from avstress.geom import Point2
-from avstress.planner import (
-    ConstantVelocityEgoStub,
-    LatticePlanner,
-    PlannerParams,
-    StdioPlannerAdapter,
-    predict_constant_velocity,
-)
+from avstress.planner import ACCEL_GRID, D_SAFE, LatticePlanner, predict_constant_velocity
 from avstress.scenario import load_scenario
-from avstress.sim import (
-    AgentState,
-    JointState,
-    ScriptedPolicy,
-    initial_joint_state,
-    simulate_episode,
-)
+from avstress.sim import AgentState, ScriptedPolicy, initial_joint_state, simulate_episode
 from conftest import TWO_LANE_YAML
 
 
@@ -65,10 +51,10 @@ class TestLatticePlan:
         sc = load_scenario(text)
         planner = LatticePlanner()
         cands = planner.candidates(initial_joint_state(sc), sc)
-        feasible = [c for c in cands if c.min_clearance >= planner.d_safe(sc)]
+        feasible = [c for c in cands if c.min_clearance >= D_SAFE]
         best = min(feasible, key=lambda c: c.cost)
         assert best.target_lane == "right"
-        assert best.accel == max(PlannerParams().accel_grid)
+        assert best.accel == max(ACCEL_GRID)
 
     def test_stationary_obstacle_forces_brake_or_lane_change(self):
         # npc stopped 5 m ahead of a slow-moving ego in the ego's lane
@@ -82,13 +68,12 @@ class TestLatticePlan:
         sc = load_scenario(text)
         planner = LatticePlanner()
         cands = planner.candidates(initial_joint_state(sc), sc)
-        d_safe = planner.d_safe(sc)
         # hand-enumeration: every current-lane candidate with accel >= 0 runs
         # into the stationary prediction within the horizon
         for c in cands:
             if c.target_lane == "left" and c.accel >= 0.0:
-                assert c.min_clearance < d_safe
-        feasible = [c for c in cands if c.min_clearance >= d_safe]
+                assert c.min_clearance < D_SAFE
+        feasible = [c for c in cands if c.min_clearance >= D_SAFE]
         assert feasible, "braking should keep the ego clear of the obstacle"
         chosen = min(feasible, key=lambda c: c.cost)
         assert chosen.target_lane == "right" or chosen.accel < 0.0
@@ -109,7 +94,7 @@ class TestLatticePlan:
         planner = LatticePlanner()
         world = initial_joint_state(sc)
         cands = planner.candidates(world, sc)
-        assert all(c.min_clearance < planner.d_safe(sc) for c in cands)
+        assert all(c.min_clearance < D_SAFE for c in cands)
         plan = planner.plan(world, sc)
         assert len(plan) == sc.sim.replan_every
 
@@ -132,25 +117,3 @@ class TestLatticePlan:
         )
         assert episode.collision is None
         assert not episode.failed
-
-
-class TestStdioAdapter:
-    def test_round_trip_against_in_process_planner(self, two_lane_scenario, tmp_path):
-        scenario_path = tmp_path / "scenario.yaml"
-        scenario_path.write_text(TWO_LANE_YAML)
-        sc = two_lane_scenario
-        adapter = StdioPlannerAdapter(
-            [sys.executable, "-m", "avstress.planner"], str(scenario_path)
-        )
-        try:
-            world = initial_joint_state(sc)
-            remote = adapter.plan(world, sc)
-            local = LatticePlanner().plan(world, sc)
-            assert len(remote) == sc.sim.replan_every
-            for r, l in zip(remote, local):
-                assert r.position.x == pytest.approx(l.position.x)
-                assert r.position.y == pytest.approx(l.position.y)
-                assert r.heading == pytest.approx(l.heading)
-                assert r.speed == pytest.approx(l.speed)
-        finally:
-            adapter.close()

@@ -14,7 +14,10 @@ import pytest
 
 from avstress.geom import Point2, Polyline, normalize_angle, point_at_arclength, project_to_polyline
 from avstress.optimizer import SamplerConfig, run_campaign
-from avstress.planner import LatticePlanner, _rollout, predict_constant_velocity
+from avstress.planner import (
+    ACCEL_GRID, COMFORT_WEIGHT, D_SAFE, HORIZON_STEPS, LatticePlanner, _rollout,
+    predict_constant_velocity,
+)
 from avstress.scenario import PRESET_NAMES, load_preset, load_scenario
 from avstress.sim import (
     ACCEL_MAX, ACCEL_MIN, COMFORT_DECEL, STEER_LIMIT, WHEELBASE, AgentState, ReactivePolicy,
@@ -100,8 +103,7 @@ def ref_rollout(state, centerline, accel, horizon, dt, v_max):
 
 def ref_candidates(planner, world, scenario):
     """[(lane id, accel, states, cost, min clearance)] in the planner's order."""
-    p = planner.params
-    horizon = int(scenario.planner_overrides.get("horizon_steps", p.horizon_steps))
+    horizon = max(HORIZON_STEPS, scenario.sim.replan_every)
     dt = scenario.sim.dt
     ego = world.states[scenario.ego.id]
     predictions = [
@@ -111,7 +113,7 @@ def ref_candidates(planner, world, scenario):
     ]
     out = []
     for lane in planner._candidate_lanes(ego, scenario):
-        for accel in p.accel_grid:
+        for accel in ACCEL_GRID:
             states = ref_rollout(ego, lane.centerline, accel, horizon, dt, scenario.sim.v_max)
             clearance = math.inf
             for pred in predictions:
@@ -124,7 +126,7 @@ def ref_candidates(planner, world, scenario):
             terminal = states[-1].position
             cost = (
                 math.hypot(terminal.x - scenario.ego_goal.x, terminal.y - scenario.ego_goal.y)
-                + p.comfort_weight * abs(accel)
+                + COMFORT_WEIGHT * abs(accel)
             )
             out.append((lane.id, accel, states, cost, clearance))
     return out
@@ -186,7 +188,7 @@ class CheckedPlanner:
             assert [_state_bits(s) for s in c.states] == [_state_bits(s) for s in states]
             assert _bits(c.cost, c.min_clearance) == _bits(cost, clearance)
         plan = self.planner.plan(world, scenario)
-        chosen = ref[ref_choice(ref, self.planner.d_safe(scenario))]
+        chosen = ref[ref_choice(ref, D_SAFE)]
         expected = chosen[2][: scenario.sim.replan_every]
         assert [_state_bits(s) for s in plan] == [_state_bits(s) for s in expected]
         self.replans += 1

@@ -43,7 +43,13 @@ def _broken(yaml_text, needle, replacement):
 
 
 def test_missing_goal_domain_rejected():
-    text = _broken(TWO_LANE_YAML, "goal_domains:", "goal_domains: []\nunused:")
+    text = _broken(
+        TWO_LANE_YAML,
+        "goal_domains:\n  - {agent_id: npc, lane: left, s_min: 75.0, s_max: 175.0, "
+        "l_min: -5.25, l_max: 1.75}\n",
+        "goal_domains: []\n",
+    )
+    assert "agent_id: npc" not in text
     with pytest.raises(ScenarioError, match="npc"):
         load_scenario(text)
 
@@ -84,6 +90,15 @@ def test_non_positive_v_max_rejected(v_max):
     # every episode would fail at its first planner step, yet `run` exits 0
     text = _broken(TWO_LANE_YAML, "v_max: 15.0", f"v_max: {v_max}")
     with pytest.raises(ScenarioError, match=r"sim\.v_max"):
+        load_scenario(text)
+
+
+@pytest.mark.parametrize("key", ["simm", "planner"])
+def test_unknown_top_level_key_rejected(key):
+    # the scenario file is the whole run configuration: a misspelled or
+    # retired section must not be ignored
+    text = TWO_LANE_YAML + f"{key}: {{d_safe: 5.0, replan_every: 3}}\n"
+    with pytest.raises(ScenarioError, match=f"^{key}: unknown top-level key"):
         load_scenario(text)
 
 
