@@ -89,12 +89,13 @@ def suggest_next(
 
     X = np.array([obs.prompt for obs in valid])
     y = np.array([obs.score for obs in valid])
-    if cfg.fixed_params is not None:
-        model = surrogate.build_model(X, y, cfg.fixed_params, standardize=True)
-    else:
-        model = surrogate.fit(X, y)
     cands = _candidate_set(history, cfg, dim)
-    acq = ucb(*surrogate.posterior_batch(model, cands), cfg.beta)
+    with surrogate.single_blas_thread():
+        if cfg.fixed_params is not None:
+            model = surrogate.build_model(X, y, cfg.fixed_params, standardize=True)
+        else:
+            model = surrogate.fit(X, y)
+        acq = ucb(*surrogate.posterior_batch(model, cands), cfg.beta)
     best = int(np.argmax(acq))  # first index wins ties
     return tuple(float(v) for v in cands[best])
 

@@ -121,6 +121,18 @@ def _require(mapping, key, path, kind=None):
     return value
 
 
+def _check_keys(entry, allowed, path):
+    """Reject a key of the mapping `entry` that is not in `allowed`: a
+    misspelled field would otherwise fall back to its default unnoticed."""
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"{path}: expected a mapping, got {type(entry).__name__}")
+    for key in entry:
+        if key not in allowed:
+            raise ScenarioError(
+                f"{path}.{key}: unknown key; expected one of {', '.join(allowed)}"
+            )
+
+
 def _num(mapping, key, path, default=None):
     if default is not None and key not in mapping:
         return float(default)
@@ -130,8 +142,15 @@ def _num(mapping, key, path, default=None):
     return float(value)
 
 
+LANE_KEYS = ("id", "centerline", "width", "left_neighbor", "right_neighbor")
+AGENT_KEYS = ("id", "role", "x", "y", "heading", "speed", "length", "width", "v_desired")
+GOAL_DOMAIN_KEYS = ("agent_id", "lane", "s_min", "s_max", "l_min", "l_max")
+SIM_KEYS = ("dt", "horizon_steps", "replan_every", "v_max")
+
+
 def _parse_lane(entry, i: int) -> Lane:
     path = f"map.lanes[{i}]"
+    _check_keys(entry, LANE_KEYS, path)
     lane_id = str(_require(entry, "id", path))
     raw = _require(entry, "centerline", path, list)
     if len(raw) < 2:
@@ -155,6 +174,7 @@ def _parse_lane(entry, i: int) -> Lane:
 
 def _parse_agent(entry, i: int) -> AgentConfig:
     path = f"agents[{i}]"
+    _check_keys(entry, AGENT_KEYS, path)
     role = str(_require(entry, "role", path))
     if role not in ("ego", "simulated"):
         raise ScenarioError(f"{path}.role: must be 'ego' or 'simulated'")
@@ -207,7 +227,9 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
                 f"{key}: unknown top-level key; expected one of {', '.join(TOP_LEVEL_KEYS)}"
             )
 
-    lane_entries = _require(_require(doc, "map", "", dict), "lanes", "map", list)
+    map_entry = _require(doc, "map", "", dict)
+    _check_keys(map_entry, ("lanes",), "map")
+    lane_entries = _require(map_entry, "lanes", "map", list)
     if not lane_entries:
         raise ScenarioError("map.lanes: at least one lane required")
     lanes: Dict[str, Lane] = {}
@@ -245,11 +267,13 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
         )
 
     goal_entry = _require(doc, "ego_goal", "", dict)
+    _check_keys(goal_entry, ("x", "y"), "ego_goal")
     ego_goal = Point2(_num(goal_entry, "x", "ego_goal"), _num(goal_entry, "y", "ego_goal"))
 
     domains: Dict[str, GoalDomain] = {}
     for i, entry in enumerate(_require(doc, "goal_domains", "", list)):
         path = f"goal_domains[{i}]"
+        _check_keys(entry, GOAL_DOMAIN_KEYS, path)
         agent_id = str(_require(entry, "agent_id", path))
         if agent_id not in ids:
             raise ScenarioError(f"{path}.agent_id: unknown agent '{agent_id}'")
@@ -292,6 +316,7 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
             )
 
     sim_entry = doc.get("sim", {})
+    _check_keys(sim_entry, SIM_KEYS, "sim")
     sim = SimParams(
         dt=_num(sim_entry, "dt", "sim", default=0.1),
         horizon_steps=int(_num(sim_entry, "horizon_steps", "sim", default=80)),

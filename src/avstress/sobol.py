@@ -9,6 +9,8 @@ ships, so the points equal `scipy.stats.qmc.Sobol(d, scramble=False)`'s.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _BITS = 32
@@ -90,5 +92,15 @@ def sobol_point(index: int, dim: int = 2) -> tuple[float, ...]:
 
 
 def sobol_points(n: int, dim: int = 2, start: int = 1) -> np.ndarray:
-    """Points start .. start+n-1 of the sequence as an (n, dim) array."""
-    return np.array([sobol_point(start + i, dim) for i in range(n)], dtype=float)
+    """Points start .. start+n-1 of the sequence as an (n, dim) array.
+
+    The array is built once per (n, dim, start) and shared by every call
+    with those arguments, so it is read-only."""
+    return _points(n, dim, start)
+
+
+@functools.cache
+def _points(n: int, dim: int, start: int) -> np.ndarray:
+    pts = np.array([sobol_point(start + i, dim) for i in range(n)], dtype=float)
+    pts.flags.writeable = False
+    return pts

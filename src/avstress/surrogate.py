@@ -7,11 +7,17 @@ standardized internally so acquisition weights are scale-free.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
+import scipy
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 
@@ -19,6 +25,46 @@ from .sobol import sobol_points
 
 JITTER_FLOOR = 1e-8
 JITTER_CEIL = 1e-4
+
+
+@functools.cache
+def _openblas_thread_controls() -> Tuple[Tuple[object, object], ...]:
+    """(get, set) thread-count functions of each OpenBLAS that the numpy and
+    scipy wheels ship in their `<package>.libs` directories (numpy's has the
+    `64_` symbol suffix); empty where neither is found, e.g. another BLAS."""
+    controls = []
+    for pkg in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+            suffix = "64_" if "openblas64_" in os.path.basename(path) else ""
+            try:
+                lib = ctypes.CDLL(path)
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def single_blas_thread() -> Iterator[None]:
+    """Run the block with OpenBLAS on one thread, then restore the previous
+    counts. The GP's matrices are a few hundred rows at most: a second
+    thread doubles their CPU time and, up to about 100 rows, does not cut
+    their wall time either. Results are the same to the bit on either count
+    (tests/test_lml_reference.py). A no-op where no OpenBLAS is found."""
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
 
 
 class InsufficientDataError(ValueError):
@@ -38,30 +84,37 @@ class KernelParams:
             object.__setattr__(self, "noise_variance", JITTER_FLOOR)
 
 
-def _scaled_dist(a: np.ndarray, b: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    diff = (a[:, None, :] - b[None, :, :]) / ls
+def _scaled_dist(delta: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """Scaled distances from the (m, n, d) pairwise differences `delta`."""
+    diff = delta / ls
     return np.sqrt(np.maximum(np.einsum("ijk,ijk->ij", diff, diff), 0.0))
 
 
-def _matern_of_r(r: np.ndarray) -> np.ndarray:
+def _matern_of_r(r: np.ndarray, exp_r: np.ndarray) -> np.ndarray:
+    """Matern-5/2 correlation at r, given exp_r = exp(-sqrt(5) r)."""
     c = math.sqrt(5.0)
-    return (1.0 + c * r + 5.0 * r * r / 3.0) * np.exp(-c * r)
+    return (1.0 + c * r + 5.0 * r * r / 3.0) * exp_r
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    r = _scaled_dist(np.atleast_2d(a), np.atleast_2d(b), np.asarray(params.length_scales))
-    return params.signal_variance * _matern_of_r(r)
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    r = _scaled_dist(a[:, None, :] - b[None, :, :], np.asarray(params.length_scales))
+    return params.signal_variance * _matern_of_r(r, np.exp(-math.sqrt(5.0) * r))
 
 
-def _factor(K: np.ndarray, noise_variance: float) -> Tuple[np.ndarray, float]:
+def _factor(
+    K: np.ndarray, noise_variance: float, eye: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, float]:
     """Cholesky of K + (noise + jitter) I, escalating jitter while the matrix
-    is not positive definite. Any other error, such as the ValueError for a
-    non-finite matrix, propagates at once: more jitter cannot fix it."""
-    n = K.shape[0]
+    is not positive definite; `eye`, when given, is K's identity. Any other
+    error, such as the ValueError for a non-finite matrix, propagates at
+    once: more jitter cannot fix it."""
+    if eye is None:
+        eye = np.eye(K.shape[0])
     jitter = JITTER_FLOOR
     while True:
         try:
-            L = cholesky(K + (noise_variance + jitter) * np.eye(n), lower=True)
+            L = cholesky(K + (noise_variance + jitter) * eye, lower=True)
             return L, jitter
         except np.linalg.LinAlgError:
             pass
@@ -109,31 +162,53 @@ def build_model(
     z = (y - y_mean) / y_std
     K = kernel_matrix(X, X, params)
     L, _ = _factor(K, params.noise_variance)
-    alpha = cho_solve((L, True), z)
+    alpha = cho_solve((L, True), z, check_finite=False)
     return GpModel(
         inputs=X, targets=y, params=params, y_mean=y_mean, y_std=y_std,
         chol=L, alpha=alpha,
     )
 
 
+class FitPairs(NamedTuple):
+    """What the LML evaluations of one fit share, all fixed by its inputs."""
+
+    delta: np.ndarray  # (n, n, d) pairwise differences of the inputs
+    sq: List[np.ndarray]  # per dimension, the (n, n) squared differences
+    eye: np.ndarray  # (n, n) identity
+
+
+def fit_pairs(X: np.ndarray) -> FitPairs:
+    delta = X[:, None, :] - X[None, :, :]
+    sq = [delta[:, :, k] ** 2 for k in range(X.shape[1])]
+    return FitPairs(delta=delta, sq=sq, eye=np.eye(len(X)))
+
+
 def log_marginal_likelihood(
-    inputs: np.ndarray, targets: np.ndarray, log_theta: np.ndarray
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    log_theta: np.ndarray,
+    pairs: Optional[FitPairs] = None,
 ) -> Tuple[float, np.ndarray]:
     """Log marginal likelihood and its gradient in log-parameter space.
 
     log_theta = [log l_1 .. log l_d, log sigma_f, log sigma_n] with sigma_f
-    and sigma_n the signal and noise standard deviations.
+    and sigma_n the signal and noise standard deviations. `pairs`, when
+    given, must be `fit_pairs(inputs)`; a fit passes it so that its many
+    evaluations compute it once. The result is the same to the bit.
     """
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
     n, d = X.shape
+    if pairs is None:
+        pairs = fit_pairs(X)
     ls = np.exp(log_theta[:d])
     sf2 = math.exp(2.0 * log_theta[d])
     sn2 = math.exp(2.0 * log_theta[d + 1])
 
-    r = _scaled_dist(X, X, ls)
-    K = sf2 * _matern_of_r(r)
-    L, jitter = _factor(K, sn2)
+    r = _scaled_dist(pairs.delta, ls)
+    exp_r = np.exp(-math.sqrt(5.0) * r)
+    K = sf2 * _matern_of_r(r, exp_r)
+    L, jitter = _factor(K, sn2, pairs.eye)
     alpha = cho_solve((L, True), y)
     ll = (
         -0.5 * float(y @ alpha)
@@ -142,15 +217,15 @@ def log_marginal_likelihood(
     )
 
     # dL/dtheta_k = 0.5 tr((alpha alpha^T - K_inv) dK/dtheta_k)
-    Kinv = cho_solve((L, True), np.eye(n))
+    Kinv = cho_solve((L, True), pairs.eye, check_finite=False)
     W = np.outer(alpha, alpha) - Kinv
 
     grad = np.empty(d + 2)
     # g(r) = -f'(r)/r, finite at r = 0
-    g = (5.0 / 3.0) * (1.0 + math.sqrt(5.0) * r) * np.exp(-math.sqrt(5.0) * r)
+    g = (5.0 / 3.0) * (1.0 + math.sqrt(5.0) * r) * exp_r
+    sf2_g = sf2 * g
     for k in range(d):
-        d2 = (X[:, k, None] - X[None, :, k]) ** 2 / ls[k] ** 2
-        dK = sf2 * g * d2  # w.r.t. log l_k
+        dK = sf2_g * (pairs.sq[k] / ls[k] ** 2)  # w.r.t. log l_k
         grad[k] = 0.5 * float(np.sum(W * dK))
     grad[d] = 0.5 * float(np.sum(W * (2.0 * K)))  # w.r.t. log sigma_f
     grad[d + 1] = 0.5 * float(np.trace(W)) * 2.0 * sn2  # w.r.t. log sigma_n
@@ -182,9 +257,10 @@ def fit(inputs: np.ndarray, targets: np.ndarray) -> GpModel:
     hi = np.array([math.log(2.0)] * d + [math.log(10.0 * z_std), math.log(z_std)])
     bounds = list(zip(lo, hi))
     starts = lo + sobol_points(8, dim=d + 2, start=1) * (hi - lo)
+    pairs = fit_pairs(X)
 
     def objective(log_theta):
-        ll, grad = log_marginal_likelihood(X, z, log_theta)
+        ll, grad = log_marginal_likelihood(X, z, log_theta, pairs)
         return -ll, -grad
 
     best = None

@@ -4,6 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from avstress import surrogate
 from avstress.optimizer import (
     PERTURBATION,
     Observation,
@@ -16,7 +17,7 @@ from avstress.optimizer import (
     ucb,
 )
 from avstress.planner import HORIZON_STEPS, ConstantVelocityEgoStub, LatticePlanner
-from avstress.scenario import load_scenario
+from avstress.scenario import load_preset, load_scenario
 from avstress.sobol import sobol_point, sobol_points
 from avstress.surrogate import KernelParams, build_model, posterior_batch
 from conftest import scenario_with_agents
@@ -273,6 +274,42 @@ class TestRunCampaign:
         cfg = SamplerConfig(kind="sobol", budget=2)
         result = run_campaign(scenario, cfg, LatticePlanner())
         assert len(result.records) == 2
+        assert [r.failure_reason for r in result.records if r.failed] == []
+
+
+class TestBlasThreadScope:
+    def test_one_thread_inside_suggest_next_and_previous_count_after(self, monkeypatch):
+        controls = surrogate._openblas_thread_controls()
+        if not controls:
+            pytest.skip("numpy and scipy use no OpenBLAS of their wheels here")
+        before = [get() for get, _ in controls]
+        inside = []
+        real_fit = surrogate.fit
+
+        def recording_fit(X, y):
+            inside.append([get() for get, _ in controls])
+            return real_fit(X, y)
+
+        monkeypatch.setattr(surrogate, "fit", recording_fit)
+        cfg = SamplerConfig(kind="bo", budget=10)
+        history = [Observation(prompt=sobol_point(i), score=float(i)) for i in (1, 2, 3)]
+        suggest_next(history, cfg)
+        assert inside == [[1] * len(controls)]
+        assert [get() for get, _ in controls] == before
+
+        def failing_fit(X, y):
+            raise np.linalg.LinAlgError("no fit")
+
+        monkeypatch.setattr(surrogate, "fit", failing_fit)
+        with pytest.raises(np.linalg.LinAlgError):
+            suggest_next(history, cfg)
+        assert [get() for get, _ in controls] == before
+
+    def test_no_openblas_found_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(surrogate, "_openblas_thread_controls", lambda: ())
+        result = run_campaign(load_preset("front"), SamplerConfig(kind="bo", budget=4),
+                              LatticePlanner())
+        assert len(result.records) == 4
         assert [r.failure_reason for r in result.records if r.failed] == []
 
 

@@ -1,3 +1,7 @@
+import os
+import re
+import sys
+
 import pytest
 
 from avstress.geom import Point2, project_to_polyline
@@ -10,6 +14,10 @@ from avstress.scenario import (
 )
 from avstress.sobol import MAX_DIM
 from conftest import TWO_LANE_YAML, scenario_with_agents
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "benchmarks"))
+import crowd_scenario  # noqa: E402
 
 
 def test_load_valid_scenario(two_lane_scenario):
@@ -100,6 +108,44 @@ def test_unknown_top_level_key_rejected(key):
     text = TWO_LANE_YAML + f"{key}: {{d_safe: 5.0, replan_every: 3}}\n"
     with pytest.raises(ScenarioError, match=f"^{key}: unknown top-level key"):
         load_scenario(text)
+
+
+# (text to replace, replacement, path of the unknown key)
+NESTED_UNKNOWN_KEYS = [
+    # runs 80 steps if ignored: the key is horizon_steps
+    ("sim: {dt: 0.1, horizon_steps: 80,", "sim: {dt: 0.1, horizon: 40,", "sim.horizon"),
+    # v_desired falls back to the start speed if the misspelling is dropped
+    ("role: simulated, x: 15.0,", "role: simulated, v_desird: 14.0, x: 15.0,",
+     "agents[1].v_desird"),
+    ("map:\n  lanes:", "map:\n  junctions: []\n  lanes:", "map.junctions"),
+    ("      width: 3.5\n      left_neighbor",
+     "      width: 3.5\n      speed_limit: 30\n      left_neighbor",
+     "map.lanes[0].speed_limit"),
+    ("ego_goal: {x: 90.0, y: 0.0}", "ego_goal: {x: 90.0, y: 0.0, z: 0.0}", "ego_goal.z"),
+    ("lane: left, s_min", "lane: left, lane_id: left, s_min", "goal_domains[0].lane_id"),
+]
+
+
+@pytest.mark.parametrize("needle,replacement,path", NESTED_UNKNOWN_KEYS,
+                         ids=[case[2] for case in NESTED_UNKNOWN_KEYS])
+def test_unknown_nested_key_rejected_with_its_path(needle, replacement, path):
+    assert TWO_LANE_YAML.count(needle) == 1
+    text = _broken(TWO_LANE_YAML, needle, replacement)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: unknown key"):
+        load_scenario(text)
+
+
+def test_non_mapping_section_rejected():
+    text = _broken(TWO_LANE_YAML, "sim: {dt: 0.1, horizon_steps: 80, replan_every: 5, "
+                   "v_max: 15.0}", "sim: [0.1, 80]")
+    with pytest.raises(ScenarioError, match="^sim: expected a mapping"):
+        load_scenario(text)
+
+
+@pytest.mark.parametrize("n_agents", [1, 3, 4])
+def test_benchmark_crowd_scenario_loads(n_agents):
+    sc = load_scenario(crowd_scenario.crowd_yaml(7, n_agents))
+    assert len(sc.simulated_agents) == n_agents
 
 
 def test_goal_domain_behind_agent_rejected():

@@ -41,3 +41,13 @@ def test_index_validation():
 def test_all_points_in_unit_cube():
     pts = sobol_points(1000, dim=4)
     assert np.all(pts >= 0.0) and np.all(pts < 1.0)
+
+
+def test_point_sets_built_once_and_read_only():
+    first = sobol_points(64, dim=6, start=1)
+    again = sobol_points(64, dim=6, start=1)
+    np.testing.assert_array_equal(first, again)
+    np.testing.assert_array_equal(first, [sobol_point(i, 6) for i in range(1, 65)])
+    with pytest.raises(ValueError):
+        again[0, 0] = 0.5
+    np.testing.assert_array_equal(sobol_points(64, dim=6, start=1), first)

@@ -23,8 +23,18 @@ def bindings():
     return [(owner, attr) for _, group in timed + counted for owner, attr in group]
 
 
-def test_install_wraps_and_uninstall_restores(tmp_path, capsys):
+def test_install_wraps_and_uninstall_restores(tmp_path, capsys, monkeypatch):
     originals = [(owner, attr, owner.__dict__[attr]) for owner, attr in bindings()]
+    # every LML evaluation of a fit must pass through the counted binding
+    nfev = []
+    real_minimize = avstress.surrogate.minimize
+
+    def counting_minimize(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(avstress.surrogate, "minimize", counting_minimize)
     tracer = bench_trace.Tracer()
     tracer.install(avstress)
     try:
@@ -44,4 +54,5 @@ def test_install_wraps_and_uninstall_restores(tmp_path, capsys):
                   "sobol", "sim.simulate_episode", "planner.plan", "persist.write"):
         assert totals[layer][0] > 0, layer
     assert tracer.counts["surrogate.lml_evals"] > 0
+    assert tracer.counts["surrogate.lml_evals"] == sum(nfev)
     assert tracer.counts["optimizer.candidates_scored"] > 0
