@@ -1,4 +1,6 @@
-"""Planar geometry primitives: points, poses, oriented boxes, polylines.
+"""Planar geometry primitives: points, oriented boxes, polylines and the
+lane (Frenet) lookups on a polyline: projection to (s, l) and the point at
+(s, l).
 
 All angles are radians, all distances meters. Headings are normalized to
 (-pi, pi]. Lateral offsets are positive to the left of the direction of
@@ -31,15 +33,6 @@ class Point2:
     def __iter__(self):
         yield self.x
         yield self.y
-
-
-@dataclass(frozen=True)
-class Pose2:
-    position: Point2
-    heading: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "heading", normalize_angle(self.heading))
 
 
 @dataclass(frozen=True)
@@ -138,43 +131,43 @@ class Polyline:
         return self.cumulative[-1]
 
 
-def project_to_polyline(p: Point2, line: Polyline) -> Tuple[float, float, int]:
-    """Project a point onto a polyline.
+def project_to_polyline(x: float, y: float, line: Polyline) -> Tuple[float, float, float]:
+    """Project the point (x, y) onto a polyline.
 
-    Returns (s, l, segment_index): arc-length of the closest point, signed
-    lateral offset (positive left of travel direction), and the segment the
-    projection falls on. Ties between equally close segments resolve to the
-    smallest index. Points beyond the ends clamp to the end vertices.
+    Returns (s, l, distance): arc-length of the closest point, signed lateral
+    offset (positive left of travel direction) and the distance to it. Ties
+    between equally close segments resolve to the smallest index. Points
+    beyond the ends clamp to the end vertices.
     """
-    best = None  # (dist, s, l, idx)
-    for i, (ax, ay, dx, dy, _, _, seg_len, seg_sq, s0, _) in enumerate(line.segments):
-        t = ((p.x - ax) * dx + (p.y - ay) * dy) / seg_sq
-        t = min(1.0, max(0.0, t))
+    best = None
+    for ax, ay, dx, dy, _, _, seg_len, seg_sq, s0, _ in line.segments:
+        t = ((x - ax) * dx + (y - ay) * dy) / seg_sq
+        t = t if t > 0.0 else 0.0  # min(1.0, max(0.0, t))
+        t = t if t < 1.0 else 1.0
         px, py = ax + t * dx, ay + t * dy
-        dist = math.hypot(p.x - px, p.y - py)
-        # signed offset relative to the segment tangent
-        l = (dx * (p.y - py) - dy * (p.x - px)) / seg_len
-        if best is None or dist < best[0] - 1e-12:
-            best = (dist, s0 + t * seg_len, l, i)
-    assert best is not None
-    return best[1], best[2], best[3]
+        dist = math.hypot(x - px, y - py)
+        if best is None or dist < best - 1e-12:
+            best = dist
+            s = s0 + t * seg_len
+            # signed offset relative to the segment tangent
+            l = (dx * (y - py) - dy * (x - px)) / seg_len
+    return s, l, best
 
 
-def point_at_arclength(line: Polyline, s: float, l: float = 0.0) -> Pose2:
-    """Point at arc-length s offset l to the left; heading = segment tangent.
+def point_at_arclength(line: Polyline, s: float, l: float = 0.0) -> Tuple[float, float]:
+    """(x, y) of the point at arc-length s, offset l to the left.
 
     Raises ValueError if s is outside [0, total_length].
     """
-    if not (-1e-9 <= s <= line.total_length + 1e-9):
-        raise ValueError(
-            f"arc-length {s} outside [0, {line.total_length}]"
-        )
-    s = min(max(s, 0.0), line.total_length)
+    total = line.total_length
+    if not (-1e-9 <= s <= total + 1e-9):
+        raise ValueError(f"arc-length {s} outside [0, {total}]")
+    s = 0.0 if 0.0 > s else s  # min(max(s, 0.0), total), signed zeros included
+    s = total if total < s else s
     # last segment whose start is <= s: the first that ends at or after s
     for ax, ay, dx, dy, ux, uy, seg_len, _, s0, s1 in line.segments:
         if s <= s1:
             break
     t = (s - s0) / seg_len
     # left normal of (ux, uy) is (-uy, ux)
-    pos = Point2(ax + t * dx - l * uy, ay + t * dy + l * ux)
-    return Pose2(pos, math.atan2(uy, ux))
+    return ax + t * dx - l * uy, ay + t * dy + l * ux

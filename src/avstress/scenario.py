@@ -6,7 +6,7 @@ malformed geometry.
 """
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
@@ -44,9 +44,7 @@ class MapModel:
         """
         best = None
         for lane in self.lanes.values():
-            s, l, _ = project_to_polyline(p, lane.centerline)
-            pose = point_at_arclength(lane.centerline, s)
-            d = math.hypot(p.x - pose.position.x, p.y - pose.position.y)
+            s, l, d = project_to_polyline(p.x, p.y, lane.centerline)
             if best is None or d < best[3] - 1e-12:
                 best = (lane, s, l, d)
         assert best is not None
@@ -139,7 +137,18 @@ def _num(mapping, key, path, default=None):
     value = _require(mapping, key, path)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"{path}.{key}: expected a number")
+    # an exact comparison: rejects NaN, infinities and integers beyond floats
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ScenarioError(f"{path}.{key}: must be finite, got {value}")
     return float(value)
+
+
+def _count(mapping, key, path, default):
+    """A step count: a whole number, written as 80 or 80.0."""
+    value = _num(mapping, key, path, default)
+    if value != int(value):
+        raise ScenarioError(f"{path}.{key}: must be a whole number, got {value}")
+    return int(value)
 
 
 LANE_KEYS = ("id", "centerline", "width", "left_neighbor", "right_neighbor")
@@ -185,6 +194,8 @@ def _parse_agent(entry, i: int) -> AgentConfig:
     width = _num(entry, "width", path)
     if length <= 0 or width <= 0:
         raise ScenarioError(f"{path}: footprint must be positive")
+    if width > length:
+        raise ScenarioError(f"{path}: width {width} exceeds length {length}")
     return AgentConfig(
         id=str(_require(entry, "id", path)),
         role=role,
@@ -301,7 +312,7 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
                 f"width [{lo}, {hi}] of lane '{lane_id}' and its neighbors"
             )
         agent = next(a for a in agents if a.id == agent_id)
-        s_agent, _, _ = project_to_polyline(agent.position, lane.centerline)
+        s_agent, _, _ = project_to_polyline(*agent.position, lane.centerline)
         if dom.s_min < s_agent - 1e-9:
             raise ScenarioError(
                 f"{path}.s_min: {dom.s_min} lies behind agent '{agent_id}' "
@@ -319,8 +330,8 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
     _check_keys(sim_entry, SIM_KEYS, "sim")
     sim = SimParams(
         dt=_num(sim_entry, "dt", "sim", default=0.1),
-        horizon_steps=int(_num(sim_entry, "horizon_steps", "sim", default=80)),
-        replan_every=int(_num(sim_entry, "replan_every", "sim", default=5)),
+        horizon_steps=_count(sim_entry, "horizon_steps", "sim", default=80),
+        replan_every=_count(sim_entry, "replan_every", "sim", default=5),
         v_max=_num(sim_entry, "v_max", "sim", default=30.0),
     )
     if sim.horizon_steps < 1:
@@ -374,4 +385,4 @@ def prompt_to_world(domain: GoalDomain, u: Tuple[float, float], map_model: MapMo
     s = domain.s_min + u1 * (domain.s_max - domain.s_min)
     l = domain.l_min + u2 * (domain.l_max - domain.l_min)
     lane = map_model.lane(domain.reference_lane)
-    return point_at_arclength(lane.centerline, s, l).position
+    return Point2(*point_at_arclength(lane.centerline, s, l))

@@ -15,6 +15,7 @@ import pytest
 
 from avstress import persist
 from avstress.cli import main as cli_main
+from avstress.geom import Point2
 from avstress.metrics import asd, campaign_stats, criticality_score, trajectory_distance
 from avstress.optimizer import Observation, SamplerConfig, run_campaign, suggest_next
 from avstress.planner import LatticePlanner, predict_constant_velocity
@@ -196,8 +197,6 @@ def test_criterion_4_directional_table(preset_campaigns):
 
 def test_criterion_5_diversity_metrics(preset_campaigns):
     with _criterion(5, "diversity metrics"):
-        from avstress.geom import Point2
-
         rng = np.random.default_rng(102)
         for _ in range(20):
             trajs = [
@@ -229,7 +228,7 @@ def test_criterion_6_planner_premise():
             )
             scripted = ScriptedPolicy(
                 agent.id,
-                [AgentState(wp, state0.heading, state0.speed) for wp in pred.waypoints],
+                [AgentState(Point2(*wp), state0.heading, state0.speed) for wp in pred],
             )
             episode = simulate_episode(
                 scenario,

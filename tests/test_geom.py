@@ -92,41 +92,39 @@ class TestBoxesOverlap:
 class TestPolylineProjection:
     def test_perpendicular_drop(self):
         line = Polyline((Point2(0, 0), Point2(2, 0)))
-        s, l, idx = project_to_polyline(Point2(1, 1), line)
-        assert (s, l, idx) == (1.0, 1.0, 0)
+        assert project_to_polyline(1, 1, line) == (1.0, 1.0, 1.0)
 
     def test_clamped_before_start(self):
         line = Polyline((Point2(0, 0), Point2(2, 0)))
-        s, l, idx = project_to_polyline(Point2(-1, 0), line)
-        assert (s, l, idx) == (0.0, 0.0, 0)
+        assert project_to_polyline(-1, 0, line) == (0.0, 0.0, 1.0)
 
     def test_vertex_tie_breaks_to_earlier_segment(self):
-        # right-angle polyline; a point equidistant from both segments at the
-        # shared vertex must report the earlier segment
+        # right-angle polyline; the query sits on the corner vertex, distance 0
+        # from segment 0 (at s=1) and segment 1 (s=1)
         line = Polyline((Point2(0, 0), Point2(1, 0), Point2(1, 1)))
-        # enumerate both candidate projections by hand: the query sits on the
-        # corner vertex, distance 0 from segment 0 (at s=1) and segment 1 (s=1)
-        s, l, idx = project_to_polyline(Point2(1, 0), line)
-        assert idx == 0
+        s, l, d = project_to_polyline(1, 0, line)
         assert s == pytest.approx(1.0)
         assert l == pytest.approx(0.0)
+        assert d == 0.0
+        # a U-turn: (5, 5) is 5 m from all three segments, at arc-lengths 5,
+        # 15 and 25; the earliest segment must win
+        u_turn = Polyline((Point2(0, 0), Point2(10, 0), Point2(10, 10), Point2(0, 10)))
+        assert project_to_polyline(5, 5, u_turn) == (5.0, 5.0, 5.0)
 
     def test_right_of_line_is_negative(self):
         line = Polyline((Point2(0, 0), Point2(10, 0)))
-        _, l, _ = project_to_polyline(Point2(5, -2), line)
+        _, l, _ = project_to_polyline(5, -2, line)
         assert l == pytest.approx(-2.0)
 
 
 class TestPointAtArclength:
     def test_on_centerline(self):
         line = Polyline((Point2(0, 0), Point2(10, 0)))
-        pose = point_at_arclength(line, 4.0, 0.0)
-        assert (pose.position.x, pose.position.y, pose.heading) == (4.0, 0.0, 0.0)
+        assert point_at_arclength(line, 4.0, 0.0) == (4.0, 0.0)
 
     def test_left_offset(self):
         line = Polyline((Point2(0, 0), Point2(10, 0)))
-        pose = point_at_arclength(line, 4.0, 2.0)
-        assert (pose.position.x, pose.position.y) == (4.0, 2.0)
+        assert point_at_arclength(line, 4.0, 2.0) == (4.0, 2.0)
 
     def test_out_of_range(self):
         line = Polyline((Point2(0, 0), Point2(10, 0)))
@@ -141,8 +139,8 @@ class TestPointAtArclength:
         for _ in range(100):
             s = rng.uniform(0.5, line.total_length - 0.5)
             l = rng.uniform(-1.5, 1.5)
-            pose = point_at_arclength(line, s, l)
-            s2, l2, _ = project_to_polyline(pose.position, line)
+            x, y = point_at_arclength(line, s, l)
+            s2, l2, _ = project_to_polyline(x, y, line)
             # interior points away from the kink round-trip exactly
             if abs(s - 20.0) > 2.0:
                 assert s2 == pytest.approx(s, abs=1e-9)

@@ -13,14 +13,14 @@ class TestPredictConstantVelocity:
     def test_on_centerline(self, two_lane_scenario):
         agent = AgentState(Point2(0.0, 0.0), 0.0, 10.0)
         pred = predict_constant_velocity(agent, two_lane_scenario.map, 10, 0.1)
-        for k, wp in enumerate(pred.waypoints, start=1):
-            assert wp.x == pytest.approx(k * 1.0)
-            assert wp.y == pytest.approx(0.0)
+        for k, (x, y) in enumerate(pred, start=1):
+            assert x == pytest.approx(k * 1.0)
+            assert y == pytest.approx(0.0)
 
     def test_lateral_offset_decays(self, two_lane_scenario):
         agent = AgentState(Point2(0.0, 1.0), 0.0, 10.0)  # 1 m left of right lane
         pred = predict_constant_velocity(agent, two_lane_scenario.map, 20, 0.1)
-        offsets = [wp.y for wp in pred.waypoints]
+        offsets = [y for _, y in pred]
         assert all(b < a for a, b in zip(offsets[:-1], offsets[1:]))
         assert offsets[-1] < offsets[0]
         assert offsets[-1] > 0.0
@@ -29,16 +29,16 @@ class TestPredictConstantVelocity:
         agent = AgentState(Point2(5.0, 0.4), 0.0, 0.0)
         pred = predict_constant_velocity(agent, two_lane_scenario.map, 5, 0.1)
         # arc-length frozen; only the lateral decay moves the waypoints
-        for wp in pred.waypoints:
-            assert wp.x == pytest.approx(5.0)
-            assert 0.0 <= wp.y < 0.4
+        for x, y in pred:
+            assert x == pytest.approx(5.0)
+            assert 0.0 <= y < 0.4
 
     def test_far_from_lanes_straight_fallback(self, two_lane_scenario):
         agent = AgentState(Point2(0.0, 50.0), math.pi / 2, 4.0)
         pred = predict_constant_velocity(agent, two_lane_scenario.map, 5, 0.1)
-        for k, wp in enumerate(pred.waypoints, start=1):
-            assert wp.x == pytest.approx(0.0, abs=1e-9)
-            assert wp.y == pytest.approx(50.0 + 0.4 * k)
+        for k, (x, y) in enumerate(pred, start=1):
+            assert x == pytest.approx(0.0, abs=1e-9)
+            assert y == pytest.approx(50.0 + 0.4 * k)
 
 
 class TestLatticePlan:
@@ -111,7 +111,7 @@ class TestLatticePlan:
         sc = two_lane_scenario
         npc0 = initial_joint_state(sc).states["npc"]
         pred = predict_constant_velocity(npc0, sc.map, sc.sim.horizon_steps, sc.sim.dt)
-        states = [AgentState(wp, npc0.heading, npc0.speed) for wp in pred.waypoints]
+        states = [AgentState(Point2(*wp), npc0.heading, npc0.speed) for wp in pred]
         episode = simulate_episode(
             sc, {"npc": sc.ego_goal}, LatticePlanner(), {"npc": ScriptedPolicy("npc", states)}
         )

@@ -15,8 +15,8 @@ import pytest
 from avstress.geom import Point2, Polyline, normalize_angle, point_at_arclength, project_to_polyline
 from avstress.optimizer import SamplerConfig, run_campaign
 from avstress.planner import (
-    ACCEL_GRID, COMFORT_WEIGHT, D_SAFE, HORIZON_STEPS, LatticePlanner, _rollout,
-    predict_constant_velocity,
+    ACCEL_GRID, COMFORT_WEIGHT, D_SAFE, HORIZON_STEPS, LANE_SNAP_RANGE, LATERAL_DECAY_TAU,
+    LatticePlanner, _rollout, predict_constant_velocity,
 )
 from avstress.scenario import PRESET_NAMES, load_preset, load_scenario
 from avstress.sim import (
@@ -62,6 +62,40 @@ def ref_point_at_arclength(line, s, l=0.0):
     dx, dy = (b.x - a.x) / seg_len, (b.y - a.y) / seg_len
     x, y = a.x + t * (b.x - a.x) - l * dy, a.y + t * (b.y - a.y) + l * dx
     return x, y, normalize_angle(math.atan2(dy, dx))
+
+
+def ref_nearest_lane(map_model, p):
+    """(lane, s, l, distance) with two lookups per lane: the projection,
+    then the distance to the centerline point at its arc-length."""
+    best = None
+    for lane in map_model.lanes.values():
+        s, l, _ = ref_project_to_polyline(p, lane.centerline)
+        x, y, _ = ref_point_at_arclength(lane.centerline, s)
+        d = math.hypot(p.x - x, p.y - y)
+        if best is None or d < best[3] - 1e-12:
+            best = (lane, s, l, d)
+    return best
+
+
+def ref_predict_constant_velocity(agent, map_model, horizon, dt):
+    """[(x, y)] waypoints of the lane-center constant-speed prediction."""
+    lane, s0, l0, dist = ref_nearest_lane(map_model, agent.position)
+    waypoints = []
+    if dist > LANE_SNAP_RANGE:
+        c, s = math.cos(agent.heading), math.sin(agent.heading)
+        for k in range(1, horizon + 1):
+            waypoints.append((
+                agent.position.x + k * agent.speed * dt * c,
+                agent.position.y + k * agent.speed * dt * s,
+            ))
+    else:
+        total = lane.centerline.total_length
+        for k in range(1, horizon + 1):
+            sk = min(s0 + k * agent.speed * dt, total)
+            lk = l0 * math.exp(-k * dt / LATERAL_DECAY_TAU)
+            x, y, _ = ref_point_at_arclength(lane.centerline, sk, lk)
+            waypoints.append((x, y))
+    return waypoints
 
 
 def ref_bicycle_step(state, accel, steer, dt, v_max):
@@ -119,8 +153,8 @@ def ref_candidates(planner, world, scenario):
             for pred in predictions:
                 for k in range(horizon):
                     d = math.hypot(
-                        states[k].position.x - pred.waypoints[k].x,
-                        states[k].position.y - pred.waypoints[k].y,
+                        states[k].position.x - pred[k][0],
+                        states[k].position.y - pred[k][1],
                     )
                     clearance = min(clearance, d)
             terminal = states[-1].position
@@ -288,15 +322,57 @@ def test_geometry_lookups_match_reference():
     curved = load_scenario(CURVED_YAML).map.lanes
     for line in (U_TURN, curved["right"].centerline, curved["left"].centerline):
         for x, y in _probe_points() + [(60.0 + 3.1 * i, -5.0 + 4.3 * i) for i in range(30)]:
-            p = Point2(x, y)
-            assert _bits(*project_to_polyline(p, line)) == _bits(*ref_project_to_polyline(p, line))
+            s, l, _ = project_to_polyline(x, y, line)
+            assert _bits(s, l) == _bits(*ref_project_to_polyline(Point2(x, y), line)[:2])
         n = 200
         for k in range(n + 1):
             s = line.total_length * k / n
             for l in (0.0, -0.0, 1.75, -3.5):
-                pose = point_at_arclength(line, s, l)
-                got = (pose.position.x, pose.position.y, pose.heading)
-                assert _bits(*got) == _bits(*ref_point_at_arclength(line, s, l))
+                got = point_at_arclength(line, s, l)
+                assert _bits(*got) == _bits(*ref_point_at_arclength(line, s, l)[:2])
+
+
+def _map_probes(name):
+    """Probe points over a map: the lanes, the midline between them, their
+    ends and beyond LANE_SNAP_RANGE."""
+    if name == "curved":
+        pts = [(-70.0 + 4.7 * i, -14.0 + 1.75 * j) for i in range(45) for j in range(17)]
+        pts += [(100.0 + 3.1 * i, -5.0 + 4.3 * i) for i in range(30)]
+    else:
+        pts = [(-75.0 + 9.1 * i, -14.0 + 0.875 * j) for i in range(45) for j in range(37)]
+    return pts + _probe_points()
+
+
+@pytest.mark.parametrize("name", ["curved", "front"])
+def test_nearest_lane_matches_reference(name):
+    map_model = _scenario(name).map
+    for x, y in _map_probes(name):
+        p = Point2(x, y)
+        lane, s, l, d = map_model.nearest_lane(p)
+        ref_lane, ref_s, ref_l, ref_d = ref_nearest_lane(map_model, p)
+        assert lane.id == ref_lane.id
+        assert _bits(s, l) == _bits(ref_s, ref_l)
+        assert abs(d - ref_d) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["curved", "front"])
+def test_prediction_matches_reference(name):
+    # agents on a lane, off its centre, near its end (the arc-length clamp)
+    # and past LANE_SNAP_RANGE (the straight-line fallback)
+    map_model = _scenario(name).map
+    far = map_model.lane("right").centerline.vertices[-1]
+    starts = [(0.0, 0.0), (12.0, 3.5), (20.0, 1.2), (35.0, -1.9), (5.0, 1.75),
+              (far.x - 2.0, far.y + 0.5), (10.0, -LANE_SNAP_RANGE - 0.5), (-40.0, 25.0)]
+    for x, y in starts:
+        for heading in (0.0, -0.0, 0.4, -2.5):
+            for speed in (0.0, 7.5, 30.0):
+                agent = AgentState(Point2(x, y), heading, speed)
+                new = predict_constant_velocity(agent, map_model, 40, 0.1)
+                ref = ref_predict_constant_velocity(agent, map_model, 40, 0.1)
+                assert [_bits(*wp) for wp in new] == [_bits(*wp) for wp in ref]
+    # both branches ran
+    assert ref_nearest_lane(map_model, Point2(-40.0, 25.0))[3] > LANE_SNAP_RANGE
+    assert ref_nearest_lane(map_model, Point2(0.0, 0.0))[3] <= LANE_SNAP_RANGE
 
 
 @pytest.mark.parametrize("accel", [-4.0, 0.0, 3.0])
@@ -317,7 +393,7 @@ def test_rollout_lookahead_on_a_vertex():
     # one step depends on which of the two segments supplies the point
     line = Polyline((Point2(-34.9, -34.1), Point2(57.9, 44.7), Point2(65.9, 47.7)))
     x, y, heading = 54.08868253852315, 41.46366577624597, 0.9039933758374428
-    s, _, _ = project_to_polyline(Point2(x, y), line)
+    s, _, _ = project_to_polyline(x, y, line)
     assert s + 5.0 == line.cumulative[1]
     ref = ref_rollout(AgentState(Point2(x, y), heading, 3.0), line, 0.0, 5, 0.1, 15.0)
     new = _rollout((x, y, heading, 3.0), line, 0.0, 5, 0.1, 15.0)

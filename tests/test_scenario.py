@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from avstress.geom import Point2, project_to_polyline
+from avstress.geom import project_to_polyline
 from avstress.scenario import (
     PRESET_NAMES,
     ScenarioError,
@@ -101,6 +101,57 @@ def test_non_positive_v_max_rejected(v_max):
         load_scenario(text)
 
 
+NPC = "role: simulated, x: 15.0, y: 3.5, heading: 0.0, speed: 10.0, length: 4.8, width: 2.0"
+
+# (text to replace, replacement, path of the non-finite number)
+NON_FINITE = [
+    # loads, then every episode fails
+    (NPC, NPC.replace("speed: 10.0", "speed: .inf"), "agents[1].speed"),
+    (NPC, NPC.replace("heading: 0.0", "heading: .nan"), "agents[1].heading"),
+    # no episode can run
+    ("dt: 0.1", "dt: .inf", "sim.dt"),
+    # loads and silently removes the speed cap
+    ("v_max: 15.0", "v_max: .nan", "sim.v_max"),
+    # a bare ValueError with no field path
+    (NPC, NPC.replace("x: 15.0", "x: .nan"), "agents[1].x"),
+    ("ego_goal: {x: 90.0", "ego_goal: {x: .nan", "ego_goal.x"),
+    # an OverflowError with no field path
+    ("l_max: 1.75", "l_max: 1" + "0" * 400, "goal_domains[0].l_max"),
+    ("l_min: -5.25", "l_min: -.inf", "goal_domains[0].l_min"),
+]
+
+
+@pytest.mark.parametrize("needle,replacement,path", NON_FINITE,
+                         ids=[case[2] for case in NON_FINITE])
+def test_non_finite_number_rejected_with_its_path(needle, replacement, path):
+    assert TWO_LANE_YAML.count(needle) == 1
+    text = _broken(TWO_LANE_YAML, needle, replacement)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: must be finite"):
+        load_scenario(text)
+
+
+@pytest.mark.parametrize("key,whole,fraction", [("horizon_steps", 80, 80.7),
+                                                ("replan_every", 5, 2.5)])
+def test_step_counts_must_be_whole(key, whole, fraction):
+    # a fraction was truncated: 80.7 ran 80 steps and 2.5 replanned every 2
+    with pytest.raises(ScenarioError, match=f"^sim\\.{key}: must be a whole number"):
+        load_scenario(_broken(TWO_LANE_YAML, f"{key}: {whole}", f"{key}: {fraction}"))
+    for text in (f"{key}: {whole}", f"{key}: {float(whole)}"):
+        value = getattr(load_scenario(_broken(TWO_LANE_YAML, f"{key}: {whole}", text)).sim, key)
+        assert value == whole and type(value) is int
+
+
+def test_agent_wider_than_long_rejected():
+    # loaded, then every episode failed with "invalid box extents"
+    assert TWO_LANE_YAML.count(NPC) == 1
+    text = _broken(TWO_LANE_YAML, NPC, NPC.replace("length: 4.8", "length: 1.8"))
+    with pytest.raises(ScenarioError, match=r"^agents\[1\]: width 2.0 exceeds length 1.8"):
+        load_scenario(text)
+    # a square footprint is a valid box
+    text = _broken(TWO_LANE_YAML, NPC, NPC.replace("length: 4.8", "length: 2.0"))
+    assert load_scenario(text).agents[1].length == 2.0
+
+
 @pytest.mark.parametrize("key", ["simm", "planner"])
 def test_unknown_top_level_key_rejected(key):
     # the scenario file is the whole run configuration: a misspelled or
@@ -195,6 +246,6 @@ class TestPromptToWorld:
         for _ in range(50):
             u = tuple(rng.random(2))
             p = prompt_to_world(dom, u, sc.map)
-            s, l, _ = project_to_polyline(Point2(p.x, p.y), lane.centerline)
+            s, l, _ = project_to_polyline(p.x, p.y, lane.centerline)
             assert dom.s_min - 1e-6 <= s <= dom.s_max + 1e-6
             assert dom.l_min - 1e-6 <= l <= dom.l_max + 1e-6
