@@ -64,7 +64,7 @@ def cmd_run(args) -> int:
     for path in stale + glob.glob(os.path.join(out_dir, "stats.csv")):
         os.remove(path)
     shutil.copyfile(scenario_path, os.path.join(out_dir, "scenario.yaml"))
-    persist.write_manifest(out_dir, scenario_path, cfg, args.asd_convention)
+    persist.write_manifest(out_dir, scenario_path, cfg)
 
     campaign_log = open(os.path.join(out_dir, "campaign.jsonl"), "w")
 
@@ -84,16 +84,14 @@ def cmd_run(args) -> int:
 
     planner = LatticePlanner()
     try:
-        result = run_campaign(scenario, cfg, planner, episode_sink=sink)
+        records = run_campaign(scenario, cfg, planner, episode_sink=sink)
     finally:
         campaign_log.close()
 
-    good = [r for r in result.records if not r.failed]
+    good = [r for r in records if not r.failed]
     if len(good) >= 2:
         stats = metrics.campaign_stats(
-            [r.episode for r in good], scenario,
-            scores=[r.metrics for r in good],
-            asd_convention=args.asd_convention,
+            [r.episode for r in good], scenario, scores=[r.metrics for r in good]
         )
         row = persist.stats_csv_row(scenario.scenario_id, cfg.kind, stats)
         persist.write_stats_csv(os.path.join(out_dir, "stats.csv"), [row])
@@ -117,9 +115,7 @@ def _campaign_row(campaign_dir: str):
             continue
         episode, _ = persist.read_episode(os.path.join(campaign_dir, rec["episode_file"]))
         episodes.append(episode)
-    stats = metrics.campaign_stats(
-        episodes, scenario, asd_convention=manifest["conventions"]["asd"]
-    )
+    stats = metrics.campaign_stats(episodes, scenario)
     return scenario_id, manifest["sampler"]["kind"], stats
 
 
@@ -246,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--beta", type=float, default=2.0)
     run_p.add_argument("--candidates", type=int, default=1024)
     run_p.add_argument("--out", default=None, help=f"output root (default ${OUT_ROOT_ENV} or .)")
-    run_p.add_argument("--asd-convention", choices=("paper", "mean_pairwise"), default="paper")
     run_p.set_defaults(func=cmd_run)
 
     rep_p = sub.add_parser("report", help="tabulate campaign statistics")

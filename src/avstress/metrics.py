@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import mean, stdev
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .geom import Point2, euclidean_distance
 from .scenario import Scenario
@@ -115,25 +115,17 @@ def trajectory_distance(
     return sum(euclidean_distance(tau_a[k], tau_b[k]) for k in range(n)) / n
 
 
-def asd(trajectories: Sequence[Sequence[Point2]], convention: str = "paper") -> float:
-    """Pairwise average self-distance of a trajectory set.
-
-    The default normalization divides the upper-triangle sum by
-    n_e * (n_e - 1), i.e. half the mean pairwise distance;
-    convention="mean_pairwise" divides by the number of pairs instead.
-    """
+def asd(trajectories: Sequence[Sequence[Point2]]) -> float:
+    """Average self-distance of a trajectory set: the sum of the pairwise
+    trajectory distances over i < j, divided by n_e * (n_e - 1)."""
     n_e = len(trajectories)
     if n_e < 2:
         raise ValueError("ASD needs at least 2 trajectories")
-    if convention not in ("paper", "mean_pairwise"):
-        raise ValueError(f"unknown ASD convention '{convention}'")
     total = 0.0
     for i in range(n_e):
         for j in range(i + 1, n_e):
             total += trajectory_distance(trajectories[i], trajectories[j])
-    if convention == "paper":
-        return total / (n_e * (n_e - 1))
-    return total / (n_e * (n_e - 1) / 2)
+    return total / (n_e * (n_e - 1))
 
 
 def agent_trajectory(episode: Episode, agent_id: str) -> List[Point2]:
@@ -144,7 +136,6 @@ def campaign_stats(
     episodes: Sequence[Episode],
     scenario: Scenario,
     scores: Optional[Sequence[EpisodeScore]] = None,
-    asd_convention: str = "paper",
 ) -> CampaignStats:
     """Aggregate statistics over the successful episodes of one campaign."""
     episodes = [e for e in episodes if not e.failed and len(e.trace) >= 2]
@@ -164,7 +155,7 @@ def campaign_stats(
     agent_asds = []
     for aid in agent_ids:
         trajs = [agent_trajectory(e, aid) for e in episodes]
-        agent_asds.append(asd(trajs, convention=asd_convention))
+        agent_asds.append(asd(trajs))
 
     return CampaignStats(
         coll_rate=100.0 * collided / n_e,
@@ -173,7 +164,7 @@ def campaign_stats(
         ttc_mean=mean(finite_ttc) if finite_ttc else math.inf,
         ttc_std=stdev(finite_ttc) if len(finite_ttc) > 1 else 0.0,
         ttc_inf_count=ttc_inf,
-        ego_asd=asd(ego_trajs, convention=asd_convention),
+        ego_asd=asd(ego_trajs),
         agent_asd=mean(agent_asds),
         n_episodes=n_e,
     )

@@ -10,7 +10,7 @@ set. The Sobol baseline never looks at scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,8 +41,6 @@ class SamplerConfig:
     budget: int = 75
     beta: float = 2.0
     candidates: int = 1024
-    # pin the GP hyperparameters instead of refitting by MLE each iteration
-    fixed_params: Optional[surrogate.KernelParams] = None
 
     def __post_init__(self):
         if self.kind not in ("bo", "sobol"):
@@ -91,10 +89,7 @@ def suggest_next(
     y = np.array([obs.score for obs in valid])
     cands = _candidate_set(history, cfg, dim)
     with surrogate.single_blas_thread():
-        if cfg.fixed_params is not None:
-            model = surrogate.build_model(X, y, cfg.fixed_params, standardize=True)
-        else:
-            model = surrogate.fit(X, y)
+        model = surrogate.fit(X, y)
         acq = ucb(*surrogate.posterior_batch(model, cands), cfg.beta)
     best = int(np.argmax(acq))  # first index wins ties
     return tuple(float(v) for v in cands[best])
@@ -110,13 +105,6 @@ class EpisodeRecord:
     metrics: Optional[EpisodeScore]
     failed: bool = False
     failure_reason: str = ""
-
-
-@dataclass
-class CampaignResult:
-    scenario_id: str
-    sampler: SamplerConfig
-    records: List[EpisodeRecord] = field(default_factory=list)
 
 
 def split_prompt(
@@ -144,7 +132,7 @@ def run_campaign(
     planner: PlannerHandle,
     policy_factory: PolicyFactory = ReactivePolicy,
     episode_sink: Optional[Callable[[EpisodeRecord], None]] = None,
-) -> CampaignResult:
+) -> List[EpisodeRecord]:
     """Run a full sampling campaign: exactly cfg.budget episodes.
 
     Failed episodes are recorded with score -inf; BO excludes them from GP
@@ -152,7 +140,7 @@ def run_campaign(
     (scenario, cfg).
     """
     dim = prompt_dim(scenario)
-    result = CampaignResult(scenario_id=scenario.scenario_id, sampler=cfg)
+    records: List[EpisodeRecord] = []
     history: List[Observation] = []
     for it in range(cfg.budget):
         prompt = suggest_next(history, cfg, dim=dim)
@@ -177,7 +165,7 @@ def run_campaign(
             record.failed = True
             record.failure_reason = str(exc)
         history.append(Observation(prompt=prompt, score=record.score))
-        result.records.append(record)
+        records.append(record)
         if episode_sink is not None:
             episode_sink(record)
-    return result
+    return records

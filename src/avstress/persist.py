@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .geom import Point2
 from .metrics import CampaignStats
-from .optimizer import CampaignResult, EpisodeRecord, SamplerConfig
+from .optimizer import EpisodeRecord, SamplerConfig
 from .scenario import Scenario
 from .sim import AgentState, Episode, JointState
 
@@ -40,9 +40,7 @@ def _opt(value: float) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-def write_manifest(
-    out_dir: str, scenario_path: str, cfg: SamplerConfig, asd_convention: str
-) -> None:
+def write_manifest(out_dir: str, scenario_path: str, cfg: SamplerConfig) -> None:
     manifest = {
         "scenario_file": os.path.basename(scenario_path),
         "sampler": {
@@ -52,7 +50,7 @@ def write_manifest(
             "candidates": cfg.candidates,
         },
         "tool_version": TOOL_VERSION,
-        "conventions": {"ttc": TTC_CONVENTION, "asd": asd_convention},
+        "conventions": {"ttc": TTC_CONVENTION},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         fh.write(_dump(manifest) + "\n")

@@ -6,6 +6,7 @@ malformed geometry.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -13,7 +14,8 @@ from typing import Dict, List, Optional, Tuple
 
 import yaml
 
-from .geom import Point2, Polyline, point_at_arclength, project_to_polyline
+from .geom import OrientedBox, Point2, Polyline, boxes_overlap
+from .geom import point_at_arclength, project_to_polyline
 from .sobol import MAX_DIM as SOBOL_MAX_DIM
 
 
@@ -52,25 +54,26 @@ class MapModel:
 
 
 @dataclass(frozen=True)
-class InitialState:
-    x: float
-    y: float
+class AgentState:
+    position: Point2
     heading: float
     speed: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.heading) or not math.isfinite(self.speed):
+            raise ValueError("non-finite agent state")
+        if self.speed < 0:
+            raise ValueError("agent speed must be >= 0")
 
 
 @dataclass(frozen=True)
 class AgentConfig:
     id: str
     role: str  # "ego" | "simulated"
-    initial_state: InitialState
+    initial_state: AgentState
     length: float
     width: float
     v_desired: float
-
-    @property
-    def position(self) -> Point2:
-        return Point2(self.initial_state.x, self.initial_state.y)
 
 
 @dataclass(frozen=True)
@@ -196,18 +199,20 @@ def _parse_agent(entry, i: int) -> AgentConfig:
         raise ScenarioError(f"{path}: footprint must be positive")
     if width > length:
         raise ScenarioError(f"{path}: width {width} exceeds length {length}")
+    v_desired = _num(entry, "v_desired", path, default=speed)
+    if v_desired < 0:
+        raise ScenarioError(f"{path}.v_desired: must be >= 0")
     return AgentConfig(
         id=str(_require(entry, "id", path)),
         role=role,
-        initial_state=InitialState(
-            x=_num(entry, "x", path),
-            y=_num(entry, "y", path),
-            heading=_num(entry, "heading", path, default=0.0),
-            speed=speed,
+        initial_state=AgentState(
+            Point2(_num(entry, "x", path), _num(entry, "y", path)),
+            _num(entry, "heading", path, default=0.0),
+            speed,
         ),
         length=length,
         width=width,
-        v_desired=_num(entry, "v_desired", path, default=speed),
+        v_desired=v_desired,
     )
 
 
@@ -267,6 +272,18 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
     ids = [a.id for a in agents]
     if len(set(ids)) != len(ids):
         raise ScenarioError("agents: duplicate agent ids")
+    # the same test as the episode's collision check, so no episode can
+    # start in a collision
+    boxes = [
+        OrientedBox(a.initial_state.position, a.initial_state.heading, a.length, a.width)
+        for a in agents
+    ]
+    for i in range(len(agents)):
+        for j in range(i + 1, len(agents)):
+            if boxes_overlap(boxes[i], boxes[j]):
+                raise ScenarioError(
+                    f"agents: '{agents[i].id}' and '{agents[j].id}' overlap at t = 0"
+                )
     n_simulated = sum(1 for a in agents if a.role == "simulated")
     # the GP's hyperparameter restarts are Sobol points in 2 dimensions per
     # prompted agent plus 2 (signal and noise scale)
@@ -312,7 +329,7 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
                 f"width [{lo}, {hi}] of lane '{lane_id}' and its neighbors"
             )
         agent = next(a for a in agents if a.id == agent_id)
-        s_agent, _, _ = project_to_polyline(*agent.position, lane.centerline)
+        s_agent, _, _ = project_to_polyline(*agent.initial_state.position, lane.centerline)
         if dom.s_min < s_agent - 1e-9:
             raise ScenarioError(
                 f"{path}.s_min: {dom.s_min} lies behind agent '{agent_id}' "

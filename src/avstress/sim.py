@@ -13,7 +13,7 @@ from math import atan2, cos, hypot, sin, tan
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from .geom import Point2, OrientedBox, boxes_overlap, normalize_angle
-from .scenario import Scenario
+from .scenario import AgentState, Scenario
 
 WHEELBASE = 2.8
 STEER_LIMIT = 0.5
@@ -28,23 +28,6 @@ IDM_GAP_MIN = 2.0
 IDM_HEADWAY = 1.5
 LEADER_RANGE = 60.0
 LEADER_HALF_WIDTH = 2.0
-
-
-class SimulationError(RuntimeError):
-    """Raised when a planner or policy fails mid-episode."""
-
-
-@dataclass(frozen=True)
-class AgentState:
-    position: Point2
-    heading: float
-    speed: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.heading) or not math.isfinite(self.speed):
-            raise ValueError("non-finite agent state")
-        if self.speed < 0:
-            raise ValueError("agent speed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -198,10 +181,6 @@ class ScriptedPolicy:
         return self.states[idx]
 
 
-def footprint_box(state: AgentState, length: float, width: float) -> OrientedBox:
-    return OrientedBox(state.position, state.heading, length, width)
-
-
 def _find_collision(
     world: JointState, scenario: Scenario
 ) -> Optional[Tuple[str, str]]:
@@ -209,23 +188,16 @@ def _find_collision(
     for i in range(len(agents)):
         for j in range(i + 1, len(agents)):
             a, b = agents[i], agents[j]
-            box_a = footprint_box(world.states[a.id], a.length, a.width)
-            box_b = footprint_box(world.states[b.id], b.length, b.width)
+            sa, sb = world.states[a.id], world.states[b.id]
+            box_a = OrientedBox(sa.position, sa.heading, a.length, a.width)
+            box_b = OrientedBox(sb.position, sb.heading, b.length, b.width)
             if boxes_overlap(box_a, box_b):
                 return (a.id, b.id)
     return None
 
 
 def initial_joint_state(scenario: Scenario) -> JointState:
-    states = {
-        a.id: AgentState(
-            Point2(a.initial_state.x, a.initial_state.y),
-            a.initial_state.heading,
-            a.initial_state.speed,
-        )
-        for a in scenario.agents
-    }
-    return JointState(0, states)
+    return JointState(0, {a.id: a.initial_state for a in scenario.agents})
 
 
 def simulate_episode(

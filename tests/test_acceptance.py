@@ -169,8 +169,8 @@ def preset_campaigns():
         scenario = load_preset(name)
         for kind in ("bo", "sobol"):
             cfg = SamplerConfig(kind=kind, budget=75)
-            result = run_campaign(scenario, cfg, LatticePlanner())
-            good = [r for r in result.records if not r.failed]
+            records = run_campaign(scenario, cfg, LatticePlanner())
+            good = [r for r in records if not r.failed]
             stats = campaign_stats(
                 [r.episode for r in good], scenario, scores=[r.metrics for r in good]
             )

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -104,7 +106,7 @@ class TestRun:
         with open(os.path.join(out_dir, "manifest.json")) as fh:
             manifest = json.load(fh)
         assert manifest["sampler"]["kind"] == "sobol"
-        assert manifest["conventions"]["asd"] == "paper"
+        assert manifest["conventions"] == {"ttc": persist.TTC_CONVENTION}
         assert manifest["tool_version"]
 
 
@@ -128,13 +130,10 @@ class TestReport:
         assert len(data) == 2
         assert "bo" in data[0] and "sobol" in data[1]  # sorted within scenario
 
-    @pytest.mark.parametrize("convention", ["paper", "mean_pairwise"])
-    def test_preset_csv_equals_stats_csv(self, convention, tmp_path, capsys):
-        # report takes the ASD convention from the campaign's manifest
+    def test_preset_csv_equals_stats_csv(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert run_cli(
             "run", "front", "--sampler", "sobol", "--budget", "3", "--out", out,
-            "--asd-convention", convention,
         ) == 0
         out_dir = capsys.readouterr().out.strip()
         csv_path = str(tmp_path / "table.csv")
@@ -285,3 +284,14 @@ class TestReplay:
         score = score_episode(episode, scenario)
         log = persist.read_campaign_log(os.path.join(out_dir, "campaign.jsonl"))
         assert score.min_dist == pytest.approx(log[1]["min_dist"], abs=1e-9)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats costs about 0.5 s, which every `run` would pay
+    # before its first episode
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, avstress.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

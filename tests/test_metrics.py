@@ -188,7 +188,6 @@ class TestAsd:
         a = [Point2(float(k), 0.0) for k in range(4)]
         b = [Point2(float(k), 4.0) for k in range(4)]
         assert asd([a, b]) == pytest.approx(2.0)
-        assert asd([a, b], convention="mean_pairwise") == pytest.approx(4.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(34)
@@ -202,9 +201,6 @@ class TestAsd:
             for j in range(i + 1, n):
                 total += trajectory_distance(trajs[i], trajs[j])
         assert asd(trajs) == pytest.approx(total / (n * (n - 1)), abs=1e-12)
-        assert asd(trajs, convention="mean_pairwise") == pytest.approx(
-            2.0 * total / (n * (n - 1)), abs=1e-12
-        )
 
     def test_permutation_invariance_and_nonnegativity(self):
         rng = np.random.default_rng(35)
@@ -220,11 +216,6 @@ class TestAsd:
     def test_single_trajectory_rejected(self):
         with pytest.raises(ValueError):
             asd([[Point2(0.0, 0.0)]])
-
-    def test_unknown_convention_rejected(self):
-        tau = [Point2(0.0, 0.0), Point2(1.0, 0.0)]
-        with pytest.raises(ValueError):
-            asd([tau, tau], convention="median")
 
 
 class TestCampaignStats:

@@ -29,6 +29,15 @@ def short_scale_params():
     )
 
 
+@pytest.fixture
+def pinned_kernel(monkeypatch):
+    """Condition the GP on short_scale_params() instead of refitting by MLE."""
+    monkeypatch.setattr(
+        surrogate, "fit",
+        lambda X, y: build_model(X, y, short_scale_params(), standardize=True),
+    )
+
+
 def corner_history():
     return [
         Observation(prompt=(0.0, 0.0), score=0.0),
@@ -110,12 +119,11 @@ class TestSuggestNext:
         one = [Observation(prompt=sobol_point(1), score=1.0)]
         assert suggest_next(one, cfg) == sobol_point(2)
 
+    @pytest.mark.usefixtures("pinned_kernel")
     def test_bo_exploits_high_score_corner(self):
         # beta=0 with a short length-scale: suggestion hugs the good corner;
         # oracle = dense-grid argmax of the posterior mean
-        cfg = SamplerConfig(
-            kind="bo", budget=10, beta=0.0, fixed_params=short_scale_params()
-        )
+        cfg = SamplerConfig(kind="bo", budget=10, beta=0.0)
         history = corner_history()
         u = suggest_next(history, cfg)
         assert math.hypot(u[0] - 1.0, u[1] - 1.0) < 0.05
@@ -129,10 +137,9 @@ class TestSuggestNext:
         oracle = grid[int(np.argmax(mean))]
         assert math.hypot(u[0] - oracle[0], u[1] - oracle[1]) < 0.05
 
+    @pytest.mark.usefixtures("pinned_kernel")
     def test_bo_huge_beta_explores(self):
-        cfg = SamplerConfig(
-            kind="bo", budget=10, beta=1e6, fixed_params=short_scale_params()
-        )
+        cfg = SamplerConfig(kind="bo", budget=10, beta=1e6)
         u = suggest_next(corner_history(), cfg)
         for obs in corner_history():
             d = math.hypot(u[0] - obs.prompt[0], u[1] - obs.prompt[1])
@@ -144,11 +151,10 @@ class TestSuggestNext:
         with pytest.raises(RuntimeError):
             suggest_next(history, cfg)
 
+    @pytest.mark.usefixtures("pinned_kernel")
     def test_failed_episodes_excluded_from_gp(self):
         # -inf observations must not poison the surrogate
-        cfg = SamplerConfig(
-            kind="bo", budget=10, beta=0.0, fixed_params=short_scale_params()
-        )
+        cfg = SamplerConfig(kind="bo", budget=10, beta=0.0)
         history = corner_history() + [
             Observation(prompt=(0.5, 0.5), score=-math.inf)
         ]
@@ -156,10 +162,9 @@ class TestSuggestNext:
         assert all(math.isfinite(v) for v in u)
         assert math.hypot(u[0] - 1.0, u[1] - 1.0) < 0.05
 
+    @pytest.mark.usefixtures("pinned_kernel")
     def test_argmax_invariant_under_affine_rescale(self):
-        cfg = SamplerConfig(
-            kind="bo", budget=20, beta=0.0, fixed_params=short_scale_params()
-        )
+        cfg = SamplerConfig(kind="bo", budget=20, beta=0.0)
         rng = np.random.default_rng(21)
         history = [
             Observation(prompt=tuple(rng.random(2)), score=float(rng.normal()))
@@ -170,11 +175,10 @@ class TestSuggestNext:
         ]
         assert suggest_next(history, cfg) == suggest_next(scaled, cfg)
 
+    @pytest.mark.usefixtures("pinned_kernel")
     def test_suggestions_stay_in_unit_square(self):
         for kind in ("sobol", "bo"):
-            cfg = SamplerConfig(
-                kind=kind, budget=40, fixed_params=short_scale_params()
-            )
+            cfg = SamplerConfig(kind=kind, budget=40)
             history = []
             rng = np.random.default_rng(22)
             for _ in range(12):
@@ -197,7 +201,7 @@ class TestSyntheticSearch:
     def run_sampler(self, kind, budget):
         # distance-to-optimum objective; higher is better
         opt = (0.7, 0.3)
-        cfg = SamplerConfig(kind=kind, budget=budget, fixed_params=short_scale_params())
+        cfg = SamplerConfig(kind=kind, budget=budget)
         history = []
         for _ in range(budget):
             u = suggest_next(history, cfg)
@@ -205,6 +209,7 @@ class TestSyntheticSearch:
             history.append(Observation(prompt=u, score=g))
         return max(obs.score for obs in history)
 
+    @pytest.mark.usefixtures("pinned_kernel")
     def test_bo_beats_sobol_on_distance_objective(self):
         budget = 30
         assert self.run_sampler("bo", budget) >= self.run_sampler("sobol", budget)
@@ -213,30 +218,31 @@ class TestSyntheticSearch:
 class TestRunCampaign:
     def test_sobol_budget_three_uses_first_three_points(self, two_lane_scenario):
         cfg = SamplerConfig(kind="sobol", budget=3)
-        result = run_campaign(two_lane_scenario, cfg, ConstantVelocityEgoStub())
-        assert len(result.records) == 3
-        for i, rec in enumerate(result.records, start=1):
+        records = run_campaign(two_lane_scenario, cfg, ConstantVelocityEgoStub())
+        assert len(records) == 3
+        for i, rec in enumerate(records, start=1):
             assert rec.prompt == sobol_point(i)
 
+    @pytest.mark.usefixtures("pinned_kernel")
     def test_campaign_is_deterministic(self, two_lane_scenario):
-        cfg = SamplerConfig(kind="bo", budget=5, fixed_params=short_scale_params())
+        cfg = SamplerConfig(kind="bo", budget=5)
 
         def run():
             return run_campaign(two_lane_scenario, cfg, ConstantVelocityEgoStub())
 
         a, b = run(), run()
-        assert [r.prompt for r in a.records] == [r.prompt for r in b.records]
-        assert [r.score for r in a.records] == [r.score for r in b.records]
-        for ra, rb in zip(a.records, b.records):
+        assert [r.prompt for r in a] == [r.prompt for r in b]
+        assert [r.score for r in a] == [r.score for r in b]
+        for ra, rb in zip(a, b):
             assert len(ra.episode.trace) == len(rb.episode.trace)
             for ja, jb in zip(ra.episode.trace, rb.episode.trace):
                 assert ja.states == jb.states
 
     def test_goals_inside_domain_image(self, two_lane_scenario):
         cfg = SamplerConfig(kind="sobol", budget=8)
-        result = run_campaign(two_lane_scenario, cfg, ConstantVelocityEgoStub())
+        records = run_campaign(two_lane_scenario, cfg, ConstantVelocityEgoStub())
         dom = two_lane_scenario.goal_domains["npc"]
-        for rec in result.records:
+        for rec in records:
             goal = rec.goals_world["npc"]
             # straight left lane at y=3.5: s maps to x-60, l to y-3.5
             assert dom.s_min - 60.0 - 1e-9 <= goal.x <= dom.s_max - 60.0 + 1e-9
@@ -248,9 +254,9 @@ class TestRunCampaign:
                 raise RuntimeError("no solution")
 
         cfg = SamplerConfig(kind="sobol", budget=4)
-        result = run_campaign(two_lane_scenario, cfg, AlwaysFails())
-        assert len(result.records) == 4
-        for rec in result.records:
+        records = run_campaign(two_lane_scenario, cfg, AlwaysFails())
+        assert len(records) == 4
+        for rec in records:
             assert rec.failed
             assert rec.score == -math.inf
 
@@ -259,10 +265,10 @@ class TestRunCampaign:
     def test_many_agents_complete(self, kind, n_simulated):
         # the GP's restarts need 2 * agents + 2 Sobol dimensions: 12 at 5 agents
         scenario = scenario_with_agents(n_simulated)
-        result = run_campaign(scenario, SamplerConfig(kind=kind, budget=4), LatticePlanner())
-        assert len(result.records) == 4
-        assert [r.failure_reason for r in result.records if r.failed] == []
-        assert all(len(r.prompt) == 2 * n_simulated for r in result.records)
+        records = run_campaign(scenario, SamplerConfig(kind=kind, budget=4), LatticePlanner())
+        assert len(records) == 4
+        assert [r.failure_reason for r in records if r.failed] == []
+        assert all(len(r.prompt) == 2 * n_simulated for r in records)
 
     def test_replan_interval_longer_than_planner_horizon(self):
         # the planner rolls out max(HORIZON_STEPS, replan_every) steps, so a
@@ -272,9 +278,9 @@ class TestRunCampaign:
         scenario = load_scenario(text.replace("replan_every: 5", "replan_every: 40"), "front")
         assert scenario.sim.replan_every == 40
         cfg = SamplerConfig(kind="sobol", budget=2)
-        result = run_campaign(scenario, cfg, LatticePlanner())
-        assert len(result.records) == 2
-        assert [r.failure_reason for r in result.records if r.failed] == []
+        records = run_campaign(scenario, cfg, LatticePlanner())
+        assert len(records) == 2
+        assert [r.failure_reason for r in records if r.failed] == []
 
 
 class TestBlasThreadScope:
@@ -307,10 +313,10 @@ class TestBlasThreadScope:
 
     def test_no_openblas_found_is_a_no_op(self, monkeypatch):
         monkeypatch.setattr(surrogate, "_openblas_thread_controls", lambda: ())
-        result = run_campaign(load_preset("front"), SamplerConfig(kind="bo", budget=4),
-                              LatticePlanner())
-        assert len(result.records) == 4
-        assert [r.failure_reason for r in result.records if r.failed] == []
+        records = run_campaign(load_preset("front"), SamplerConfig(kind="bo", budget=4),
+                               LatticePlanner())
+        assert len(records) == 4
+        assert [r.failure_reason for r in records if r.failed] == []
 
 
 class TestSplitPrompt:

@@ -297,11 +297,11 @@ def _scenario(name):
 def test_campaign_matches_reference_at_every_replan(name, kind, budget):
     scenario = _scenario(name)
     planner, policies = CheckedPlanner(), CheckedPolicies()
-    result = run_campaign(
+    records = run_campaign(
         scenario, SamplerConfig(kind=kind, budget=budget), planner, policy_factory=policies
     )
     # a failed check ends its episode as a planner or policy failure
-    assert [r.failure_reason for r in result.records if r.failed] == []
+    assert [r.failure_reason for r in records if r.failed] == []
     assert planner.replans >= budget
     assert policies.steps >= planner.replans
 

@@ -152,6 +152,29 @@ def test_agent_wider_than_long_rejected():
     assert load_scenario(text).agents[1].length == 2.0
 
 
+def test_negative_v_desired_rejected():
+    # the agent braked to a stop whatever its goal, so every prompt gave
+    # nearly the same episode
+    text = _broken(TWO_LANE_YAML, NPC, NPC + ", v_desired: -5.0")
+    with pytest.raises(ScenarioError, match=r"^agents\[1\]\.v_desired: must be >= 0"):
+        load_scenario(text)
+    text = _broken(TWO_LANE_YAML, NPC, NPC + ", v_desired: 0.0")
+    assert load_scenario(text).agents[1].v_desired == 0.0
+
+
+def test_initial_overlap_rejected():
+    # loaded, then every episode ended at t = 0 and could not be scored
+    text = _broken(TWO_LANE_YAML, NPC, NPC.replace("x: 15.0", "x: 2.0"))
+    with pytest.raises(ScenarioError, match=r"^agents: 'ego' and 'npc' overlap at t = 0$"):
+        load_scenario(text)
+    # footprints that only touch overlap, as in the episode's collision check
+    text = _broken(TWO_LANE_YAML, NPC, NPC.replace("x: 15.0", "x: 4.8"))
+    with pytest.raises(ScenarioError, match="overlap at t = 0"):
+        load_scenario(text)
+    text = _broken(TWO_LANE_YAML, NPC, NPC.replace("x: 15.0", "x: 4.81"))
+    assert load_scenario(text).agents[1].initial_state.position.x == 4.81
+
+
 @pytest.mark.parametrize("key", ["simm", "planner"])
 def test_unknown_top_level_key_rejected(key):
     # the scenario file is the whole run configuration: a misspelled or
@@ -225,7 +248,7 @@ class TestPromptToWorld:
     def test_midpoint_straight_lane(self):
         text = TWO_LANE_YAML.replace("s_min: 75.0, s_max: 175.0", "s_min: 60.0, s_max: 160.0").replace(
             "l_min: -5.25, l_max: 1.75", "l_min: -1.5, l_max: 1.5"
-        ).replace("x: 15.0, y: 3.5", "x: 0.0, y: 3.5")
+        ).replace("x: 15.0, y: 3.5", "x: -10.0, y: 3.5")  # behind the ego, clear of it
         sc = load_scenario(text)
         p = prompt_to_world(sc.goal_domains["npc"], (0.5, 0.5), sc.map)
         # s=110 on the left lane (starts x=-60) -> x=50; l=0 -> lane center

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -108,9 +109,11 @@ class TestSimulateEpisode:
             expected = 15.0 + joint.timestep * 1.0
             assert joint.states["npc"].position.x == pytest.approx(expected)
 
-    def test_initial_overlap_collides_at_t0(self):
-        text = TWO_LANE_YAML.replace("x: 15.0, y: 3.5", "x: 1.0, y: 3.5")
-        sc = load_scenario(text.replace("s_min: 75.0", "s_min: 61.0"))
+    def test_initial_overlap_collides_at_t0(self, two_lane_scenario):
+        # load_scenario rejects this scene, so move the npc onto the ego here
+        ego, npc = two_lane_scenario.agents
+        npc = dataclasses.replace(npc, initial_state=AgentState(Point2(1.0, 3.5), 0.0, 10.0))
+        sc = dataclasses.replace(two_lane_scenario, agents=(ego, npc))
         episode = simulate_episode(sc, {"npc": Point2(100, 3.5)}, HoldPositionPlanner(), {
             "npc": ScriptedPolicy("npc", [initial_joint_state(sc).states["npc"]]),
         })
