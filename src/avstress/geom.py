@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 
 def normalize_angle(theta: float) -> float:
@@ -87,6 +87,30 @@ def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
         if hi_a < lo_b or hi_b < lo_a:
             return False
     return True
+
+
+def first_overlap(
+    footprints: Sequence[Tuple[Point2, float, float, float]]
+) -> Optional[Tuple[int, int]]:
+    """Indices (i, j), i < j, of the first pair of footprints that overlap,
+    in the order (0, 1), (0, 2), ..., (1, 2), ..., or None.
+
+    Each footprint is the (center, heading, length, width) of an
+    `OrientedBox`, and overlap is `boxes_overlap`'s. A pair whose centers
+    are farther apart than the sum of the boxes' circumradii plus 1e-6 m
+    cannot overlap and skips the separating-axis test; the margin is far
+    above the rounding of the corners, so the answer is the same.
+    """
+    radii = [0.5 * math.hypot(length, width) for _, _, length, width in footprints]
+    for i, a in enumerate(footprints):
+        for j in range(i + 1, len(footprints)):
+            b = footprints[j]
+            # written so that a NaN distance falls through to the box test
+            if math.hypot(a[0].x - b[0].x, a[0].y - b[0].y) > radii[i] + radii[j] + 1e-6:
+                continue
+            if boxes_overlap(OrientedBox(*a), OrientedBox(*b)):
+                return i, j
+    return None
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,11 @@ is meant to exploit.
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from dataclasses import dataclass
-from typing import List, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Tuple
 
 from .geom import Point2, Polyline, point_at_arclength
 # bound here, though unused, because benchmarks/bench_trace.py counts the
@@ -121,7 +124,22 @@ def _rollout(
 
 
 class LatticePlanner:
-    """Deterministic candidate-enumeration planner (the system under test)."""
+    """Deterministic candidate-enumeration planner (the system under test).
+
+    An instance memoises its rollouts for the scenario it last planned in:
+    a rollout depends only on the ego start, the target lane and the
+    acceleration (the horizon, dt, v_max and the lanes are fixed by the
+    scenario), so across the episodes of one campaign most repeat. The key
+    holds the exact bits of the start, so 0.0 and -0.0 do not share an
+    entry. Each entry is one flat array of doubles, about 1 KB at the
+    default horizon; the memo is dropped when the planner is first asked to
+    plan in a different scenario object.
+    """
+
+    def __init__(self):
+        self._scenario: Optional[Scenario] = None
+        # (packed ego start, lane id, accel) -> rollout states, flattened
+        self._rollouts: Dict[Tuple[bytes, str, float], array] = {}
 
     def _candidate_lanes(self, ego: AgentState, scenario: Scenario) -> List[Lane]:
         current, _, _, _ = scenario.map.nearest_lane(ego.position)
@@ -132,6 +150,10 @@ class LatticePlanner:
         return lanes
 
     def candidates(self, world: JointState, scenario: Scenario) -> List[PlanCandidate]:
+        if scenario is not self._scenario:
+            self._scenario = scenario
+            self._rollouts = {}
+        rollouts = self._rollouts
         horizon = max(HORIZON_STEPS, scenario.sim.replan_every)
         dt = scenario.sim.dt
         ego_id = scenario.ego.id
@@ -143,11 +165,21 @@ class LatticePlanner:
             if aid != ego_id
         ]
         start = (ego.position.x, ego.position.y, ego.heading, ego.speed)
+        start_bits = struct.pack("<4d", *start)
         goal_x, goal_y = scenario.ego_goal.x, scenario.ego_goal.y
         out = []
         for lane in self._candidate_lanes(ego, scenario):
             for accel in ACCEL_GRID:
-                states = _rollout(start, lane.centerline, accel, horizon, dt, scenario.sim.v_max)
+                key = (start_bits, lane.id, accel)
+                flat = rollouts.get(key)
+                if flat is None:
+                    states = _rollout(
+                        start, lane.centerline, accel, horizon, dt, scenario.sim.v_max
+                    )
+                    rollouts[key] = array("d", chain.from_iterable(states))
+                else:
+                    it = iter(flat)
+                    states = list(zip(it, it, it, it))
                 clearance = math.inf
                 for wps in waypoints:
                     for (x, y, _, _), (px, py) in zip(states, wps):

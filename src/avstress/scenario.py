@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import yaml
 
-from .geom import OrientedBox, Point2, Polyline, boxes_overlap
+from .geom import Point2, Polyline, first_overlap
 from .geom import point_at_arclength, project_to_polyline
 from .sobol import MAX_DIM as SOBOL_MAX_DIM
 
@@ -274,16 +274,14 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
         raise ScenarioError("agents: duplicate agent ids")
     # the same test as the episode's collision check, so no episode can
     # start in a collision
-    boxes = [
-        OrientedBox(a.initial_state.position, a.initial_state.heading, a.length, a.width)
+    pair = first_overlap([
+        (a.initial_state.position, a.initial_state.heading, a.length, a.width)
         for a in agents
-    ]
-    for i in range(len(agents)):
-        for j in range(i + 1, len(agents)):
-            if boxes_overlap(boxes[i], boxes[j]):
-                raise ScenarioError(
-                    f"agents: '{agents[i].id}' and '{agents[j].id}' overlap at t = 0"
-                )
+    ])
+    if pair is not None:
+        raise ScenarioError(
+            f"agents: '{agents[pair[0]].id}' and '{agents[pair[1]].id}' overlap at t = 0"
+        )
     n_simulated = sum(1 for a in agents if a.role == "simulated")
     # the GP's hyperparameter restarts are Sobol points in 2 dimensions per
     # prompted agent plus 2 (signal and noise scale)

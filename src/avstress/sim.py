@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import atan2, cos, hypot, sin, tan
 from typing import Dict, List, Optional, Protocol, Tuple
 
-from .geom import Point2, OrientedBox, boxes_overlap, normalize_angle
+from .geom import Point2, first_overlap, normalize_angle
 from .scenario import AgentState, Scenario
 
 WHEELBASE = 2.8
@@ -184,16 +184,11 @@ class ScriptedPolicy:
 def _find_collision(
     world: JointState, scenario: Scenario
 ) -> Optional[Tuple[str, str]]:
-    agents = scenario.agents
-    for i in range(len(agents)):
-        for j in range(i + 1, len(agents)):
-            a, b = agents[i], agents[j]
-            sa, sb = world.states[a.id], world.states[b.id]
-            box_a = OrientedBox(sa.position, sa.heading, a.length, a.width)
-            box_b = OrientedBox(sb.position, sb.heading, b.length, b.width)
-            if boxes_overlap(box_a, box_b):
-                return (a.id, b.id)
-    return None
+    agents, states = scenario.agents, world.states
+    pair = first_overlap([
+        (states[a.id].position, states[a.id].heading, a.length, a.width) for a in agents
+    ])
+    return None if pair is None else (agents[pair[0]].id, agents[pair[1]].id)
 
 
 def initial_joint_state(scenario: Scenario) -> JointState:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from avstress import geom
 from avstress.geom import (
     OrientedBox,
     Point2,
     Polyline,
     boxes_overlap,
     euclidean_distance,
+    first_overlap,
     point_at_arclength,
     project_to_polyline,
 )
@@ -87,6 +89,98 @@ class TestBoxesOverlap:
             OrientedBox(Point2(0, 0), 0.0, 1.0, 2.0)  # width > length
         with pytest.raises(ValueError):
             OrientedBox(Point2(0, 0), 0.0, 1.0, 0.0)
+
+
+def _limit_pairs(rng):
+    """Footprint pairs whose center distance is the pre-reject's limit, the
+    sum of the circumradii, plus or minus 1e-9 m, and the same around the
+    limit plus its 1e-6 m margin. Half of them have equal aspect ratios and
+    lie along their common diagonal, so at the limit their corners meet."""
+    pairs = []
+    for k in range(60):
+        heading = rng.uniform(-math.pi, math.pi)
+        la = rng.uniform(1.0, 6.0)
+        wa = rng.uniform(0.5, 1.0) * la
+        if k % 2:
+            lb = rng.uniform(1.0, 6.0)
+            wb = lb * wa / la
+            direction, heading_b = heading + math.atan2(wa, la), heading
+        else:
+            lb = rng.uniform(1.0, 6.0)
+            wb = rng.uniform(0.5, 1.0) * lb
+            direction, heading_b = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
+        limit = 0.5 * math.hypot(la, wa) + 0.5 * math.hypot(lb, wb)
+        x, y = rng.uniform(-50, 50, 2)
+        for d in (limit - 1e-9, limit, limit + 1e-9, limit + 1e-6 - 1e-9, limit + 1e-6 + 1e-9):
+            b_center = Point2(x + d * math.cos(direction), y + d * math.sin(direction))
+            pairs.append(((Point2(x, y), heading, la, wa), (b_center, heading_b, lb, wb)))
+    return pairs
+
+
+def _random_pairs(rng):
+    pairs = []
+    for _ in range(400):
+        extents = []
+        for _ in range(2):
+            length = rng.uniform(0.5, 6.0)
+            extents.append((length, rng.uniform(0.2, 1.0) * length))
+        a = (Point2(*rng.uniform(-4, 4, 2)), rng.uniform(-4, 4)) + extents[0]
+        b = (Point2(*rng.uniform(-4, 4, 2)), rng.uniform(-4, 4)) + extents[1]
+        pairs.append((a, b))
+    return pairs
+
+
+# (center, heading) of 4 m x 2 m footprints that touch one at the origin
+# with heading 0, corner to corner or edge to edge; the corners of the last
+# three carry the rounding of cos and sin at pi and pi / 2
+TOUCHING = [
+    (Point2(4.0, 2.0), 0.0), (Point2(-4.0, -2.0), 0.0), (Point2(4.0, -2.0), 0.0),
+    (Point2(4.0, 0.0), 0.0), (Point2(0.0, 2.0), 0.0), (Point2(4.0, 0.5), 0.0),
+    (Point2(-4.0, 1.5), math.pi), (Point2(3.0, 3.0), math.pi / 2), (Point2(3.0, 0.0), math.pi / 2),
+]
+
+
+class TestFirstOverlap:
+    def test_agrees_with_boxes_overlap(self):
+        rng = np.random.default_rng(3)
+        limit_pairs = _limit_pairs(rng)
+        touching = [((Point2(0.0, 0.0), 0.0, 4.0, 2.0), (c, h, 4.0, 2.0)) for c, h in TOUCHING]
+        results = []
+        for a, b in limit_pairs + _random_pairs(rng) + touching:
+            expected = boxes_overlap(OrientedBox(*a), OrientedBox(*b))
+            assert first_overlap([a, b]) == ((0, 1) if expected else None)
+            assert first_overlap([b, a]) == ((0, 1) if expected else None)
+            results.append(expected)
+        n_limit = len(limit_pairs)
+        # the limit pairs include corners that meet and just miss
+        assert any(results[:n_limit]) and not all(results[:n_limit])
+        assert 50 < sum(results[n_limit:-len(touching)]) < 350
+        # touching footprints count as overlapping
+        assert all(results[-len(touching):-3])
+
+    def test_far_pairs_skip_the_box_test(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return boxes_overlap(a, b)
+
+        monkeypatch.setattr(geom, "boxes_overlap", counting)
+        box = (Point2(0.0, 0.0), 0.3, 4.0, 2.0)
+        limit = math.hypot(4.0, 2.0)
+        assert first_overlap([box, (Point2(limit + 2e-6, 0.0), 0.3, 4.0, 2.0)]) is None
+        assert calls == []
+        assert first_overlap([box, (Point2(limit, 0.0), 0.3, 4.0, 2.0)]) is None
+        assert len(calls) == 1
+
+    def test_first_pair_in_loop_order(self):
+        def at(x):
+            return (Point2(x, 0.0), 0.0, 4.0, 2.0)
+
+        assert first_overlap([at(0.0), at(50.0), at(3.0), at(53.0)]) == (0, 2)
+        assert first_overlap([at(0.0), at(50.0), at(100.0), at(53.0)]) == (1, 3)
+        assert first_overlap([at(0.0), at(10.0), at(20.0)]) is None
+        assert first_overlap([at(0.0)]) is None
 
 
 class TestPolylineProjection:

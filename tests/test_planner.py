@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import pytest
 
+from avstress import planner as planner_module
 from avstress.geom import Point2
+from avstress.optimizer import SamplerConfig, run_campaign
 from avstress.planner import ACCEL_GRID, D_SAFE, LatticePlanner, predict_constant_velocity
-from avstress.scenario import load_scenario
-from avstress.sim import AgentState, ScriptedPolicy, initial_joint_state, simulate_episode
+from avstress.scenario import load_preset, load_scenario
+from avstress.sim import AgentState, JointState, ScriptedPolicy, initial_joint_state, simulate_episode
 from conftest import TWO_LANE_YAML
 
 
@@ -117,3 +120,102 @@ class TestLatticePlan:
         )
         assert episode.collision is None
         assert not episode.failed
+
+
+# ------------------------------------------------------------ rollout memo
+
+
+@pytest.fixture
+def rollout_calls(monkeypatch):
+    """A one-element list counting the calls of planner._rollout."""
+    calls = [0]
+    real = planner_module._rollout
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(planner_module, "_rollout", counting)
+    return calls
+
+
+def _hex(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _candidate_bits(cands):
+    return [
+        (c.target_lane, _hex(c.accel, c.cost, c.min_clearance), [_hex(*s) for s in c.states])
+        for c in cands
+    ]
+
+
+def _with_ego(world, ego_id, **changes):
+    states = dict(world.states)
+    states[ego_id] = dataclasses.replace(states[ego_id], **changes)
+    return JointState(world.timestep, states)
+
+
+class TestRolloutMemo:
+    def test_second_call_rolls_out_nothing(self, two_lane_scenario, rollout_calls):
+        sc = two_lane_scenario
+        planner = LatticePlanner()
+        world = initial_joint_state(sc)
+        first = planner.candidates(world, sc)
+        assert rollout_calls[0] == len(first) == 2 * len(ACCEL_GRID)
+        second = planner.candidates(world, sc)
+        assert rollout_calls[0] == len(first)
+        assert _candidate_bits(second) == _candidate_bits(first)
+        # the memo hands out new lists, so a caller cannot corrupt an entry
+        assert all(a.states is not b.states for a, b in zip(first, second))
+
+    def test_signed_zero_start_is_its_own_entry(self, two_lane_scenario, rollout_calls):
+        sc = two_lane_scenario
+        planner = LatticePlanner()
+        world = initial_joint_state(sc)
+        assert math.copysign(1.0, world.states["ego"].heading) == 1.0
+        negative = _with_ego(world, "ego", heading=-0.0)
+        planner.candidates(world, sc)
+        cands = planner.candidates(negative, sc)
+        assert rollout_calls[0] == 2 * len(cands)
+        assert _candidate_bits(cands) == _candidate_bits(LatticePlanner().candidates(negative, sc))
+
+    def test_reuse_across_scenarios_matches_fresh_planner(self, two_lane_scenario):
+        sc = two_lane_scenario
+        slow = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, v_max=8.0))
+        planner = LatticePlanner()
+        world = initial_joint_state(sc)
+        in_sc = planner.candidates(world, sc)
+        in_slow = planner.candidates(world, slow)
+        assert _candidate_bits(in_slow) != _candidate_bits(in_sc)
+        assert _candidate_bits(in_slow) == _candidate_bits(LatticePlanner().candidates(world, slow))
+        assert _candidate_bits(planner.candidates(world, sc)) == _candidate_bits(in_sc)
+
+
+class FreshPlanner:
+    """Plans every replan with a new LatticePlanner, so nothing is memoised."""
+
+    def plan(self, world, scenario):
+        return LatticePlanner().plan(world, scenario)
+
+
+def test_memoised_campaign_matches_fresh_planners(rollout_calls):
+    scenario = load_preset("front_right")
+    cfg = SamplerConfig(kind="sobol", budget=8)
+    memoised = run_campaign(scenario, cfg, LatticePlanner())
+    memoised_calls = rollout_calls[0]
+    fresh = run_campaign(scenario, cfg, FreshPlanner())
+    # later episodes replay rollouts of earlier ones
+    assert memoised_calls < rollout_calls[0] - memoised_calls
+    assert len(memoised) == len(fresh) == 8
+    for a, b in zip(memoised, fresh):
+        assert not a.failed and not b.failed
+        assert a.episode.collision == b.episode.collision
+        assert len(a.episode.trace) == len(b.episode.trace)
+        for wa, wb in zip(a.episode.trace, b.episode.trace):
+            assert sorted(wa.states) == sorted(wb.states)
+            for aid in wa.states:
+                sa, sb = wa.states[aid], wb.states[aid]
+                assert _hex(sa.position.x, sa.position.y, sa.heading, sa.speed) == _hex(
+                    sb.position.x, sb.position.y, sb.heading, sb.speed
+                )
