@@ -8,6 +8,7 @@ time-to-collision spreads, and pairwise trajectory diversity.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from statistics import mean, stdev
 from typing import List, Optional, Sequence
@@ -67,6 +68,11 @@ def ttc_min(episode: Episode, scenario: Scenario) -> float:
     gap = center distance minus half the two body lengths; closing speed is
     the forward difference of the gap. TTC is gap/closing when the agents
     are approaching with positive gap, 0 at contact, +inf otherwise.
+
+    The gap ignores width and heading, so it treats both bodies as if they
+    were lined up end to end: two cars passing side by side in adjacent
+    lanes (3.5 m apart, 4.8 m long) have a negative gap and score 0, though
+    their footprints never touch.
     """
     if len(episode.trace) < 2:
         raise ValueError("TTC needs at least 2 trace entries")
@@ -103,6 +109,13 @@ def score_episode(episode: Episode, scenario: Scenario) -> EpisodeScore:
     )
 
 
+def _mean_distance(xa, ya, xb, yb) -> float:
+    """Mean of the pointwise distances over the common prefix of two
+    trajectories given as coordinate lists."""
+    n = min(len(xa), len(xb))
+    return sum(map(math.hypot, map(operator.sub, xa, xb), map(operator.sub, ya, yb))) / n
+
+
 def trajectory_distance(
     tau_a: Sequence[Point2], tau_b: Sequence[Point2]
 ) -> float:
@@ -111,8 +124,9 @@ def trajectory_distance(
     """
     if not tau_a or not tau_b:
         raise ValueError("trajectories must be nonempty")
-    n = min(len(tau_a), len(tau_b))
-    return sum(euclidean_distance(tau_a[k], tau_b[k]) for k in range(n)) / n
+    return _mean_distance(
+        [p.x for p in tau_a], [p.y for p in tau_a], [p.x for p in tau_b], [p.y for p in tau_b]
+    )
 
 
 def asd(trajectories: Sequence[Sequence[Point2]]) -> float:
@@ -121,10 +135,15 @@ def asd(trajectories: Sequence[Sequence[Point2]]) -> float:
     n_e = len(trajectories)
     if n_e < 2:
         raise ValueError("ASD needs at least 2 trajectories")
+    if not all(trajectories):
+        raise ValueError("trajectories must be nonempty")
+    # coordinate lists extracted once per trajectory, not once per pair
+    xs = [[p.x for p in tau] for tau in trajectories]
+    ys = [[p.y for p in tau] for tau in trajectories]
     total = 0.0
     for i in range(n_e):
         for j in range(i + 1, n_e):
-            total += trajectory_distance(trajectories[i], trajectories[j])
+            total += _mean_distance(xs[i], ys[i], xs[j], ys[j])
     return total / (n_e * (n_e - 1))
 
 

@@ -11,6 +11,7 @@ is meant to exploit.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from array import array
 from dataclasses import dataclass
@@ -37,6 +38,9 @@ COMFORT_WEIGHT = 0.1
 
 # (x, y, heading, speed) of the ego at one rollout step
 StateTuple = Tuple[float, float, float, float]
+# one candidate of an ego start's table: lane id, accel, the rollout's states
+# flattened to 4 doubles each, terminal cost
+TableRow = Tuple[str, float, array, float]
 
 
 @dataclass(frozen=True)
@@ -126,20 +130,23 @@ def _rollout(
 class LatticePlanner:
     """Deterministic candidate-enumeration planner (the system under test).
 
-    An instance memoises its rollouts for the scenario it last planned in:
-    a rollout depends only on the ego start, the target lane and the
-    acceleration (the horizon, dt, v_max and the lanes are fixed by the
-    scenario), so across the episodes of one campaign most repeat. The key
-    holds the exact bits of the start, so 0.0 and -0.0 do not share an
-    entry. Each entry is one flat array of doubles, about 1 KB at the
-    default horizon; the memo is dropped when the planner is first asked to
-    plan in a different scenario object.
+    An instance keeps, for the scenario it last planned in, one scored table
+    per ego start: the candidates in planning order (lane, then accel), each
+    row holding the lane id, the accel, the rollout as one flat array of
+    doubles and the terminal cost. Rollouts, candidate lanes and costs
+    depend only on the start and the scenario, so across the episodes of
+    one campaign most starts repeat; each replan then only scores the
+    table's clearances against the other agents' predictions. The key holds
+    the exact bits of the start, so 0.0 and -0.0 do not share an entry. At
+    the default horizon a table takes about 1.2 KB per row, 17 KB for the
+    14 rows of a start on a two-lane road; the tables are dropped when the
+    planner is first asked to plan in a different scenario object.
     """
 
     def __init__(self):
         self._scenario: Optional[Scenario] = None
-        # (packed ego start, lane id, accel) -> rollout states, flattened
-        self._rollouts: Dict[Tuple[bytes, str, float], array] = {}
+        # packed ego start -> its candidates in planning order
+        self._tables: Dict[bytes, List[TableRow]] = {}
 
     def _candidate_lanes(self, ego: AgentState, scenario: Scenario) -> List[Lane]:
         current, _, _, _ = scenario.map.nearest_lane(ego.position)
@@ -149,66 +156,71 @@ class LatticePlanner:
                 lanes.append(scenario.map.lane(ref))
         return lanes
 
-    def candidates(self, world: JointState, scenario: Scenario) -> List[PlanCandidate]:
+    def _scored(
+        self, world: JointState, scenario: Scenario
+    ) -> Tuple[List[TableRow], List[float]]:
+        """The ego start's table and each row's min clearance this replan."""
         if scenario is not self._scenario:
             self._scenario = scenario
-            self._rollouts = {}
-        rollouts = self._rollouts
+            self._tables = {}
         horizon = max(HORIZON_STEPS, scenario.sim.replan_every)
         dt = scenario.sim.dt
         ego_id = scenario.ego.id
         ego = world.states[ego_id]
-
-        waypoints = [
-            predict_constant_velocity(world.states[aid], scenario.map, horizon, dt)
-            for aid in sorted(world.states)
-            if aid != ego_id
-        ]
         start = (ego.position.x, ego.position.y, ego.heading, ego.speed)
-        start_bits = struct.pack("<4d", *start)
-        goal_x, goal_y = scenario.ego_goal.x, scenario.ego_goal.y
-        out = []
-        for lane in self._candidate_lanes(ego, scenario):
-            for accel in ACCEL_GRID:
-                key = (start_bits, lane.id, accel)
-                flat = rollouts.get(key)
-                if flat is None:
+        key = struct.pack("<4d", *start)
+        table = self._tables.get(key)
+        if table is None:
+            goal_x, goal_y = scenario.ego_goal.x, scenario.ego_goal.y
+            table = []
+            for lane in self._candidate_lanes(ego, scenario):
+                for accel in ACCEL_GRID:
                     states = _rollout(
                         start, lane.centerline, accel, horizon, dt, scenario.sim.v_max
                     )
-                    rollouts[key] = array("d", chain.from_iterable(states))
-                else:
-                    it = iter(flat)
-                    states = list(zip(it, it, it, it))
-                clearance = math.inf
-                for wps in waypoints:
-                    for (x, y, _, _), (px, py) in zip(states, wps):
-                        d = math.hypot(x - px, y - py)
-                        if d < clearance:
-                            clearance = d
-                x, y, _, _ = states[-1]
-                cost = math.hypot(x - goal_x, y - goal_y) + COMFORT_WEIGHT * abs(accel)
-                out.append(
-                    PlanCandidate(
-                        target_lane=lane.id,
-                        accel=accel,
-                        states=states,
-                        cost=cost,
-                        min_clearance=clearance,
-                    )
-                )
+                    x, y, _, _ = states[-1]
+                    cost = math.hypot(x - goal_x, y - goal_y) + COMFORT_WEIGHT * abs(accel)
+                    table.append((lane.id, accel, array("d", chain.from_iterable(states)), cost))
+            self._tables[key] = table
+
+        predictions = []
+        for aid in sorted(world.states):
+            if aid != ego_id:
+                wps = predict_constant_velocity(world.states[aid], scenario.map, horizon, dt)
+                predictions.append(([x for x, _ in wps], [y for _, y in wps]))
+        # math.hypot on plain floats: numpy's hypot rounds some inputs
+        # differently, and a clearance near D_SAFE decides feasibility
+        clearances = []
+        for _, _, flat, _ in table:
+            xs, ys = flat[0::4], flat[1::4]
+            clearance = math.inf
+            for wx, wy in predictions:
+                d = min(map(math.hypot, map(operator.sub, xs, wx), map(operator.sub, ys, wy)))
+                if d < clearance:
+                    clearance = d
+            clearances.append(clearance)
+        return table, clearances
+
+    def candidates(self, world: JointState, scenario: Scenario) -> List[PlanCandidate]:
+        table, clearances = self._scored(world, scenario)
+        out = []
+        for (lane_id, accel, flat, cost), clearance in zip(table, clearances):
+            it = iter(flat)
+            out.append(PlanCandidate(lane_id, accel, list(zip(it, it, it, it)), cost, clearance))
         return out
 
     def plan(self, world: JointState, scenario: Scenario) -> List[AgentState]:
-        cands = self.candidates(world, scenario)
-        feasible = [c for c in cands if c.min_clearance >= D_SAFE]
+        table, clearances = self._scored(world, scenario)
+        # the first cheapest feasible row, else the first of largest clearance
+        feasible = [i for i, c in enumerate(clearances) if c >= D_SAFE]
         if feasible:
-            best = min(feasible, key=lambda c: c.cost)
+            best = min(feasible, key=lambda i: table[i][3])
         else:
-            best = max(cands, key=lambda c: c.min_clearance)
+            best = max(range(len(table)), key=clearances.__getitem__)
+        it = iter(table[best][2][: 4 * scenario.sim.replan_every])
         return [
             AgentState(Point2(x, y), heading, speed)
-            for x, y, heading, speed in best.states[: scenario.sim.replan_every]
+            for x, y, heading, speed in zip(it, it, it, it)
         ]
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from avstress.geom import Point2
+from avstress.geom import Point2, euclidean_distance
 from avstress.metrics import (
     agent_trajectory,
     asd,
@@ -216,6 +216,38 @@ class TestAsd:
     def test_single_trajectory_rejected(self):
         with pytest.raises(ValueError):
             asd([[Point2(0.0, 0.0)]])
+
+    @pytest.mark.parametrize("n_e", [2, 3, 75])
+    def test_bits_match_per_point_formula(self, n_e):
+        # the per-point formula asd and trajectory_distance replaced, verbatim;
+        # stats.csv must not move by one bit
+        def old_trajectory_distance(tau_a, tau_b):
+            n = min(len(tau_a), len(tau_b))
+            return sum(euclidean_distance(tau_a[k], tau_b[k]) for k in range(n)) / n
+
+        def old_asd(trajectories):
+            n_e = len(trajectories)
+            total = 0.0
+            for i in range(n_e):
+                for j in range(i + 1, n_e):
+                    total += old_trajectory_distance(trajectories[i], trajectories[j])
+            return total / (n_e * (n_e - 1))
+
+        rng = np.random.default_rng(n_e)
+        # lengths as in a campaign: most episodes run the full horizon, the
+        # collision-truncated ones end early, down to two entries
+        lengths = [81 if k % 3 else int(rng.integers(2, 81)) for k in range(n_e)]
+        lengths[-1] = 2
+        trajs = [
+            [Point2(float(x), float(y)) for x, y in rng.uniform(-50, 250, (n, 2))]
+            for n in lengths
+        ]
+        for i in range(n_e - 1):
+            for j in (i + 1, n_e - 1):
+                assert trajectory_distance(trajs[i], trajs[j]).hex() == (
+                    old_trajectory_distance(trajs[i], trajs[j]).hex()
+                )
+        assert asd(trajs).hex() == old_asd(trajs).hex()
 
 
 class TestCampaignStats:

@@ -7,9 +7,10 @@ from avstress import planner as planner_module
 from avstress.geom import Point2
 from avstress.optimizer import SamplerConfig, run_campaign
 from avstress.planner import ACCEL_GRID, D_SAFE, LatticePlanner, predict_constant_velocity
-from avstress.scenario import load_preset, load_scenario
+from avstress.scenario import MapModel, load_preset, load_scenario
 from avstress.sim import AgentState, JointState, ScriptedPolicy, initial_joint_state, simulate_episode
 from conftest import TWO_LANE_YAML
+from test_rollout_reference import ref_choice
 
 
 class TestPredictConstantVelocity:
@@ -219,3 +220,99 @@ def test_memoised_campaign_matches_fresh_planners(rollout_calls):
                 assert _hex(sa.position.x, sa.position.y, sa.heading, sa.speed) == _hex(
                     sb.position.x, sb.position.y, sb.heading, sb.speed
                 )
+
+
+# ----------------------------------------------------------- scored table
+
+
+class TestScoredTable:
+    def test_second_plan_skips_rollouts_and_ego_lane_lookup(
+        self, two_lane_scenario, rollout_calls, monkeypatch
+    ):
+        sc = two_lane_scenario
+        looked_up = []
+        real = MapModel.nearest_lane
+
+        def recording(self, p):
+            looked_up.append(p)
+            return real(self, p)
+
+        monkeypatch.setattr(MapModel, "nearest_lane", recording)
+        planner = LatticePlanner()
+        world = initial_joint_state(sc)
+        ego_at = world.states["ego"].position
+        first = planner.plan(world, sc)
+        assert rollout_calls[0] == 2 * len(ACCEL_GRID)
+        assert ego_at in looked_up
+        looked_up.clear()
+        second = planner.plan(world, sc)
+        assert rollout_calls[0] == 2 * len(ACCEL_GRID)
+        # the other agent is still predicted, the ego's lanes are not looked up
+        assert looked_up == [world.states["npc"].position]
+        assert second == first
+
+    def test_one_entry_per_distinct_start(self, two_lane_scenario, rollout_calls):
+        sc = two_lane_scenario
+        planner = LatticePlanner()
+        world = initial_joint_state(sc)
+        moved_ego = _with_ego(world, "ego", speed=9.0)
+        moved_npc = _with_ego(world, "npc", position=Point2(25.0, 3.5))
+        for w in (world, moved_ego, world, moved_npc, moved_ego):
+            planner.plan(w, sc)
+        assert len(planner._tables) == 2
+        assert rollout_calls[0] == 2 * 2 * len(ACCEL_GRID)
+        # a hit with the other agent elsewhere scores its clearances anew
+        assert _candidate_bits(planner.candidates(moved_npc, sc)) == _candidate_bits(
+            LatticePlanner().candidates(moved_npc, sc)
+        )
+
+    # Each case puts every step of a left-lane row on the ego goal and of a
+    # right-lane row at its accel's offset along x from it, and predicts the
+    # npc to stand on the goal: a row's clearance is |offset| and its cost
+    # |offset| + COMFORT_WEIGHT * |accel|. Offsets are listed in ACCEL_GRID
+    # order, -4 to 3.
+    @pytest.mark.parametrize("case,offsets", [
+        # every row within D_SAFE of the npc, the largest clearance unique
+        ("fallback", (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)),
+        # right-lane rows -2 and 2 are the cheapest feasible, at equal cost;
+        # row 3 is feasible with the largest clearance
+        ("equal_cost", (-2.0, -4.0, -0.5, 0.0, 0.5, 4.0, 5.0)),
+        # right-lane rows -2 and 2 tie on the largest clearance, all infeasible
+        ("clearance_tie", (0.0, -2.0, -1.0, 0.0, 1.0, 2.0, 0.0)),
+    ])
+    def test_plan_executes_reference_choice(
+        self, two_lane_scenario, monkeypatch, case, offsets
+    ):
+        sc = two_lane_scenario
+        gx, gy = sc.ego_goal.x, sc.ego_goal.y
+        offset = dict(zip(ACCEL_GRID, offsets))
+
+        def fake_rollout(start, centerline, accel, horizon, dt, v_max):
+            on_right = centerline.vertices[0].y == 0.0
+            x = gx + offset[accel] if on_right else gx
+            return [(x, gy, 0.0, 1.0)] * horizon
+
+        def fake_prediction(agent, map_model, horizon, dt):
+            return [(gx, gy)] * horizon
+
+        monkeypatch.setattr(planner_module, "_rollout", fake_rollout)
+        monkeypatch.setattr(planner_module, "predict_constant_velocity", fake_prediction)
+        planner = LatticePlanner()
+        world = initial_joint_state(sc)
+        cands = planner.candidates(world, sc)
+        feasible = [c for c in cands if c.min_clearance >= D_SAFE]
+        if case == "equal_cost":
+            cheapest = min(c.cost for c in feasible)
+            assert [c.accel for c in feasible if c.cost == cheapest] == [-2.0, 2.0]
+        else:
+            assert not feasible
+            widest = max(c.min_clearance for c in cands)
+            ties = [c.accel for c in cands if c.min_clearance == widest]
+            assert ties == ([-4.0] if case == "fallback" else [-2.0, 2.0])
+        ref = [(c.target_lane, c.accel, c.states, c.cost, c.min_clearance) for c in cands]
+        chosen = ref[ref_choice(ref, D_SAFE)]
+        plan = planner.plan(world, sc)
+        assert [(s.position.x, s.position.y, s.heading, s.speed) for s in plan] == (
+            chosen[2][: sc.sim.replan_every]
+        )
+        assert chosen[:2] == ("right", -4.0 if case == "fallback" else -2.0)
