@@ -222,24 +222,3 @@ class LatticePlanner:
             AgentState(Point2(x, y), heading, speed)
             for x, y, heading, speed in zip(it, it, it, it)
         ]
-
-
-class ConstantVelocityEgoStub:
-    """Planner stub that keeps the ego at its current heading and speed."""
-
-    def plan(self, world: JointState, scenario: Scenario) -> List[AgentState]:
-        ego = world.states[scenario.ego.id]
-        dt = scenario.sim.dt
-        out = []
-        cur = ego
-        for _ in range(scenario.sim.replan_every):
-            cur = AgentState(
-                Point2(
-                    cur.position.x + cur.speed * math.cos(cur.heading) * dt,
-                    cur.position.y + cur.speed * math.sin(cur.heading) * dt,
-                ),
-                cur.heading,
-                cur.speed,
-            )
-            out.append(cur)
-        return out

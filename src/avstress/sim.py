@@ -169,18 +169,6 @@ class ReactivePolicy:
         return AgentState(Point2(x, y), heading, speed)
 
 
-class ScriptedPolicy:
-    """Replays a fixed list of states; used for stubs and premise checks."""
-
-    def __init__(self, agent_id: str, states: List[AgentState]):
-        self.agent_id = agent_id
-        self.states = states
-
-    def step(self, world: JointState) -> AgentState:
-        idx = min(world.timestep, len(self.states) - 1)
-        return self.states[idx]
-
-
 def _find_collision(
     world: JointState, scenario: Scenario
 ) -> Optional[Tuple[str, str]]:

@@ -45,6 +45,39 @@ def scenario_with_agents(n_simulated):
     return load_scenario(text, scenario_id=f"synthetic_{n_simulated}")
 
 
+class ScriptedPolicy:
+    """Replays a fixed list of states; used for stubs and premise checks."""
+
+    def __init__(self, agent_id, states):
+        self.agent_id = agent_id
+        self.states = states
+
+    def step(self, world):
+        idx = min(world.timestep, len(self.states) - 1)
+        return self.states[idx]
+
+
+class ConstantVelocityEgoStub:
+    """Planner stub that keeps the ego at its current heading and speed."""
+
+    def plan(self, world, scenario):
+        ego = world.states[scenario.ego.id]
+        dt = scenario.sim.dt
+        out = []
+        cur = ego
+        for _ in range(scenario.sim.replan_every):
+            cur = AgentState(
+                Point2(
+                    cur.position.x + cur.speed * math.cos(cur.heading) * dt,
+                    cur.position.y + cur.speed * math.sin(cur.heading) * dt,
+                ),
+                cur.heading,
+                cur.speed,
+            )
+            out.append(cur)
+        return out
+
+
 @pytest.fixture
 def two_lane_scenario():
     return load_scenario(TWO_LANE_YAML, scenario_id="two_lane")

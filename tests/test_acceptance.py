@@ -20,7 +20,7 @@ from avstress.metrics import asd, campaign_stats, criticality_score, trajectory_
 from avstress.optimizer import Observation, SamplerConfig, run_campaign, suggest_next
 from avstress.planner import LatticePlanner, predict_constant_velocity
 from avstress.scenario import PRESET_NAMES, load_preset
-from avstress.sim import AgentState, ScriptedPolicy, initial_joint_state, simulate_episode
+from avstress.sim import AgentState, initial_joint_state, simulate_episode
 from avstress.sobol import sobol_point, sobol_points
 from avstress.surrogate import (
     KernelParams,
@@ -29,7 +29,7 @@ from avstress.surrogate import (
     log_marginal_likelihood,
     posterior_batch,
 )
-from conftest import make_episode, scenario_with_agents
+from conftest import ScriptedPolicy, make_episode, scenario_with_agents
 
 
 def _criterion(num, name):

@@ -16,11 +16,11 @@ from avstress.optimizer import (
     suggest_next,
     ucb,
 )
-from avstress.planner import HORIZON_STEPS, ConstantVelocityEgoStub, LatticePlanner
+from avstress.planner import HORIZON_STEPS, LatticePlanner
 from avstress.scenario import load_preset, load_scenario
 from avstress.sobol import sobol_point, sobol_points
 from avstress.surrogate import KernelParams, build_model, posterior_batch
-from conftest import scenario_with_agents
+from conftest import ConstantVelocityEgoStub, scenario_with_agents
 
 
 def short_scale_params():

@@ -8,8 +8,8 @@ from avstress.geom import Point2
 from avstress.optimizer import SamplerConfig, run_campaign
 from avstress.planner import ACCEL_GRID, D_SAFE, LatticePlanner, predict_constant_velocity
 from avstress.scenario import MapModel, load_preset, load_scenario
-from avstress.sim import AgentState, JointState, ScriptedPolicy, initial_joint_state, simulate_episode
-from conftest import TWO_LANE_YAML
+from avstress.sim import AgentState, JointState, initial_joint_state, simulate_episode
+from conftest import TWO_LANE_YAML, ScriptedPolicy
 from test_rollout_reference import ref_choice
 
 

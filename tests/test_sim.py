@@ -4,18 +4,16 @@ import math
 import pytest
 
 from avstress.geom import Point2
-from avstress.planner import ConstantVelocityEgoStub
 from avstress.scenario import load_scenario
 from avstress.sim import (
     ACCEL_MAX,
     AgentState,
     JointState,
     ReactivePolicy,
-    ScriptedPolicy,
     initial_joint_state,
     simulate_episode,
 )
-from conftest import TWO_LANE_YAML
+from conftest import TWO_LANE_YAML, ConstantVelocityEgoStub, ScriptedPolicy
 
 
 def constant_velocity_states(x0, y0, heading, speed, steps, dt):

@@ -148,18 +148,68 @@ class TestFactor:
 
     def test_non_finite_matrix_raises_at_once(self, monkeypatch):
         calls = []
-        original = surrogate.cholesky
+        original = surrogate.dpotrf
 
-        def counting_cholesky(*args, **kwargs):
+        def counting_dpotrf(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(surrogate, "cholesky", counting_cholesky)
+        monkeypatch.setattr(surrogate, "dpotrf", counting_dpotrf)
         with pytest.raises(ValueError) as raised:
             surrogate._factor(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-6)
         # LinAlgError is a ValueError too: it would mean the jitter loop ran
         assert not isinstance(raised.value, np.linalg.LinAlgError)
+        # the finite check comes before LAPACK, so nothing is factorized
+        assert calls == []
+
+    def test_illegal_lapack_argument_raises_at_once(self, monkeypatch):
+        calls = []
+
+        def illegal_argument(a, **kwargs):
+            calls.append(1)
+            return a, -1
+
+        monkeypatch.setattr(surrogate, "dpotrf", illegal_argument)
+        with pytest.raises(ValueError) as raised:
+            surrogate._factor(np.eye(2), 1e-6)
+        assert not isinstance(raised.value, np.linalg.LinAlgError)
         assert len(calls) == 1
+
+    def test_factor_is_the_lower_cholesky_factor(self):
+        rng = np.random.default_rng(13)
+        A = rng.random((6, 6))
+        K = A @ A.T
+        L, jitter = surrogate._factor(K, 1e-3)
+        assert jitter == surrogate.JITTER_FLOOR
+        assert np.array_equal(L, np.tril(L))
+        np.testing.assert_allclose(L @ L.T, K + (1e-3 + jitter) * np.eye(6), rtol=1e-12)
+
+
+class TestValidation:
+    def test_lml_rejects_nonfinite_targets(self):
+        X = np.array([[0.1, 0.1], [0.9, 0.9], [0.5, 0.2]])
+        theta = np.log([0.5, 0.5, 1.0, 0.1])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError) as raised:
+                log_marginal_likelihood(X, np.array([1.0, bad, 0.0]), theta)
+            assert not isinstance(raised.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_build_model_rejects_nonfinite_noise_at_once(self, monkeypatch, noise):
+        calls = []
+        original = surrogate.dpotrf
+
+        def counting_dpotrf(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(surrogate, "dpotrf", counting_dpotrf)
+        p = default_params(sn2=noise)
+        with pytest.raises(ValueError) as raised:
+            build_model(np.array([[0.1, 0.1], [0.9, 0.9]]), np.array([1.0, 2.0]), p)
+        assert not isinstance(raised.value, np.linalg.LinAlgError)
+        assert calls == []
 
 
 class TestFit:
