@@ -9,4 +9,4 @@ from .scenario import Scenario, load_scenario, load_preset, prompt_to_world  # n
 from .optimizer import SamplerConfig, run_campaign, suggest_next  # noqa: F401
 from .sim import simulate_episode, ReactivePolicy  # noqa: F401
 from .planner import LatticePlanner  # noqa: F401
-from .metrics import criticality_score, campaign_stats  # noqa: F401
+from .metrics import campaign_stats  # noqa: F401

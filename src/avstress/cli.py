@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics, persist, surrogate
 from .optimizer import SamplerConfig, run_campaign
 from .planner import LatticePlanner
-from .scenario import PRESET_NAMES, ScenarioError, load_scenario_file
+from .scenario import PRESET_NAMES, ScenarioError, load_scenario_file, preset_path
 
 OUT_ROOT_ENV = "AVSTRESS_OUT"
 
@@ -33,9 +33,7 @@ def _resolve_scenario_path(name: str) -> str:
     if os.path.exists(name):
         return name
     if name in PRESET_NAMES:
-        from importlib import resources
-
-        return str(resources.files("avstress").joinpath(f"presets/{name}.yaml"))
+        return preset_path(name)
     raise CliError(f"scenario '{name}' is neither a file nor a preset name")
 
 
@@ -59,9 +57,12 @@ def cmd_run(args) -> int:
     out_dir = os.path.join(out_root, f"{scenario.scenario_id}_{cfg.kind}")
     episodes_dir = os.path.join(out_dir, "episodes")
     os.makedirs(episodes_dir, exist_ok=True)
-    # this run replaces any earlier campaign in the directory
+    # this run replaces any earlier campaign in the directory, and the GP
+    # grid and samples that `export-gp` made from it
     stale = glob.glob(os.path.join(episodes_dir, "ep_*.jsonl"))
-    for path in stale + glob.glob(os.path.join(out_dir, "stats.csv")):
+    for name in ("stats.csv", "gp_grid.csv", "gp_samples.csv"):
+        stale += glob.glob(os.path.join(out_dir, name))
+    for path in stale:
         os.remove(path)
     shutil.copyfile(scenario_path, os.path.join(out_dir, "scenario.yaml"))
     persist.write_manifest(out_dir, scenario_path, cfg)
@@ -205,18 +206,12 @@ def cmd_replay(args) -> int:
         print("trace too short for metrics")
         return 0
     score = metrics.score_episode(episode, scenario)
-    # locate the argmin of the ego-agent distance table
-    best = None
-    ego_id = scenario.ego.id
-    for joint in episode.trace[1:]:
-        for agent in scenario.simulated_agents:
-            d = metrics.euclidean_distance(
-                joint.states[ego_id].position, joint.states[agent.id].position
-            )
-            if best is None or d < best[0]:
-                best = (d, joint.timestep, agent.id)
-    assert best is not None
-    print(f"min distance {best[0]:.3f} m at t={best[1]} vs agent '{best[2]}'")
+    table = metrics.distance_table(episode, scenario)
+    # the first closest pair after t = 0: ties go to the earliest step, then
+    # to the agent first in config order
+    d, k, j = min((d, k, j) for k, row in enumerate(table[1:], 1) for j, d in enumerate(row))
+    agent_id = scenario.simulated_agents[j].id
+    print(f"min distance {d:.3f} m at t={episode.trace[k].timestep} vs agent '{agent_id}'")
     print(f"criticality g = {score.g:.3f}")
     ttc = "inf" if not math.isfinite(score.ttc_min) else f"{score.ttc_min:.3f} s"
     print(f"ttc_min = {ttc}")

@@ -39,30 +39,21 @@ class CampaignStats:
     n_episodes: int
 
 
-def _ego_agent_distances(episode: Episode, scenario: Scenario) -> List[float]:
-    """Center distances for every (t >= 1, simulated agent) pair."""
+def distance_table(episode: Episode, scenario: Scenario) -> List[List[float]]:
+    """Ego-to-agent center distances: one row per trace step, t = 0
+    included, and one column per simulated agent in config order."""
     if len(episode.trace) < 2:
         raise ValueError("criticality is undefined for a single-entry trace")
     ego_id = scenario.ego.id
     sim_ids = [a.id for a in scenario.simulated_agents]
-    out = []
-    for joint in episode.trace[1:]:
-        ego = joint.states[ego_id]
-        for aid in sim_ids:
-            out.append(euclidean_distance(ego.position, joint.states[aid].position))
-    return out
+    return [
+        [euclidean_distance(joint.states[ego_id].position, joint.states[aid].position)
+         for aid in sim_ids]
+        for joint in episode.trace
+    ]
 
 
-def criticality_score(episode: Episode, scenario: Scenario) -> float:
-    """Negated minimum ego-to-agent distance over timesteps 1..end."""
-    return -min(_ego_agent_distances(episode, scenario))
-
-
-def min_distance(episode: Episode, scenario: Scenario) -> float:
-    return min(_ego_agent_distances(episode, scenario))
-
-
-def ttc_min(episode: Episode, scenario: Scenario) -> float:
+def _ttc_min(table: List[List[float]], scenario: Scenario) -> float:
     """Minimum instantaneous time-to-collision over steps and agents.
 
     gap = center distance minus half the two body lengths; closing speed is
@@ -74,20 +65,12 @@ def ttc_min(episode: Episode, scenario: Scenario) -> float:
     lanes (3.5 m apart, 4.8 m long) have a negative gap and score 0, though
     their footprints never touch.
     """
-    if len(episode.trace) < 2:
-        raise ValueError("TTC needs at least 2 trace entries")
     ego = scenario.ego
     dt = scenario.sim.dt
     best = math.inf
-    for agent in scenario.simulated_agents:
+    for j, agent in enumerate(scenario.simulated_agents):
         contact = 0.5 * (ego.length + agent.length)
-        gaps = [
-            euclidean_distance(
-                joint.states[ego.id].position, joint.states[agent.id].position
-            )
-            - contact
-            for joint in episode.trace
-        ]
+        gaps = [row[j] - contact for row in table]
         for k in range(len(gaps) - 1):
             if gaps[k] <= 0.0:
                 return 0.0
@@ -100,11 +83,13 @@ def ttc_min(episode: Episode, scenario: Scenario) -> float:
 
 
 def score_episode(episode: Episode, scenario: Scenario) -> EpisodeScore:
-    md = min_distance(episode, scenario)
+    table = distance_table(episode, scenario)
+    # criticality leaves out t = 0, which the prompt cannot change
+    md = min(min(row) for row in table[1:])
     return EpisodeScore(
         g=-md,
         min_dist=md,
-        ttc_min=ttc_min(episode, scenario),
+        ttc_min=_ttc_min(table, scenario),
         collided=episode.collision is not None,
     )
 
@@ -179,7 +164,7 @@ def campaign_stats(
     return CampaignStats(
         coll_rate=100.0 * collided / n_e,
         min_dist_mean=mean(min_dists),
-        min_dist_std=stdev(min_dists) if n_e > 1 else 0.0,
+        min_dist_std=stdev(min_dists),
         ttc_mean=mean(finite_ttc) if finite_ttc else math.inf,
         ttc_std=stdev(finite_ttc) if len(finite_ttc) > 1 else 0.0,
         ttc_inf_count=ttc_inf,

@@ -56,7 +56,7 @@ def write_manifest(out_dir: str, scenario_path: str, cfg: SamplerConfig) -> None
         fh.write(_dump(manifest) + "\n")
 
 
-def episode_to_lines(episode: Episode, scenario: Scenario) -> List[str]:
+def write_episode(path: str, episode: Episode, scenario: Scenario) -> None:
     header = {
         "type": "header",
         "scenario_id": episode.scenario_id,
@@ -88,12 +88,8 @@ def episode_to_lines(episode: Episode, scenario: Scenario) -> List[str]:
                 }
             )
         )
-    return lines
-
-
-def write_episode(path: str, episode: Episode, scenario: Scenario) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(episode_to_lines(episode, scenario)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_episode(path: str) -> Tuple[Episode, dict]:

@@ -14,7 +14,6 @@ import math
 import operator
 import struct
 from array import array
-from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
@@ -41,15 +40,6 @@ StateTuple = Tuple[float, float, float, float]
 # one candidate of an ego start's table: lane id, accel, the rollout's states
 # flattened to 4 doubles each, terminal cost
 TableRow = Tuple[str, float, array, float]
-
-
-@dataclass(frozen=True)
-class PlanCandidate:
-    target_lane: str
-    accel: float
-    states: List[StateTuple]
-    cost: float
-    min_clearance: float
 
 
 def predict_constant_velocity(
@@ -153,7 +143,7 @@ class LatticePlanner:
         lanes = [current]
         for ref in (current.left_neighbor, current.right_neighbor):
             if ref is not None:
-                lanes.append(scenario.map.lane(ref))
+                lanes.append(scenario.map.lanes[ref])
         return lanes
 
     def _scored(
@@ -200,14 +190,6 @@ class LatticePlanner:
                     clearance = d
             clearances.append(clearance)
         return table, clearances
-
-    def candidates(self, world: JointState, scenario: Scenario) -> List[PlanCandidate]:
-        table, clearances = self._scored(world, scenario)
-        out = []
-        for (lane_id, accel, flat, cost), clearance in zip(table, clearances):
-            it = iter(flat)
-            out.append(PlanCandidate(lane_id, accel, list(zip(it, it, it, it)), cost, clearance))
-        return out
 
     def plan(self, world: JointState, scenario: Scenario) -> List[AgentState]:
         table, clearances = self._scored(world, scenario)

@@ -7,6 +7,7 @@ malformed geometry.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -35,9 +36,6 @@ class Lane:
 @dataclass(frozen=True)
 class MapModel:
     lanes: Dict[str, Lane]
-
-    def lane(self, lane_id: str) -> Lane:
-        return self.lanes[lane_id]
 
     def nearest_lane(self, p: Point2) -> Tuple[Lane, float, float, float]:
         """Lane whose centerline is closest to p, with (s, l) on it.
@@ -219,9 +217,9 @@ def _parse_agent(entry, i: int) -> AgentConfig:
 def _drivable_l_range(map_model: MapModel, lane: Lane) -> Tuple[float, float]:
     lo, hi = -lane.width / 2, lane.width / 2
     if lane.left_neighbor:
-        hi += map_model.lane(lane.left_neighbor).width
+        hi += map_model.lanes[lane.left_neighbor].width
     if lane.right_neighbor:
-        lo -= map_model.lane(lane.right_neighbor).width
+        lo -= map_model.lanes[lane.right_neighbor].width
     return lo, hi
 
 
@@ -303,6 +301,12 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
         agent_id = str(_require(entry, "agent_id", path))
         if agent_id not in ids:
             raise ScenarioError(f"{path}.agent_id: unknown agent '{agent_id}'")
+        agent = agents[ids.index(agent_id)]
+        # a second entry would replace the first, and one for the ego is never read
+        if agent_id in domains:
+            raise ScenarioError(f"{path}.agent_id: duplicate goal domain for '{agent_id}'")
+        if agent.role == "ego":
+            raise ScenarioError(f"{path}.agent_id: '{agent_id}' is the ego, which takes no goal")
         lane_id = str(_require(entry, "lane", path))
         if lane_id not in lanes:
             raise ScenarioError(f"{path}.lane: dangling lane reference '{lane_id}'")
@@ -326,7 +330,6 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
                 f"{path}: l_range [{dom.l_min}, {dom.l_max}] outside drivable "
                 f"width [{lo}, {hi}] of lane '{lane_id}' and its neighbors"
             )
-        agent = next(a for a in agents if a.id == agent_id)
         s_agent, _, _ = project_to_polyline(*agent.initial_state.position, lane.centerline)
         if dom.s_min < s_agent - 1e-9:
             raise ScenarioError(
@@ -371,8 +374,6 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
 def load_scenario_file(path: str) -> Scenario:
     with open(path, "r") as fh:
         text = fh.read()
-    import os
-
     scenario_id = os.path.splitext(os.path.basename(path))[0]
     return load_scenario(text, scenario_id=scenario_id)
 
@@ -380,12 +381,16 @@ def load_scenario_file(path: str) -> Scenario:
 PRESET_NAMES = ("front", "front_right", "behind")
 
 
-def load_preset(name: str) -> Scenario:
-    """Load one of the shipped scenario presets by name."""
+def preset_path(name: str) -> str:
+    """Path of one of the shipped scenario presets."""
     if name not in PRESET_NAMES:
         raise ScenarioError(f"unknown preset '{name}'; choose from {PRESET_NAMES}")
-    text = resources.files("avstress").joinpath(f"presets/{name}.yaml").read_text()
-    return load_scenario(text, scenario_id=name)
+    return str(resources.files("avstress").joinpath(f"presets/{name}.yaml"))
+
+
+def load_preset(name: str) -> Scenario:
+    """Load one of the shipped scenario presets by name."""
+    return load_scenario_file(preset_path(name))
 
 
 def prompt_to_world(domain: GoalDomain, u: Tuple[float, float], map_model: MapModel) -> Point2:
@@ -399,5 +404,5 @@ def prompt_to_world(domain: GoalDomain, u: Tuple[float, float], map_model: MapMo
         raise ValueError(f"prompt {u} outside the unit square")
     s = domain.s_min + u1 * (domain.s_max - domain.s_min)
     l = domain.l_min + u2 * (domain.l_max - domain.l_min)
-    lane = map_model.lane(domain.reference_lane)
+    lane = map_model.lanes[domain.reference_lane]
     return Point2(*point_at_arclength(lane.centerline, s, l))

@@ -43,8 +43,11 @@ _JOE_KUO = [
 MAX_DIM = len(_JOE_KUO) + 1
 
 
+@functools.cache
 def _direction_numbers(dim: int) -> list[list[int]]:
     """Direction integers v_j << (BITS - j) for each of `dim` dimensions."""
+    if not (1 <= dim <= MAX_DIM):
+        raise ValueError(f"dimension {dim} outside [1, {MAX_DIM}]")
     vs = []
     # first dimension: v_j = 2^(BITS - j)
     vs.append([1 << (_BITS - j) for j in range(1, _BITS + 1)])
@@ -60,22 +63,11 @@ def _direction_numbers(dim: int) -> list[list[int]]:
     return vs
 
 
-_CACHE: dict[int, list[list[int]]] = {}
-
-
-def _dirs(dim: int) -> list[list[int]]:
-    if dim not in _CACHE:
-        if not (1 <= dim <= MAX_DIM):
-            raise ValueError(f"dimension {dim} outside [1, {MAX_DIM}]")
-        _CACHE[dim] = _direction_numbers(dim)
-    return _CACHE[dim]
-
-
 def sobol_point(index: int, dim: int = 2) -> tuple[float, ...]:
     """The index-th point (index >= 1) of the unscrambled Sobol sequence."""
     if index < 1:
         raise ValueError("sobol index must be >= 1")
-    vs = _dirs(dim)
+    vs = _direction_numbers(dim)
     gray = index ^ (index >> 1)
     out = []
     for d in range(dim):

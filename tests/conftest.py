@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import pytest
 
@@ -27,7 +28,7 @@ sim: {dt: 0.1, horizon_steps: 80, replan_every: 5, v_max: 15.0}
 """
 
 
-def scenario_with_agents(n_simulated):
+def agents_yaml(n_simulated):
     """TWO_LANE_YAML plus simulated agents npc2..npcN in the right lane."""
     extra_agents = "".join(
         f"  - {{id: npc{k}, role: simulated, x: {15.0 + 10 * k}, y: 0.0, heading: 0.0, "
@@ -39,10 +40,13 @@ def scenario_with_agents(n_simulated):
         f"l_min: -1.75, l_max: 1.75}}\n"
         for k in range(2, n_simulated + 1)
     )
-    text = TWO_LANE_YAML.replace("ego_goal:", extra_agents + "ego_goal:").replace(
+    return TWO_LANE_YAML.replace("ego_goal:", extra_agents + "ego_goal:").replace(
         "sim: {dt", extra_domains + "sim: {dt"
     )
-    return load_scenario(text, scenario_id=f"synthetic_{n_simulated}")
+
+
+def scenario_with_agents(n_simulated):
+    return load_scenario(agents_yaml(n_simulated), scenario_id=f"synthetic_{n_simulated}")
 
 
 class ScriptedPolicy:
@@ -119,3 +123,17 @@ def brute_force_min_distance(episode, scenario):
             if d < best:
                 best = d
     return best
+
+
+# one row of a LatticePlanner's scored table, its rollout unpacked into
+# (x, y, heading, speed) tuples
+ScoredRow = namedtuple("ScoredRow", "target_lane accel states cost min_clearance")
+
+
+def scored_rows(planner, world, scenario):
+    """The planner's scored table for this replan, in planning order."""
+    table, clearances = planner._scored(world, scenario)
+    return [
+        ScoredRow(lane_id, accel, list(zip(*[iter(flat)] * 4)), cost, clearance)
+        for (lane_id, accel, flat, cost), clearance in zip(table, clearances)
+    ]

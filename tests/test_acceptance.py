@@ -16,7 +16,7 @@ import pytest
 from avstress import persist
 from avstress.cli import main as cli_main
 from avstress.geom import Point2
-from avstress.metrics import asd, campaign_stats, criticality_score, trajectory_distance
+from avstress.metrics import asd, campaign_stats, score_episode, trajectory_distance
 from avstress.optimizer import Observation, SamplerConfig, run_campaign, suggest_next
 from avstress.planner import LatticePlanner, predict_constant_velocity
 from avstress.scenario import PRESET_NAMES, load_preset
@@ -67,7 +67,7 @@ def test_criterion_1_scoring_oracle():
                 for a in scenario.simulated_agents:
                     ax, ay = positions[a.id][t]
                     best = min(best, math.hypot(ex - ax, ey - ay))
-            assert abs(criticality_score(episode, scenario) + best) <= 1e-12
+            assert abs(score_episode(episode, scenario).g + best) <= 1e-12
         assert time.monotonic() - start < 5.0
 
 

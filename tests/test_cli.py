@@ -11,7 +11,7 @@ from avstress.cli import main
 from avstress.metrics import campaign_stats, score_episode
 from avstress.scenario import load_scenario_file
 from avstress.sobol import sobol_point
-from conftest import TWO_LANE_YAML, make_episode, straight_positions
+from conftest import TWO_LANE_YAML, agents_yaml, make_episode, straight_positions
 
 
 @pytest.fixture
@@ -80,6 +80,21 @@ class TestRun:
         eps = sorted(os.listdir(os.path.join(first, "episodes")))
         assert eps == [f"ep_{i:04d}.jsonl" for i in range(budget)]
         assert os.path.exists(os.path.join(first, "stats.csv")) == (budget >= 2)
+
+    def test_rerun_removes_exported_gp_files(self, scenario_file, tmp_path, capsys):
+        # the GP grid and samples of the earlier campaign would sit beside
+        # the new campaign's log as if they had been fitted to it
+        argv = ("run", scenario_file, "--sampler", "sobol", "--out", str(tmp_path))
+        assert run_cli(*argv, "--budget", "4") == 0
+        out_dir = capsys.readouterr().out.strip()
+        assert run_cli("export-gp", out_dir, "--resolution", "4") == 0
+        assert run_cli(*argv, "--budget", "3") == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == out_dir
+        assert not os.path.exists(os.path.join(out_dir, "gp_grid.csv"))
+        assert not os.path.exists(os.path.join(out_dir, "gp_samples.csv"))
+        assert run_cli("export-gp", out_dir, "--resolution", "4") == 0
+        with open(os.path.join(out_dir, "gp_samples.csv")) as fh:
+            assert len(fh.read().splitlines()) == 1 + 3
 
     def test_zero_budget_rejected_without_outputs(self, scenario_file, tmp_path):
         out = str(tmp_path / "out")
@@ -239,6 +254,28 @@ class TestReplay:
         assert run_cli("replay", ep_path) == 0
         out = capsys.readouterr().out
         assert "collision at t=14 between ego and npc" in out
+
+    # ego at the origin; both agents 1 m away at t = 0, which is not scored,
+    # and 3 m away at the closest after it
+    @pytest.mark.parametrize("npc,npc2,expected", [
+        # both agents 3 m away at t = 1, npc2 again at t = 2
+        ([(1.0, 0.0), (3.0, 0.0), (5.0, 0.0)], [(0.0, 1.0), (0.0, 3.0), (0.0, -3.0)],
+         "t=1 vs agent 'npc'"),
+        # npc2 3 m away at t = 1, both agents at t = 2
+        ([(1.0, 0.0), (4.0, 0.0), (-3.0, 0.0)], [(0.0, 1.0), (0.0, 3.0), (0.0, -3.0)],
+         "t=1 vs agent 'npc2'"),
+    ], ids=["tie_at_one_step", "tie_across_steps"])
+    def test_ties_go_to_the_earliest_step_then_the_first_agent(
+        self, tmp_path, capsys, npc, npc2, expected
+    ):
+        (tmp_path / "scenario.yaml").write_text(agents_yaml(2))
+        scenario = load_scenario_file(str(tmp_path / "scenario.yaml"))
+        episode = make_episode(scenario, {"ego": [(0.0, 0.0)] * 3, "npc": npc, "npc2": npc2})
+        ep_path = str(tmp_path / "ep_0000.jsonl")
+        persist.write_episode(ep_path, episode, scenario)
+        assert run_cli("replay", ep_path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"min distance 3.000 m at {expected}" in lines
 
     def test_parse_error_names_line(self, tmp_path, capsys):
         bad = tmp_path / "ep.jsonl"

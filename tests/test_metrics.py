@@ -8,10 +8,9 @@ from avstress.metrics import (
     agent_trajectory,
     asd,
     campaign_stats,
-    criticality_score,
+    distance_table,
     score_episode,
     trajectory_distance,
-    ttc_min,
 )
 from avstress.scenario import load_scenario
 from conftest import (
@@ -41,14 +40,14 @@ class TestCriticality:
             two_lane_scenario,
             {"ego": [(0.0, 0.0), (0.0, 0.0)], "npc": [(50.0, 0.0), (3.0, 4.0)]},
         )
-        assert criticality_score(ep, two_lane_scenario) == pytest.approx(-5.0)
+        assert score_episode(ep, two_lane_scenario).g == pytest.approx(-5.0)
 
     def test_min_over_timesteps(self, two_lane_scenario):
         ep = make_episode(
             two_lane_scenario,
             {"ego": [(0.0, 0.0)] * 3, "npc": [(50.0, 0.0), (5.0, 0.0), (2.0, 0.0)]},
         )
-        assert criticality_score(ep, two_lane_scenario) == pytest.approx(-2.0)
+        assert score_episode(ep, two_lane_scenario).g == pytest.approx(-2.0)
 
     def test_min_over_agents_and_timesteps(self):
         sc = two_agent_scenario()
@@ -60,7 +59,7 @@ class TestCriticality:
                 "npc2": [(50.0, 0.0), (7.0, 0.0), (2.5, 0.0), (8.0, 0.0)],
             },
         )
-        assert criticality_score(ep, sc) == pytest.approx(-2.5)
+        assert score_episode(ep, sc).g == pytest.approx(-2.5)
 
     def test_initial_state_excluded(self, two_lane_scenario):
         # the t=0 distance (1 m) must not contribute
@@ -68,14 +67,14 @@ class TestCriticality:
             two_lane_scenario,
             {"ego": [(0.0, 0.0)] * 2, "npc": [(1.0, 0.0), (9.0, 0.0)]},
         )
-        assert criticality_score(ep, two_lane_scenario) == pytest.approx(-9.0)
+        assert score_episode(ep, two_lane_scenario).g == pytest.approx(-9.0)
 
     def test_single_entry_trace_rejected(self, two_lane_scenario):
         ep = make_episode(
             two_lane_scenario, {"ego": [(0.0, 0.0)], "npc": [(9.0, 0.0)]}
         )
         with pytest.raises(ValueError):
-            criticality_score(ep, two_lane_scenario)
+            score_episode(ep, two_lane_scenario)
 
     def test_matches_brute_force_oracle(self, two_lane_scenario):
         rng = np.random.default_rng(31)
@@ -89,7 +88,7 @@ class TestCriticality:
                 },
             )
             oracle = brute_force_min_distance(ep, two_lane_scenario)
-            assert criticality_score(ep, two_lane_scenario) == pytest.approx(
+            assert score_episode(ep, two_lane_scenario).g == pytest.approx(
                 -oracle, abs=1e-12
             )
 
@@ -109,9 +108,29 @@ class TestCriticality:
                 "npc": [tuple(p + shift) for p in pts_n],
             },
         )
-        g0 = criticality_score(ep0, two_lane_scenario)
-        g1 = criticality_score(ep1, two_lane_scenario)
+        g0 = score_episode(ep0, two_lane_scenario).g
+        g1 = score_episode(ep1, two_lane_scenario).g
         assert abs(g0 - g1) < 1e-9
+
+
+class TestDistanceTable:
+    def test_one_row_per_step_one_column_per_agent_in_config_order(self):
+        sc = two_agent_scenario()
+        # positions listed out of config order, which is ego, npc, npc2
+        ep = make_episode(
+            sc,
+            {
+                "npc2": [(6.0, 8.0), (1.0, -1.0), (0.0, 7.0)],
+                "ego": [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)],
+                "npc": [(3.0, 4.0), (1.0, 2.0), (-4.0, 3.0)],
+            },
+        )
+        assert distance_table(ep, sc) == [[5.0, 10.0], [2.0, 1.0], [5.0, 7.0]]
+
+    def test_single_entry_trace_rejected(self, two_lane_scenario):
+        ep = make_episode(two_lane_scenario, {"ego": [(0.0, 0.0)], "npc": [(9.0, 0.0)]})
+        with pytest.raises(ValueError):
+            distance_table(ep, two_lane_scenario)
 
 
 class TestTtc:
@@ -124,7 +143,7 @@ class TestTtc:
                 "npc": [(CONTACT + 10.0, 0.0), (CONTACT + 9.5, 0.0)],
             },
         )
-        assert ttc_min(ep, two_lane_scenario) == pytest.approx(2.0)
+        assert score_episode(ep, two_lane_scenario).ttc_min == pytest.approx(2.0)
 
     def test_opening_gap_is_infinite(self, two_lane_scenario):
         ep = make_episode(
@@ -134,14 +153,14 @@ class TestTtc:
                 "npc": straight_positions((CONTACT + 5.0, 0.0), (3.0, 0.0), 4),
             },
         )
-        assert ttc_min(ep, two_lane_scenario) == math.inf
+        assert score_episode(ep, two_lane_scenario).ttc_min == math.inf
 
     def test_contact_is_zero(self, two_lane_scenario):
         ep = make_episode(
             two_lane_scenario,
             {"ego": [(0.0, 0.0)] * 2, "npc": [(20.0, 0.0), (2.0, 0.0)]},
         )
-        assert ttc_min(ep, two_lane_scenario) == 0.0
+        assert score_episode(ep, two_lane_scenario).ttc_min == 0.0
 
     def test_shrinking_gaps_never_increase_ttc(self, two_lane_scenario):
         rng = np.random.default_rng(33)
@@ -154,8 +173,8 @@ class TestTtc:
                     two_lane_scenario, {"ego": [(0.0, 0.0)] * len(npc), "npc": npc}
                 )
 
-            base = ttc_min(episode_for(1.0), two_lane_scenario)
-            shrunk = ttc_min(episode_for(0.4), two_lane_scenario)
+            base = score_episode(episode_for(1.0), two_lane_scenario).ttc_min
+            shrunk = score_episode(episode_for(0.4), two_lane_scenario).ttc_min
             assert shrunk <= base + 1e-9
 
 

@@ -9,7 +9,7 @@ from avstress.optimizer import SamplerConfig, run_campaign
 from avstress.planner import ACCEL_GRID, D_SAFE, LatticePlanner, predict_constant_velocity
 from avstress.scenario import MapModel, load_preset, load_scenario
 from avstress.sim import AgentState, JointState, initial_joint_state, simulate_episode
-from conftest import TWO_LANE_YAML, ScriptedPolicy
+from conftest import TWO_LANE_YAML, ScriptedPolicy, scored_rows
 from test_rollout_reference import ref_choice
 
 
@@ -54,7 +54,7 @@ class TestLatticePlan:
         ).replace("s_max: 175.0", "s_max: 355.0").replace("x: 90.0, y: 0.0", "x: 45.0, y: 0.0")
         sc = load_scenario(text)
         planner = LatticePlanner()
-        cands = planner.candidates(initial_joint_state(sc), sc)
+        cands = scored_rows(planner, initial_joint_state(sc), sc)
         feasible = [c for c in cands if c.min_clearance >= D_SAFE]
         best = min(feasible, key=lambda c: c.cost)
         assert best.target_lane == "right"
@@ -71,7 +71,7 @@ class TestLatticePlan:
         ).replace("s_min: 75.0", "s_min: 65.0")
         sc = load_scenario(text)
         planner = LatticePlanner()
-        cands = planner.candidates(initial_joint_state(sc), sc)
+        cands = scored_rows(planner, initial_joint_state(sc), sc)
         # hand-enumeration: every current-lane candidate with accel >= 0 runs
         # into the stationary prediction within the horizon
         for c in cands:
@@ -97,7 +97,7 @@ class TestLatticePlan:
         sc = load_scenario(text)
         planner = LatticePlanner()
         world = initial_joint_state(sc)
-        cands = planner.candidates(world, sc)
+        cands = scored_rows(planner, world, sc)
         assert all(c.min_clearance < D_SAFE for c in cands)
         plan = planner.plan(world, sc)
         assert len(plan) == sc.sim.replan_every
@@ -162,13 +162,13 @@ class TestRolloutMemo:
         sc = two_lane_scenario
         planner = LatticePlanner()
         world = initial_joint_state(sc)
-        first = planner.candidates(world, sc)
+        first = scored_rows(planner, world, sc)
         assert rollout_calls[0] == len(first) == 2 * len(ACCEL_GRID)
-        second = planner.candidates(world, sc)
+        second = scored_rows(planner, world, sc)
         assert rollout_calls[0] == len(first)
         assert _candidate_bits(second) == _candidate_bits(first)
-        # the memo hands out new lists, so a caller cannot corrupt an entry
-        assert all(a.states is not b.states for a, b in zip(first, second))
+        # the hit scores the very table the miss built
+        assert planner._scored(world, sc)[0] is planner._scored(world, sc)[0]
 
     def test_signed_zero_start_is_its_own_entry(self, two_lane_scenario, rollout_calls):
         sc = two_lane_scenario
@@ -176,21 +176,21 @@ class TestRolloutMemo:
         world = initial_joint_state(sc)
         assert math.copysign(1.0, world.states["ego"].heading) == 1.0
         negative = _with_ego(world, "ego", heading=-0.0)
-        planner.candidates(world, sc)
-        cands = planner.candidates(negative, sc)
+        scored_rows(planner, world, sc)
+        cands = scored_rows(planner, negative, sc)
         assert rollout_calls[0] == 2 * len(cands)
-        assert _candidate_bits(cands) == _candidate_bits(LatticePlanner().candidates(negative, sc))
+        assert _candidate_bits(cands) == _candidate_bits(scored_rows(LatticePlanner(), negative, sc))
 
     def test_reuse_across_scenarios_matches_fresh_planner(self, two_lane_scenario):
         sc = two_lane_scenario
         slow = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, v_max=8.0))
         planner = LatticePlanner()
         world = initial_joint_state(sc)
-        in_sc = planner.candidates(world, sc)
-        in_slow = planner.candidates(world, slow)
+        in_sc = scored_rows(planner, world, sc)
+        in_slow = scored_rows(planner, world, slow)
         assert _candidate_bits(in_slow) != _candidate_bits(in_sc)
-        assert _candidate_bits(in_slow) == _candidate_bits(LatticePlanner().candidates(world, slow))
-        assert _candidate_bits(planner.candidates(world, sc)) == _candidate_bits(in_sc)
+        assert _candidate_bits(in_slow) == _candidate_bits(scored_rows(LatticePlanner(), world, slow))
+        assert _candidate_bits(scored_rows(planner, world, sc)) == _candidate_bits(in_sc)
 
 
 class FreshPlanner:
@@ -262,8 +262,8 @@ class TestScoredTable:
         assert len(planner._tables) == 2
         assert rollout_calls[0] == 2 * 2 * len(ACCEL_GRID)
         # a hit with the other agent elsewhere scores its clearances anew
-        assert _candidate_bits(planner.candidates(moved_npc, sc)) == _candidate_bits(
-            LatticePlanner().candidates(moved_npc, sc)
+        assert _candidate_bits(scored_rows(planner, moved_npc, sc)) == _candidate_bits(
+            scored_rows(LatticePlanner(), moved_npc, sc)
         )
 
     # Each case puts every step of a left-lane row on the ego goal and of a
@@ -299,7 +299,7 @@ class TestScoredTable:
         monkeypatch.setattr(planner_module, "predict_constant_velocity", fake_prediction)
         planner = LatticePlanner()
         world = initial_joint_state(sc)
-        cands = planner.candidates(world, sc)
+        cands = scored_rows(planner, world, sc)
         feasible = [c for c in cands if c.min_clearance >= D_SAFE]
         if case == "equal_cost":
             cheapest = min(c.cost for c in feasible)

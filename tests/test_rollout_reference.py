@@ -23,7 +23,7 @@ from avstress.sim import (
     ACCEL_MAX, ACCEL_MIN, COMFORT_DECEL, STEER_LIMIT, WHEELBASE, AgentState, ReactivePolicy,
     bicycle_step,
 )
-from conftest import scenario_with_agents
+from conftest import scenario_with_agents, scored_rows
 
 # ---------------------------------------------------------------- reference
 
@@ -214,7 +214,7 @@ class CheckedPlanner:
         self.replans = 0
 
     def plan(self, world, scenario):
-        cands = self.planner.candidates(world, scenario)
+        cands = scored_rows(self.planner, world, scenario)
         ref = ref_candidates(self.planner, world, scenario)
         assert len(cands) == len(ref)
         for c, (lane_id, accel, states, cost, clearance) in zip(cands, ref):
@@ -360,7 +360,7 @@ def test_prediction_matches_reference(name):
     # agents on a lane, off its centre, near its end (the arc-length clamp)
     # and past LANE_SNAP_RANGE (the straight-line fallback)
     map_model = _scenario(name).map
-    far = map_model.lane("right").centerline.vertices[-1]
+    far = map_model.lanes["right"].centerline.vertices[-1]
     starts = [(0.0, 0.0), (12.0, 3.5), (20.0, 1.2), (35.0, -1.9), (5.0, 1.75),
               (far.x - 2.0, far.y + 0.5), (10.0, -LANE_SNAP_RANGE - 0.5), (-40.0, 25.0)]
     for x, y in starts:
@@ -378,7 +378,7 @@ def test_prediction_matches_reference(name):
 @pytest.mark.parametrize("accel", [-4.0, 0.0, 3.0])
 @pytest.mark.parametrize("speed", [0.0, 3.0, 12.0])
 def test_rollout_matches_reference_on_ties_and_bends(accel, speed):
-    for line in (U_TURN, load_scenario(CURVED_YAML).map.lane("left").centerline):
+    for line in (U_TURN, load_scenario(CURVED_YAML).map.lanes["left"].centerline):
         for x, y in _probe_points()[:10]:
             for heading in (0.0, 1.0, -2.5, math.pi):
                 start = AgentState(Point2(x, y), heading, speed)

@@ -209,6 +209,27 @@ def test_unknown_nested_key_rejected_with_its_path(needle, replacement, path):
         load_scenario(text)
 
 
+DOMAIN = "  - {agent_id: npc, lane: left, s_min: 75.0, s_max: 175.0, l_min: -5.25, l_max: 1.75}\n"
+
+# (extra goal domain, error); either loaded without a word
+GOAL_DOMAIN_CONFLICTS = [
+    # the last entry silently replaced the first
+    (DOMAIN.replace("s_min: 75.0", "s_min: 100.0"),
+     "goal_domains[1].agent_id: duplicate goal domain for 'npc'"),
+    # nothing reads a goal domain of the ego
+    (DOMAIN.replace("npc", "ego").replace("s_min: 75.0", "s_min: 60.0"),
+     "goal_domains[1].agent_id: 'ego' is the ego, which takes no goal"),
+]
+
+
+@pytest.mark.parametrize("extra,error", GOAL_DOMAIN_CONFLICTS, ids=["duplicate", "ego"])
+def test_conflicting_goal_domain_rejected_with_its_path(extra, error):
+    assert TWO_LANE_YAML.count(DOMAIN) == 1
+    text = _broken(TWO_LANE_YAML, DOMAIN, DOMAIN + extra)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(error)}$"):
+        load_scenario(text)
+
+
 def test_non_mapping_section_rejected():
     text = _broken(TWO_LANE_YAML, "sim: {dt: 0.1, horizon_steps: 80, replan_every: 5, "
                    "v_max: 15.0}", "sim: [0.1, 80]")
@@ -264,7 +285,7 @@ class TestPromptToWorld:
 
         sc = two_lane_scenario
         dom = sc.goal_domains["npc"]
-        lane = sc.map.lane(dom.reference_lane)
+        lane = sc.map.lanes[dom.reference_lane]
         rng = np.random.default_rng(4)
         for _ in range(50):
             u = tuple(rng.random(2))
