@@ -30,10 +30,13 @@ class CliError(Exception):
 
 
 def _resolve_scenario_path(name: str) -> str:
-    if os.path.exists(name):
+    # only a regular file hides the preset of its name, not a directory
+    if os.path.isfile(name):
         return name
     if name in PRESET_NAMES:
         return preset_path(name)
+    if os.path.isdir(name):
+        raise CliError(f"scenario '{name}' is a directory, not a scenario file or a preset name")
     raise CliError(f"scenario '{name}' is neither a file nor a preset name")
 
 

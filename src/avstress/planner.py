@@ -117,26 +117,42 @@ def _rollout(
     return states
 
 
+def _clearance(flat: array, predictions: List[Tuple[List[float], List[float]]]) -> float:
+    """A row's min distance to the predicted waypoints, step for step."""
+    # math.hypot on plain floats: numpy's hypot rounds some inputs
+    # differently, and a clearance near D_SAFE decides feasibility
+    xs, ys = flat[0::4], flat[1::4]
+    clearance = math.inf
+    for wx, wy in predictions:
+        d = min(map(math.hypot, map(operator.sub, xs, wx), map(operator.sub, ys, wy)))
+        if d < clearance:
+            clearance = d
+    return clearance
+
+
 class LatticePlanner:
     """Deterministic candidate-enumeration planner (the system under test).
 
-    An instance keeps, for the scenario it last planned in, one scored table
-    per ego start: the candidates in planning order (lane, then accel), each
+    An instance keeps, for the scenario it last planned in, one table per
+    ego start: the candidates in planning order (lane, then accel), each
     row holding the lane id, the accel, the rollout as one flat array of
-    doubles and the terminal cost. Rollouts, candidate lanes and costs
-    depend only on the start and the scenario, so across the episodes of
-    one campaign most starts repeat; each replan then only scores the
-    table's clearances against the other agents' predictions. The key holds
-    the exact bits of the start, so 0.0 and -0.0 do not share an entry. At
-    the default horizon a table takes about 1.2 KB per row, 17 KB for the
-    14 rows of a start on a two-lane road; the tables are dropped when the
+    doubles and the terminal cost, plus the row indices in cost order (ties
+    in planning order). Rollouts, candidate lanes and costs depend only on
+    the start and the scenario, so across the episodes of one campaign most
+    starts repeat. Each replan then checks rows cheapest first against the
+    other agents' predictions and stops at the first feasible one; only
+    when none is feasible does it score them all. The key holds the exact
+    bits of the start, so 0.0 and -0.0 do not share an entry. At the
+    default horizon a table takes about 1.2 KB per row, 17 KB for the 14
+    rows of a start on a two-lane road; the tables are dropped when the
     planner is first asked to plan in a different scenario object.
     """
 
     def __init__(self):
         self._scenario: Optional[Scenario] = None
-        # packed ego start -> its candidates in planning order
-        self._tables: Dict[bytes, List[TableRow]] = {}
+        # packed ego start -> its candidates in planning order, and their
+        # indices cheapest first
+        self._tables: Dict[bytes, Tuple[List[TableRow], List[int]]] = {}
 
     def _candidate_lanes(self, ego: AgentState, scenario: Scenario) -> List[Lane]:
         current, _, _, _ = scenario.map.nearest_lane(ego.position)
@@ -146,60 +162,63 @@ class LatticePlanner:
                 lanes.append(scenario.map.lanes[ref])
         return lanes
 
-    def _scored(
-        self, world: JointState, scenario: Scenario
-    ) -> Tuple[List[TableRow], List[float]]:
-        """The ego start's table and each row's min clearance this replan."""
+    def _table(
+        self, ego: AgentState, scenario: Scenario
+    ) -> Tuple[List[TableRow], List[int]]:
+        """The ego start's rows and their cost order, built on first use."""
         if scenario is not self._scenario:
             self._scenario = scenario
             self._tables = {}
-        horizon = max(HORIZON_STEPS, scenario.sim.replan_every)
-        dt = scenario.sim.dt
-        ego_id = scenario.ego.id
-        ego = world.states[ego_id]
         start = (ego.position.x, ego.position.y, ego.heading, ego.speed)
         key = struct.pack("<4d", *start)
-        table = self._tables.get(key)
-        if table is None:
+        entry = self._tables.get(key)
+        if entry is None:
+            horizon = max(HORIZON_STEPS, scenario.sim.replan_every)
             goal_x, goal_y = scenario.ego_goal.x, scenario.ego_goal.y
-            table = []
+            rows = []
             for lane in self._candidate_lanes(ego, scenario):
                 for accel in ACCEL_GRID:
                     states = _rollout(
-                        start, lane.centerline, accel, horizon, dt, scenario.sim.v_max
+                        start, lane.centerline, accel, horizon, scenario.sim.dt,
+                        scenario.sim.v_max,
                     )
                     x, y, _, _ = states[-1]
                     cost = math.hypot(x - goal_x, y - goal_y) + COMFORT_WEIGHT * abs(accel)
-                    table.append((lane.id, accel, array("d", chain.from_iterable(states)), cost))
-            self._tables[key] = table
+                    rows.append((lane.id, accel, array("d", chain.from_iterable(states)), cost))
+            # sorted is stable, so rows of equal cost stay in planning order
+            order = sorted(range(len(rows)), key=lambda i: rows[i][3])
+            entry = self._tables[key] = (rows, order)
+        return entry
 
+    def _predictions(
+        self, world: JointState, scenario: Scenario
+    ) -> List[Tuple[List[float], List[float]]]:
+        """Every other agent's predicted xs and ys, in sorted id order."""
+        horizon = max(HORIZON_STEPS, scenario.sim.replan_every)
         predictions = []
         for aid in sorted(world.states):
-            if aid != ego_id:
-                wps = predict_constant_velocity(world.states[aid], scenario.map, horizon, dt)
+            if aid != scenario.ego.id:
+                wps = predict_constant_velocity(
+                    world.states[aid], scenario.map, horizon, scenario.sim.dt
+                )
                 predictions.append(([x for x, _ in wps], [y for _, y in wps]))
-        # math.hypot on plain floats: numpy's hypot rounds some inputs
-        # differently, and a clearance near D_SAFE decides feasibility
-        clearances = []
-        for _, _, flat, _ in table:
-            xs, ys = flat[0::4], flat[1::4]
-            clearance = math.inf
-            for wx, wy in predictions:
-                d = min(map(math.hypot, map(operator.sub, xs, wx), map(operator.sub, ys, wy)))
-                if d < clearance:
-                    clearance = d
-            clearances.append(clearance)
-        return table, clearances
+        return predictions
 
     def plan(self, world: JointState, scenario: Scenario) -> List[AgentState]:
-        table, clearances = self._scored(world, scenario)
-        # the first cheapest feasible row, else the first of largest clearance
-        feasible = [i for i, c in enumerate(clearances) if c >= D_SAFE]
-        if feasible:
-            best = min(feasible, key=lambda i: table[i][3])
+        rows, order = self._table(world.states[scenario.ego.id], scenario)
+        predictions = self._predictions(world, scenario)
+        # the first cheapest feasible row, else the first of largest clearance;
+        # rows are checked cheapest first, so the first feasible one is it
+        clearances = {}
+        for i in order:
+            clearance = _clearance(rows[i][2], predictions)
+            if clearance >= D_SAFE:
+                best = i
+                break
+            clearances[i] = clearance
         else:
-            best = max(range(len(table)), key=clearances.__getitem__)
-        it = iter(table[best][2][: 4 * scenario.sim.replan_every])
+            best = max(range(len(rows)), key=clearances.__getitem__)
+        it = iter(rows[best][2][: 4 * scenario.sim.replan_every])
         return [
             AgentState(Point2(x, y), heading, speed)
             for x, y, heading, speed in zip(it, it, it, it)

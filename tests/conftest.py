@@ -3,6 +3,7 @@ from collections import namedtuple
 
 import pytest
 
+from avstress import planner as planner_module
 from avstress.geom import Point2
 from avstress.scenario import load_scenario
 from avstress.sim import AgentState, Episode, JointState
@@ -125,15 +126,20 @@ def brute_force_min_distance(episode, scenario):
     return best
 
 
-# one row of a LatticePlanner's scored table, its rollout unpacked into
-# (x, y, heading, speed) tuples
+# one row of a LatticePlanner's table with its clearance this replan, its
+# rollout unpacked into (x, y, heading, speed) tuples
 ScoredRow = namedtuple("ScoredRow", "target_lane accel states cost min_clearance")
 
 
 def scored_rows(planner, world, scenario):
-    """The planner's scored table for this replan, in planning order."""
-    table, clearances = planner._scored(world, scenario)
+    """Every row of the planner's table for this replan, in planning order,
+    with its clearance: plan() scores only the rows it needs."""
+    rows, _ = planner._table(world.states[scenario.ego.id], scenario)
+    predictions = planner._predictions(world, scenario)
     return [
-        ScoredRow(lane_id, accel, list(zip(*[iter(flat)] * 4)), cost, clearance)
-        for (lane_id, accel, flat, cost), clearance in zip(table, clearances)
+        ScoredRow(
+            lane_id, accel, list(zip(*[iter(flat)] * 4)), cost,
+            planner_module._clearance(flat, predictions),
+        )
+        for lane_id, accel, flat, cost in rows
     ]

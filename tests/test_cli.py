@@ -9,7 +9,7 @@ import pytest
 from avstress import persist
 from avstress.cli import main
 from avstress.metrics import campaign_stats, score_episode
-from avstress.scenario import load_scenario_file
+from avstress.scenario import load_scenario_file, preset_path
 from avstress.sobol import sobol_point
 from conftest import TWO_LANE_YAML, agents_yaml, make_episode, straight_positions
 
@@ -110,6 +110,24 @@ class TestRun:
         assert code == 0
         out_dir = capsys.readouterr().out.strip()
         assert os.path.exists(os.path.join(out_dir, "scenario.yaml"))
+
+    def test_preset_name_beats_a_directory_of_that_name(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("front")
+        code = run_cli("run", "front", "--sampler", "sobol", "--budget", "2", "--out", "out")
+        assert code == 0
+        out_dir = capsys.readouterr().out.strip()
+        with open(os.path.join(out_dir, "scenario.yaml"), "rb") as fh:
+            copied = fh.read()
+        with open(preset_path("front"), "rb") as fh:
+            assert copied == fh.read()
+
+    def test_directory_that_is_no_preset_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("my_scenes")
+        assert run_cli("run", "my_scenes", "--sampler", "sobol", "--budget", "2") == 2
+        assert "'my_scenes' is a directory" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["my_scenes"]
 
     def test_unknown_scenario_rejected(self, tmp_path):
         assert run_cli("run", "no_such_thing", "--out", str(tmp_path)) == 2

@@ -167,8 +167,9 @@ class TestRolloutMemo:
         second = scored_rows(planner, world, sc)
         assert rollout_calls[0] == len(first)
         assert _candidate_bits(second) == _candidate_bits(first)
-        # the hit scores the very table the miss built
-        assert planner._scored(world, sc)[0] is planner._scored(world, sc)[0]
+        # the hit returns the very table the miss built
+        ego = world.states["ego"]
+        assert planner._table(ego, sc) is planner._table(ego, sc)
 
     def test_signed_zero_start_is_its_own_entry(self, two_lane_scenario, rollout_calls):
         sc = two_lane_scenario
@@ -316,3 +317,123 @@ class TestScoredTable:
             chosen[2][: sc.sim.replan_every]
         )
         assert chosen[:2] == ("right", -4.0 if case == "fallback" else -2.0)
+
+
+# -------------------------------------------------------------- early exit
+
+
+@pytest.fixture
+def clearance_calls(monkeypatch):
+    """A list of the rollouts planner._clearance is called on, in call order."""
+    calls = []
+    real = planner_module._clearance
+
+    def counting(flat, predictions):
+        calls.append(flat)
+        return real(flat, predictions)
+
+    monkeypatch.setattr(planner_module, "_clearance", counting)
+    return calls
+
+
+class TestEarlyExit:
+    # Each case stages the two-lane scene's 14 rows (the ego's left lane,
+    # then the right one, each in ACCEL_GRID order). Row i ends offsets[i]
+    # along x from the ego goal, so its cost is offsets[i] + COMFORT_WEIGHT *
+    # |accel|; its first step stands clearances[i] along x from the npc's
+    # first predicted waypoint, and every later step is far from the npc.
+    # Its heading is i throughout, so each row's plan is its own.
+    @staticmethod
+    def _staged(monkeypatch, sc, offsets, clearances):
+        gx, gy = sc.ego_goal.x, sc.ego_goal.y
+        rows = [(lane, a) for lane in ("left", "right") for a in ACCEL_GRID]
+        index = {row: i for i, row in enumerate(rows)}
+
+        def fake_rollout(start, centerline, accel, horizon, dt, v_max):
+            i = index["right" if centerline.vertices[0].y == 0.0 else "left", accel]
+            heading = float(i)
+            return [(clearances[i], 500.0, heading, 1.0)] + [
+                (gx + offsets[i], gy, heading, 1.0)
+            ] * (horizon - 1)
+
+        def fake_prediction(agent, map_model, horizon, dt):
+            return [(0.0, 500.0)] + [(gx, gy + 1000.0)] * (horizon - 1)
+
+        monkeypatch.setattr(planner_module, "_rollout", fake_rollout)
+        monkeypatch.setattr(planner_module, "predict_constant_velocity", fake_prediction)
+        planner = LatticePlanner()
+        world = initial_joint_state(sc)
+        cands = scored_rows(planner, world, sc)
+        assert [_hex(c.min_clearance) for c in cands] == [_hex(c) for c in clearances]
+        return planner, world, cands
+
+    @staticmethod
+    def _plan(planner, world, sc, cands, calls):
+        """The index of the row plan() executes; checks it against ref_choice."""
+        calls.clear()
+        plan = planner.plan(world, sc)
+        rows, _ = planner._table(world.states["ego"], sc)
+        executed = [_hex(s.position.x, s.position.y, s.heading, s.speed) for s in plan]
+        chosen = [i for i, c in enumerate(cands)
+                  if [_hex(*s) for s in c.states[: sc.sim.replan_every]] == executed]
+        assert len(chosen) == 1
+        ref = [(c.target_lane, c.accel, c.states, c.cost, c.min_clearance) for c in cands]
+        assert chosen[0] == ref_choice(ref, D_SAFE)
+        # the rows whose clearance this replan computed
+        return chosen[0], [next(i for i, r in enumerate(rows) if r[2] is flat) for flat in calls]
+
+    # distinct offsets that make the cost order the reverse of planning order
+    REVERSED = [13.0 - i for i in range(14)]
+
+    def test_cheapest_feasible_row_scores_one(
+        self, two_lane_scenario, monkeypatch, clearance_calls
+    ):
+        sc = two_lane_scenario
+        planner, world, cands = self._staged(monkeypatch, sc, self.REVERSED, [5.0] * 14)
+        chosen, scanned = self._plan(planner, world, sc, cands, clearance_calls)
+        assert chosen == 13
+        assert scanned == [13]
+
+    def test_third_cheapest_feasible_row_scores_three(
+        self, two_lane_scenario, monkeypatch, clearance_calls
+    ):
+        sc = two_lane_scenario
+        clearances = [5.0] * 12 + [1.0, 1.0]
+        planner, world, cands = self._staged(monkeypatch, sc, self.REVERSED, clearances)
+        chosen, scanned = self._plan(planner, world, sc, cands, clearance_calls)
+        assert chosen == 11
+        assert scanned == [13, 12, 11]
+
+    def test_no_feasible_row_scores_each_once(
+        self, two_lane_scenario, monkeypatch, clearance_calls
+    ):
+        # the largest clearance ties between rows 4 and 9; the more
+        # expensive row 4 comes first in planning order
+        sc = two_lane_scenario
+        clearances = [1.0] * 14
+        clearances[4] = clearances[9] = 2.5
+        planner, world, cands = self._staged(monkeypatch, sc, self.REVERSED, clearances)
+        chosen, scanned = self._plan(planner, world, sc, cands, clearance_calls)
+        assert chosen == 4
+        assert scanned == list(range(13, -1, -1))
+
+    @pytest.mark.parametrize("clearance_1,chosen_row,scanned_rows", [
+        (1.0, 12, [1, 12]),  # the earlier of the tied rows is infeasible
+        (5.0, 1, [1]),  # both are feasible
+    ])
+    def test_cost_ties_go_in_planning_order(
+        self, two_lane_scenario, monkeypatch, clearance_calls,
+        clearance_1, chosen_row, scanned_rows,
+    ):
+        # rows 1 (left, -2) and 12 (right, 2) share the lowest cost
+        sc = two_lane_scenario
+        offsets = [5.0 + i for i in range(14)]
+        offsets[1] = offsets[12] = 0.0
+        clearances = [5.0] * 14
+        clearances[1] = clearance_1
+        planner, world, cands = self._staged(monkeypatch, sc, offsets, clearances)
+        assert _hex(cands[1].cost) == _hex(cands[12].cost) == _hex(2 * planner_module.COMFORT_WEIGHT)
+        assert min(c.cost for c in cands) == cands[1].cost
+        chosen, scanned = self._plan(planner, world, sc, cands, clearance_calls)
+        assert chosen == chosen_row
+        assert scanned == scanned_rows

@@ -221,6 +221,9 @@ class CheckedPlanner:
             assert (c.target_lane, c.accel) == (lane_id, accel)
             assert [_state_bits(s) for s in c.states] == [_state_bits(s) for s in states]
             assert _bits(c.cost, c.min_clearance) == _bits(cost, clearance)
+        # plan() checks rows in this order: cheapest first, ties by index
+        _, order = self.planner._table(world.states[scenario.ego.id], scenario)
+        assert order == sorted(range(len(ref)), key=lambda i: (ref[i][3], i))
         plan = self.planner.plan(world, scenario)
         chosen = ref[ref_choice(ref, D_SAFE)]
         expected = chosen[2][: scenario.sim.replan_every]
