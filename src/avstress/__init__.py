@@ -10,3 +10,13 @@ from .optimizer import SamplerConfig, run_campaign, suggest_next  # noqa: F401
 from .sim import simulate_episode, ReactivePolicy  # noqa: F401
 from .planner import LatticePlanner  # noqa: F401
 from .metrics import campaign_stats  # noqa: F401
+
+
+def __getattr__(name):
+    # `avstress.surrogate` loads scipy, so it is imported on first use, not
+    # with the package: Sobol runs, `report` and `replay` never need it
+    if name == "surrogate":
+        import importlib
+
+        return importlib.import_module(".surrogate", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,9 +13,7 @@ import os
 import shutil
 import sys
 
-import numpy as np
-
-from . import metrics, persist, surrogate
+from . import metrics, persist
 from .optimizer import SamplerConfig, run_campaign
 from .planner import LatticePlanner
 from .scenario import PRESET_NAMES, ScenarioError, load_scenario_file, preset_path
@@ -154,6 +152,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_export_gp(args) -> int:
+    # checked before the fit, which takes seconds
+    if args.resolution < 2:
+        raise CliError("grid resolution must be >= 2")
     log_path = os.path.join(args.campaign_dir, "campaign.jsonl")
     if not os.path.exists(log_path):
         raise CliError(f"no campaign log in '{args.campaign_dir}'")
@@ -165,6 +166,10 @@ def cmd_export_gp(args) -> int:
     ]
     if len(pairs) < 2:
         raise CliError("need at least 2 successful episodes to fit a GP")
+    # the only command that needs numpy and the GP, which loads scipy
+    import numpy as np
+    from . import surrogate
+
     X = np.array([u for u, _ in pairs])
     if X.shape[1] != 2:
         raise CliError("GP grid export supports 2-D prompt spaces only")
@@ -190,9 +195,15 @@ def _find_scenario_for(episode_file: str) -> str:
 def cmd_replay(args) -> int:
     try:
         episode, header = persist.read_episode(args.episode_file)
+    except FileNotFoundError:
+        raise CliError(f"no episode file '{args.episode_file}'")
     except ValueError as exc:
         raise CliError(str(exc))
-    scenario = load_scenario_file(args.scenario or _find_scenario_for(args.episode_file))
+    scenario_path = args.scenario or _find_scenario_for(args.episode_file)
+    try:
+        scenario = load_scenario_file(scenario_path)
+    except FileNotFoundError:
+        raise CliError(f"no scenario file '{scenario_path}'")
     for joint in episode.trace:
         parts = [f"t={joint.timestep:3d}"]
         for aid in sorted(joint.states):

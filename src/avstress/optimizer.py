@@ -6,21 +6,24 @@ Prompts live in the unit cube: 2 coordinates per prompted agent. The BO
 sampler bootstraps its first two prompts from the Sobol sequence (a GP needs
 two points to fit), then maximizes UCB over a dense deterministic candidate
 set. The Sobol baseline never looks at scores.
+
+numpy and the GP (`surrogate`, which loads scipy) are imported where the BO
+sampler first needs them, so a Sobol campaign starts without either.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from . import surrogate
 from .geom import Point2
 from .metrics import EpisodeScore, score_episode
 from .scenario import Scenario, prompt_to_world
 from .sim import Episode, PlannerHandle, ReactivePolicy, simulate_episode
 from .sobol import sobol_point, sobol_points
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PERTURBATION = 0.02
 
@@ -55,6 +58,8 @@ class SamplerConfig:
 
 def ucb(mean: np.ndarray, variance: np.ndarray, beta: float) -> np.ndarray:
     """Upper confidence bound at each candidate (GP-UCB, Srinivas et al. 2010)."""
+    import numpy as np
+
     if np.any(variance < 0):
         raise ValueError("variance must be >= 0")
     return mean + beta * np.sqrt(variance)
@@ -64,6 +69,8 @@ def _candidate_set(history: List[Observation], cfg: SamplerConfig, dim: int) -> 
     """Sobol points, then the 2^dim corners of a +-PERTURBATION box around
     each observed prompt (failed ones too), clipped to the unit cube. The
     corners run in binary order, the last coordinate fastest, '-' before '+'."""
+    import numpy as np
+
     cands = sobol_points(cfg.candidates, dim=dim, start=1)
     bits = (np.arange(2**dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
     deltas = np.where(bits == 0, -PERTURBATION, PERTURBATION)
@@ -84,6 +91,9 @@ def suggest_next(
     valid = [obs for obs in history if obs.valid]
     if len(valid) < 2:
         return sobol_point(len(history) + 1, dim=dim)
+
+    import numpy as np
+    from . import surrogate
 
     X = np.array([obs.prompt for obs in valid])
     y = np.array([obs.score for obs in valid])

@@ -10,8 +10,10 @@ ships, so the points equal `scipy.stats.qmc.Sobol(d, scramble=False)`'s.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _BITS = 32
 
@@ -93,6 +95,9 @@ def sobol_points(n: int, dim: int = 2, start: int = 1) -> np.ndarray:
 
 @functools.cache
 def _points(n: int, dim: int, start: int) -> np.ndarray:
+    # numpy only here: Sobol campaigns draw single points and never load it
+    import numpy as np
+
     pts = np.array([sobol_point(start + i, dim) for i in range(n)], dtype=float)
     pts.flags.writeable = False
     return pts

@@ -255,6 +255,25 @@ class TestExportGp:
     def test_missing_log_exit_2(self, tmp_path):
         assert run_cli("export-gp", str(tmp_path)) == 2
 
+    def test_bad_resolution_exit_2_before_the_fit(self, tmp_path, capsys, monkeypatch):
+        from avstress import surrogate
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the GP was fitted")
+
+        monkeypatch.setattr(surrogate, "fit", no_fit)
+        out_dir = tmp_path / "camp"
+        out_dir.mkdir()
+        records = [
+            json.dumps({"iter": i - 1, "u": list(sobol_point(i)), "score": -float(i),
+                        "failed": False})
+            for i in range(1, 7)
+        ]
+        (out_dir / "campaign.jsonl").write_text("\n".join(records) + "\n")
+        assert run_cli("export-gp", str(out_dir), "--resolution", "1") == 2
+        assert capsys.readouterr().err == "error: grid resolution must be >= 2\n"
+        assert not (out_dir / "gp_grid.csv").exists()
+
 
 class TestReplay:
     def test_collision_named_in_summary(self, tmp_path, capsys, two_lane_scenario):
@@ -303,6 +322,24 @@ class TestReplay:
         err = capsys.readouterr().err
         assert ":2:" in err
 
+    def test_missing_episode_file_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.jsonl")
+        assert run_cli("replay", missing) == 2
+        assert capsys.readouterr().err == f"error: no episode file '{missing}'\n"
+
+    def test_missing_scenario_file_exit_2(self, tmp_path, capsys, two_lane_scenario):
+        episode = make_episode(two_lane_scenario, {
+            "ego": straight_positions((0.0, 3.5), (10.0, 0.0), 3),
+            "npc": straight_positions((15.0, 3.5), (0.0, 0.0), 3),
+        })
+        ep_path = str(tmp_path / "ep_0000.jsonl")
+        persist.write_episode(ep_path, episode, two_lane_scenario)
+        missing = str(tmp_path / "nope.yaml")
+        assert run_cli("replay", ep_path, "--scenario", missing) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no scenario file '{missing}'\n"
+        assert captured.out == ""
+
     def test_metrics_match_campaign_log(self, scenario_file, tmp_path, capsys):
         out = str(tmp_path / "out")
         run_cli(
@@ -341,12 +378,42 @@ class TestReplay:
         assert score.min_dist == pytest.approx(log[1]["min_dist"], abs=1e-9)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # importing scipy.stats costs about 0.5 s, which every `run` would pay
-    # before its first episode
+# runs in a fresh interpreter: which modules are loaded after `import
+# avstress.cli`, after a Sobol run, `report` and `replay`, and after a BO run
+LOADED_MODULES_SCRIPT = """
+import contextlib, io, json, os, sys
+import avstress.cli
+
+def loaded():
+    return sorted({"numpy", "scipy"} & set(sys.modules))
+
+out = sys.argv[1]
+seen = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["run", "front", "--sampler", "sobol", "--budget", "3", "--out", out],
+                 ["report", os.path.join(out, "front_sobol")],
+                 ["replay", os.path.join(out, "front_sobol", "episodes", "ep_0002.jsonl")]):
+        assert avstress.cli.main(argv) == 0, argv
+seen.append(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    argv = ["run", "front", "--sampler", "bo", "--budget", "3", "--out", out]
+    assert avstress.cli.main(argv) == 0, argv
+seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_only_bo_loads_numpy_and_scipy(tmp_path):
+    # numpy and scipy take most of a second to import; Sobol runs, `report`
+    # and `replay` use neither, so they must not pay for them. The BO run
+    # shows that the check sees the libraries when they are loaded.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = "import sys, avstress.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    after_import, after_sobol, after_bo = json.loads(proc.stdout)
+    assert after_import == []
+    assert after_sobol == []
+    assert after_bo == ["numpy", "scipy"]

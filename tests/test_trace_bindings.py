@@ -6,6 +6,7 @@ or renamed entry point would otherwise only show up when the benchmark runs
 with `--trace 1`.
 """
 import os
+import subprocess
 import sys
 
 import avstress
@@ -56,3 +57,38 @@ def test_install_wraps_and_uninstall_restores(tmp_path, capsys, monkeypatch):
     assert tracer.counts["surrogate.lml_evals"] > 0
     assert tracer.counts["surrogate.lml_evals"] == sum(nfev)
     assert tracer.counts["optimizer.candidates_scored"] > 0
+
+
+# `avstress.surrogate` is imported on first use, and other test modules
+# import it before this one runs; a fresh interpreter shows whether the
+# tracer finds it and every other binding after `import avstress.cli` alone
+FRESH_INSTALL_SCRIPT = """
+import sys
+import avstress.cli
+sys.path.insert(0, sys.argv[1])
+import bench_trace
+
+timed, counted = bench_trace._layers(avstress)
+bindings = [(owner, attr) for _, group in timed + counted for owner, attr in group]
+originals = [owner.__dict__[attr] for owner, attr in bindings]
+tracer = bench_trace.Tracer()
+tracer.install(avstress)
+wrapped = sum(owner.__dict__[attr] is not original
+              for (owner, attr), original in zip(bindings, originals))
+tracer.uninstall()
+restored = sum(owner.__dict__[attr] is original
+               for (owner, attr), original in zip(bindings, originals))
+print(len(bindings), wrapped, restored)
+"""
+
+
+def test_install_in_a_fresh_interpreter_after_importing_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_INSTALL_SCRIPT, os.path.join(ROOT, "benchmarks")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    n, wrapped, restored = map(int, proc.stdout.split())
+    assert n == len(bindings())
+    assert wrapped == restored == n
