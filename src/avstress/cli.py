@@ -197,6 +197,8 @@ def cmd_replay(args) -> int:
         episode, header = persist.read_episode(args.episode_file)
     except FileNotFoundError:
         raise CliError(f"no episode file '{args.episode_file}'")
+    except IsADirectoryError:
+        raise CliError(f"'{args.episode_file}' is a directory, not an episode file")
     except ValueError as exc:
         raise CliError(str(exc))
     scenario_path = args.scenario or _find_scenario_for(args.episode_file)
@@ -204,6 +206,8 @@ def cmd_replay(args) -> int:
         scenario = load_scenario_file(scenario_path)
     except FileNotFoundError:
         raise CliError(f"no scenario file '{scenario_path}'")
+    except IsADirectoryError:
+        raise CliError(f"'{scenario_path}' is a directory, not a scenario file")
     for joint in episode.trace:
         parts = [f"t={joint.timestep:3d}"]
         for aid in sorted(joint.states):

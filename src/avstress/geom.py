@@ -2,23 +2,15 @@
 lane (Frenet) lookups on a polyline: projection to (s, l) and the point at
 (s, l).
 
-All angles are radians, all distances meters. Headings are normalized to
-(-pi, pi]. Lateral offsets are positive to the left of the direction of
-travel.
+All angles are radians, all distances meters. Headings lie in (-pi, pi],
+where `sim.bicycle_step` wraps them. Lateral offsets are positive to the
+left of the direction of travel.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
-
-
-def normalize_angle(theta: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    wrapped = math.atan2(math.sin(theta), math.cos(theta))
-    if wrapped <= -math.pi:
-        wrapped = math.pi
-    return wrapped
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,9 @@ time-to-collision spreads, and pairwise trajectory diversity.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from statistics import mean, stdev
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .geom import Point2, euclidean_distance
 from .scenario import Scenario
@@ -94,11 +93,16 @@ def score_episode(episode: Episode, scenario: Scenario) -> EpisodeScore:
     )
 
 
-def _mean_distance(xa, ya, xb, yb) -> float:
+def _mean_distance(pa, pb) -> float:
     """Mean of the pointwise distances over the common prefix of two
-    trajectories given as coordinate lists."""
-    n = min(len(xa), len(xb))
-    return sum(map(math.hypot, map(operator.sub, xa, xb), map(operator.sub, ya, yb))) / n
+    trajectories given as lists of (x, y) tuples."""
+    # math.dist rounds as math.hypot of the coordinate differences does:
+    # CPython takes both through the same vector_norm
+    return sum(map(math.dist, pa, pb)) / min(len(pa), len(pb))
+
+
+def _points(tau: Sequence[Point2]) -> List[Tuple[float, float]]:
+    return [(p.x, p.y) for p in tau]
 
 
 def trajectory_distance(
@@ -109,9 +113,7 @@ def trajectory_distance(
     """
     if not tau_a or not tau_b:
         raise ValueError("trajectories must be nonempty")
-    return _mean_distance(
-        [p.x for p in tau_a], [p.y for p in tau_a], [p.x for p in tau_b], [p.y for p in tau_b]
-    )
+    return _mean_distance(_points(tau_a), _points(tau_b))
 
 
 def asd(trajectories: Sequence[Sequence[Point2]]) -> float:
@@ -122,13 +124,12 @@ def asd(trajectories: Sequence[Sequence[Point2]]) -> float:
         raise ValueError("ASD needs at least 2 trajectories")
     if not all(trajectories):
         raise ValueError("trajectories must be nonempty")
-    # coordinate lists extracted once per trajectory, not once per pair
-    xs = [[p.x for p in tau] for tau in trajectories]
-    ys = [[p.y for p in tau] for tau in trajectories]
+    # points extracted once per trajectory, not once per pair
+    points = [_points(tau) for tau in trajectories]
     total = 0.0
     for i in range(n_e):
         for j in range(i + 1, n_e):
-            total += _mean_distance(xs[i], ys[i], xs[j], ys[j])
+            total += _mean_distance(points[i], points[j])
     return total / (n_e * (n_e - 1))
 
 

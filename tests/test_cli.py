@@ -340,6 +340,27 @@ class TestReplay:
         assert captured.err == f"error: no scenario file '{missing}'\n"
         assert captured.out == ""
 
+    def test_directory_as_episode_file_exit_2(self, tmp_path, capsys):
+        # a campaign directory in place of one of its episodes
+        (tmp_path / "episodes").mkdir()
+        (tmp_path / "scenario.yaml").write_text(TWO_LANE_YAML)
+        assert run_cli("replay", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: '{tmp_path}' is a directory, not an episode file\n"
+        assert captured.out == ""
+
+    def test_directory_as_scenario_file_exit_2(self, tmp_path, capsys, two_lane_scenario):
+        episode = make_episode(two_lane_scenario, {
+            "ego": straight_positions((0.0, 3.5), (10.0, 0.0), 3),
+            "npc": straight_positions((15.0, 3.5), (0.0, 0.0), 3),
+        })
+        ep_path = str(tmp_path / "ep_0000.jsonl")
+        persist.write_episode(ep_path, episode, two_lane_scenario)
+        assert run_cli("replay", ep_path, "--scenario", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: '{tmp_path}' is a directory, not a scenario file\n"
+        assert captured.out == ""
+
     def test_metrics_match_campaign_log(self, scenario_file, tmp_path, capsys):
         out = str(tmp_path / "out")
         run_cli(

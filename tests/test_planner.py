@@ -437,3 +437,114 @@ class TestEarlyExit:
         chosen, scanned = self._plan(planner, world, sc, cands, clearance_calls)
         assert chosen == chosen_row
         assert scanned == scanned_rows
+
+
+# ----------------------------------------------------------- rollout reuse
+
+
+@pytest.fixture
+def rollout_log(monkeypatch):
+    """The (centerline, accel, horizon) of each planner._rollout call, and
+    the real _rollout."""
+    log = []
+    real = planner_module._rollout
+
+    def logging(start, centerline, accel, horizon, dt, v_max):
+        log.append((centerline, accel, horizon))
+        return real(start, centerline, accel, horizon, dt, v_max)
+
+    monkeypatch.setattr(planner_module, "_rollout", logging)
+    return log, real
+
+
+def _assert_rows_are_fresh_rollouts(rows, lanes, start, sc, real_rollout):
+    """Each row equals a rollout of its lane and accel from the start, bit for bit."""
+    horizon = max(planner_module.HORIZON_STEPS, sc.sim.replan_every)
+    centerlines = {lane.id: lane.centerline for lane in lanes}
+    for lane_id, accel, flat, _ in rows:
+        fresh = real_rollout(start, centerlines[lane_id], accel, horizon, sc.sim.dt, sc.sim.v_max)
+        assert [_hex(*s) for s in zip(*[iter(flat)] * 4)] == [_hex(*s) for s in fresh]
+
+
+class TestRolloutReuse:
+    # front: v_max 15, dt 0.1. The accels whose rows share one array, by
+    # start speed: those >= 0 that reach v_max at the first step, and those
+    # <= 0 that reach 0
+    @pytest.mark.parametrize("speed,classes", [
+        (15.0, [(0.0, 1.0, 2.0, 3.0)]),
+        (14.85, [(2.0, 3.0)]),  # 14.85 + 0.1 < 15 <= 14.85 + 0.2
+        # above v_max the brakes saturate only at the first step, so the
+        # braking rows are not shared
+        (16.0, [(0.0, 1.0, 2.0, 3.0)]),
+        (0.0, [(-4.0, -2.0, -1.0, 0.0)]),
+        (-0.0, [(-4.0, -2.0, -1.0, 0.0)]),
+        (0.05, [(-4.0, -2.0, -1.0)]),
+    ])
+    def test_saturated_rows_share_one_array_per_class(self, rollout_log, speed, classes):
+        log, real = rollout_log
+        sc = load_preset("front")
+        planner = LatticePlanner()
+        world = _with_ego(initial_joint_state(sc), "ego", speed=speed)
+        ego = world.states["ego"]
+        rows, _ = planner._table(ego, sc)
+        lanes = planner._candidate_lanes(ego, sc)
+        start = (ego.position.x, ego.position.y, ego.heading, speed)
+        _assert_rows_are_fresh_rollouts(rows, lanes, start, sc, real)
+        # each lane groups its rows by array identity into exactly the classes
+        for lane in lanes:
+            groups = {}
+            for lane_id, accel, flat, _ in rows:
+                if lane_id == lane.id:
+                    groups.setdefault(id(flat), []).append(accel)
+            shared = [tuple(g) for g in groups.values() if len(g) > 1]
+            assert shared == classes
+        # no array is shared across lanes, and each distinct one is rolled out once
+        distinct = {id(flat) for _, _, flat, _ in rows}
+        assert len(distinct) == len(rows) - len(lanes) * sum(len(c) - 1 for c in classes)
+        assert len(log) == len(distinct)
+
+    def test_replan_from_the_executed_row_continues_it(self, rollout_log):
+        log, real = rollout_log
+        sc = load_preset("front")
+        replan = sc.sim.replan_every
+        planner = LatticePlanner()
+        world = initial_joint_state(sc)
+        first_rows, _ = planner._table(world.states["ego"], sc)
+        plan = planner.plan(world, sc)
+        executed = [_hex(s.position.x, s.position.y, s.heading, s.speed) for s in plan]
+        (lane_id, accel, _, _), = [
+            r for r in first_rows
+            if [_hex(*s) for s in zip(*[iter(r[2][: 4 * replan])] * 4)] == executed
+        ]
+        # the other lane holds a row of the same accel, which must not continue
+        assert sum(r[1] == accel for r in first_rows) == 2
+        log.clear()
+        ego = plan[-1]
+        rows, _ = planner._table(ego, sc)
+        lanes = planner._candidate_lanes(ego, sc)
+        centerline = {lane.id: lane.centerline for lane in lanes}[lane_id]
+        horizon = max(planner_module.HORIZON_STEPS, replan)
+        assert [call for call in log if call[2] != horizon] == [(centerline, accel, replan)]
+        assert len(log) == len(rows)
+        start = (ego.position.x, ego.position.y, ego.heading, ego.speed)
+        _assert_rows_are_fresh_rollouts(rows, lanes, start, sc, real)
+
+    def test_no_continuation_across_a_scenario_change(self, rollout_log):
+        log, real = rollout_log
+        sc = load_preset("front")
+        # a new scenario object whose rollouts differ from those of sc; the
+        # executed row (left, 3.0) ends at 11.5 m/s, so it saturates in
+        # neither, and would continue if the memory outlived the scenario
+        slow = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, v_max=14.0))
+        planner = LatticePlanner()
+        plan = planner.plan(initial_joint_state(sc), sc)
+        ego = plan[-1]
+        assert ego.speed == pytest.approx(11.5)
+        log.clear()
+        rows, _ = planner._table(ego, slow)
+        horizon = max(planner_module.HORIZON_STEPS, slow.sim.replan_every)
+        assert {h for _, _, h in log} == {horizon}
+        start = (ego.position.x, ego.position.y, ego.heading, ego.speed)
+        _assert_rows_are_fresh_rollouts(
+            rows, planner._candidate_lanes(ego, slow), start, slow, real
+        )

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from avstress.geom import Point2, Polyline, normalize_angle, point_at_arclength, project_to_polyline
+from avstress.geom import Point2, Polyline, point_at_arclength, project_to_polyline
 from avstress.optimizer import SamplerConfig, run_campaign
 from avstress.planner import (
     ACCEL_GRID, COMFORT_WEIGHT, D_SAFE, HORIZON_STEPS, LANE_SNAP_RANGE, LATERAL_DECAY_TAU,
@@ -26,6 +26,14 @@ from avstress.sim import (
 from conftest import scenario_with_agents, scored_rows
 
 # ---------------------------------------------------------------- reference
+
+
+def normalize_angle(theta):
+    """Wrap an angle into (-pi, pi]."""
+    wrapped = math.atan2(math.sin(theta), math.cos(theta))
+    if wrapped <= -math.pi:
+        wrapped = math.pi
+    return wrapped
 
 
 def ref_project_to_polyline(p, line):
