@@ -121,7 +121,19 @@ def _campaign_row(campaign_dir: str):
     return scenario_id, manifest["sampler"]["kind"], stats
 
 
+def _check_csv_path(path: str) -> None:
+    """A usage error for a CSV path that cannot be written, before the
+    campaigns are read."""
+    if os.path.isdir(path):
+        raise CliError(f"'{path}' is a directory, not a CSV file")
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise CliError(f"no directory '{parent}' for the CSV file '{path}'")
+
+
 def cmd_report(args) -> int:
+    if args.csv:
+        _check_csv_path(args.csv)
     rows = []
     for d in args.campaign_dirs:
         try:

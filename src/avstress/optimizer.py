@@ -26,6 +26,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 PERTURBATION = 0.02
+# the largest prompt dimension whose perturbation box contributes all its
+# corners to the candidate set; above it, LOCAL_CORNERS of them
+FULL_BOX_MAX_DIM = 6
+LOCAL_CORNERS = 64
 
 
 @dataclass(frozen=True)
@@ -66,14 +70,22 @@ def ucb(mean: np.ndarray, variance: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _candidate_set(history: List[Observation], cfg: SamplerConfig, dim: int) -> np.ndarray:
-    """Sobol points, then the 2^dim corners of a +-PERTURBATION box around
-    each observed prompt (failed ones too), clipped to the unit cube. The
-    corners run in binary order, the last coordinate fastest, '-' before '+'."""
+    """Sobol points, then corners of a +-PERTURBATION box around each
+    observed prompt (failed ones too), clipped to the unit cube.
+
+    Up to FULL_BOX_MAX_DIM dimensions these are all 2^dim corners in binary
+    order, the last coordinate fastest, '-' before '+'. Above it, where 2^dim
+    corners per observation outgrow memory (2^18 at 9 agents), they are the
+    LOCAL_CORNERS corners whose signs follow the Sobol points 1..LOCAL_CORNERS
+    of that dimension: a coordinate >= 0.5 means '+'."""
     import numpy as np
 
     cands = sobol_points(cfg.candidates, dim=dim, start=1)
-    bits = (np.arange(2**dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
-    deltas = np.where(bits == 0, -PERTURBATION, PERTURBATION)
+    if dim <= FULL_BOX_MAX_DIM:
+        plus = ((np.arange(2**dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1) == 1
+    else:
+        plus = sobol_points(LOCAL_CORNERS, dim=dim, start=1) >= 0.5
+    deltas = np.where(plus, PERTURBATION, -PERTURBATION)
     base = np.array([obs.prompt for obs in history])
     locals_ = np.clip(base[:, None, :] + deltas, 0.0, 1.0).reshape(-1, dim)
     return np.vstack([cands, locals_])

@@ -36,6 +36,11 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
+# how json writes a str key and a float value
+_quote = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+
+
 def _opt(value: float) -> Optional[float]:
     return value if math.isfinite(value) else None
 
@@ -71,25 +76,52 @@ def write_episode(path: str, episode: Episode, scenario: Scenario) -> None:
         "failure_reason": episode.failure_reason,
     }
     lines = [_dump(header)]
-    for joint in episode.trace:
-        lines.append(
-            _dump(
-                {
-                    "t": joint.timestep,
-                    "agents": {
-                        aid: {
-                            "x": s.position.x,
-                            "y": s.position.y,
-                            "heading": s.heading,
-                            "speed": s.speed,
-                        }
-                        for aid, s in joint.states.items()
-                    },
-                }
-            )
-        )
+    lines += map(_trace_line, episode.trace)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _trace_line(joint: JointState) -> str:
+    """One trace line, byte for byte what `_dump` writes for it.
+
+    When every value is a finite float and the timestep an int, the line is
+    one f-string: agent ids sorted and quoted as json quotes a key, each
+    value written by float.__repr__ as json writes a float. Any other line
+    (a NaN or an inf, an int value, an id that is not a str) goes through
+    `_dump`, which writes it or raises the error json.dumps raises.
+    """
+    states = joint.states
+    t = joint.timestep
+    try:
+        if type(t) is not int:
+            raise TypeError("timestep is not an int")
+        parts = []
+        for aid in sorted(states):
+            s = states[aid]
+            x, y, heading, speed = s.position.x, s.position.y, s.heading, s.speed
+            # a sum of floats is finite only if every term is
+            if not math.isfinite(x + y + heading + speed):
+                raise ValueError("non-finite value")
+            parts.append(
+                f'{_quote(aid)}: {{"heading": {_float_repr(heading)}, '
+                f'"speed": {_float_repr(speed)}, "x": {_float_repr(x)}, "y": {_float_repr(y)}}}'
+            )
+        return f'{{"agents": {{{", ".join(parts)}}}, "t": {t}}}'
+    except (TypeError, ValueError):
+        return _dump(
+            {
+                "t": t,
+                "agents": {
+                    aid: {
+                        "x": s.position.x,
+                        "y": s.position.y,
+                        "heading": s.heading,
+                        "speed": s.speed,
+                    }
+                    for aid, s in states.items()
+                },
+            }
+        )
 
 
 def read_episode(path: str) -> Tuple[Episode, dict]:

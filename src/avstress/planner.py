@@ -10,6 +10,7 @@ is meant to exploit.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
@@ -17,10 +18,10 @@ from array import array
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .geom import Point2, Polyline, point_at_arclength
+from .geom import Point2, Polyline
 # bound here, though unused, because benchmarks/bench_trace.py counts the
 # planner's geometry calls through this module's names
-from .geom import project_to_polyline  # noqa: F401
+from .geom import point_at_arclength, project_to_polyline  # noqa: F401
 from .scenario import Lane, MapModel, Scenario
 from .sim import AgentState, JointState, bicycle_step
 
@@ -42,6 +43,12 @@ StateTuple = Tuple[float, float, float, float]
 TableRow = Tuple[str, float, array, float]
 
 
+@functools.lru_cache(maxsize=None)
+def _lateral_decay(horizon: int, dt: float) -> Tuple[float, ...]:
+    """exp(-k * dt / LATERAL_DECAY_TAU) for k = 1..horizon."""
+    return tuple(math.exp(-k * dt / LATERAL_DECAY_TAU) for k in range(1, horizon + 1))
+
+
 def predict_constant_velocity(
     agent: AgentState, map_model: MapModel, horizon: int, dt: float
 ) -> List[Tuple[float, float]]:
@@ -50,25 +57,38 @@ def predict_constant_velocity(
     The agent is snapped to the nearest centerline; its lateral offset decays
     exponentially toward the center while arc-length advances at the current
     speed. Agents far from every lane fall back to a straight line.
+
+    The waypoint lookup is the body of `point_at_arclength` inlined, with the
+    same floating-point operations, and the decay factors are computed once
+    per (horizon, dt): calling the function once per waypoint made a
+    prediction more than twice as slow.
     """
     lane, s0, l0, dist = map_model.nearest_lane(agent.position)
+    speed = agent.speed
     if dist > LANE_SNAP_RANGE:
         x, y = agent.position
         c, s = math.cos(agent.heading), math.sin(agent.heading)
         return [
-            (x + k * agent.speed * dt * c, y + k * agent.speed * dt * s)
+            (x + k * speed * dt * c, y + k * speed * dt * s)
             for k in range(1, horizon + 1)
         ]
-    centerline = lane.centerline
-    total = centerline.total_length
-    return [
-        point_at_arclength(
-            centerline,
-            min(s0 + k * agent.speed * dt, total),
-            l0 * math.exp(-k * dt / LATERAL_DECAY_TAU),
-        )
-        for k in range(1, horizon + 1)
-    ]
+    segments = lane.centerline.segments
+    total = lane.centerline.total_length
+    waypoints = []
+    for k, decay in enumerate(_lateral_decay(horizon, dt), 1):
+        # s0 >= 0 and speed >= 0, so s lies in [0, total] and needs neither
+        # point_at_arclength's range check nor its clamp at 0
+        s = s0 + k * speed * dt
+        if total < s:  # min(s, total)
+            s = total
+        l = l0 * decay
+        # the first segment that ends at or after s
+        for ax, ay, dx, dy, ux, uy, seg_len, _, seg_s0, s1 in segments:
+            if s <= s1:
+                break
+        t = (s - seg_s0) / seg_len
+        waypoints.append((ax + t * dx - l * uy, ay + t * dy + l * ux))
+    return waypoints
 
 
 def _rollout(

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from avstress import persist
+from avstress import cli, persist
 from avstress.cli import main
 from avstress.metrics import campaign_stats, score_episode
 from avstress.scenario import load_scenario_file, preset_path
@@ -203,6 +203,21 @@ class TestReport:
         empty = tmp_path / "nothing"
         empty.mkdir()
         assert run_cli("report", str(empty)) == 2
+
+    @pytest.mark.parametrize("bad", ["missing_dir/x.csv", "a_directory"])
+    def test_unwritable_csv_path_exit_2_before_reading(self, bad, tmp_path, capsys, monkeypatch):
+        out = str(tmp_path / "out")
+        assert run_cli("run", "front", "--sampler", "sobol", "--budget", "2", "--out", out) == 0
+        out_dir = capsys.readouterr().out.strip()
+        (tmp_path / "a_directory").mkdir()
+        read = []
+        monkeypatch.setattr(cli, "_campaign_row", lambda d: read.append(d))
+        csv_path = str(tmp_path / bad)
+        assert run_cli("report", out_dir, "--csv", csv_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and csv_path in err
+        assert read == []
+        assert not os.path.exists(tmp_path / "missing_dir")
 
 
 class TestExportGp:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -6,6 +9,8 @@ import pytest
 
 from avstress import surrogate
 from avstress.optimizer import (
+    FULL_BOX_MAX_DIM,
+    LOCAL_CORNERS,
     PERTURBATION,
     Observation,
     SamplerConfig,
@@ -79,19 +84,73 @@ def loop_candidate_set(history, cfg, dim):
     return cands
 
 
+def hex_rows(a):
+    return [[float(v).hex() for v in row] for row in a]
+
+
+def edge_history(dim):
+    """Prompts inside the cube and on its faces, which are clipped; one is a
+    failed episode's, which still counts."""
+    rng = np.random.default_rng(dim)
+    prompts = [tuple(rng.random(dim)) for _ in range(5)]
+    prompts += [(0.0,) * dim, (1.0,) * dim, tuple([0.0, 1.0] * dim)[:dim]]
+    history = [Observation(prompt=p, score=float(i)) for i, p in enumerate(prompts)]
+    history[3] = Observation(prompt=history[3].prompt, score=-math.inf)
+    return history
+
+
+# peak RSS of a budget-12 GP-UCB campaign with 9 simulated agents (prompt
+# dimension 18) in a fresh interpreter; about 90 MB with 64 corners per
+# observation, over 900 MB with all 2^18
+BO_9_AGENTS_PEAK_RSS_MB = 250
+BO_9_AGENTS_SCRIPT = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from conftest import scenario_with_agents
+from avstress.optimizer import SamplerConfig, run_campaign
+from avstress.planner import LatticePlanner
+records = run_campaign(scenario_with_agents(9), SamplerConfig(kind="bo", budget=12),
+                       LatticePlanner())
+print(sum(r.failed for r in records), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
 class TestCandidateSet:
-    @pytest.mark.parametrize("dim", [2, 6])
+    @pytest.mark.parametrize("dim", [2, FULL_BOX_MAX_DIM])
     def test_equals_per_observation_loop(self, dim):
-        # prompts on the cube's faces are clipped; failed prompts still count
-        rng = np.random.default_rng(dim)
-        prompts = [tuple(rng.random(dim)) for _ in range(5)]
-        prompts += [(0.0,) * dim, (1.0,) * dim, tuple([0.0, 1.0] * (dim // 2))]
-        history = [Observation(prompt=p, score=float(i)) for i, p in enumerate(prompts)]
-        history[3] = Observation(prompt=history[3].prompt, score=-math.inf)
+        history = edge_history(dim)
         cfg = SamplerConfig(kind="bo", budget=20, candidates=32)
         got = _candidate_set(history, cfg, dim)
         assert got.shape == (32 + len(history) * 2**dim, dim)
-        assert np.array_equal(got, loop_candidate_set(history, cfg, dim))
+        assert hex_rows(got) == hex_rows(loop_candidate_set(history, cfg, dim))
+
+    @pytest.mark.parametrize("dim", [7, 8, 12, 18])
+    def test_sobol_signed_corners_above_the_full_box_dimension(self, dim):
+        history = edge_history(dim)
+        cfg = SamplerConfig(kind="bo", budget=20, candidates=32)
+        got = _candidate_set(history, cfg, dim)
+        assert got.shape == (32 + len(history) * LOCAL_CORNERS, dim)
+        assert np.array_equal(got[:32], sobol_points(32, dim=dim, start=1))
+        signs = sobol_points(LOCAL_CORNERS, dim=dim, start=1) >= 0.5
+        assert len({tuple(row) for row in signs}) == LOCAL_CORNERS
+        for i, obs in enumerate(history):
+            block = got[32 + i * LOCAL_CORNERS: 32 + (i + 1) * LOCAL_CORNERS]
+            for row, plus in zip(block, signs):
+                want = [min(1.0, max(0.0, u + (PERTURBATION if p else -PERTURBATION)))
+                        for u, p in zip(obs.prompt, plus)]
+                assert hex_rows([row]) == hex_rows([want])
+
+    def test_nine_agent_campaign_in_bounded_memory(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", BO_9_AGENTS_SCRIPT, os.path.join(root, "tests")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        failed, peak_kb = map(int, proc.stdout.split())
+        assert failed == 0
+        assert peak_kb / 1024 < BO_9_AGENTS_PEAK_RSS_MB
 
 
 class TestSuggestNext:

@@ -18,7 +18,7 @@ from avstress.planner import (
     ACCEL_GRID, COMFORT_WEIGHT, D_SAFE, HORIZON_STEPS, LANE_SNAP_RANGE, LATERAL_DECAY_TAU,
     LatticePlanner, _rollout, predict_constant_velocity,
 )
-from avstress.scenario import PRESET_NAMES, load_preset, load_scenario
+from avstress.scenario import PRESET_NAMES, Lane, MapModel, load_preset, load_scenario
 from avstress.sim import (
     ACCEL_MAX, ACCEL_MIN, COMFORT_DECEL, STEER_LIMIT, WHEELBASE, AgentState, ReactivePolicy,
     bicycle_step,
@@ -366,21 +366,78 @@ def test_nearest_lane_matches_reference(name):
         assert abs(d - ref_d) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["curved", "front"])
+# a bend whose inner vertex b is not a + 1.0 * (b - a) in floating point,
+# so a waypoint there depends on which segment supplies it
+BEND = Polyline((Point2(-34.9, -34.1), Point2(57.9, 44.7), Point2(65.9, 47.7)))
+# (horizon, dt) pairs run in one process: any two differ in the horizon, the
+# dt or both, so a cache of the decay factors keyed by less than both fails
+PREDICTION_STEPS = [(40, 0.1), (30, 0.1), (40, 0.05), (30, 0.05)]
+
+
+def _speed_to_reach(s, s0, ks, dt):
+    """(k, v) with s0 + k * v * dt == s exactly, for the first k of ks that
+    has such a speed v within 3 ulps of (s - s0) / (k * dt), else None."""
+    for k in ks:
+        v = (s - s0) / (k * dt)
+        for _ in range(3):
+            v = math.nextafter(v, -math.inf)
+        for _ in range(7):
+            if s0 + k * v * dt == s:
+                return k, v
+            v = math.nextafter(v, math.inf)
+    return None
+
+
+def _bend_agents(map_model, horizon, dt):
+    """Agents a few metres along BEND and 0.4 m left of it whose waypoint k
+    lands exactly on the inner vertex or exactly on the end; with k and the
+    arc-length it lands on."""
+    ax, ay, _, _, ux, uy = BEND.segments[0][:6]
+    agents = []
+    # late steps, so the speeds stay moderate and later waypoints pass the
+    # vertex, or stay clamped at the end
+    ks = range(horizon - 5, 0, -1)
+    for s in (BEND.cumulative[1], BEND.total_length):
+        # not every arc-length s0 has a speed that reaches s exactly
+        for along in [0.37 * i for i in range(2, 20)]:
+            position = Point2(ax + along * ux - 0.4 * uy, ay + along * uy + 0.4 * ux)
+            _, s0, _, _ = map_model.nearest_lane(position)
+            found = _speed_to_reach(s, s0, ks, dt)
+            if found:
+                k, v = found
+                agents.append((AgentState(position, 0.7, v), k, s))
+                break
+    assert len(agents) == 2
+    return agents
+
+
+@pytest.mark.parametrize("name", ["curved", "front", "bend"])
 def test_prediction_matches_reference(name):
+    if name == "bend":
+        map_model = MapModel({"bend": Lane("bend", BEND, 3.5)})
+        for horizon, dt in PREDICTION_STEPS:
+            for agent, k, s in _bend_agents(map_model, horizon, dt):
+                _, s0, l0, _ = map_model.nearest_lane(agent.position)
+                assert l0 != 0.0 and s0 + k * agent.speed * dt == s
+                new = predict_constant_velocity(agent, map_model, horizon, dt)
+                ref = ref_predict_constant_velocity(agent, map_model, horizon, dt)
+                assert len(new) == horizon
+                assert [_bits(*wp) for wp in new] == [_bits(*wp) for wp in ref]
+        return
     # agents on a lane, off its centre, near its end (the arc-length clamp)
     # and past LANE_SNAP_RANGE (the straight-line fallback)
     map_model = _scenario(name).map
     far = map_model.lanes["right"].centerline.vertices[-1]
     starts = [(0.0, 0.0), (12.0, 3.5), (20.0, 1.2), (35.0, -1.9), (5.0, 1.75),
               (far.x - 2.0, far.y + 0.5), (10.0, -LANE_SNAP_RANGE - 0.5), (-40.0, 25.0)]
-    for x, y in starts:
-        for heading in (0.0, -0.0, 0.4, -2.5):
-            for speed in (0.0, 7.5, 30.0):
-                agent = AgentState(Point2(x, y), heading, speed)
-                new = predict_constant_velocity(agent, map_model, 40, 0.1)
-                ref = ref_predict_constant_velocity(agent, map_model, 40, 0.1)
-                assert [_bits(*wp) for wp in new] == [_bits(*wp) for wp in ref]
+    for horizon, dt in PREDICTION_STEPS:
+        for x, y in starts:
+            for heading in (0.0, -0.0, 0.4, -2.5):
+                for speed in (0.0, 7.5, 30.0):
+                    agent = AgentState(Point2(x, y), heading, speed)
+                    new = predict_constant_velocity(agent, map_model, horizon, dt)
+                    ref = ref_predict_constant_velocity(agent, map_model, horizon, dt)
+                    assert [_bits(*wp) for wp in new] == [_bits(*wp) for wp in ref]
     # both branches ran
     assert ref_nearest_lane(map_model, Point2(-40.0, 25.0))[3] > LANE_SNAP_RANGE
     assert ref_nearest_lane(map_model, Point2(0.0, 0.0))[3] <= LANE_SNAP_RANGE
