@@ -40,15 +40,12 @@ def _resolve_scenario_path(name: str) -> str:
 
 def cmd_run(args) -> int:
     scenario_path = _resolve_scenario_path(args.scenario)
-    try:
-        cfg = SamplerConfig(
-            kind=args.sampler,
-            budget=args.budget,
-            beta=args.beta,
-            candidates=args.candidates,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cfg = SamplerConfig(
+        kind=args.sampler,
+        budget=args.budget,
+        beta=args.beta,
+        candidates=args.candidates,
+    )
     try:
         scenario = load_scenario_file(scenario_path)
     except ScenarioError as exc:
@@ -65,7 +62,10 @@ def cmd_run(args) -> int:
         stale += glob.glob(os.path.join(out_dir, name))
     for path in stale:
         os.remove(path)
-    shutil.copyfile(scenario_path, os.path.join(out_dir, "scenario.yaml"))
+    scenario_copy = os.path.join(out_dir, "scenario.yaml")
+    # a rerun from the campaign's own copy has nothing to copy
+    if not (os.path.exists(scenario_copy) and os.path.samefile(scenario_path, scenario_copy)):
+        shutil.copyfile(scenario_path, scenario_copy)
     persist.write_manifest(out_dir, scenario_path, cfg)
 
     campaign_log = open(os.path.join(out_dir, "campaign.jsonl"), "w")
@@ -211,8 +211,6 @@ def cmd_replay(args) -> int:
         raise CliError(f"no episode file '{args.episode_file}'")
     except IsADirectoryError:
         raise CliError(f"'{args.episode_file}' is a directory, not an episode file")
-    except ValueError as exc:
-        raise CliError(str(exc))
     scenario_path = args.scenario or _find_scenario_for(args.episode_file)
     try:
         scenario = load_scenario_file(scenario_path)

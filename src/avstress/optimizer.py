@@ -64,8 +64,6 @@ def ucb(mean: np.ndarray, variance: np.ndarray, beta: float) -> np.ndarray:
     """Upper confidence bound at each candidate (GP-UCB, Srinivas et al. 2010)."""
     import numpy as np
 
-    if np.any(variance < 0):
-        raise ValueError("variance must be >= 0")
     return mean + beta * np.sqrt(variance)
 
 

@@ -87,10 +87,10 @@ class GoalDomain:
 
 @dataclass(frozen=True)
 class SimParams:
-    dt: float = 0.1
-    horizon_steps: int = 80
-    replan_every: int = 5
-    v_max: float = 30.0
+    dt: float
+    horizon_steps: int
+    replan_every: int
+    v_max: float
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,12 @@ class Scenario:
 
 
 def _require(mapping, key, path, kind=None):
+    field = f"{path}.{key}" if path else key
     if not isinstance(mapping, dict) or key not in mapping:
-        raise ScenarioError(f"{path}.{key}: missing required field")
+        raise ScenarioError(f"{field}: missing required field")
     value = mapping[key]
     if kind is not None and not isinstance(value, kind):
-        raise ScenarioError(f"{path}.{key}: expected {kind}, got {type(value).__name__}")
+        raise ScenarioError(f"{field}: expected {kind}, got {type(value).__name__}")
     return value
 
 
@@ -173,13 +174,14 @@ def _parse_lane(entry, i: int) -> Lane:
     width = _num(entry, "width", path)
     if width <= 0:
         raise ScenarioError(f"{path}.width: must be > 0")
-    return Lane(
-        id=lane_id,
-        centerline=centerline,
-        width=width,
-        left_neighbor=entry.get("left_neighbor"),
-        right_neighbor=entry.get("right_neighbor"),
-    )
+    # a neighbour names a lane id, read as the id itself is
+    neighbors = {}
+    for key in ("left_neighbor", "right_neighbor"):
+        ref = entry.get(key)
+        if isinstance(ref, (list, dict)):
+            raise ScenarioError(f"{path}.{key}: expected a lane id, got {type(ref).__name__}")
+        neighbors[key] = None if ref is None else str(ref)
+    return Lane(id=lane_id, centerline=centerline, width=width, **neighbors)
 
 
 def _parse_agent(entry, i: int) -> AgentConfig:
@@ -252,11 +254,12 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
         if lane.id in lanes:
             raise ScenarioError(f"map.lanes[{i}].id: duplicate lane id '{lane.id}'")
         lanes[lane.id] = lane
-    for lane in lanes.values():
-        for ref in (lane.left_neighbor, lane.right_neighbor):
+    for i, lane in enumerate(lanes.values()):
+        for key in ("left_neighbor", "right_neighbor"):
+            ref = getattr(lane, key)
             if ref is not None and ref not in lanes:
                 raise ScenarioError(
-                    f"map.lanes[{lane.id}]: dangling neighbor reference '{ref}'"
+                    f"map.lanes[{i}].{key}: dangling neighbor reference '{ref}'"
                 )
     map_model = MapModel(lanes=lanes)
 

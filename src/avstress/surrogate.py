@@ -23,7 +23,7 @@ import glob
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 import scipy
@@ -93,8 +93,8 @@ class KernelParams:
     def __post_init__(self):
         if self.signal_variance <= 0 or any(l <= 0 for l in self.length_scales):
             raise ValueError("kernel amplitudes and length scales must be positive")
-        if self.noise_variance < JITTER_FLOOR:
-            object.__setattr__(self, "noise_variance", JITTER_FLOOR)
+        if self.noise_variance < 0:
+            raise ValueError("noise variance must be >= 0")
 
 
 def _scaled_dist(delta: np.ndarray, ls: np.ndarray) -> np.ndarray:
@@ -116,16 +116,14 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndar
 
 
 def _factor(
-    K: np.ndarray, noise_variance: float, eye: Optional[np.ndarray] = None
+    K: np.ndarray, noise_variance: float, eye: np.ndarray
 ) -> Tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + (noise + jitter) I by LAPACK's dpotrf,
-    escalating jitter while the matrix is not positive definite; `eye`, when
-    given, is K's identity. These are the checks `scipy.linalg.cholesky`
-    makes: a matrix with an inf or NaN raises ValueError before it is
-    factorized, and so does an illegal argument reported by LAPACK. Neither
-    enters the jitter loop: more jitter cannot fix them."""
-    if eye is None:
-        eye = np.eye(K.shape[0])
+    escalating jitter while the matrix is not positive definite; `eye` is
+    K's identity. These are the checks `scipy.linalg.cholesky` makes: a
+    matrix with an inf or NaN raises ValueError before it is factorized,
+    and so does an illegal argument reported by LAPACK. Neither enters the
+    jitter loop: more jitter cannot fix them."""
     jitter = JITTER_FLOOR
     while True:
         M = K + (noise_variance + jitter) * eye
@@ -145,10 +143,7 @@ def _factor(
 
 def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with L L^T x = b by LAPACK's dpotrs, as `scipy.linalg.cho_solve`
-    computes it; the caller checks that b is finite. A model of no
-    observations has an empty system, which f2py would refuse."""
-    if b.size == 0:
-        return np.empty(b.shape)
+    computes it; the caller checks that b is finite."""
     x, info = dpotrs(L, b, lower=1)
     if info != 0:
         raise ValueError(f"dpotrs reported an illegal value in argument {-info}")
@@ -181,17 +176,18 @@ def build_model(
     inputs: np.ndarray,
     targets: np.ndarray,
     params: KernelParams,
-    standardize: bool = False,
 ) -> GpModel:
-    """Condition a GP with fixed hyperparameters on the given data."""
+    """Condition a GP with fixed hyperparameters on the standardized data."""
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
+    if len(y) < 2:
+        raise InsufficientDataError("GP fit needs at least 2 observations")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    y_mean, y_std = _standardization(y) if standardize else (0.0, 1.0)
+    y_mean, y_std = _standardization(y)
     z = (y - y_mean) / y_std
     K = kernel_matrix(X, X, params)
-    L, _ = _factor(K, params.noise_variance)
+    L, _ = _factor(K, params.noise_variance, np.eye(len(y)))
     alpha = _cho_solve(L, z)
     return GpModel(
         inputs=X, targets=y, params=params, y_mean=y_mean, y_std=y_std,
@@ -214,25 +210,18 @@ def fit_pairs(X: np.ndarray) -> FitPairs:
 
 
 def log_marginal_likelihood(
-    inputs: np.ndarray,
-    targets: np.ndarray,
+    pairs: FitPairs,
+    z: np.ndarray,
     log_theta: np.ndarray,
-    pairs: Optional[FitPairs] = None,
 ) -> Tuple[float, np.ndarray]:
-    """Log marginal likelihood and its gradient in log-parameter space.
+    """Log marginal likelihood of the standardized targets `z` and its
+    gradient in log-parameter space.
 
-    log_theta = [log l_1 .. log l_d, log sigma_f, log sigma_n] with sigma_f
-    and sigma_n the signal and noise standard deviations. `pairs`, when
-    given, must be `fit_pairs(inputs)`; a fit passes it so that its many
-    evaluations compute it once. The result is the same to the bit.
+    `pairs` is `fit_pairs` of the inputs, computed once per fit; `z` is
+    finite. log_theta = [log l_1 .. log l_d, log sigma_f, log sigma_n]
+    with sigma_f and sigma_n the signal and noise standard deviations.
     """
-    X = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y = np.asarray(targets, dtype=float).ravel()
-    if not np.isfinite(y).all():
-        raise ValueError("targets must be finite")
-    n, d = X.shape
-    if pairs is None:
-        pairs = fit_pairs(X)
+    n, _, d = pairs.delta.shape
     ls = np.exp(log_theta[:d])
     sf2 = math.exp(2.0 * log_theta[d])
     sn2 = math.exp(2.0 * log_theta[d + 1])
@@ -241,9 +230,9 @@ def log_marginal_likelihood(
     exp_r = np.exp(-math.sqrt(5.0) * r)
     K = sf2 * _matern_of_r(r, exp_r)
     L, jitter = _factor(K, sn2, pairs.eye)
-    alpha = _cho_solve(L, y)
+    alpha = _cho_solve(L, z)
     ll = (
-        -0.5 * float(y @ alpha)
+        -0.5 * float(z @ alpha)
         - float(np.sum(np.log(np.diag(L))))
         - 0.5 * n * math.log(2.0 * math.pi)
     )
@@ -298,7 +287,7 @@ def fit(inputs: np.ndarray, targets: np.ndarray) -> GpModel:
     pairs = fit_pairs(X)
 
     def objective(log_theta):
-        ll, grad = log_marginal_likelihood(X, z, log_theta, pairs)
+        ll, grad = log_marginal_likelihood(pairs, z, log_theta)
         return -ll, -grad
 
     best = None
@@ -316,16 +305,12 @@ def fit(inputs: np.ndarray, targets: np.ndarray) -> GpModel:
         length_scales=tuple(np.exp(theta[:d])),
         noise_variance=math.exp(2.0 * theta[d + 1]),
     )
-    return build_model(X, y, params, standardize=True)
+    return build_model(X, y, params)
 
 
 def posterior_batch(model: GpModel, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance (raw score units) at each query row."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if model.n == 0:
-        mean = np.full(len(xs), model.y_mean)
-        var = np.full(len(xs), model.params.signal_variance * model.y_std**2)
-        return mean, var
     # (n, m), built in blocks of candidates; the BLAS calls below stay
     # whole, since a split changes how they round
     k_star = np.empty((model.n, len(xs)))
@@ -341,8 +326,6 @@ def posterior_batch(model: GpModel, xs: np.ndarray) -> Tuple[np.ndarray, np.ndar
 
 def posterior_grid(model: GpModel, resolution: int) -> np.ndarray:
     """Row-major (resolution^2, 4) array of (u1, u2, mean, variance)."""
-    if resolution < 2:
-        raise ValueError("grid resolution must be >= 2")
     lin = np.linspace(0.0, 1.0, resolution)
     pts = np.array([(u1, u2) for u1 in lin for u2 in lin])
     mean, var = posterior_batch(model, pts)

@@ -96,11 +96,36 @@ class TestRun:
         with open(os.path.join(out_dir, "gp_samples.csv")) as fh:
             assert len(fh.read().splitlines()) == 1 + 3
 
-    def test_zero_budget_rejected_without_outputs(self, scenario_file, tmp_path):
+    def test_zero_budget_rejected_without_outputs(self, scenario_file, tmp_path, capsys):
         out = str(tmp_path / "out")
         code = run_cli("run", scenario_file, "--budget", "0", "--out", out)
         assert code == 2
+        assert capsys.readouterr().err == "error: budget must be >= 1\n"
         assert not os.path.exists(out)
+
+    def test_rerun_from_the_campaigns_own_scenario_copy(self, tmp_path, capsys):
+        # a scenario file named scenario.yaml runs into <out>/scenario_sobol,
+        # whose copy is that same name: a rerun from the copy reads and
+        # writes one directory
+        (tmp_path / "scenario.yaml").write_text(TWO_LANE_YAML)
+        argv = ("--sampler", "sobol", "--budget", "3", "--out", str(tmp_path / "r"))
+        assert run_cli("run", str(tmp_path / "scenario.yaml"), *argv) == 0
+        out_dir = capsys.readouterr().out.strip()
+        first = read_bytes_tree(out_dir)
+        assert run_cli("run", os.path.join(out_dir, "scenario.yaml"), *argv) == 0
+        assert capsys.readouterr().out.strip() == out_dir
+        assert read_bytes_tree(out_dir) == first
+
+    def test_out_root_from_the_environment(self, scenario_file, tmp_path, monkeypatch, capsys):
+        env_root, out_root = str(tmp_path / "env"), str(tmp_path / "flag")
+        monkeypatch.setenv(cli.OUT_ROOT_ENV, env_root)
+        argv = ("run", scenario_file, "--sampler", "sobol", "--budget", "2")
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.strip() == os.path.join(env_root, "two_lane_sobol")
+        assert os.path.exists(os.path.join(env_root, "two_lane_sobol", "campaign.jsonl"))
+        assert run_cli(*argv, "--out", out_root) == 0
+        assert capsys.readouterr().out.strip() == os.path.join(out_root, "two_lane_sobol")
+        assert sorted(os.listdir(tmp_path)) == ["env", "flag", "two_lane.yaml"]
 
     def test_preset_name_resolves(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -334,8 +359,10 @@ class TestReplay:
         header = json.dumps({"type": "header", "scenario_id": "x", "goals": {}})
         bad.write_text(header + "\n{not json\n")
         assert run_cli("replay", str(bad)) == 2
-        err = capsys.readouterr().err
-        assert ":2:" in err
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n"
+        )
 
     def test_missing_episode_file_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.jsonl")

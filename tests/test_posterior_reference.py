@@ -56,7 +56,7 @@ def model_and_candidates(n, d, m):
         length_scales=tuple(rng.uniform(0.05, 2.0, d)),
         noise_variance=float(rng.uniform(1e-8, 1e-2)),
     )
-    model = build_model(X, y, params, standardize=True)
+    model = build_model(X, y, params)
     xs = rng.random((m, d))
     xs[: min(n, m)] = X[: min(n, m)]  # the training inputs, where var is ~0
     return model, xs
@@ -92,11 +92,3 @@ def test_posterior_equals_reference_bits(n, d, m, monkeypatch):
         assert sum(widths) == m
         assert max(widths) <= surrogate.POSTERIOR_BLOCK
         assert len(widths) == math.ceil(m / surrogate.POSTERIOR_BLOCK)
-
-
-def test_empty_model_equals_reference():
-    p = KernelParams(signal_variance=2.5, length_scales=(1.0, 1.0), noise_variance=1e-8)
-    model = build_model(np.empty((0, 2)), np.empty(0), p)
-    xs = np.random.default_rng(4).random((600, 2))
-    for got, expected in zip(surrogate.posterior_batch(model, xs), ref_posterior_batch(model, xs)):
-        assert hexes(got) == hexes(expected)

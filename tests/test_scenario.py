@@ -3,6 +3,7 @@ import re
 import sys
 
 import pytest
+import yaml
 
 from avstress.geom import project_to_polyline
 from avstress.scenario import (
@@ -78,6 +79,39 @@ def test_dangling_neighbor_rejected():
     text = _broken(TWO_LANE_YAML, "left_neighbor: left", "left_neighbor: phantom")
     with pytest.raises(ScenarioError, match="phantom"):
         load_scenario(text)
+
+
+def test_dangling_neighbor_named_by_lane_index():
+    # the second lane, whose id is 'left'
+    text = _broken(TWO_LANE_YAML, "right_neighbor: right", "right_neighbor: phantom")
+    with pytest.raises(ScenarioError, match=r"^map\.lanes\[1\]\.right_neighbor: dangling "
+                                            r"neighbor reference 'phantom'$"):
+        load_scenario(text)
+
+
+def test_numeric_lane_ids_and_neighbor_references_match():
+    text = (TWO_LANE_YAML.replace("id: right", "id: 1").replace("id: left", "id: 2")
+            .replace("left_neighbor: left", "left_neighbor: 2")
+            .replace("right_neighbor: right", "right_neighbor: 1")
+            .replace("lane: left,", "lane: 2,"))
+    lanes = load_scenario(text).map.lanes
+    assert (lanes["1"].left_neighbor, lanes["2"].right_neighbor) == ("2", "1")
+
+
+@pytest.mark.parametrize("ref,kind", [("[left]", "list"), ("{id: left}", "dict")])
+def test_non_scalar_neighbor_rejected_with_its_path(ref, kind):
+    text = _broken(TWO_LANE_YAML, "left_neighbor: left", f"left_neighbor: {ref}")
+    with pytest.raises(ScenarioError, match=r"^map\.lanes\[0\]\.left_neighbor: expected "
+                                            f"a lane id, got {kind}$"):
+        load_scenario(text)
+
+
+@pytest.mark.parametrize("key", ["map", "agents", "ego_goal", "goal_domains"])
+def test_missing_top_level_field_named_without_a_dot(key):
+    doc = yaml.safe_load(TWO_LANE_YAML)
+    del doc[key]
+    with pytest.raises(ScenarioError, match=f"^{key}: missing required field$"):
+        load_scenario(yaml.safe_dump(doc))
 
 
 def test_zero_simulated_agents_rejected():

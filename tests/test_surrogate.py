@@ -9,6 +9,7 @@ from avstress.surrogate import (
     KernelParams,
     build_model,
     fit,
+    fit_pairs,
     kernel_matrix,
     log_marginal_likelihood,
     posterior_batch,
@@ -73,29 +74,32 @@ class TestLogMarginalLikelihood:
             X = rng.random((5, 2))
             y = rng.normal(size=5)
             theta = rng.uniform(-2.0, 0.5, size=4)
-            _, grad = log_marginal_likelihood(X, y, theta)
+            pairs = fit_pairs(X)
+            _, grad = log_marginal_likelihood(pairs, y, theta)
             for k in range(4):
                 e = np.zeros(4)
                 e[k] = h
-                lp, _ = log_marginal_likelihood(X, y, theta + e)
-                lm, _ = log_marginal_likelihood(X, y, theta - e)
+                lp, _ = log_marginal_likelihood(pairs, y, theta + e)
+                lm, _ = log_marginal_likelihood(pairs, y, theta - e)
                 fd = (lp - lm) / (2 * h)
                 assert abs(grad[k] - fd) < 1e-4 * max(1.0, abs(fd))
 
 
 class TestPosterior:
     def test_two_point_hand_solved_system(self):
-        # solve (K + sn2 I) alpha = y for two points by hand and compare
+        # standardize y = (1, 3) by hand to z = (-1, 1) (mean 2, std 1), solve
+        # (K + sn2 I) alpha = z and compare mean + std * kq . alpha
         X = np.array([[0.2, 0.2], [0.8, 0.8]])
         y = np.array([1.0, 3.0])
         p = default_params(sf2=2.0, ls=(0.5, 0.5), sn2=1e-8)
         k12 = cov(X[0], X[1], p)
         K = np.array([[2.0 + 1e-8 + 1e-8, k12], [k12, 2.0 + 1e-8 + 1e-8]])
-        alpha = np.linalg.solve(K, y)
+        alpha = np.linalg.solve(K, np.array([-1.0, 1.0]))
         model = build_model(X, y, p)
+        assert (model.y_mean, model.y_std) == (2.0, 1.0)
         kq = kernel_matrix(np.array([[0.4, 0.4]]), X, p)[0]
         mean, _ = posterior_at(model, (0.4, 0.4))
-        assert mean == pytest.approx(float(kq @ alpha), abs=1e-8)
+        assert mean == pytest.approx(2.0 + float(kq @ alpha), abs=1e-8)
 
     def test_interpolates_training_points(self):
         X = np.array([[0.2, 0.3], [0.8, 0.7], [0.5, 0.1]])
@@ -108,13 +112,7 @@ class TestPosterior:
         X = np.array([[0.0, 0.0], [0.01, 0.01]])
         model = build_model(X, np.array([1.0, 1.1]), default_params(ls=(0.01, 0.01)))
         _, var = posterior_at(model, (1.0, 1.0))
-        assert var >= 0.99 * model.params.signal_variance
-
-    def test_empty_model_returns_prior(self):
-        model = build_model(np.empty((0, 2)), np.empty(0), default_params(sf2=2.5))
-        mean, var = posterior_at(model, (0.5, 0.5))
-        assert mean == 0.0
-        assert var == pytest.approx(2.5)
+        assert var >= 0.99 * model.params.signal_variance * model.y_std**2
 
     def test_variance_never_exceeds_prior(self):
         rng = np.random.default_rng(8)
@@ -123,7 +121,7 @@ class TestPosterior:
         p = default_params(sf2=1.7, ls=(0.3, 0.6), sn2=1e-4)
         model = build_model(X, y, p)
         _, var = posterior_batch(model, rng.random((100, 2)))
-        assert np.all(var <= 1.7 + 1e-9)
+        assert np.all(var <= (1.7 + 1e-9) * model.y_std**2)
 
     def test_duplicate_observation_never_increases_variance(self):
         rng = np.random.default_rng(9)
@@ -142,7 +140,7 @@ class TestFactor:
     def test_jitter_escalates_until_positive_definite(self):
         # eigenvalues 2 + 1e-6 and -1e-6: needs jitter above 1e-6
         K = np.array([[1.0, 1.0 + 1e-6], [1.0 + 1e-6, 1.0]])
-        L, jitter = surrogate._factor(K, 0.0)
+        L, jitter = surrogate._factor(K, 0.0, np.eye(2))
         assert 1e-6 < jitter <= surrogate.JITTER_CEIL
         np.testing.assert_allclose(L @ L.T, K + jitter * np.eye(2))
 
@@ -156,7 +154,7 @@ class TestFactor:
 
         monkeypatch.setattr(surrogate, "dpotrf", counting_dpotrf)
         with pytest.raises(ValueError) as raised:
-            surrogate._factor(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-6)
+            surrogate._factor(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-6, np.eye(2))
         # LinAlgError is a ValueError too: it would mean the jitter loop ran
         assert not isinstance(raised.value, np.linalg.LinAlgError)
         # the finite check comes before LAPACK, so nothing is factorized
@@ -171,7 +169,7 @@ class TestFactor:
 
         monkeypatch.setattr(surrogate, "dpotrf", illegal_argument)
         with pytest.raises(ValueError) as raised:
-            surrogate._factor(np.eye(2), 1e-6)
+            surrogate._factor(np.eye(2), 1e-6, np.eye(2))
         assert not isinstance(raised.value, np.linalg.LinAlgError)
         assert len(calls) == 1
 
@@ -179,20 +177,23 @@ class TestFactor:
         rng = np.random.default_rng(13)
         A = rng.random((6, 6))
         K = A @ A.T
-        L, jitter = surrogate._factor(K, 1e-3)
+        L, jitter = surrogate._factor(K, 1e-3, np.eye(6))
         assert jitter == surrogate.JITTER_FLOOR
         assert np.array_equal(L, np.tril(L))
         np.testing.assert_allclose(L @ L.T, K + (1e-3 + jitter) * np.eye(6), rtol=1e-12)
 
 
 class TestValidation:
-    def test_lml_rejects_nonfinite_targets(self):
-        X = np.array([[0.1, 0.1], [0.9, 0.9], [0.5, 0.2]])
-        theta = np.log([0.5, 0.5, 1.0, 0.1])
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError) as raised:
-                log_marginal_likelihood(X, np.array([1.0, bad, 0.0]), theta)
-            assert not isinstance(raised.value, np.linalg.LinAlgError)
+    def test_kernel_params_keep_small_noise_and_reject_negative_noise(self):
+        assert default_params(sn2=0.0).noise_variance == 0.0
+        assert default_params(sn2=1e-12).noise_variance == 1e-12
+        with pytest.raises(ValueError):
+            default_params(sn2=-1e-12)
+
+    def test_build_model_refuses_fewer_than_two_observations(self):
+        for n in (0, 1):
+            with pytest.raises(InsufficientDataError):
+                build_model(np.full((n, 2), 0.5), np.ones(n), default_params())
 
     @pytest.mark.parametrize("noise", [np.nan, np.inf])
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -262,8 +263,3 @@ class TestPosteriorGrid:
         model = fit(X, np.full(5, -1.5))
         grid = posterior_grid(model, 8)
         assert np.all(np.abs(grid[:, 2] + 1.5) < 1e-6)
-
-    def test_resolution_validation(self):
-        model = build_model(np.empty((0, 2)), np.empty(0), default_params())
-        with pytest.raises(ValueError):
-            posterior_grid(model, 1)
