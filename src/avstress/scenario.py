@@ -153,6 +153,16 @@ def _count(mapping, key, path, default):
     return int(value)
 
 
+def _id(value, field, what):
+    """A lane or agent id, read as text: 2 and '2' name the same lane. A
+    list, a mapping or null has no such reading and would match only its
+    own repr, so each is rejected with the field's path."""
+    if value is None or isinstance(value, (list, dict)):
+        kind = "null" if value is None else type(value).__name__
+        raise ScenarioError(f"{field}: expected {what}, got {kind}")
+    return str(value)
+
+
 LANE_KEYS = ("id", "centerline", "width", "left_neighbor", "right_neighbor")
 AGENT_KEYS = ("id", "role", "x", "y", "heading", "speed", "length", "width", "v_desired")
 GOAL_DOMAIN_KEYS = ("agent_id", "lane", "s_min", "s_max", "l_min", "l_max")
@@ -162,7 +172,7 @@ SIM_KEYS = ("dt", "horizon_steps", "replan_every", "v_max")
 def _parse_lane(entry, i: int) -> Lane:
     path = f"map.lanes[{i}]"
     _check_keys(entry, LANE_KEYS, path)
-    lane_id = str(_require(entry, "id", path))
+    lane_id = _id(_require(entry, "id", path), f"{path}.id", "a lane id")
     raw = _require(entry, "centerline", path, list)
     if len(raw) < 2:
         raise ScenarioError(f"{path}.centerline: need at least 2 vertices")
@@ -174,13 +184,11 @@ def _parse_lane(entry, i: int) -> Lane:
     width = _num(entry, "width", path)
     if width <= 0:
         raise ScenarioError(f"{path}.width: must be > 0")
-    # a neighbour names a lane id, read as the id itself is
+    # a neighbour names a lane id, read as the id itself is, or is null for none
     neighbors = {}
     for key in ("left_neighbor", "right_neighbor"):
         ref = entry.get(key)
-        if isinstance(ref, (list, dict)):
-            raise ScenarioError(f"{path}.{key}: expected a lane id, got {type(ref).__name__}")
-        neighbors[key] = None if ref is None else str(ref)
+        neighbors[key] = None if ref is None else _id(ref, f"{path}.{key}", "a lane id")
     return Lane(id=lane_id, centerline=centerline, width=width, **neighbors)
 
 
@@ -203,7 +211,7 @@ def _parse_agent(entry, i: int) -> AgentConfig:
     if v_desired < 0:
         raise ScenarioError(f"{path}.v_desired: must be >= 0")
     return AgentConfig(
-        id=str(_require(entry, "id", path)),
+        id=_id(_require(entry, "id", path), f"{path}.id", "an agent id"),
         role=role,
         initial_state=AgentState(
             Point2(_num(entry, "x", path), _num(entry, "y", path)),
@@ -301,7 +309,7 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
     for i, entry in enumerate(_require(doc, "goal_domains", "", list)):
         path = f"goal_domains[{i}]"
         _check_keys(entry, GOAL_DOMAIN_KEYS, path)
-        agent_id = str(_require(entry, "agent_id", path))
+        agent_id = _id(_require(entry, "agent_id", path), f"{path}.agent_id", "an agent id")
         if agent_id not in ids:
             raise ScenarioError(f"{path}.agent_id: unknown agent '{agent_id}'")
         agent = agents[ids.index(agent_id)]
@@ -310,7 +318,7 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
             raise ScenarioError(f"{path}.agent_id: duplicate goal domain for '{agent_id}'")
         if agent.role == "ego":
             raise ScenarioError(f"{path}.agent_id: '{agent_id}' is the ego, which takes no goal")
-        lane_id = str(_require(entry, "lane", path))
+        lane_id = _id(_require(entry, "lane", path), f"{path}.lane", "a lane id")
         if lane_id not in lanes:
             raise ScenarioError(f"{path}.lane: dangling lane reference '{lane_id}'")
         dom = GoalDomain(

@@ -5,14 +5,22 @@ Cholesky factorization, and hyperparameter selection by maximizing the log
 marginal likelihood from multiple deterministic starts. Targets are
 standardized internally so acquisition weights are scale-free.
 
+The kernel holds the pairwise differences of n and m points as one
+contiguous (n, m) array per dimension. It divides each by its length scale,
+squares it, and adds the d squares in the order in which
+`np.einsum("ijk,ijk->ij")` adds them over an (n, m, d) array
+(`_einsum_lanes`). So the distances are those of the einsum kernel to the
+bit, without einsum's inner loop of length d per entry or the broadcast
+division over a last axis of length d.
+
 The factorization and the solves call LAPACK's `dpotrf` and `dpotrs`, the
 routines `scipy.linalg.cholesky` and `cho_solve` wrap, directly and with the
 same checks: a fit evaluates the likelihood about 300 times with three such
 calls each, and the wrappers' batching and routine lookup cost about 15 us a
 call. The posterior builds its cross-covariance in blocks of candidates, so
-the (n, m, d) differences of all candidates never exist at once. Both give
-the same results to the bit as the wrappers and the single-shot kernel
-(tests/test_lml_reference.py, tests/test_posterior_reference.py).
+the differences of all candidates never exist at once. All of this gives
+the same results to the bit as the wrappers and the single-shot einsum
+kernel (tests/test_lml_reference.py, tests/test_posterior_reference.py).
 """
 from __future__ import annotations
 
@@ -23,7 +31,7 @@ import glob
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import Callable, Iterator, NamedTuple, Tuple
 
 import numpy as np
 import scipy
@@ -97,36 +105,105 @@ class KernelParams:
             raise ValueError("noise variance must be >= 0")
 
 
+@functools.cache
+def _einsum_lanes(d: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The order in which `np.einsum("ijk,ijk->ij", x, x)` adds the d
+    products of each (i, j): two lanes, one for the even and one for the odd
+    k. Each block of 8 k adds its lane's 4 products last one first; the k
+    after the last full block follow in turn; the odd lane is added to the
+    even one at the end. This is numpy's SIMD inner loop at 2 doubles a
+    vector, with each product rounded before it is added (no fused
+    multiply-add); tests/test_surrogate.py checks it against np.einsum."""
+    full = d - d % 8
+    even, odd = (
+        tuple(b + j + lane for b in range(0, full, 8) for j in (6, 4, 2, 0))
+        + tuple(range(full + lane, d, 2))
+        for lane in (0, 1)
+    )
+    return even, odd
+
+
+def _sum_in_einsum_order(d: int, term: Callable) -> np.ndarray:
+    """Sum of the d (n, m) arrays term(0) .. term(d - 1), to the bit as
+    np.einsum adds them. `term(k, out)` writes the k-th array into `out`, or
+    into a new array where `out` is None, and returns it; the sum is
+    written into the array of the even lane's first k."""
+    lanes = []
+    scratch = None
+    for lane in _einsum_lanes(d):
+        if lane:
+            acc = term(lane[0], None)
+            for k in lane[1:]:
+                scratch = term(k, scratch)
+                np.add(acc, scratch, out=acc)
+            lanes.append(acc)
+    if len(lanes) == 2:
+        np.add(lanes[0], lanes[1], out=lanes[0])
+    return lanes[0]
+
+
 def _scaled_dist(delta: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """Scaled distances from the (m, n, d) pairwise differences `delta`."""
-    diff = delta / ls
-    return np.sqrt(np.maximum(np.einsum("ijk,ijk->ij", diff, diff), 0.0))
+    """(n, m) scaled distances from the (d, n, m) pairwise differences
+    `delta`: per dimension, the difference over its length scale, squared,
+    then summed in np.einsum's order. One dimension at a time, so no
+    (d, n, m) temporary is made: in the LML one per evaluation cost more in
+    page faults than it saved in calls. A sum of squares is never negative,
+    so the root needs no clamp."""
+
+    def square(k, out):
+        x = np.divide(delta[k], ls[k], out=out)
+        return np.multiply(x, x, out=x)
+
+    r = _sum_in_einsum_order(len(delta), square)
+    return np.sqrt(r, out=r)
 
 
-def _matern_of_r(r: np.ndarray, exp_r: np.ndarray) -> np.ndarray:
-    """Matern-5/2 correlation at r, given exp_r = exp(-sqrt(5) r)."""
-    c = math.sqrt(5.0)
-    return (1.0 + c * r + 5.0 * r * r / 3.0) * exp_r
+def _matern_factors(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(1 + sqrt(5) r, exp(-sqrt(5) r)), which the Matern-5/2 correlation
+    and its gradient share."""
+    sqrt5_r = np.multiply(math.sqrt(5.0), r)
+    # -(sqrt(5) r) is (-sqrt(5)) r to the bit: rounding is symmetric in sign
+    exp_r = np.negative(sqrt5_r)
+    np.exp(exp_r, out=exp_r)
+    return np.add(1.0, sqrt5_r, out=sqrt5_r), exp_r
+
+
+def _matern_of_r(r: np.ndarray, one_plus: np.ndarray, exp_r: np.ndarray) -> np.ndarray:
+    """Matern-5/2 correlation at r as a new array, given `_matern_factors`."""
+    k = np.multiply(5.0, r)
+    np.multiply(k, r, out=k)
+    np.divide(k, 3.0, out=k)
+    np.add(one_plus, k, out=k)
+    return np.multiply(k, exp_r, out=k)
+
+
+def _differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(d, n, m) differences a_i - b_j of the rows of a and b, C-ordered so
+    that each dimension's (n, m) slice is one contiguous array."""
+    return np.subtract(a.T[:, :, None], b.T[:, None, :], order="C")
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
     a, b = np.atleast_2d(a), np.atleast_2d(b)
-    r = _scaled_dist(a[:, None, :] - b[None, :, :], np.asarray(params.length_scales))
-    return params.signal_variance * _matern_of_r(r, np.exp(-math.sqrt(5.0) * r))
+    r = _scaled_dist(_differences(a, b), np.asarray(params.length_scales))
+    K = _matern_of_r(r, *_matern_factors(r))
+    return np.multiply(params.signal_variance, K, out=K)
 
 
-def _factor(
-    K: np.ndarray, noise_variance: float, eye: np.ndarray
-) -> Tuple[np.ndarray, float]:
+def _factor(K: np.ndarray, noise_variance: float) -> Tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + (noise + jitter) I by LAPACK's dpotrf,
-    escalating jitter while the matrix is not positive definite; `eye` is
-    K's identity. These are the checks `scipy.linalg.cholesky` makes: a
-    matrix with an inf or NaN raises ValueError before it is factorized,
-    and so does an illegal argument reported by LAPACK. Neither enters the
-    jitter loop: more jitter cannot fix them."""
+    escalating jitter while the matrix is not positive definite. The sum is
+    a copy of K with its diagonal raised: K holds no -0.0, so adding the
+    identity's zeros would change no bit. These are the checks
+    `scipy.linalg.cholesky` makes: a matrix with an inf or NaN raises
+    ValueError before it is factorized, and so does an illegal argument
+    reported by LAPACK. Neither enters the jitter loop: more jitter cannot
+    fix them."""
     jitter = JITTER_FLOOR
     while True:
-        M = K + (noise_variance + jitter) * eye
+        M = K.copy()
+        diag = M.reshape(-1)[:: len(M) + 1]
+        np.add(diag, noise_variance + jitter, out=diag)
         if not np.isfinite(M).all():
             raise ValueError("covariance matrix must not contain infs or NaNs")
         L, info = dpotrf(M, lower=1, clean=1)
@@ -187,7 +264,7 @@ def build_model(
     y_mean, y_std = _standardization(y)
     z = (y - y_mean) / y_std
     K = kernel_matrix(X, X, params)
-    L, _ = _factor(K, params.noise_variance, np.eye(len(y)))
+    L, _ = _factor(K, params.noise_variance)
     alpha = _cho_solve(L, z)
     return GpModel(
         inputs=X, targets=y, params=params, y_mean=y_mean, y_std=y_std,
@@ -196,17 +273,17 @@ def build_model(
 
 
 class FitPairs(NamedTuple):
-    """What the LML evaluations of one fit share, all fixed by its inputs."""
+    """What the LML evaluations of one fit share, all fixed by its inputs;
+    each dimension's (n, n) slice of `delta` and `sq` is contiguous."""
 
-    delta: np.ndarray  # (n, n, d) pairwise differences of the inputs
-    sq: List[np.ndarray]  # per dimension, the (n, n) squared differences
+    delta: np.ndarray  # (d, n, n) pairwise differences of the inputs
+    sq: np.ndarray  # (d, n, n) their squares
     eye: np.ndarray  # (n, n) identity
 
 
 def fit_pairs(X: np.ndarray) -> FitPairs:
-    delta = X[:, None, :] - X[None, :, :]
-    sq = [delta[:, :, k] ** 2 for k in range(X.shape[1])]
-    return FitPairs(delta=delta, sq=sq, eye=np.eye(len(X)))
+    delta = _differences(X, X)
+    return FitPairs(delta=delta, sq=delta * delta, eye=np.eye(len(X)))
 
 
 def log_marginal_likelihood(
@@ -221,15 +298,16 @@ def log_marginal_likelihood(
     finite. log_theta = [log l_1 .. log l_d, log sigma_f, log sigma_n]
     with sigma_f and sigma_n the signal and noise standard deviations.
     """
-    n, _, d = pairs.delta.shape
+    d, n, _ = pairs.delta.shape
     ls = np.exp(log_theta[:d])
     sf2 = math.exp(2.0 * log_theta[d])
     sn2 = math.exp(2.0 * log_theta[d + 1])
 
     r = _scaled_dist(pairs.delta, ls)
-    exp_r = np.exp(-math.sqrt(5.0) * r)
-    K = sf2 * _matern_of_r(r, exp_r)
-    L, jitter = _factor(K, sn2, pairs.eye)
+    one_plus, exp_r = _matern_factors(r)
+    K = _matern_of_r(r, one_plus, exp_r)
+    np.multiply(sf2, K, out=K)
+    L, _ = _factor(K, sn2)
     alpha = _cho_solve(L, z)
     ll = (
         -0.5 * float(z @ alpha)
@@ -246,9 +324,10 @@ def log_marginal_likelihood(
     np.subtract(np.multiply.outer(alpha, alpha, out=scratch), W, out=W)
 
     grad = np.empty(d + 2)
-    # g(r) = -f'(r)/r, finite at r = 0
-    g = (5.0 / 3.0) * (1.0 + math.sqrt(5.0) * r) * exp_r
-    sf2_g = sf2 * g
+    # sf2 g(r), with g(r) = -f'(r)/r finite at r = 0
+    sf2_g = np.multiply(5.0 / 3.0, one_plus, out=one_plus)
+    np.multiply(sf2_g, exp_r, out=sf2_g)
+    np.multiply(sf2, sf2_g, out=sf2_g)
     for k in range(d):
         dK = np.divide(pairs.sq[k], ls[k] ** 2, out=scratch)
         dK = np.multiply(sf2_g, dK, out=scratch)  # w.r.t. log l_k

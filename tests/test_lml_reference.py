@@ -2,9 +2,12 @@
 it was optimised from, kept here verbatim as the reference.
 
 The optimised LML computes the pairwise differences, the per-dimension
-squared differences and the identity once per fit, and exp(-sqrt(5) r) once
-per evaluation. Every floating-point operation stays the same, so the value,
-the gradient and the fitted model must equal the reference's to the bit.
+squared differences and the identity once per fit, and sqrt(5) r, its
+exponential and 1 + sqrt(5) r once per evaluation. It holds one (n, n)
+difference array per dimension and adds the scaled squares in the order of
+the reference's einsum. Every floating-point operation stays the same, so
+the value, the gradient and the fitted model must equal the reference's to
+the bit.
 """
 import math
 
@@ -111,7 +114,9 @@ def model_bits(model):
 
 # --- tests ---------------------------------------------------------------
 
-@pytest.mark.parametrize("d", [2, 6])
+# 6 is the crowd workload's prompt; 7, 8, 9 and 18 straddle the blocks of 8
+# in which np.einsum adds, and 18 is the 9-agent prompt
+@pytest.mark.parametrize("d", [2, 6, 7, 8, 9, 18])
 @pytest.mark.parametrize("n", [2, 3, 10, 100])
 def test_value_and_gradient_equal_reference_bits(n, d):
     rng = np.random.default_rng(100 * n + d)

@@ -1,12 +1,15 @@
 """`surrogate.posterior_batch` against the single-shot version it was
-optimised from, kept here verbatim as the reference.
+optimised from, kept here verbatim as the reference, with the einsum
+kernel it called then.
 
 The optimised posterior builds the (n, m) cross-covariance in blocks of
 `surrogate.POSTERIOR_BLOCK` candidates, so the (n, m, d) differences never
 exist at once, then runs the same two BLAS calls over the whole matrix.
 Each entry of the cross-covariance is computed alone, so the blocks do not
 change a bit; a BLAS call split into blocks would, which is why the mean
-and the variance must equal the reference's to the bit.
+and the variance must equal the reference's to the bit. Each block's
+kernel holds one (n, m) difference array per dimension and adds the
+squares in einsum's order, so it too must match the reference's bits.
 """
 import contextlib
 import math
@@ -21,6 +24,24 @@ from avstress.surrogate import KernelParams, build_model, kernel_matrix
 
 # --- reference: posterior_batch before the blocked cross-covariance -------
 
+def _scaled_dist(delta: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """Scaled distances from the (m, n, d) pairwise differences `delta`."""
+    diff = delta / ls
+    return np.sqrt(np.maximum(np.einsum("ijk,ijk->ij", diff, diff), 0.0))
+
+
+def _matern_of_r(r: np.ndarray, exp_r: np.ndarray) -> np.ndarray:
+    """Matern-5/2 correlation at r, given exp_r = exp(-sqrt(5) r)."""
+    c = math.sqrt(5.0)
+    return (1.0 + c * r + 5.0 * r * r / 3.0) * exp_r
+
+
+def ref_kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    r = _scaled_dist(a[:, None, :] - b[None, :, :], np.asarray(params.length_scales))
+    return params.signal_variance * _matern_of_r(r, np.exp(-math.sqrt(5.0) * r))
+
+
 def ref_posterior_batch(model, xs):
     """Posterior mean and variance (raw score units) at each query row."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -28,7 +49,7 @@ def ref_posterior_batch(model, xs):
         mean = np.full(len(xs), model.y_mean)
         var = np.full(len(xs), model.params.signal_variance * model.y_std**2)
         return mean, var
-    k_star = kernel_matrix(model.inputs, xs, model.params)  # (n, m)
+    k_star = ref_kernel_matrix(model.inputs, xs, model.params)  # (n, m)
     mean_z = k_star.T @ model.alpha
     v = solve_triangular(model.chol, k_star, lower=True)
     var_z = model.params.signal_variance - np.sum(v * v, axis=0)
@@ -68,8 +89,24 @@ def test_cases_straddle_the_block_edges():
     assert surrogate.POSTERIOR_BLOCK == 512
 
 
+# 6 is the crowd workload's prompt; 7, 8, 9 and 18 straddle the blocks of 8
+# in which np.einsum adds, and 18 is the 9-agent prompt
+DIMS = [2, 6, 7, 8, 9, 18]
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("n", [2, 33, 100])
+def test_training_kernel_equals_reference_bits(n, d):
+    # the K that build_model factorizes; the posterior tests below build
+    # both sides' model with it
+    rng = np.random.default_rng([n, d])
+    X = rng.random((n, d))
+    params = KernelParams(1.7, tuple(rng.uniform(0.05, 2.0, d)), 1e-3)
+    assert kernel_matrix(X, X, params).tobytes() == ref_kernel_matrix(X, X, params).tobytes()
+
+
 @pytest.mark.parametrize("m", M_CASES)
-@pytest.mark.parametrize("d", [2, 6, 8])
+@pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("n", [2, 33, 100])
 def test_posterior_equals_reference_bits(n, d, m, monkeypatch):
     model, xs = model_and_candidates(n, d, m)

@@ -106,6 +106,37 @@ def test_non_scalar_neighbor_rejected_with_its_path(ref, kind):
         load_scenario(text)
 
 
+# a list, a mapping or null in an id field would otherwise become its repr,
+# "['npc']", "{'a': 'npc'}" or 'None', which a matching reference then names
+ID_VALUES = [("[npc]", "list"), ("{a: npc}", "dict"), ("null", "null")]
+
+
+def _assert_id_rejected(needle, key_text, path, what):
+    assert TWO_LANE_YAML.count(needle) == 1
+    for value, kind in ID_VALUES:
+        text = _broken(TWO_LANE_YAML, needle, f"{key_text}: {value}")
+        with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: expected {what}, "
+                                                f"got {kind}$"):
+            load_scenario(text)
+
+
+def test_non_scalar_agent_id_rejected_with_its_path():
+    # the flow mapping's brace keeps goal_domains' "agent_id: npc" as it is
+    _assert_id_rejected("{id: npc", "{id", "agents[1].id", "an agent id")
+
+
+def test_non_scalar_lane_id_rejected_with_its_path():
+    _assert_id_rejected("id: left", "id", "map.lanes[1].id", "a lane id")
+
+
+def test_non_scalar_goal_domain_agent_id_rejected_with_its_path():
+    _assert_id_rejected("agent_id: npc", "agent_id", "goal_domains[0].agent_id", "an agent id")
+
+
+def test_non_scalar_goal_domain_lane_rejected_with_its_path():
+    _assert_id_rejected("lane: left", "lane", "goal_domains[0].lane", "a lane id")
+
+
 @pytest.mark.parametrize("key", ["map", "agents", "ego_goal", "goal_domains"])
 def test_missing_top_level_field_named_without_a_dot(key):
     doc = yaml.safe_load(TWO_LANE_YAML)

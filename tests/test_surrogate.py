@@ -66,6 +66,40 @@ class TestKernel:
             assert np.linalg.eigvalsh(K).min() >= -1e-8
 
 
+def einsum_case(d):
+    """Seeded (31, 17, d) values spread over many magnitudes, so that a
+    change in the order of a sum changes its bits."""
+    rng = np.random.default_rng(d)
+    return rng.normal(size=(31, 17, d)) * np.exp(4.0 * rng.normal(size=(31, 17, d)))
+
+
+def sum_in_einsum_order(x):
+    per_dim = np.ascontiguousarray(np.moveaxis(x, 2, 0))
+    return surrogate._sum_in_einsum_order(
+        x.shape[2], lambda k, out: np.multiply(per_dim[k], per_dim[k], out=out)
+    )
+
+
+class TestEinsumOrder:
+    """The kernel adds its per-dimension squares in the order of numpy's
+    einsum, which its bits are pinned to. A numpy build that sums in another
+    order (e.g. with fused multiply-adds) fails here, not silently."""
+
+    @pytest.mark.parametrize("d", range(1, 22))
+    def test_equals_einsum_bits(self, d):
+        x = einsum_case(d)
+        expected = np.einsum("ijk,ijk->ij", x, x)
+        assert sum_in_einsum_order(x).tobytes() == expected.tobytes()
+
+    def test_differs_from_a_sum_in_turn(self):
+        # the data above can tell the orders apart
+        x = einsum_case(18)
+        in_turn = x[:, :, 0] * x[:, :, 0]
+        for k in range(1, 18):
+            in_turn = in_turn + x[:, :, k] * x[:, :, k]
+        assert in_turn.tobytes() != sum_in_einsum_order(x).tobytes()
+
+
 class TestLogMarginalLikelihood:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -140,7 +174,7 @@ class TestFactor:
     def test_jitter_escalates_until_positive_definite(self):
         # eigenvalues 2 + 1e-6 and -1e-6: needs jitter above 1e-6
         K = np.array([[1.0, 1.0 + 1e-6], [1.0 + 1e-6, 1.0]])
-        L, jitter = surrogate._factor(K, 0.0, np.eye(2))
+        L, jitter = surrogate._factor(K, 0.0)
         assert 1e-6 < jitter <= surrogate.JITTER_CEIL
         np.testing.assert_allclose(L @ L.T, K + jitter * np.eye(2))
 
@@ -154,7 +188,7 @@ class TestFactor:
 
         monkeypatch.setattr(surrogate, "dpotrf", counting_dpotrf)
         with pytest.raises(ValueError) as raised:
-            surrogate._factor(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-6, np.eye(2))
+            surrogate._factor(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-6)
         # LinAlgError is a ValueError too: it would mean the jitter loop ran
         assert not isinstance(raised.value, np.linalg.LinAlgError)
         # the finite check comes before LAPACK, so nothing is factorized
@@ -169,7 +203,7 @@ class TestFactor:
 
         monkeypatch.setattr(surrogate, "dpotrf", illegal_argument)
         with pytest.raises(ValueError) as raised:
-            surrogate._factor(np.eye(2), 1e-6, np.eye(2))
+            surrogate._factor(np.eye(2), 1e-6)
         assert not isinstance(raised.value, np.linalg.LinAlgError)
         assert len(calls) == 1
 
@@ -177,7 +211,7 @@ class TestFactor:
         rng = np.random.default_rng(13)
         A = rng.random((6, 6))
         K = A @ A.T
-        L, jitter = surrogate._factor(K, 1e-3, np.eye(6))
+        L, jitter = surrogate._factor(K, 1e-3)
         assert jitter == surrogate.JITTER_FLOOR
         assert np.array_equal(L, np.tril(L))
         np.testing.assert_allclose(L @ L.T, K + (1e-3 + jitter) * np.eye(6), rtol=1e-12)
