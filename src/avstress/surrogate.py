@@ -17,10 +17,17 @@ The factorization and the solves call LAPACK's `dpotrf` and `dpotrs`, the
 routines `scipy.linalg.cholesky` and `cho_solve` wrap, directly and with the
 same checks: a fit evaluates the likelihood about 300 times with three such
 calls each, and the wrappers' batching and routine lookup cost about 15 us a
-call. The posterior builds its cross-covariance in blocks of candidates, so
+call. For the same reason the fit drives L-BFGS-B's reverse-communication
+routine `setulb` itself (`_lbfgsb`), in the loop and with the arguments of
+scipy 1.17.1's `minimize(method="L-BFGS-B")`: `minimize` builds its
+function wrappers at every start and passes every evaluation through two
+of them: around the objective, an evaluation at n = 60, d = 6 cost about
+53 us there against 16 us in the driver.
+The posterior builds its cross-covariance in blocks of candidates, so
 the differences of all candidates never exist at once. All of this gives
-the same results to the bit as the wrappers and the single-shot einsum
-kernel (tests/test_lml_reference.py, tests/test_posterior_reference.py).
+the same results to the bit as the wrappers, `minimize` and the single-shot
+einsum kernel (tests/test_lml_reference.py, tests/test_lbfgsb_reference.py,
+tests/test_posterior_reference.py).
 """
 from __future__ import annotations
 
@@ -37,7 +44,7 @@ import numpy as np
 import scipy
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from .sobol import sobol_points
 
@@ -46,6 +53,8 @@ JITTER_CEIL = 1e-4
 # candidates per block of the posterior's cross-covariance; at n = 100 and
 # d = 6 a block's differences and scaled differences take 2.5 MB each
 POSTERIOR_BLOCK = 512
+# L-BFGS-B iterations per start of a fit
+LBFGS_MAXITER = 200
 
 
 @functools.cache
@@ -249,12 +258,12 @@ def _standardization(y: np.ndarray) -> Tuple[float, float]:
     return float(np.mean(y)), std if std > 1e-9 else 1.0
 
 
-def build_model(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    params: KernelParams,
-) -> GpModel:
-    """Condition a GP with fixed hyperparameters on the standardized data."""
+def _checked_data(
+    inputs: np.ndarray, targets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, float, float, np.ndarray]:
+    """(X, y, y_mean, y_std, z): the inputs and targets as float arrays,
+    checked to hold at least 2 targets, all finite, and the targets'
+    standardization, z = (y - y_mean) / y_std."""
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
     if len(y) < 2:
@@ -262,7 +271,16 @@ def build_model(
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
     y_mean, y_std = _standardization(y)
-    z = (y - y_mean) / y_std
+    return X, y, y_mean, y_std, (y - y_mean) / y_std
+
+
+def build_model(
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    params: KernelParams,
+) -> GpModel:
+    """Condition a GP with fixed hyperparameters on the standardized data."""
+    X, y, y_mean, y_std, z = _checked_data(inputs, targets)
     K = kernel_matrix(X, X, params)
     L, _ = _factor(K, params.noise_variance)
     alpha = _cho_solve(L, z)
@@ -338,6 +356,68 @@ def log_marginal_likelihood(
     return ll, grad
 
 
+class _LbfgsbRun(NamedTuple):
+    fun: float  # the last objective value evaluated
+    x: np.ndarray  # the point setulb returned
+    nfev: int  # objective evaluations
+    nit: int  # iterations
+
+
+def _lbfgsb(
+    objective: Callable[[np.ndarray], Tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> _LbfgsbRun:
+    """Minimize `objective`, which returns (f, gradient), over the finite
+    box [lo, hi] from x0 by L-BFGS-B, as scipy 1.17.1's
+    `minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=...,
+    options={"maxiter": LBFGS_MAXITER})` does to the bit: the same
+    `setulb` calls with the same arguments (m = 10, ftol = 2.2e-9,
+    gtol = 1e-5, 20 line-search steps), and the same evaluations.
+
+    A line search whose step no longer moves x asks for f and g at the
+    point it just had them for; like `minimize`'s memo, this hands back
+    what the objective returned there without calling it again. The
+    gradient goes to `setulb` as a copy, since `setulb` may write into it.
+    `minimize` also stops after 15,000 evaluations; at most 21 an
+    iteration, LBFGS_MAXITER iterations never reach that, so there is no
+    such check. `fun` and `x` are what `minimize` returns as `res.fun` and
+    `res.x`: after an abnormal stop, x is the last iterate and f the value
+    of the last, failed, trial point."""
+    n, m = len(x0), 10
+    x = np.clip(x0, lo, hi)
+    f = 0.0
+    g = np.zeros(n)
+    nbd = np.full(n, 2, dtype=np.int32)  # every bound finite
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    factr = 2.2204460492503131e-09 / np.finfo(float).eps
+    evaluated = None
+    nfev = nit = 0
+    while True:
+        setulb(m, x, lo, hi, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave, dsave,
+               20, ln_task)
+        if task[0] == 3:  # FG: f and g at x
+            if evaluated is None or not np.array_equal(x, evaluated):
+                evaluated = x.copy()
+                f, grad = objective(evaluated)
+                nfev += 1
+            np.copyto(g, grad)
+        elif task[0] == 1:  # NEW_X: an iteration is done
+            nit += 1
+            if nit >= LBFGS_MAXITER:
+                task[:] = 5, 504  # STOP: iteration limit
+        else:
+            break
+    return _LbfgsbRun(fun=f, x=x, nfev=nfev, nit=nit)
+
+
 def fit(inputs: np.ndarray, targets: np.ndarray) -> GpModel:
     """Fit hyperparameters by multi-start MLE and condition on the data.
 
@@ -345,23 +425,14 @@ def fit(inputs: np.ndarray, targets: np.ndarray) -> GpModel:
     box; targets are standardized internally and de-standardized on
     prediction.
     """
-    X = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y = np.asarray(targets, dtype=float).ravel()
-    if len(y) < 2:
-        raise InsufficientDataError("GP fit needs at least 2 observations")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("targets must be finite")
+    X, y, _, _, z = _checked_data(inputs, targets)
     d = X.shape[1]
-
-    y_mean, y_std = _standardization(y)
-    z = (y - y_mean) / y_std
     z_std = float(np.std(z))
     if z_std < 1e-9:
         z_std = 1.0
 
     lo = np.array([math.log(0.05)] * d + [math.log(0.1 * z_std), math.log(1e-4)])
     hi = np.array([math.log(2.0)] * d + [math.log(10.0 * z_std), math.log(z_std)])
-    bounds = list(zip(lo, hi))
     starts = lo + sobol_points(8, dim=d + 2, start=1) * (hi - lo)
     pairs = fit_pairs(X)
 
@@ -371,10 +442,7 @@ def fit(inputs: np.ndarray, targets: np.ndarray) -> GpModel:
 
     best = None
     for x0 in starts:
-        res = minimize(
-            objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": 200},
-        )
+        res = _lbfgsb(objective, x0, lo, hi)
         if best is None or res.fun < best.fun:
             best = res
     assert best is not None

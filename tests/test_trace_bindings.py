@@ -28,14 +28,14 @@ def test_install_wraps_and_uninstall_restores(tmp_path, capsys, monkeypatch):
     originals = [(owner, attr, owner.__dict__[attr]) for owner, attr in bindings()]
     # every LML evaluation of a fit must pass through the counted binding
     nfev = []
-    real_minimize = avstress.surrogate.minimize
+    real_lbfgsb = avstress.surrogate._lbfgsb
 
-    def counting_minimize(*args, **kwargs):
-        res = real_minimize(*args, **kwargs)
+    def counting_lbfgsb(*args, **kwargs):
+        res = real_lbfgsb(*args, **kwargs)
         nfev.append(res.nfev)
         return res
 
-    monkeypatch.setattr(avstress.surrogate, "minimize", counting_minimize)
+    monkeypatch.setattr(avstress.surrogate, "_lbfgsb", counting_lbfgsb)
     tracer = bench_trace.Tracer()
     tracer.install(avstress)
     try:
