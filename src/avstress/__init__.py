@@ -4,7 +4,7 @@ over goal prompts rolled out in a closed-loop simulator.
 
 __version__ = "0.1.0"
 
-from .geom import Point2, OrientedBox, Polyline  # noqa: F401
+from .geom import Point2, Polyline  # noqa: F401
 from .scenario import Scenario, load_scenario, load_preset, prompt_to_world  # noqa: F401
 from .optimizer import SamplerConfig, run_campaign, suggest_next  # noqa: F401
 from .sim import simulate_episode, ReactivePolicy  # noqa: F401

@@ -22,9 +22,7 @@ OUT_ROOT_ENV = "AVSTRESS_OUT"
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A usage or config error: `main` prints it and returns 2."""
 
 
 def _resolve_scenario_path(name: str) -> str:
@@ -186,8 +184,10 @@ def cmd_export_gp(args) -> int:
     if X.shape[1] != 2:
         raise CliError("GP grid export supports 2-D prompt spaces only")
     y = np.array([s for _, s in pairs])
-    model = surrogate.fit(X, y)
-    grid = surrogate.posterior_grid(model, args.resolution)
+    # on one BLAS thread, as in `suggest_next`
+    with surrogate.single_blas_thread():
+        model = surrogate.fit(X, y)
+        grid = surrogate.posterior_grid(model, args.resolution)
     persist.write_gp_grid_csv(os.path.join(args.campaign_dir, "gp_grid.csv"), grid)
     persist.write_samples_csv(os.path.join(args.campaign_dir, "gp_samples.csv"), X, y)
     print(os.path.join(args.campaign_dir, "gp_grid.csv"))
@@ -260,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a sampling campaign")
     run_p.add_argument("scenario", help="scenario config file or preset name")
-    run_p.add_argument("--sampler", choices=("bo", "sobol"), default="bo")
-    run_p.add_argument("--budget", type=int, default=75)
-    run_p.add_argument("--beta", type=float, default=2.0)
-    run_p.add_argument("--candidates", type=int, default=1024)
+    run_p.add_argument("--sampler", choices=("bo", "sobol"), default=SamplerConfig.kind)
+    run_p.add_argument("--budget", type=int, default=SamplerConfig.budget)
+    run_p.add_argument("--beta", type=float, default=SamplerConfig.beta)
+    run_p.add_argument("--candidates", type=int, default=SamplerConfig.candidates)
     run_p.add_argument("--out", default=None, help=f"output root (default ${OUT_ROOT_ENV} or .)")
     run_p.set_defaults(func=cmd_run)
 
@@ -289,10 +289,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ScenarioError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -1,6 +1,6 @@
-"""Planar geometry primitives: points, oriented boxes, polylines and the
-lane (Frenet) lookups on a polyline: projection to (s, l) and the point at
-(s, l).
+"""Planar geometry primitives: points, the overlap test of rectangular
+footprints, polylines and the lane (Frenet) lookups on a polyline:
+projection to (s, l) and the point at (s, l).
 
 All angles are radians, all distances meters. Headings lie in (-pi, pi],
 where `sim.bicycle_step` wraps them. Lateral offsets are positive to the
@@ -27,58 +27,20 @@ class Point2:
         yield self.y
 
 
-@dataclass(frozen=True)
-class OrientedBox:
-    """Rectangle given by center, heading, and full length/width extents."""
-
-    center: Point2
-    heading: float
-    length: float
-    width: float
-
-    def __post_init__(self):
-        if not (self.length >= self.width > 0.0):
-            raise ValueError(
-                f"invalid box extents length={self.length} width={self.width}"
-            )
-
-    def corners(self) -> list[Point2]:
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        hl, hw = 0.5 * self.length, 0.5 * self.width
-        out = []
-        for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)):
-            out.append(
-                Point2(self.center.x + dx * c - dy * s, self.center.y + dx * s + dy * c)
-            )
-        return out
-
-
 def euclidean_distance(a: Point2, b: Point2) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def _project_extent(corners: Sequence[Point2], axis: Tuple[float, float]):
-    vals = [p.x * axis[0] + p.y * axis[1] for p in corners]
-    return min(vals), max(vals)
-
-
-def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
-    """Separating-axis test over the 4 face normals of the two rectangles.
-
-    Touching boxes count as overlapping (closed-set convention).
-    """
-    ca, cb = a.corners(), b.corners()
-    axes = []
-    for box in (a, b):
-        c, s = math.cos(box.heading), math.sin(box.heading)
-        axes.append((c, s))
-        axes.append((-s, c))
-    for axis in axes:
-        lo_a, hi_a = _project_extent(ca, axis)
-        lo_b, hi_b = _project_extent(cb, axis)
-        if hi_a < lo_b or hi_b < lo_a:
-            return False
-    return True
+def _corners_and_normals(center: Point2, heading: float, length: float, width: float):
+    """The four (x, y) corners of a footprint, a rectangle given by its
+    center, heading and full length and width, and its two face normals."""
+    c, s = math.cos(heading), math.sin(heading)
+    hl, hw = 0.5 * length, 0.5 * width
+    corners = [
+        (center.x + dx * c - dy * s, center.y + dx * s + dy * c)
+        for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw))
+    ]
+    return corners, ((c, s), (-s, c))
 
 
 def first_overlap(
@@ -87,11 +49,12 @@ def first_overlap(
     """Indices (i, j), i < j, of the first pair of footprints that overlap,
     in the order (0, 1), (0, 2), ..., (1, 2), ..., or None.
 
-    Each footprint is the (center, heading, length, width) of an
-    `OrientedBox`, and overlap is `boxes_overlap`'s. A pair whose centers
-    are farther apart than the sum of the boxes' circumradii plus 1e-6 m
-    cannot overlap and skips the separating-axis test; the margin is far
-    above the rounding of the corners, so the answer is the same.
+    Each footprint is a (center, heading, length, width) rectangle. Two
+    overlap unless one of the four face normals separates them (the
+    separating-axis test); touching footprints count as overlapping. A pair
+    whose centers are farther apart than the sum of the circumradii plus
+    1e-6 m cannot overlap and skips the test; the margin is far above the
+    rounding of the corners, so the answer is the same.
     """
     radii = [0.5 * math.hypot(length, width) for _, _, length, width in footprints]
     for i, a in enumerate(footprints):
@@ -100,7 +63,14 @@ def first_overlap(
             # written so that a NaN distance falls through to the box test
             if math.hypot(a[0].x - b[0].x, a[0].y - b[0].y) > radii[i] + radii[j] + 1e-6:
                 continue
-            if boxes_overlap(OrientedBox(*a), OrientedBox(*b)):
+            corners_a, normals_a = _corners_and_normals(*a)
+            corners_b, normals_b = _corners_and_normals(*b)
+            for ax, ay in normals_a + normals_b:
+                proj_a = [x * ax + y * ay for x, y in corners_a]
+                proj_b = [x * ax + y * ay for x, y in corners_b]
+                if max(proj_a) < min(proj_b) or max(proj_b) < min(proj_a):
+                    break  # a separating axis
+            else:
                 return i, j
     return None
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from statistics import mean, stdev
 from typing import List, Optional, Sequence, Tuple
 
-from .geom import Point2, euclidean_distance
+from .geom import euclidean_distance
 from .scenario import Scenario
 from .sim import Episode
 
@@ -93,48 +93,29 @@ def score_episode(episode: Episode, scenario: Scenario) -> EpisodeScore:
     )
 
 
-def _mean_distance(pa, pb) -> float:
-    """Mean of the pointwise distances over the common prefix of two
-    trajectories given as lists of (x, y) tuples."""
-    # math.dist rounds as math.hypot of the coordinate differences does:
-    # CPython takes both through the same vector_norm
-    return sum(map(math.dist, pa, pb)) / min(len(pa), len(pb))
-
-
-def _points(tau: Sequence[Point2]) -> List[Tuple[float, float]]:
-    return [(p.x, p.y) for p in tau]
-
-
-def trajectory_distance(
-    tau_a: Sequence[Point2], tau_b: Sequence[Point2]
-) -> float:
-    """Mean distance between corresponding states, truncated to the shorter
-    trajectory (collision-truncated episodes compare on their common prefix).
-    """
-    if not tau_a or not tau_b:
-        raise ValueError("trajectories must be nonempty")
-    return _mean_distance(_points(tau_a), _points(tau_b))
-
-
-def asd(trajectories: Sequence[Sequence[Point2]]) -> float:
-    """Average self-distance of a trajectory set: the sum of the pairwise
-    trajectory distances over i < j, divided by n_e * (n_e - 1)."""
+def asd(trajectories: Sequence[Sequence[Tuple[float, float]]]) -> float:
+    """Average self-distance of a set of (x, y) trajectories: the sum over
+    i < j of the mean distance between corresponding points, truncated to
+    the shorter trajectory (collision-truncated episodes compare on their
+    common prefix), divided by n_e * (n_e - 1)."""
     n_e = len(trajectories)
     if n_e < 2:
         raise ValueError("ASD needs at least 2 trajectories")
     if not all(trajectories):
         raise ValueError("trajectories must be nonempty")
-    # points extracted once per trajectory, not once per pair
-    points = [_points(tau) for tau in trajectories]
     total = 0.0
     for i in range(n_e):
         for j in range(i + 1, n_e):
-            total += _mean_distance(points[i], points[j])
+            a, b = trajectories[i], trajectories[j]
+            # math.dist rounds as math.hypot of the coordinate differences
+            # does: CPython takes both through the same vector_norm
+            total += sum(map(math.dist, a, b)) / min(len(a), len(b))
     return total / (n_e * (n_e - 1))
 
 
-def agent_trajectory(episode: Episode, agent_id: str) -> List[Point2]:
-    return [joint.states[agent_id].position for joint in episode.trace]
+def agent_trajectory(episode: Episode, agent_id: str) -> List[Tuple[float, float]]:
+    positions = [joint.states[agent_id].position for joint in episode.trace]
+    return [(p.x, p.y) for p in positions]
 
 
 def campaign_stats(

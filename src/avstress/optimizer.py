@@ -26,9 +26,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 PERTURBATION = 0.02
-# the largest prompt dimension whose perturbation box contributes all its
-# corners to the candidate set; above it, LOCAL_CORNERS of them
-FULL_BOX_MAX_DIM = 6
+# the most corners of an observation's perturbation box in the candidate set
 LOCAL_CORNERS = 64
 
 
@@ -71,15 +69,15 @@ def _candidate_set(history: List[Observation], cfg: SamplerConfig, dim: int) -> 
     """Sobol points, then corners of a +-PERTURBATION box around each
     observed prompt (failed ones too), clipped to the unit cube.
 
-    Up to FULL_BOX_MAX_DIM dimensions these are all 2^dim corners in binary
-    order, the last coordinate fastest, '-' before '+'. Above it, where 2^dim
-    corners per observation outgrow memory (2^18 at 9 agents), they are the
-    LOCAL_CORNERS corners whose signs follow the Sobol points 1..LOCAL_CORNERS
-    of that dimension: a coordinate >= 0.5 means '+'."""
+    While 2^dim <= LOCAL_CORNERS (up to dim 6) these are all 2^dim corners
+    in binary order, the last coordinate fastest, '-' before '+'. Above it,
+    where 2^dim corners per observation outgrow memory (2^18 at 9 agents),
+    they are the LOCAL_CORNERS corners whose signs follow the Sobol points
+    1..LOCAL_CORNERS of that dimension: a coordinate >= 0.5 means '+'."""
     import numpy as np
 
     cands = sobol_points(cfg.candidates, dim=dim, start=1)
-    if dim <= FULL_BOX_MAX_DIM:
+    if 2**dim <= LOCAL_CORNERS:
         plus = ((np.arange(2**dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1) == 1
     else:
         plus = sobol_points(LOCAL_CORNERS, dim=dim, start=1) >= 0.5

@@ -126,6 +126,13 @@ def brute_force_min_distance(episode, scenario):
     return best
 
 
+def trajectory_distance(tau_a, tau_b):
+    """Mean distance between corresponding (x, y) points over the common
+    prefix of two trajectories: the pair term of `metrics.asd`, for oracles."""
+    n = min(len(tau_a), len(tau_b))
+    return sum(math.dist(tau_a[k], tau_b[k]) for k in range(n)) / n
+
+
 # one row of a LatticePlanner's table with its clearance this replan, its
 # rollout unpacked into (x, y, heading, speed) tuples
 ScoredRow = namedtuple("ScoredRow", "target_lane accel states cost min_clearance")

@@ -16,7 +16,7 @@ import pytest
 from avstress import persist
 from avstress.cli import main as cli_main
 from avstress.geom import Point2
-from avstress.metrics import asd, campaign_stats, score_episode, trajectory_distance
+from avstress.metrics import asd, campaign_stats, score_episode
 from avstress.optimizer import Observation, SamplerConfig, run_campaign, suggest_next
 from avstress.planner import LatticePlanner, predict_constant_velocity
 from avstress.scenario import PRESET_NAMES, load_preset
@@ -30,7 +30,7 @@ from avstress.surrogate import (
     log_marginal_likelihood,
     posterior_batch,
 )
-from conftest import ScriptedPolicy, make_episode, scenario_with_agents
+from conftest import ScriptedPolicy, make_episode, scenario_with_agents, trajectory_distance
 
 
 def _criterion(num, name):
@@ -202,7 +202,7 @@ def test_criterion_5_diversity_metrics(preset_campaigns):
         rng = np.random.default_rng(102)
         for _ in range(20):
             trajs = [
-                [Point2(float(x), float(y)) for x, y in rng.uniform(-30, 30, (7, 2))]
+                [(float(x), float(y)) for x, y in rng.uniform(-30, 30, (7, 2))]
                 for _ in range(int(rng.integers(2, 7)))
             ]
             n = len(trajs)
@@ -211,7 +211,7 @@ def test_criterion_5_diversity_metrics(preset_campaigns):
                 for j in range(i + 1, n):
                     total += trajectory_distance(trajs[i], trajs[j])
             assert abs(asd(trajs) - total / (n * (n - 1))) <= 1e-12
-        same = [Point2(float(k), 0.0) for k in range(5)]
+        same = [(float(k), 0.0) for k in range(5)]
         assert asd([same, list(same)]) == 0.0
         for name in PRESET_NAMES:
             for kind in ("bo", "sobol"):

@@ -295,6 +295,36 @@ class TestExportGp:
     def test_missing_log_exit_2(self, tmp_path):
         assert run_cli("export-gp", str(tmp_path)) == 2
 
+    def test_one_blas_thread_inside_the_gp_and_previous_count_after(self, tmp_path, monkeypatch):
+        from avstress import surrogate
+
+        controls = surrogate._openblas_thread_controls()
+        if not controls:
+            pytest.skip("numpy and scipy use no OpenBLAS of their wheels here")
+        before = [get() for get, _ in controls]
+        inside = []
+
+        def recording(fn):
+            def wrapper(*args):
+                inside.append((fn.__name__, [get() for get, _ in controls]))
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(surrogate, "fit", recording(surrogate.fit))
+        monkeypatch.setattr(surrogate, "posterior_grid", recording(surrogate.posterior_grid))
+        out_dir = tmp_path / "camp"
+        out_dir.mkdir()
+        records = [
+            json.dumps({"iter": i - 1, "u": list(sobol_point(i)), "score": -float(i),
+                        "failed": False})
+            for i in range(1, 7)
+        ]
+        (out_dir / "campaign.jsonl").write_text("\n".join(records) + "\n")
+        assert run_cli("export-gp", str(out_dir), "--resolution", "4") == 0
+        one = [1] * len(controls)
+        assert inside == [("fit", one), ("posterior_grid", one)]
+        assert [get() for get, _ in controls] == before
+
     def test_bad_resolution_exit_2_before_the_fit(self, tmp_path, capsys, monkeypatch):
         from avstress import surrogate
 

@@ -1,14 +1,14 @@
 import math
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 import pytest
 
 from avstress import geom
 from avstress.geom import (
-    OrientedBox,
     Point2,
     Polyline,
-    boxes_overlap,
     euclidean_distance,
     first_overlap,
     point_at_arclength,
@@ -35,60 +35,114 @@ class TestEuclideanDistance:
             )
 
 
+# the box test that first_overlap replaced, verbatim, as its reference
+@dataclass(frozen=True)
+class OrientedBox:
+    """Rectangle given by center, heading, and full length/width extents."""
+
+    center: Point2
+    heading: float
+    length: float
+    width: float
+
+    def __post_init__(self):
+        if not (self.length >= self.width > 0.0):
+            raise ValueError(
+                f"invalid box extents length={self.length} width={self.width}"
+            )
+
+    def corners(self) -> list[Point2]:
+        c, s = math.cos(self.heading), math.sin(self.heading)
+        hl, hw = 0.5 * self.length, 0.5 * self.width
+        out = []
+        for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)):
+            out.append(
+                Point2(self.center.x + dx * c - dy * s, self.center.y + dx * s + dy * c)
+            )
+        return out
+
+
+def _project_extent(corners: Sequence[Point2], axis: Tuple[float, float]):
+    vals = [p.x * axis[0] + p.y * axis[1] for p in corners]
+    return min(vals), max(vals)
+
+
+def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
+    """Separating-axis test over the 4 face normals of the two rectangles.
+
+    Touching boxes count as overlapping (closed-set convention).
+    """
+    ca, cb = a.corners(), b.corners()
+    axes = []
+    for box in (a, b):
+        c, s = math.cos(box.heading), math.sin(box.heading)
+        axes.append((c, s))
+        axes.append((-s, c))
+    for axis in axes:
+        lo_a, hi_a = _project_extent(ca, axis)
+        lo_b, hi_b = _project_extent(cb, axis)
+        if hi_a < lo_b or hi_b < lo_a:
+            return False
+    return True
+
+
+def overlaps(a, b):
+    """first_overlap on one pair of (center, heading, length, width) footprints."""
+    return first_overlap([a, b]) is not None
+
+
 class TestBoxesOverlap:
     def test_identical(self):
-        box = OrientedBox(Point2(0, 0), 0.3, 4.0, 2.0)
-        assert boxes_overlap(box, box)
+        box = (Point2(0, 0), 0.3, 4.0, 2.0)
+        assert overlaps(box, box)
 
     def test_disjoint(self):
-        a = OrientedBox(Point2(0, 0), 0.0, 1.0, 1.0)
-        b = OrientedBox(Point2(10, 0), 0.0, 1.0, 1.0)
-        assert not boxes_overlap(a, b)
+        a = (Point2(0, 0), 0.0, 1.0, 1.0)
+        b = (Point2(10, 0), 0.0, 1.0, 1.0)
+        assert not overlaps(a, b)
 
     def test_shared_edge_counts(self):
-        a = OrientedBox(Point2(0, 0), 0.0, 1.0, 1.0)
-        b = OrientedBox(Point2(1, 0), 0.0, 1.0, 1.0)
-        assert boxes_overlap(a, b)
+        a = (Point2(0, 0), 0.0, 1.0, 1.0)
+        b = (Point2(1, 0), 0.0, 1.0, 1.0)
+        assert overlaps(a, b)
 
     def test_rotated_near_miss(self):
-        a = OrientedBox(Point2(0, 0), 0.0, 4.0, 2.0)
-        b = OrientedBox(Point2(0, 2.5), math.pi / 2, 4.0, 2.0)
+        a = (Point2(0, 0), 0.0, 4.0, 2.0)
+        b = (Point2(0, 2.5), math.pi / 2, 4.0, 2.0)
         # b is rotated so its half-width (1.0) faces a's half-width (1.0)
-        assert boxes_overlap(a, b)
-        c = OrientedBox(Point2(0, 3.1), math.pi / 2, 4.0, 2.0)
-        assert not boxes_overlap(a, c)
+        assert overlaps(a, b)
+        c = (Point2(0, 3.1), math.pi / 2, 4.0, 2.0)
+        assert not overlaps(a, c)
 
     def test_symmetry_and_rigid_motion_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            a = OrientedBox(Point2(*rng.uniform(-5, 5, 2)), rng.uniform(-3, 3), 4.0, 2.0)
-            b = OrientedBox(Point2(*rng.uniform(-5, 5, 2)), rng.uniform(-3, 3), 3.0, 1.5)
-            result = boxes_overlap(a, b)
-            assert boxes_overlap(b, a) == result
+            a = (Point2(*rng.uniform(-5, 5, 2)), rng.uniform(-3, 3), 4.0, 2.0)
+            b = (Point2(*rng.uniform(-5, 5, 2)), rng.uniform(-3, 3), 3.0, 1.5)
+            result = overlaps(a, b)
+            assert overlaps(b, a) == result
             # common translation
             dx, dy = rng.uniform(-20, 20, 2)
-            ta = OrientedBox(Point2(a.center.x + dx, a.center.y + dy), a.heading, a.length, a.width)
-            tb = OrientedBox(Point2(b.center.x + dx, b.center.y + dy), b.heading, b.length, b.width)
-            assert boxes_overlap(ta, tb) == result
+
+            def shift(box):
+                center, heading, length, width = box
+                return (Point2(center.x + dx, center.y + dy), heading, length, width)
+
+            assert overlaps(shift(a), shift(b)) == result
             # common rotation about the origin
             phi = rng.uniform(-3, 3)
             c, s = math.cos(phi), math.sin(phi)
 
             def rot(box):
-                return OrientedBox(
-                    Point2(c * box.center.x - s * box.center.y, s * box.center.x + c * box.center.y),
-                    box.heading + phi,
-                    box.length,
-                    box.width,
+                center, heading, length, width = box
+                return (
+                    Point2(c * center.x - s * center.y, s * center.x + c * center.y),
+                    heading + phi,
+                    length,
+                    width,
                 )
 
-            assert boxes_overlap(rot(a), rot(b)) == result
-
-    def test_invalid_extents(self):
-        with pytest.raises(ValueError):
-            OrientedBox(Point2(0, 0), 0.0, 1.0, 2.0)  # width > length
-        with pytest.raises(ValueError):
-            OrientedBox(Point2(0, 0), 0.0, 1.0, 0.0)
+            assert overlaps(rot(a), rot(b)) == result
 
 
 def _limit_pairs(rng):
@@ -160,18 +214,19 @@ class TestFirstOverlap:
 
     def test_far_pairs_skip_the_box_test(self, monkeypatch):
         calls = []
+        real = geom._corners_and_normals
 
-        def counting(a, b):
-            calls.append((a, b))
-            return boxes_overlap(a, b)
+        def counting(*footprint):
+            calls.append(footprint)
+            return real(*footprint)
 
-        monkeypatch.setattr(geom, "boxes_overlap", counting)
+        monkeypatch.setattr(geom, "_corners_and_normals", counting)
         box = (Point2(0.0, 0.0), 0.3, 4.0, 2.0)
         limit = math.hypot(4.0, 2.0)
         assert first_overlap([box, (Point2(limit + 2e-6, 0.0), 0.3, 4.0, 2.0)]) is None
         assert calls == []
         assert first_overlap([box, (Point2(limit, 0.0), 0.3, 4.0, 2.0)]) is None
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     def test_first_pair_in_loop_order(self):
         def at(x):

@@ -10,7 +10,6 @@ from avstress.metrics import (
     campaign_stats,
     distance_table,
     score_episode,
-    trajectory_distance,
 )
 from avstress.scenario import load_scenario
 from conftest import (
@@ -18,6 +17,7 @@ from conftest import (
     brute_force_min_distance,
     make_episode,
     straight_positions,
+    trajectory_distance,
 )
 
 CONTACT = 4.8  # both preset vehicles are 4.8 m long
@@ -179,39 +179,43 @@ class TestTtc:
 
 
 class TestTrajectoryDistance:
+    """ASD's pair term, the mean distance between corresponding points: the
+    ASD of two trajectories is half of it."""
+
     def test_identical(self):
-        tau = [Point2(float(k), 0.0) for k in range(5)]
-        assert trajectory_distance(tau, tau) == 0.0
+        tau = [(float(k), 0.0) for k in range(5)]
+        assert asd([tau, tau]) == 0.0
 
     def test_constant_offset(self):
-        a = [Point2(float(k), 0.0) for k in range(6)]
-        b = [Point2(float(k), 3.0) for k in range(6)]
-        assert trajectory_distance(a, b) == pytest.approx(3.0)
+        a = [(float(k), 0.0) for k in range(6)]
+        b = [(float(k), 3.0) for k in range(6)]
+        assert 2 * asd([a, b]) == pytest.approx(3.0)
 
     def test_truncates_to_shorter(self):
-        a = [Point2(float(k), 0.0) for k in range(5)]
-        b = [Point2(float(k), 2.0) for k in range(8)]
-        assert trajectory_distance(a, b) == pytest.approx(2.0)
+        a = [(float(k), 0.0) for k in range(5)]
+        b = [(float(k), 2.0) for k in range(8)]
+        assert 2 * asd([a, b]) == pytest.approx(2.0)
+        assert 2 * asd([b, a]) == pytest.approx(2.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            trajectory_distance([], [Point2(0.0, 0.0)])
+            asd([[], [(0.0, 0.0)]])
 
 
 class TestAsd:
     def test_identical_pair_is_zero(self):
-        tau = [Point2(float(k), 0.0) for k in range(4)]
+        tau = [(float(k), 0.0) for k in range(4)]
         assert asd([tau, list(tau)]) == 0.0
 
     def test_pair_offset_default_normalization(self):
-        a = [Point2(float(k), 0.0) for k in range(4)]
-        b = [Point2(float(k), 4.0) for k in range(4)]
+        a = [(float(k), 0.0) for k in range(4)]
+        b = [(float(k), 4.0) for k in range(4)]
         assert asd([a, b]) == pytest.approx(2.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(34)
         trajs = [
-            [Point2(float(x), float(y)) for x, y in rng.uniform(-10, 10, (6, 2))]
+            [(float(x), float(y)) for x, y in rng.uniform(-10, 10, (6, 2))]
             for _ in range(5)
         ]
         n = len(trajs)
@@ -224,7 +228,7 @@ class TestAsd:
     def test_permutation_invariance_and_nonnegativity(self):
         rng = np.random.default_rng(35)
         trajs = [
-            [Point2(float(x), float(y)) for x, y in rng.uniform(-5, 5, (4, 2))]
+            [(float(x), float(y)) for x, y in rng.uniform(-5, 5, (4, 2))]
             for _ in range(4)
         ]
         base = asd(trajs)
@@ -234,12 +238,12 @@ class TestAsd:
 
     def test_single_trajectory_rejected(self):
         with pytest.raises(ValueError):
-            asd([[Point2(0.0, 0.0)]])
+            asd([[(0.0, 0.0)]])
 
     @pytest.mark.parametrize("n_e", [2, 3, 75])
     def test_bits_match_per_point_formula(self, n_e):
-        # the per-point formula asd and trajectory_distance replaced, verbatim;
-        # stats.csv must not move by one bit
+        # the per-point formula over Point2 trajectories that asd replaced,
+        # verbatim; stats.csv must not move by one bit
         def old_trajectory_distance(tau_a, tau_b):
             n = min(len(tau_a), len(tau_b))
             return sum(euclidean_distance(tau_a[k], tau_b[k]) for k in range(n)) / n
@@ -261,12 +265,11 @@ class TestAsd:
             [Point2(float(x), float(y)) for x, y in rng.uniform(-50, 250, (n, 2))]
             for n in lengths
         ]
+        xy = [[(p.x, p.y) for p in tau] for tau in trajs]
         for i in range(n_e - 1):
             for j in (i + 1, n_e - 1):
-                assert trajectory_distance(trajs[i], trajs[j]).hex() == (
-                    old_trajectory_distance(trajs[i], trajs[j]).hex()
-                )
-        assert asd(trajs).hex() == old_asd(trajs).hex()
+                assert asd([xy[i], xy[j]]).hex() == old_asd([trajs[i], trajs[j]]).hex()
+        assert asd(xy).hex() == old_asd(trajs).hex()
 
 
 class TestCampaignStats:
@@ -344,6 +347,7 @@ class TestCampaignStats:
         # ego trajectories identical -> EgoASD 0; npc diversity from the pair sums
         assert stats.ego_asd == 0.0
         npc_trajs = [agent_trajectory(e, "npc") for e in eps]
+        assert npc_trajs[2] == [(50.0, 0.0), (2.0, 0.0), (2.0, 0.0)]
         total = sum(
             trajectory_distance(npc_trajs[i], npc_trajs[j])
             for i in range(3)

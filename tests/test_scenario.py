@@ -217,6 +217,14 @@ def test_agent_wider_than_long_rejected():
     assert load_scenario(text).agents[1].length == 2.0
 
 
+@pytest.mark.parametrize("needle,replacement", [("width: 2.0", "width: 0.0"),
+                                                ("length: 4.8", "length: -4.8")])
+def test_non_positive_footprint_rejected(needle, replacement):
+    text = _broken(TWO_LANE_YAML, NPC, NPC.replace(needle, replacement))
+    with pytest.raises(ScenarioError, match=r"^agents\[1\]: footprint must be positive"):
+        load_scenario(text)
+
+
 def test_negative_v_desired_rejected():
     # the agent braked to a stop whatever its goal, so every prompt gave
     # nearly the same episode
