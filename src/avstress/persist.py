@@ -24,7 +24,10 @@ from .scenario import Scenario
 from .sim import AgentState, Episode, JointState
 
 TOOL_VERSION = "0.1.0"
-TTC_CONVENTION = "per-step footprint gap over forward-difference closing speed"
+TTC_CONVENTION = (
+    "per-step centre distance minus half the two body lengths, over its"
+    " forward-difference closing speed"
+)
 
 STATS_COLUMNS = (
     "scenario,sampler,n,coll_pct,min_dist_mean,min_dist_std,"

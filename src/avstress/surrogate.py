@@ -23,11 +23,16 @@ scipy 1.17.1's `minimize(method="L-BFGS-B")`: `minimize` builds its
 function wrappers at every start and passes every evaluation through two
 of them: around the objective, an evaluation at n = 60, d = 6 cost about
 53 us there against 16 us in the driver.
-The posterior builds its cross-covariance in blocks of candidates, so
-the differences of all candidates never exist at once. All of this gives
-the same results to the bit as the wrappers, `minimize` and the single-shot
-einsum kernel (tests/test_lml_reference.py, tests/test_lbfgsb_reference.py,
-tests/test_posterior_reference.py).
+The posterior runs one block of candidates at a time, its BLAS calls
+included, so no array spans all the candidates: at n = 300 and m = 20,224
+a call peaks at about 14 MiB traced, against 139 MiB whole. Splitting a BLAS
+call keeps its bits only on one condition: the blocks start at multiples of
+POSTERIOR_BLOCK and no narrower block stands alone at the end, so the
+remainder joins the last full block. A lone tail of under 512 columns takes
+another gemv and trsm path and rounds apart (at m = 513 and 1025). All of
+this gives the same results to the bit as the wrappers, `minimize` and the
+single-shot posterior with the einsum kernel (tests/test_lml_reference.py,
+tests/test_lbfgsb_reference.py, tests/test_posterior_reference.py).
 """
 from __future__ import annotations
 
@@ -50,8 +55,10 @@ from .sobol import sobol_points
 
 JITTER_FLOOR = 1e-8
 JITTER_CEIL = 1e-4
-# candidates per block of the posterior's cross-covariance; at n = 100 and
-# d = 6 a block's differences and scaled differences take 2.5 MB each
+# candidates per kernel call, and the alignment of the posterior's blocks:
+# their BLAS calls keep the whole-array bits only while each block starts at
+# a multiple of this and no narrower tail stands alone. At n = 100 and d = 6
+# a kernel call's differences and scaled differences take 2.5 MB each
 POSTERIOR_BLOCK = 512
 # L-BFGS-B iterations per start of a fit
 LBFGS_MAXITER = 200
@@ -85,7 +92,8 @@ def single_blas_thread() -> Iterator[None]:
     counts. The GP's matrices are a few hundred rows at most: a second
     thread doubles their CPU time and, up to about 100 rows, does not cut
     their wall time either. Results are the same to the bit on either count
-    (tests/test_lml_reference.py). A no-op where no OpenBLAS is found."""
+    (tests/test_lml_reference.py, tests/test_surrogate.py). A no-op where no
+    OpenBLAS is found."""
     controls = _openblas_thread_controls()
     previous = [get() for get, _ in controls]
     for _, set_ in controls:
@@ -458,16 +466,23 @@ def fit(inputs: np.ndarray, targets: np.ndarray) -> GpModel:
 def posterior_batch(model: GpModel, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance (raw score units) at each query row."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    # (n, m), built in blocks of candidates; the BLAS calls below stay
-    # whole, since a split changes how they round
-    k_star = np.empty((model.n, len(xs)))
-    for j in range(0, len(xs), POSTERIOR_BLOCK):
-        block = slice(j, j + POSTERIOR_BLOCK)
-        k_star[:, block] = kernel_matrix(model.inputs, xs[block], model.params)
-    mean_z = k_star.T @ model.alpha
-    v = solve_triangular(model.chol, k_star, lower=True)
-    var_z = model.params.signal_variance - np.sum(v * v, axis=0)
-    var_z = np.maximum(var_z, 0.0)
+    m = len(xs)
+    mean_z, sum_sq = np.empty(m), np.empty(m)
+    # one block of candidates at a time, BLAS calls included. Blocks start
+    # at multiples of POSTERIOR_BLOCK and the remainder joins the last full
+    # block: gemv and trsm then give the whole-array call's bits, which a
+    # lone narrower tail would not
+    starts = range(0, max(m - POSTERIOR_BLOCK, 0) + 1, POSTERIOR_BLOCK)
+    for lo, hi in zip(starts, [*starts[1:], m]):
+        k_star = np.empty((model.n, hi - lo))
+        for j in range(lo, hi, POSTERIOR_BLOCK):
+            k_star[:, j - lo : j - lo + POSTERIOR_BLOCK] = kernel_matrix(
+                model.inputs, xs[j : j + POSTERIOR_BLOCK], model.params
+            )
+        mean_z[lo:hi] = k_star.T @ model.alpha
+        v = solve_triangular(model.chol, k_star, lower=True)
+        sum_sq[lo:hi] = np.multiply(v, v, out=v).sum(axis=0)
+    var_z = np.maximum(model.params.signal_variance - sum_sq, 0.0)
     return model.y_mean + model.y_std * mean_z, model.y_std**2 * var_z
 
 

@@ -2,14 +2,17 @@
 optimised from, kept here verbatim as the reference, with the einsum
 kernel it called then.
 
-The optimised posterior builds the (n, m) cross-covariance in blocks of
-`surrogate.POSTERIOR_BLOCK` candidates, so the (n, m, d) differences never
-exist at once, then runs the same two BLAS calls over the whole matrix.
-Each entry of the cross-covariance is computed alone, so the blocks do not
-change a bit; a BLAS call split into blocks would, which is why the mean
-and the variance must equal the reference's to the bit. Each block's
-kernel holds one (n, m) difference array per dimension and adds the
-squares in einsum's order, so it too must match the reference's bits.
+The optimised posterior runs one block of candidates at a time, the two
+BLAS calls included, so no (n, m) array exists. Each entry of the
+cross-covariance is computed alone, so the kernel's blocks of at most
+`surrogate.POSTERIOR_BLOCK` candidates do not change a bit. The BLAS calls
+keep their bits only because the blocks start at multiples of
+`surrogate.POSTERIOR_BLOCK` and the remainder joins the last full block: a
+lone narrower tail takes another gemv and trsm path and rounds apart. The
+candidate counts 513 and 1025 below catch such a tail, and the mean and the
+variance must equal the reference's to the bit. Each kernel call holds one
+(n, m) difference array per dimension and adds the squares in einsum's
+order, so it too must match the reference's bits.
 """
 import contextlib
 import math

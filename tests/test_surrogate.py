@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from avstress.surrogate import (
     posterior_batch,
     posterior_grid,
 )
+from test_posterior_reference import hexes, model_and_candidates
 
 
 def default_params(sf2=1.0, ls=(1.0, 1.0), sn2=1e-8):
@@ -168,6 +170,31 @@ class TestPosterior:
         _, v0 = posterior_batch(base, probes)
         _, v1 = posterior_batch(dup, probes)
         assert np.all(v1 <= v0 + 1e-9)
+
+
+class TestPosteriorBlocks:
+    def test_peak_memory_is_bounded_by_a_block(self):
+        # the last candidate set of a budget-300, 3-agent GP-UCB campaign;
+        # the whole-array posterior peaked at 139 MiB here
+        model, xs = model_and_candidates(300, 6, 20224)
+        with surrogate.single_blas_thread():
+            tracemalloc.start()
+            try:
+                posterior_batch(model, xs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_same_bits_on_any_blas_thread_count(self):
+        # on a 2-core machine the whole-array call's mean differed between 2
+        # OpenBLAS threads and 1 here
+        model, xs = model_and_candidates(150, 2, 3753)
+        mean, var = posterior_batch(model, xs)
+        with surrogate.single_blas_thread():
+            expected = posterior_batch(model, xs)
+        assert hexes(mean) == hexes(expected[0])
+        assert hexes(var) == hexes(expected[1])
 
 
 class TestFactor:
