@@ -8,6 +8,8 @@ time-to-collision spreads, and pairwise trajectory diversity.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from statistics import mean, stdev
 from typing import List, Optional, Sequence, Tuple
@@ -103,14 +105,49 @@ def asd(trajectories: Sequence[Sequence[Tuple[float, float]]]) -> float:
         raise ValueError("ASD needs at least 2 trajectories")
     if not all(trajectories):
         raise ValueError("trajectories must be nonempty")
+    # Trajectories equal by value (an ego that repeats its path) give equal
+    # pair terms bit for bit: math.dist takes the absolute value of each
+    # difference, so neither the sign of a zero nor the order of the pair
+    # changes it. Each group of equal trajectories that occurs more than once
+    # gets one row of terms, against every group, held as C doubles that read
+    # back as the same floats; the terms are then added in (i, j) order, so
+    # the sum rounds as the plain double loop does. A pair of trajectories
+    # that occur once each is computed where it is added and stored nowhere.
+    groups = {}
+    group = [groups.setdefault(tuple(map(tuple, tau)), len(groups)) for tau in trajectories]
+    reps = list(groups)
+    n_g = len(reps)
+    size = Counter(group)
+    base = [-1] * n_g  # where a repeated group's row starts in `terms`
+    terms = array("d")
+    for g in range(n_g):
+        if size[g] > 1:
+            base[g] = len(terms)
+            for h in range(n_g):
+                if h < g and base[h] >= 0:
+                    terms.append(terms[base[h] + g])
+                else:
+                    terms.append(_pair_distance(reps[g], reps[h]))
     total = 0.0
     for i in range(n_e):
+        g = group[i]
+        row = base[g]
         for j in range(i + 1, n_e):
-            a, b = trajectories[i], trajectories[j]
-            # math.dist rounds as math.hypot of the coordinate differences
-            # does: CPython takes both through the same vector_norm
-            total += sum(map(math.dist, a, b)) / min(len(a), len(b))
+            h = group[j]
+            if row >= 0:
+                total += terms[row + h]
+            elif base[h] >= 0:
+                total += terms[base[h] + g]
+            else:
+                total += _pair_distance(trajectories[i], trajectories[j])
     return total / (n_e * (n_e - 1))
+
+
+def _pair_distance(a: Sequence[Tuple[float, float]], b: Sequence[Tuple[float, float]]) -> float:
+    """Mean distance between corresponding points over the common prefix."""
+    # math.dist rounds as math.hypot of the coordinate differences does:
+    # CPython takes both through the same vector_norm
+    return sum(map(math.dist, a, b)) / min(len(a), len(b))
 
 
 def agent_trajectory(episode: Episode, agent_id: str) -> List[Tuple[float, float]]:
@@ -136,12 +173,11 @@ def campaign_stats(
     finite_ttc = [s.ttc_min for s in scores if math.isfinite(s.ttc_min)]
     ttc_inf = n_e - len(finite_ttc)
 
-    ego_trajs = [agent_trajectory(e, scenario.ego.id) for e in episodes]
-    agent_ids = [a.id for a in scenario.simulated_agents]
-    agent_asds = []
-    for aid in agent_ids:
-        trajs = [agent_trajectory(e, aid) for e in episodes]
-        agent_asds.append(asd(trajs))
+    # one agent's trajectories at a time, so that only they are held
+    ego_asd, *agent_asds = (
+        asd([agent_trajectory(e, agent.id) for e in episodes])
+        for agent in (scenario.ego, *scenario.simulated_agents)
+    )
 
     return CampaignStats(
         coll_rate=100.0 * collided / n_e,
@@ -150,7 +186,7 @@ def campaign_stats(
         ttc_mean=mean(finite_ttc) if finite_ttc else math.inf,
         ttc_std=stdev(finite_ttc) if len(finite_ttc) > 1 else 0.0,
         ttc_inf_count=ttc_inf,
-        ego_asd=asd(ego_trajs),
+        ego_asd=ego_asd,
         agent_asd=mean(agent_asds),
         n_episodes=n_e,
     )

@@ -127,24 +127,75 @@ def _trace_line(joint: JointState) -> str:
         )
 
 
+# json.loads's own decoder, without the checks json.loads makes around it
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _loads(line: str):
+    """json.loads(line), by a shorter path for a line that is one JSON value
+    and nothing else, which is every line `write_episode` writes. On any
+    other line (whitespace, a BOM, extra data or no JSON at all) it calls
+    json.loads, so the result or the error is the one json.loads gives."""
+    try:
+        obj, end = _raw_decode(line)
+    except ValueError:
+        return json.loads(line)
+    return obj if end == len(line) else json.loads(line)
+
+
+def _header_fields(header) -> dict:
+    """The Episode fields of a decoded header record. A field that is not
+    what `write_episode` writes raises a KeyError, an OverflowError, a
+    TypeError or a ValueError."""
+    if not isinstance(header, dict) or header.get("type") != "header":
+        raise ValueError("first record is not a header")
+    goals = header.get("goals", {})
+    if not isinstance(goals, dict):
+        raise ValueError("goals is not an object")
+    prompts = {}
+    for aid, g in goals.items():
+        if not (isinstance(g, list) and len(g) == 2):
+            raise ValueError(f"goal of '{aid}' is not two numbers: {g!r}")
+        prompts[aid] = Point2(float(g[0]), float(g[1]))
+    collision = header.get("collision")
+    if collision:
+        if not isinstance(collision, dict):
+            raise ValueError("collision is not an object")
+        t, pair = int(collision["t"]), collision["pair"]
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(aid, str) for aid in pair)):
+            raise ValueError(f"collision pair is not two agent ids: {pair!r}")
+        collision = (t, tuple(pair))
+    failed = header.get("failed", False)
+    if not isinstance(failed, bool):
+        raise ValueError(f"failed is not a bool: {failed!r}")
+    fields = {"scenario_id": header.get("scenario_id", ""),
+              "failure_reason": header.get("failure_reason", "")}
+    for name, value in fields.items():
+        if not isinstance(value, str):
+            raise ValueError(f"{name} is not a string: {value!r}")
+    return dict(fields, prompts_world=prompts, collision=collision or None, failed=failed)
+
+
 def read_episode(path: str) -> Tuple[Episode, dict]:
-    """Parse an episode JSONL file; returns (episode, header dict)."""
+    """Parse an episode JSONL file; returns (episode, header dict). A file
+    that cannot be read as one raises a ValueError that starts with
+    `path:lineno:`."""
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty episode file")
     try:
         header = json.loads(lines[0])
-        if header.get("type") != "header":
-            raise ValueError("first record is not a header")
-    except (json.JSONDecodeError, ValueError) as exc:
+        fields = _header_fields(header)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}:1: {exc}") from exc
     trace = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
-            rec = json.loads(line)
+            rec = _loads(line)
             states = {
                 aid: AgentState(
                     Point2(float(s["x"]), float(s["y"])),
@@ -154,26 +205,9 @@ def read_episode(path: str) -> Tuple[Episode, dict]:
                 for aid, s in rec["agents"].items()
             }
             trace.append(JointState(int(rec["t"]), states))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    collision = None
-    if header.get("collision"):
-        collision = (
-            int(header["collision"]["t"]),
-            tuple(header["collision"]["pair"]),
-        )
-    episode = Episode(
-        scenario_id=header.get("scenario_id", ""),
-        prompts_world={
-            aid: Point2(float(g[0]), float(g[1]))
-            for aid, g in header.get("goals", {}).items()
-        },
-        trace=trace,
-        collision=collision,
-        failed=bool(header.get("failed", False)),
-        failure_reason=header.get("failure_reason", ""),
-    )
-    return episode, header
+    return Episode(trace=trace, **fields), header
 
 
 def campaign_record_to_json(record: EpisodeRecord, episode_file: str) -> str:
@@ -196,12 +230,21 @@ def campaign_record_to_json(record: EpisodeRecord, episode_file: str) -> str:
 
 
 def read_campaign_log(path: str) -> List[dict]:
+    """The records of a campaign.jsonl file. A line that is not a JSON
+    object raises a ValueError that starts with `path:lineno:`."""
     records = []
     with open(path, "r") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: record is not a JSON object")
+            records.append(record)
     return records
 
 
