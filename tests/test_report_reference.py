@@ -246,8 +246,7 @@ def test_reader_matches_the_reference_on_odd_trace_lines(name, tmp_path):
 def write_episode_file(tmp_path, header_fields):
     header = json.loads(HEADER)
     header.update(header_fields)
-    path = tmp_path / "episodes" / "ep_0000.jsonl"
-    path.parent.mkdir(exist_ok=True)
+    path = tmp_path / "ep_0000.jsonl"
     path.write_text(json.dumps(header) + "\n" + GOOD_LINE + "\n")
     return str(path)
 
