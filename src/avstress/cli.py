@@ -113,8 +113,7 @@ def _campaign_row(campaign_dir: str):
     for rec in log:
         if rec.get("failed") or not rec.get("episode_file"):
             continue
-        episode, _ = persist.read_episode(os.path.join(campaign_dir, rec["episode_file"]))
-        episodes.append(episode)
+        episodes.append(persist.read_episode(os.path.join(campaign_dir, rec["episode_file"])))
     stats = metrics.campaign_stats(episodes, scenario)
     return scenario_id, manifest["sampler"]["kind"], stats
 
@@ -176,18 +175,16 @@ def cmd_export_gp(args) -> int:
     ]
     if len(pairs) < 2:
         raise CliError("need at least 2 successful episodes to fit a GP")
+    if any(len(u) != 2 for u, _ in pairs):
+        raise CliError("GP grid export supports 2-D prompt spaces only")
     # the only command that needs numpy and the GP, which loads scipy
     import numpy as np
     from . import surrogate
 
     X = np.array([u for u, _ in pairs])
-    if X.shape[1] != 2:
-        raise CliError("GP grid export supports 2-D prompt spaces only")
     y = np.array([s for _, s in pairs])
-    # on one BLAS thread, as in `suggest_next`
-    with surrogate.single_blas_thread():
-        model = surrogate.fit(X, y)
-        grid = surrogate.posterior_grid(model, args.resolution)
+    model = surrogate.fit(X, y)
+    grid = surrogate.posterior_grid(model, args.resolution)
     persist.write_gp_grid_csv(os.path.join(args.campaign_dir, "gp_grid.csv"), grid)
     persist.write_samples_csv(os.path.join(args.campaign_dir, "gp_samples.csv"), X, y)
     print(os.path.join(args.campaign_dir, "gp_grid.csv"))
@@ -206,7 +203,7 @@ def _find_scenario_for(episode_file: str) -> str:
 
 def cmd_replay(args) -> int:
     try:
-        episode, header = persist.read_episode(args.episode_file)
+        episode = persist.read_episode(args.episode_file)
     except FileNotFoundError:
         raise CliError(f"no episode file '{args.episode_file}'")
     except IsADirectoryError:

@@ -160,13 +160,18 @@ def campaign_stats(
     scenario: Scenario,
     scores: Optional[Sequence[EpisodeScore]] = None,
 ) -> CampaignStats:
-    """Aggregate statistics over the successful episodes of one campaign."""
-    episodes = [e for e in episodes if not e.failed and len(e.trace) >= 2]
-    n_e = len(episodes)
+    """Aggregate statistics over the successful episodes of one campaign;
+    `scores`, if given, holds one score per episode, kept or not."""
+    if scores is None:
+        scores = [None] * len(episodes)
+    elif len(scores) != len(episodes):
+        raise ValueError(f"{len(scores)} scores for {len(episodes)} episodes")
+    kept = [(e, s) for e, s in zip(episodes, scores) if not e.failed and len(e.trace) >= 2]
+    n_e = len(kept)
     if n_e < 2:
         raise ValueError("campaign statistics need at least 2 successful episodes")
-    if scores is None:
-        scores = [score_episode(e, scenario) for e in episodes]
+    episodes = [e for e, _ in kept]
+    scores = [score_episode(e, scenario) if s is None else s for e, s in kept]
 
     collided = sum(1 for s in scores if s.collided)
     min_dists = [s.min_dist for s in scores]

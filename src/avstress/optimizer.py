@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .geom import Point2
 from .metrics import EpisodeScore, score_episode
@@ -35,9 +35,10 @@ class Observation:
     prompt: Tuple[float, ...]
     score: float  # -inf marks a failed episode
 
-    @property
-    def valid(self) -> bool:
-        return math.isfinite(self.score)
+
+# suggest_next reads only prompt and score: a campaign passes its
+# EpisodeRecords, whose score is also -inf on failure
+History = Sequence[Union[Observation, "EpisodeRecord"]]
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def ucb(mean: np.ndarray, variance: np.ndarray, beta: float) -> np.ndarray:
     return mean + beta * np.sqrt(variance)
 
 
-def _candidate_set(history: List[Observation], cfg: SamplerConfig, dim: int) -> np.ndarray:
+def _candidate_set(history: History, cfg: SamplerConfig, dim: int) -> np.ndarray:
     """Sobol points, then corners of a +-PERTURBATION box around each
     observed prompt (failed ones too), clipped to the unit cube.
 
@@ -87,16 +88,14 @@ def _candidate_set(history: List[Observation], cfg: SamplerConfig, dim: int) -> 
     return np.vstack([cands, locals_])
 
 
-def suggest_next(
-    history: List[Observation], cfg: SamplerConfig, dim: int = 2
-) -> Tuple[float, ...]:
+def suggest_next(history: History, cfg: SamplerConfig, dim: int = 2) -> Tuple[float, ...]:
     """Next prompt to evaluate; raises once the budget is exhausted."""
     if len(history) >= cfg.budget:
         raise RuntimeError("sampling budget exhausted")
     if cfg.kind == "sobol":
         return sobol_point(len(history) + 1, dim=dim)
 
-    valid = [obs for obs in history if obs.valid]
+    valid = [obs for obs in history if math.isfinite(obs.score)]
     if len(valid) < 2:
         return sobol_point(len(history) + 1, dim=dim)
 
@@ -106,9 +105,8 @@ def suggest_next(
     X = np.array([obs.prompt for obs in valid])
     y = np.array([obs.score for obs in valid])
     cands = _candidate_set(history, cfg, dim)
-    with surrogate.single_blas_thread():
-        model = surrogate.fit(X, y)
-        acq = ucb(*surrogate.posterior_batch(model, cands), cfg.beta)
+    model = surrogate.fit(X, y)
+    acq = ucb(*surrogate.posterior_batch(model, cands), cfg.beta)
     best = int(np.argmax(acq))  # first index wins ties
     return tuple(float(v) for v in cands[best])
 
@@ -159,9 +157,8 @@ def run_campaign(
     """
     dim = prompt_dim(scenario)
     records: List[EpisodeRecord] = []
-    history: List[Observation] = []
     for it in range(cfg.budget):
-        prompt = suggest_next(history, cfg, dim=dim)
+        prompt = suggest_next(records, cfg, dim=dim)
         goals = split_prompt(scenario, prompt)
         policies = {
             aid: policy_factory(scenario, aid, goal) for aid, goal in goals.items()
@@ -182,7 +179,6 @@ def run_campaign(
         except Exception as exc:
             record.failed = True
             record.failure_reason = str(exc)
-        history.append(Observation(prompt=prompt, score=record.score))
         records.append(record)
         if episode_sink is not None:
             episode_sink(record)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .geom import Point2
 from .metrics import CampaignStats
@@ -177,17 +177,15 @@ def _header_fields(header) -> dict:
     return dict(fields, prompts_world=prompts, collision=collision or None, failed=failed)
 
 
-def read_episode(path: str) -> Tuple[Episode, dict]:
-    """Parse an episode JSONL file; returns (episode, header dict). A file
-    that cannot be read as one raises a ValueError that starts with
-    `path:lineno:`."""
+def read_episode(path: str) -> Episode:
+    """Parse an episode JSONL file. A file that cannot be read as one raises
+    a ValueError that starts with `path:lineno:`."""
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty episode file")
     try:
-        header = json.loads(lines[0])
-        fields = _header_fields(header)
+        fields = _header_fields(json.loads(lines[0]))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}:1: {exc}") from exc
     trace = []
@@ -207,7 +205,7 @@ def read_episode(path: str) -> Tuple[Episode, dict]:
             trace.append(JointState(int(rec["t"]), states))
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return Episode(trace=trace, **fields), header
+    return Episode(trace=trace, **fields)
 
 
 def campaign_record_to_json(record: EpisodeRecord, episode_file: str) -> str:

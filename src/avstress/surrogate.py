@@ -33,6 +33,8 @@ another gemv and trsm path and rounds apart (at m = 513 and 1025). All of
 this gives the same results to the bit as the wrappers, `minimize` and the
 single-shot posterior with the einsum kernel (tests/test_lml_reference.py,
 tests/test_lbfgsb_reference.py, tests/test_posterior_reference.py).
+`fit`, `build_model` and `posterior_batch` each run on one BLAS thread by
+themselves (`single_blas_thread`): callers do not wrap them.
 """
 from __future__ import annotations
 
@@ -93,7 +95,8 @@ def single_blas_thread() -> Iterator[None]:
     thread doubles their CPU time and, up to about 100 rows, does not cut
     their wall time either. Results are the same to the bit on either count
     (tests/test_lml_reference.py, tests/test_surrogate.py). A no-op where no
-    OpenBLAS is found."""
+    OpenBLAS is found. It decorates `fit`, `build_model` and
+    `posterior_batch`, so their callers do not wrap them."""
     controls = _openblas_thread_controls()
     previous = [get() for get, _ in controls]
     for _, set_ in controls:
@@ -247,7 +250,6 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class GpModel:
     inputs: np.ndarray  # (n, d) prompts in [0,1]^d
-    targets: np.ndarray  # (n,) raw scores
     params: KernelParams
     y_mean: float
     y_std: float
@@ -256,7 +258,7 @@ class GpModel:
 
     @property
     def n(self) -> int:
-        return len(self.targets)
+        return len(self.alpha)
 
 
 def _standardization(y: np.ndarray) -> Tuple[float, float]:
@@ -282,19 +284,15 @@ def _checked_data(
     return X, y, y_mean, y_std, (y - y_mean) / y_std
 
 
-def build_model(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    params: KernelParams,
-) -> GpModel:
+@single_blas_thread()
+def build_model(inputs: np.ndarray, targets: np.ndarray, params: KernelParams) -> GpModel:
     """Condition a GP with fixed hyperparameters on the standardized data."""
-    X, y, y_mean, y_std, z = _checked_data(inputs, targets)
+    X, _, y_mean, y_std, z = _checked_data(inputs, targets)
     K = kernel_matrix(X, X, params)
     L, _ = _factor(K, params.noise_variance)
     alpha = _cho_solve(L, z)
     return GpModel(
-        inputs=X, targets=y, params=params, y_mean=y_mean, y_std=y_std,
-        chol=L, alpha=alpha,
+        inputs=X, params=params, y_mean=y_mean, y_std=y_std, chol=L, alpha=alpha
     )
 
 
@@ -426,6 +424,7 @@ def _lbfgsb(
     return _LbfgsbRun(fun=f, x=x, nfev=nfev, nit=nit)
 
 
+@single_blas_thread()
 def fit(inputs: np.ndarray, targets: np.ndarray) -> GpModel:
     """Fit hyperparameters by multi-start MLE and condition on the data.
 
@@ -463,6 +462,7 @@ def fit(inputs: np.ndarray, targets: np.ndarray) -> GpModel:
     return build_model(X, y, params)
 
 
+@single_blas_thread()
 def posterior_batch(model: GpModel, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance (raw score units) at each query row."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))

@@ -150,3 +150,23 @@ def scored_rows(planner, world, scenario):
         )
         for lane_id, accel, flat, cost in rows
     ]
+
+
+def record_blas_threads(monkeypatch):
+    """(controls, calls): the OpenBLAS thread controls, and a list that gets
+    (name, thread counts) at every later call of the GP's `_factor` and
+    `kernel_matrix`, which run inside its entry points' one-thread policy.
+    Skips the test where numpy and scipy use no OpenBLAS of their wheels."""
+    from avstress import surrogate
+
+    controls = surrogate._openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy and scipy use no OpenBLAS of their wheels here")
+    calls = []
+    for name in ("_factor", "kernel_matrix"):
+        def recording(*args, fn=getattr(surrogate, name), name=name):
+            calls.append((name, [get() for get, _ in controls]))
+            return fn(*args)
+
+        monkeypatch.setattr(surrogate, name, recording)
+    return controls, calls

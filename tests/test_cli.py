@@ -11,7 +11,13 @@ from avstress.cli import main
 from avstress.metrics import campaign_stats, score_episode
 from avstress.scenario import load_scenario_file, preset_path
 from avstress.sobol import sobol_point
-from conftest import TWO_LANE_YAML, agents_yaml, make_episode, straight_positions
+from conftest import (
+    TWO_LANE_YAML,
+    agents_yaml,
+    make_episode,
+    record_blas_threads,
+    straight_positions,
+)
 
 
 @pytest.fixture
@@ -212,7 +218,7 @@ class TestReport:
         scenario = load_scenario_file(os.path.join(dirs[1], "scenario.yaml"))
         log = persist.read_campaign_log(os.path.join(dirs[1], "campaign.jsonl"))
         episodes = [
-            persist.read_episode(os.path.join(dirs[1], rec["episode_file"]))[0]
+            persist.read_episode(os.path.join(dirs[1], rec["episode_file"]))
             for rec in log
             if not rec["failed"]
         ]
@@ -243,6 +249,17 @@ class TestReport:
         assert err.startswith("error: ") and csv_path in err
         assert read == []
         assert not os.path.exists(tmp_path / "missing_dir")
+
+
+# runs `export-gp` in a fresh interpreter: its exit status, and which of
+# numpy and scipy it loaded
+EXPORT_GP_SCRIPT = """
+import json, sys
+import avstress.cli
+
+status = avstress.cli.main(["export-gp", sys.argv[1]])
+print(json.dumps([status, sorted({"numpy", "scipy"} & set(sys.modules))]))
+"""
 
 
 class TestExportGp:
@@ -296,22 +313,8 @@ class TestExportGp:
         assert run_cli("export-gp", str(tmp_path)) == 2
 
     def test_one_blas_thread_inside_the_gp_and_previous_count_after(self, tmp_path, monkeypatch):
-        from avstress import surrogate
-
-        controls = surrogate._openblas_thread_controls()
-        if not controls:
-            pytest.skip("numpy and scipy use no OpenBLAS of their wheels here")
+        controls, inside = record_blas_threads(monkeypatch)
         before = [get() for get, _ in controls]
-        inside = []
-
-        def recording(fn):
-            def wrapper(*args):
-                inside.append((fn.__name__, [get() for get, _ in controls]))
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(surrogate, "fit", recording(surrogate.fit))
-        monkeypatch.setattr(surrogate, "posterior_grid", recording(surrogate.posterior_grid))
         out_dir = tmp_path / "camp"
         out_dir.mkdir()
         records = [
@@ -321,9 +324,29 @@ class TestExportGp:
         ]
         (out_dir / "campaign.jsonl").write_text("\n".join(records) + "\n")
         assert run_cli("export-gp", str(out_dir), "--resolution", "4") == 0
-        one = [1] * len(controls)
-        assert inside == [("fit", one), ("posterior_grid", one)]
+        # the fit's factorizations, then the grid's kernel calls
+        assert {name for name, _ in inside} == {"_factor", "kernel_matrix"}
+        assert all(counts == [1] * len(controls) for _, counts in inside)
         assert [get() for get, _ in controls] == before
+
+    def test_prompt_space_not_2d_exit_2_before_numpy_loads(self, tmp_path):
+        # a 3-agent campaign's 6-D prompts, in a fresh interpreter
+        out_dir = tmp_path / "camp"
+        out_dir.mkdir()
+        records = [
+            json.dumps({"iter": i - 1, "u": list(sobol_point(i, dim=6)), "score": -float(i),
+                        "failed": False})
+            for i in range(1, 7)
+        ]
+        (out_dir / "campaign.jsonl").write_text("\n".join(records) + "\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", EXPORT_GP_SCRIPT, str(out_dir)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert json.loads(proc.stdout) == [2, []]
+        assert proc.stderr == "error: GP grid export supports 2-D prompt spaces only\n"
+        assert not (out_dir / "gp_grid.csv").exists()
 
     def test_bad_resolution_exit_2_before_the_fit(self, tmp_path, capsys, monkeypatch):
         from avstress import surrogate
@@ -463,9 +486,7 @@ class TestReplay:
         )
         out_dir = capsys.readouterr().out.strip()
         scenario = load_scenario_file(os.path.join(out_dir, "scenario.yaml"))
-        episode, _ = persist.read_episode(
-            os.path.join(out_dir, "episodes", "ep_0001.jsonl")
-        )
+        episode = persist.read_episode(os.path.join(out_dir, "episodes", "ep_0001.jsonl"))
         score = score_episode(episode, scenario)
         log = persist.read_campaign_log(os.path.join(out_dir, "campaign.jsonl"))
         assert score.min_dist == pytest.approx(log[1]["min_dist"], abs=1e-9)

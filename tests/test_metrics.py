@@ -1,4 +1,5 @@
 import math
+from statistics import mean
 
 import numpy as np
 import pytest
@@ -364,6 +365,26 @@ class TestCampaignStats:
         bad.failed = True
         stats = campaign_stats(good + [bad], two_lane_scenario)
         assert stats.n_episodes == 4
+
+    def test_dropped_episodes_take_their_scores_with_them(self, two_lane_scenario):
+        eps = self.episodes_for_rates(two_lane_scenario)
+        scores = [score_episode(e, two_lane_scenario) for e in eps]
+        # the only colliding episode, now marked failed, and a single-state
+        # episode, which has no score of its own: it gets the collision's
+        eps[0].failed = True
+        eps.append(make_episode(two_lane_scenario, {"ego": [(0.0, 0.0)], "npc": [(5.0, 0.0)]}))
+        scores.append(scores[0])
+        got = campaign_stats(eps, two_lane_scenario, scores=scores)
+        assert got == campaign_stats(eps, two_lane_scenario)
+        assert got.n_episodes == 3
+        assert got.coll_rate == 0.0
+        assert got.min_dist_mean == mean(s.min_dist for s in scores[1:4])
+
+    def test_one_score_per_episode_or_value_error(self, two_lane_scenario):
+        eps = self.episodes_for_rates(two_lane_scenario)
+        scores = [score_episode(e, two_lane_scenario) for e in eps]
+        with pytest.raises(ValueError, match="3 scores for 4 episodes"):
+            campaign_stats(eps, two_lane_scenario, scores=scores[1:])
 
     def test_too_few_episodes_rejected(self, two_lane_scenario):
         eps = self.episodes_for_rates(two_lane_scenario)[:1]

@@ -24,7 +24,7 @@ from avstress.planner import HORIZON_STEPS, LatticePlanner
 from avstress.scenario import load_preset, load_scenario
 from avstress.sobol import sobol_point, sobol_points
 from avstress.surrogate import KernelParams, build_model, posterior_batch
-from conftest import ConstantVelocityEgoStub, scenario_with_agents
+from conftest import ConstantVelocityEgoStub, record_blas_threads, scenario_with_agents
 
 
 def short_scale_params():
@@ -301,6 +301,30 @@ class TestRunCampaign:
             assert dom.s_min - 60.0 - 1e-9 <= goal.x <= dom.s_max - 60.0 + 1e-9
             assert 3.5 + dom.l_min - 1e-9 <= goal.y <= 3.5 + dom.l_max + 1e-9
 
+    def test_records_as_history_equal_observations(self, two_lane_scenario):
+        class FailsWhenToldTo(ConstantVelocityEgoStub):
+            fail = False
+
+            def plan(self, world, scenario):
+                if self.fail:
+                    raise RuntimeError("no solution")
+                return super().plan(world, scenario)
+
+        planner = FailsWhenToldTo()
+
+        def fail_the_third(record):
+            planner.fail = record.iteration == 1
+
+        cfg = SamplerConfig(kind="bo", budget=6)
+        records = run_campaign(two_lane_scenario, cfg, planner, episode_sink=fail_the_third)
+        assert [r.failed for r in records] == [False, False, True, False, False, False]
+        observations = [Observation(prompt=r.prompt, score=r.score) for r in records]
+        for k in range(3, len(records)):
+            got = suggest_next(records[:k], cfg)
+            want = suggest_next(observations[:k], cfg)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            assert got == records[k].prompt
+
     def test_planner_failure_recorded_not_fatal(self, two_lane_scenario):
         class AlwaysFails:
             def plan(self, world, scenario):
@@ -338,28 +362,20 @@ class TestRunCampaign:
 
 class TestBlasThreadScope:
     def test_one_thread_inside_suggest_next_and_previous_count_after(self, monkeypatch):
-        controls = surrogate._openblas_thread_controls()
-        if not controls:
-            pytest.skip("numpy and scipy use no OpenBLAS of their wheels here")
+        controls, inside = record_blas_threads(monkeypatch)
         before = [get() for get, _ in controls]
-        inside = []
-        real_fit = surrogate.fit
-
-        def recording_fit(X, y):
-            inside.append([get() for get, _ in controls])
-            return real_fit(X, y)
-
-        monkeypatch.setattr(surrogate, "fit", recording_fit)
         cfg = SamplerConfig(kind="bo", budget=10)
         history = [Observation(prompt=sobol_point(i), score=float(i)) for i in (1, 2, 3)]
         suggest_next(history, cfg)
-        assert inside == [[1] * len(controls)]
+        # the fit's factorizations and the posterior's kernel calls
+        assert {name for name, _ in inside} == {"_factor", "kernel_matrix"}
+        assert all(counts == [1] * len(controls) for _, counts in inside)
         assert [get() for get, _ in controls] == before
 
-        def failing_fit(X, y):
-            raise np.linalg.LinAlgError("no fit")
+        def failing_factor(K, noise_variance):
+            raise np.linalg.LinAlgError("no factor")
 
-        monkeypatch.setattr(surrogate, "fit", failing_fit)
+        monkeypatch.setattr(surrogate, "_factor", failing_factor)
         with pytest.raises(np.linalg.LinAlgError):
             suggest_next(history, cfg)
         assert [get() for get, _ in controls] == before

@@ -90,7 +90,7 @@ def test_every_float_reads_back_bit_for_bit(scenario, tmp_path):
     trace = contract_trace()
     path = str(tmp_path / "ep.jsonl")
     persist.write_episode(path, episode_of(trace), scenario)
-    episode, _ = persist.read_episode(path)
+    episode = persist.read_episode(path)
 
     def bits(tr):
         return [

@@ -119,13 +119,16 @@ def test_posterior_equals_reference_bits(n, d, m, monkeypatch):
         widths.append(len(b))
         return kernel_matrix(a, b, params)
 
-    for threads in (contextlib.nullcontext, surrogate.single_blas_thread):
+    # posterior_batch runs on one BLAS thread; its undecorated body on the
+    # caller's count
+    for threads, posterior in ((contextlib.nullcontext, surrogate.posterior_batch.__wrapped__),
+                               (surrogate.single_blas_thread, surrogate.posterior_batch)):
         widths.clear()
         with threads():
             expected = ref_posterior_batch(model, xs)
             with monkeypatch.context() as patch:
                 patch.setattr(surrogate, "kernel_matrix", recording_kernel_matrix)
-                mean, var = surrogate.posterior_batch(model, xs)
+                mean, var = posterior(model, xs)
         assert hexes(mean) == hexes(expected[0])
         assert hexes(var) == hexes(expected[1])
         # one block of candidates at most per call: the peak memory saving

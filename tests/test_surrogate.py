@@ -16,6 +16,7 @@ from avstress.surrogate import (
     posterior_batch,
     posterior_grid,
 )
+from conftest import record_blas_threads
 from test_posterior_reference import hexes, model_and_candidates
 
 
@@ -190,11 +191,35 @@ class TestPosteriorBlocks:
         # on a 2-core machine the whole-array call's mean differed between 2
         # OpenBLAS threads and 1 here
         model, xs = model_and_candidates(150, 2, 3753)
-        mean, var = posterior_batch(model, xs)
-        with surrogate.single_blas_thread():
-            expected = posterior_batch(model, xs)
+        # the undecorated body runs on the caller's count
+        mean, var = posterior_batch.__wrapped__(model, xs)
+        expected = posterior_batch(model, xs)
         assert hexes(mean) == hexes(expected[0])
         assert hexes(var) == hexes(expected[1])
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("entry", ["build_model", "fit", "posterior_batch"])
+    def test_entry_point_runs_on_one_thread_and_restores_the_count(self, entry, monkeypatch):
+        X = np.random.default_rng(3).random((8, 2))
+        y = np.sin(4.0 * X[:, 0])
+        model = build_model(X, y, default_params())
+        args = {"build_model": (X, y, default_params()), "fit": (X, y),
+                "posterior_batch": (model, X)}[entry]
+        controls, inside = record_blas_threads(monkeypatch)
+        previous = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        try:
+            two = [get() for get, _ in controls]
+            getattr(surrogate, entry)(*args)
+            after = [get() for get, _ in controls]
+        finally:
+            for (_, set_), count in zip(controls, previous):
+                set_(count)
+        assert inside
+        assert all(counts == [1] * len(controls) for _, counts in inside)
+        assert after == two
 
 
 class TestFactor:
