@@ -53,8 +53,9 @@ class SamplerConfig:
             raise ValueError(f"unknown sampler kind '{self.kind}'")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        # NaN compares False with everything, so test for the valid range
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.candidates < 16:
             raise ValueError("candidate count must be >= 16")
 

@@ -5,13 +5,24 @@ Cholesky factorization, and hyperparameter selection by maximizing the log
 marginal likelihood from multiple deterministic starts. Targets are
 standardized internally so acquisition weights are scale-free.
 
-The kernel holds the pairwise differences of n and m points as one
-contiguous (n, m) array per dimension. It divides each by its length scale,
-squares it, and adds the d squares in the order in which
-`np.einsum("ijk,ijk->ij")` adds them over an (n, m, d) array
-(`_einsum_lanes`). So the distances are those of the einsum kernel to the
-bit, without einsum's inner loop of length d per entry or the broadcast
+The kernel takes the pairwise differences of n and m points one dimension
+at a time, as a contiguous (n, m) array: `kernel_matrix` writes each into
+one reused array, and the likelihood reads them from the fit's `FitPairs`.
+It divides each by its length scale, squares it, and adds the d squares in
+the order in which `np.einsum("ijk,ijk->ij")` adds them over an (n, m, d)
+array (`_einsum_lanes`). So the distances are those of the einsum kernel to
+the bit, without einsum's inner loop of length d per entry or the broadcast
 division over a last axis of length d.
+
+A fit evaluates the likelihood about 300 times on the same n, so the
+evaluations share its (n, n) scratch, `FitPairs.work`, allocated once by
+`fit_pairs`: the scaled distances, the Matern factors, K and W live there,
+and each evaluation overwrites what the last one left. Only the factor
+(`_factor` factorizes a new copy of K in place) and K^-1 (from `dpotrs`)
+are new arrays. K^-1 comes back in Fortran order and is not symmetric to
+the bit, so summing a transposed view would add in another order; W is
+formed from it in a C-ordered array once, and the gradient's products
+then read it with unit stride.
 
 The factorization and the solves call LAPACK's `dpotrf` and `dpotrs`, the
 routines `scipy.linalg.cholesky` and `cho_solve` wrap, directly and with the
@@ -143,16 +154,17 @@ def _einsum_lanes(d: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return even, odd
 
 
-def _sum_in_einsum_order(d: int, term: Callable) -> np.ndarray:
+def _sum_in_einsum_order(d: int, term: Callable, out=(None, None, None)) -> np.ndarray:
     """Sum of the d (n, m) arrays term(0) .. term(d - 1), to the bit as
-    np.einsum adds them. `term(k, out)` writes the k-th array into `out`, or
-    into a new array where `out` is None, and returns it; the sum is
-    written into the array of the even lane's first k."""
+    np.einsum adds them. `term(k, buf)` writes the k-th array into `buf`, or
+    into a new array where `buf` is None, and returns it. `out` gives the
+    arrays for the even lane, the odd lane and the terms added to them, or
+    None for each to make; the sum is written into the even lane's."""
+    *accs, scratch = out
     lanes = []
-    scratch = None
-    for lane in _einsum_lanes(d):
+    for lane, acc in zip(_einsum_lanes(d), accs):
         if lane:
-            acc = term(lane[0], None)
+            acc = term(lane[0], acc)
             for k in lane[1:]:
                 scratch = term(k, scratch)
                 np.add(acc, scratch, out=acc)
@@ -162,51 +174,59 @@ def _sum_in_einsum_order(d: int, term: Callable) -> np.ndarray:
     return lanes[0]
 
 
-def _scaled_dist(delta: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """(n, m) scaled distances from the (d, n, m) pairwise differences
-    `delta`: per dimension, the difference over its length scale, squared,
-    then summed in np.einsum's order. One dimension at a time, so no
-    (d, n, m) temporary is made: in the LML one per evaluation cost more in
-    page faults than it saved in calls. A sum of squares is never negative,
-    so the root needs no clamp."""
+def _scaled_dist(d: int, difference: Callable, ls, out) -> np.ndarray:
+    """(n, m) scaled distances: per dimension, the difference over its
+    length scale, squared, then summed in np.einsum's order, written into
+    out[0]. `difference(k, buf)` returns dimension k's (n, m) pairwise
+    differences, in `buf` or in an array of its own; `ls` holds the length
+    scales and `out` three (n, m) arrays (`_sum_in_einsum_order`). One
+    dimension at a time, so no (d, n, m) temporary is made: in the LML one
+    per evaluation cost more in page faults than it saved in calls. A sum of
+    squares is never negative, so the root needs no clamp."""
 
-    def square(k, out):
-        x = np.divide(delta[k], ls[k], out=out)
+    def square(k, buf):
+        x = np.divide(difference(k, buf), ls[k], out=buf)
         return np.multiply(x, x, out=x)
 
-    r = _sum_in_einsum_order(len(delta), square)
+    r = _sum_in_einsum_order(d, square, out)
     return np.sqrt(r, out=r)
 
 
-def _matern_factors(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(1 + sqrt(5) r, exp(-sqrt(5) r)), which the Matern-5/2 correlation
-    and its gradient share."""
-    sqrt5_r = np.multiply(math.sqrt(5.0), r)
+def _matern_factors(r: np.ndarray, one_plus: np.ndarray, exp_r: np.ndarray) -> None:
+    """Write 1 + sqrt(5) r and exp(-sqrt(5) r), which the Matern-5/2
+    correlation and its gradient share, into `one_plus` and `exp_r`."""
+    sqrt5_r = np.multiply(math.sqrt(5.0), r, out=one_plus)
     # -(sqrt(5) r) is (-sqrt(5)) r to the bit: rounding is symmetric in sign
-    exp_r = np.negative(sqrt5_r)
+    np.negative(sqrt5_r, out=exp_r)
     np.exp(exp_r, out=exp_r)
-    return np.add(1.0, sqrt5_r, out=sqrt5_r), exp_r
+    np.add(1.0, sqrt5_r, out=one_plus)
 
 
-def _matern_of_r(r: np.ndarray, one_plus: np.ndarray, exp_r: np.ndarray) -> np.ndarray:
-    """Matern-5/2 correlation at r as a new array, given `_matern_factors`."""
-    k = np.multiply(5.0, r)
+def _matern_of_r(
+    r: np.ndarray, one_plus: np.ndarray, exp_r: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Matern-5/2 correlation at r, written into `out`, given
+    `_matern_factors`."""
+    k = np.multiply(5.0, r, out=out)
     np.multiply(k, r, out=k)
     np.divide(k, 3.0, out=k)
     np.add(one_plus, k, out=k)
     return np.multiply(k, exp_r, out=k)
 
 
-def _differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(d, n, m) differences a_i - b_j of the rows of a and b, C-ordered so
-    that each dimension's (n, m) slice is one contiguous array."""
-    return np.subtract(a.T[:, :, None], b.T[:, None, :], order="C")
-
-
 def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
     a, b = np.atleast_2d(a), np.atleast_2d(b)
-    r = _scaled_dist(_differences(a, b), np.asarray(params.length_scales))
-    K = _matern_of_r(r, *_matern_factors(r))
+    r, one_plus, exp_r = np.empty((3, len(a), len(b)))
+    # each dimension's differences a_i - b_j go straight into the array
+    # that they are scaled and squared in
+    _scaled_dist(
+        a.shape[1],
+        lambda k, buf: np.subtract.outer(a[:, k], b[:, k], out=buf),
+        params.length_scales,
+        (r, one_plus, exp_r),
+    )
+    _matern_factors(r, one_plus, exp_r)
+    K = _matern_of_r(r, one_plus, exp_r, np.empty_like(r))
     return np.multiply(params.signal_variance, K, out=K)
 
 
@@ -214,19 +234,23 @@ def _factor(K: np.ndarray, noise_variance: float) -> Tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + (noise + jitter) I by LAPACK's dpotrf,
     escalating jitter while the matrix is not positive definite. The sum is
     a copy of K with its diagonal raised: K holds no -0.0, so adding the
-    identity's zeros would change no bit. These are the checks
-    `scipy.linalg.cholesky` makes: a matrix with an inf or NaN raises
-    ValueError before it is factorized, and so does an illegal argument
-    reported by LAPACK. Neither enters the jitter loop: more jitter cannot
-    fix them."""
+    identity's zeros would change no bit. The copy is a new Fortran-ordered
+    array, which dpotrf factorizes in place, so f2py makes no second,
+    transposing copy; the factor is that array, and no later call
+    overwrites it. These are the checks `scipy.linalg.cholesky` makes: a
+    matrix with an inf or NaN raises ValueError before it is factorized,
+    and so does an illegal argument reported by LAPACK. Neither enters the
+    jitter loop: more jitter cannot fix them."""
+    M = np.empty_like(K, order="F")
+    # M.T is C-ordered, so this is a view of M's diagonal
+    diag = M.T.reshape(-1)[:: len(M) + 1]
     jitter = JITTER_FLOOR
     while True:
-        M = K.copy()
-        diag = M.reshape(-1)[:: len(M) + 1]
+        np.copyto(M, K)
         np.add(diag, noise_variance + jitter, out=diag)
         if not np.isfinite(M).all():
             raise ValueError("covariance matrix must not contain infs or NaNs")
-        L, info = dpotrf(M, lower=1, clean=1)
+        L, info = dpotrf(M, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return L, jitter
         if info < 0:
@@ -297,17 +321,22 @@ def build_model(inputs: np.ndarray, targets: np.ndarray, params: KernelParams) -
 
 
 class FitPairs(NamedTuple):
-    """What the LML evaluations of one fit share, all fixed by its inputs;
-    each dimension's (n, n) slice of `delta` and `sq` is contiguous."""
+    """What the LML evaluations of one fit share. `delta`, `sq` and `eye`
+    are fixed by its inputs, and each dimension's (n, n) slice of `delta`
+    and `sq` is contiguous. `work` is scratch that every evaluation
+    overwrites (see `log_marginal_likelihood`)."""
 
     delta: np.ndarray  # (d, n, n) pairwise differences of the inputs
     sq: np.ndarray  # (d, n, n) their squares
     eye: np.ndarray  # (n, n) identity
+    work: np.ndarray  # (4, n, n)
 
 
 def fit_pairs(X: np.ndarray) -> FitPairs:
-    delta = _differences(X, X)
-    return FitPairs(delta=delta, sq=delta * delta, eye=np.eye(len(X)))
+    # C-ordered, so that each dimension's (n, n) slice is contiguous
+    delta = np.subtract(X.T[:, :, None], X.T[:, None, :], order="C")
+    n = len(X)
+    return FitPairs(delta, delta * delta, np.eye(n), np.empty((4, n, n)))
 
 
 def log_marginal_likelihood(
@@ -321,44 +350,51 @@ def log_marginal_likelihood(
     `pairs` is `fit_pairs` of the inputs, computed once per fit; `z` is
     finite. log_theta = [log l_1 .. log l_d, log sigma_f, log sigma_n]
     with sigma_f and sigma_n the signal and noise standard deviations.
+
+    The (n, n) intermediates are written into `pairs.work`, whose four
+    arrays hold the scaled distances r (later W), 1 + sqrt(5) r (later
+    sf2 g(r)), exp(-sqrt(5) r) (later each product of the gradient) and K.
     """
     d, n, _ = pairs.delta.shape
-    ls = np.exp(log_theta[:d])
+    # Python floats: ls[k] ** 2 below is then one libm pow, the square the
+    # gradient has always taken; an array's ** 2 multiplies, which differs
+    # in the last bit for some l
+    ls = np.exp(log_theta[:d]).tolist()
     sf2 = math.exp(2.0 * log_theta[d])
     sn2 = math.exp(2.0 * log_theta[d + 1])
 
-    r = _scaled_dist(pairs.delta, ls)
-    one_plus, exp_r = _matern_factors(r)
-    K = _matern_of_r(r, one_plus, exp_r)
+    r, one_plus, exp_r, K = pairs.work
+    delta = pairs.delta
+    _scaled_dist(d, lambda k, buf: delta[k], ls, (r, one_plus, exp_r))
+    _matern_factors(r, one_plus, exp_r)
+    _matern_of_r(r, one_plus, exp_r, K)
     np.multiply(sf2, K, out=K)
     L, _ = _factor(K, sn2)
     alpha = _cho_solve(L, z)
     ll = (
         -0.5 * float(z @ alpha)
-        - float(np.sum(np.log(np.diag(L))))
+        - float(np.log(L.diagonal()).sum())
         - 0.5 * n * math.log(2.0 * math.pi)
     )
 
-    # dL/dtheta_k = 0.5 tr((alpha alpha^T - K_inv) dK/dtheta_k), with W
-    # formed in K_inv's buffer and every product written to one scratch
-    # array; the scratch is C-ordered like the products it replaces, so
-    # each sum adds in the same order
-    scratch = np.empty((n, n))
-    W = _cho_solve(L, pairs.eye)
-    np.subtract(np.multiply.outer(alpha, alpha, out=scratch), W, out=W)
+    # dL/dtheta_k = 0.5 tr((alpha alpha^T - K_inv) dK/dtheta_k), with W in
+    # r's array and every product written to exp_r's
+    W = np.multiply.outer(alpha, alpha, out=r)
+    np.subtract(W, _cho_solve(L, pairs.eye), out=W)
 
     grad = np.empty(d + 2)
     # sf2 g(r), with g(r) = -f'(r)/r finite at r = 0
     sf2_g = np.multiply(5.0 / 3.0, one_plus, out=one_plus)
     np.multiply(sf2_g, exp_r, out=sf2_g)
     np.multiply(sf2, sf2_g, out=sf2_g)
+    product = exp_r
     for k in range(d):
-        dK = np.divide(pairs.sq[k], ls[k] ** 2, out=scratch)
-        dK = np.multiply(sf2_g, dK, out=scratch)  # w.r.t. log l_k
-        grad[k] = 0.5 * float(np.multiply(W, dK, out=scratch).sum())
-    dK = np.multiply(2.0, K, out=scratch)  # w.r.t. log sigma_f
-    grad[d] = 0.5 * float(np.multiply(W, dK, out=scratch).sum())
-    grad[d + 1] = 0.5 * float(np.trace(W)) * 2.0 * sn2  # w.r.t. log sigma_n
+        dK = np.divide(pairs.sq[k], ls[k] ** 2, out=product)
+        dK = np.multiply(sf2_g, dK, out=product)  # w.r.t. log l_k
+        grad[k] = 0.5 * float(np.multiply(W, dK, out=product).sum())
+    dK = np.multiply(2.0, K, out=product)  # w.r.t. log sigma_f
+    grad[d] = 0.5 * float(np.multiply(W, dK, out=product).sum())
+    grad[d + 1] = 0.5 * float(W.trace()) * 2.0 * sn2  # w.r.t. log sigma_n
     return ll, grad
 
 
@@ -410,7 +446,7 @@ def _lbfgsb(
         setulb(m, x, lo, hi, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave, dsave,
                20, ln_task)
         if task[0] == 3:  # FG: f and g at x
-            if evaluated is None or not np.array_equal(x, evaluated):
+            if evaluated is None or not (x == evaluated).all():
                 evaluated = x.copy()
                 f, grad = objective(evaluated)
                 nfev += 1

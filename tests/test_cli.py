@@ -109,6 +109,18 @@ class TestRun:
         assert capsys.readouterr().err == "error: budget must be >= 1\n"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_rejected_before_the_campaign_is_touched(
+        self, beta, scenario_file, tmp_path, capsys
+    ):
+        argv = ("run", scenario_file, "--sampler", "sobol", "--out", str(tmp_path / "out"))
+        assert run_cli(*argv, "--budget", "3") == 0
+        out_dir = capsys.readouterr().out.strip()
+        before = read_bytes_tree(out_dir)
+        assert run_cli(*argv, "--budget", "3", "--beta", beta) == 2
+        assert capsys.readouterr().err == f"error: beta must be finite and >= 0, got {beta}\n"
+        assert read_bytes_tree(out_dir) == before
+
     def test_rerun_from_the_campaigns_own_scenario_copy(self, tmp_path, capsys):
         # a scenario file named scenario.yaml runs into <out>/scenario_sobol,
         # whose copy is that same name: a rerun from the copy reads and

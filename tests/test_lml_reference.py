@@ -170,3 +170,64 @@ def test_fit_bits_do_not_depend_on_blas_threads(fitted):
     # fit runs on one BLAS thread; its undecorated body runs the likelihood
     # on the caller's count
     assert model_bits(surrogate.fit.__wrapped__(X, y)) == model_bits(model)
+
+
+def test_scratch_reuse_leaks_nothing_between_evaluations():
+    # one fit's pairs, whose scratch every evaluation overwrites: each θ
+    # gives the reference's bits whatever was evaluated before it, also
+    # straight after an evaluation that raised and one that escalated the
+    # jitter (every input twice, as in the test above)
+    rng = np.random.default_rng(21)
+    X = rng.random((12, 2))
+    X[6:] = X[:6]
+    z = standardized(rng.normal(size=12))
+    pairs = surrogate.fit_pairs(X)
+    lo, hi = fit_box(2)
+    escalating = np.array([math.log(2.0), math.log(2.0), math.log(1e5), math.log(1e-4)])
+    K = math.exp(2.0 * escalating[2]) * ref_matern_of_r(ref_scaled_dist(X, X, np.full(2, 2.0)))
+    assert ref_factor(K, math.exp(2.0 * escalating[3]))[1] > surrogate.JITTER_FLOOR
+    nan_theta = np.array([np.nan, 0.0, 0.0, math.log(0.1)])
+    t = [lo + rng.random(4) * (hi - lo) for _ in range(4)]
+    sequence = [t[0], nan_theta, t[1], escalating, t[2], t[3]]
+    for theta in sequence + sequence[::-1]:
+        if theta is nan_theta:
+            with pytest.raises(ValueError):
+                surrogate.log_marginal_likelihood(pairs, z, theta)
+        else:
+            expected = hexes(*ref_log_marginal_likelihood(X, z, theta))
+            assert hexes(*surrogate.log_marginal_likelihood(pairs, z, theta)) == expected
+
+
+def ref_length_scale_gradient(X, z, log_theta, k, l_squared):
+    """The reference's gradient in log l_k, with l_k^2 given."""
+    n, d = X.shape
+    sf2 = math.exp(2.0 * log_theta[d])
+    r = ref_scaled_dist(X, X, np.exp(log_theta[:d]))
+    L, _ = ref_factor(sf2 * ref_matern_of_r(r), math.exp(2.0 * log_theta[d + 1]))
+    alpha = cho_solve((L, True), z)
+    W = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(n))
+    g = (5.0 / 3.0) * (1.0 + math.sqrt(5.0) * r) * np.exp(-math.sqrt(5.0) * r)
+    dK = sf2 * g * ((X[:, k, None] - X[None, :, k]) ** 2 / l_squared)
+    return 0.5 * float(np.sum(W * dK))
+
+
+def test_length_scale_square_is_a_scalar_pow():
+    # the gradient divides by l ** 2, a libm pow of one float, which for a
+    # few l differs in the last bit from l * l, what an array's ** 2
+    # computes; the first seeded θ with such an l pins the pow
+    rng = np.random.default_rng(7)
+    n, d = 20, 6
+    X = rng.random((n, d))
+    z = standardized(rng.normal(size=n))
+    lo, hi = fit_box(d)
+    while True:
+        theta = lo + rng.random(d + 2) * (hi - lo)
+        ls = np.exp(theta[:d]).tolist()
+        differing = [k for k in range(d) if ls[k] ** 2 != ls[k] * ls[k]]
+        if differing:
+            break
+    k = differing[0]
+    expected = hexes(*ref_log_marginal_likelihood(X, z, theta))
+    assert expected[1 + k] == float(ref_length_scale_gradient(X, z, theta, k, ls[k] ** 2)).hex()
+    assert expected[1 + k] != float(ref_length_scale_gradient(X, z, theta, k, ls[k] * ls[k])).hex()
+    assert hexes(*surrogate.log_marginal_likelihood(surrogate.fit_pairs(X), z, theta)) == expected

@@ -246,6 +246,9 @@ class TestSuggestNext:
             SamplerConfig(budget=0)
         with pytest.raises(ValueError):
             SamplerConfig(beta=-1.0)
+        for beta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                SamplerConfig(beta=beta)
         with pytest.raises(ValueError):
             SamplerConfig(candidates=4)
 
