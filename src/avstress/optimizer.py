@@ -12,9 +12,10 @@ sampler first needs them, so a Sobol campaign starts without either.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .geom import Point2
 from .metrics import EpisodeScore, score_episode
@@ -103,6 +104,8 @@ def suggest_next(history: History, cfg: SamplerConfig, dim: int = 2) -> Tuple[fl
     import numpy as np
     from . import surrogate
 
+    if _campaign is not None and surrogate._helper is None:
+        _campaign.enter_context(surrogate.campaign_helper())
     X = np.array([obs.prompt for obs in valid])
     y = np.array([obs.score for obs in valid])
     cands = _candidate_set(history, cfg, dim)
@@ -142,6 +145,24 @@ def prompt_dim(scenario: Scenario) -> int:
 
 PolicyFactory = Callable[[Scenario, str, Point2], object]
 
+# The scope of the campaign in progress, None outside one. A BO campaign's
+# first GP fit enters surrogate.campaign_helper() there, so the fits share
+# one helper process from then until the campaign ends. Entering it when
+# the campaign starts would import numpy and scipy, most of a second,
+# before the first episode.
+_campaign: Optional[contextlib.ExitStack] = None
+
+
+@contextlib.contextmanager
+def _campaign_scope() -> Iterator[None]:
+    global _campaign
+    previous = _campaign
+    with contextlib.ExitStack() as _campaign:
+        try:
+            yield
+        finally:
+            _campaign = previous
+
 
 def run_campaign(
     scenario: Scenario,
@@ -154,33 +175,35 @@ def run_campaign(
 
     Failed episodes are recorded with score -inf; BO excludes them from GP
     fitting but they still consume budget. The loop is deterministic given
-    (scenario, cfg).
+    (scenario, cfg). The GP's helper process (surrogate.campaign_helper),
+    if a fit started one, is joined before this returns or raises.
     """
     dim = prompt_dim(scenario)
     records: List[EpisodeRecord] = []
-    for it in range(cfg.budget):
-        prompt = suggest_next(records, cfg, dim=dim)
-        goals = split_prompt(scenario, prompt)
-        policies = {
-            aid: policy_factory(scenario, aid, goal) for aid, goal in goals.items()
-        }
-        record = EpisodeRecord(
-            iteration=it, prompt=prompt, goals_world=goals,
-            score=-math.inf, episode=None, metrics=None,
-        )
-        try:
-            episode = simulate_episode(scenario, goals, planner, policies)
-            record.episode = episode
-            if episode.failed:
+    with _campaign_scope():
+        for it in range(cfg.budget):
+            prompt = suggest_next(records, cfg, dim=dim)
+            goals = split_prompt(scenario, prompt)
+            policies = {
+                aid: policy_factory(scenario, aid, goal) for aid, goal in goals.items()
+            }
+            record = EpisodeRecord(
+                iteration=it, prompt=prompt, goals_world=goals,
+                score=-math.inf, episode=None, metrics=None,
+            )
+            try:
+                episode = simulate_episode(scenario, goals, planner, policies)
+                record.episode = episode
+                if episode.failed:
+                    record.failed = True
+                    record.failure_reason = episode.failure_reason
+                else:
+                    record.metrics = score_episode(episode, scenario)
+                    record.score = record.metrics.g
+            except Exception as exc:
                 record.failed = True
-                record.failure_reason = episode.failure_reason
-            else:
-                record.metrics = score_episode(episode, scenario)
-                record.score = record.metrics.g
-        except Exception as exc:
-            record.failed = True
-            record.failure_reason = str(exc)
-        records.append(record)
-        if episode_sink is not None:
-            episode_sink(record)
+                record.failure_reason = str(exc)
+            records.append(record)
+            if episode_sink is not None:
+                episode_sink(record)
     return records

@@ -1,10 +1,12 @@
 import os
 import re
 import sys
+from importlib import resources
 
 import pytest
 import yaml
 
+from avstress import scenario as scenario_module
 from avstress.geom import project_to_polyline
 from avstress.scenario import (
     PRESET_NAMES,
@@ -14,7 +16,7 @@ from avstress.scenario import (
     prompt_to_world,
 )
 from avstress.sobol import MAX_DIM
-from conftest import TWO_LANE_YAML, scenario_with_agents
+from conftest import TWO_LANE_YAML, agents_yaml, scenario_with_agents
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "benchmarks"))
@@ -366,3 +368,32 @@ class TestPromptToWorld:
             s, l, _ = project_to_polyline(p.x, p.y, lane.centerline)
             assert dom.s_min - 1e-6 <= s <= dom.s_max + 1e-6
             assert dom.l_min - 1e-6 <= l <= dom.l_max + 1e-6
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+def _load_with(loader, monkeypatch, text):
+    monkeypatch.setattr(scenario_module, "YAML_LOADER", loader)
+    return load_scenario(text, scenario_id="s")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [resources.files("avstress").joinpath(f"presets/{name}.yaml").read_text()
+     for name in PRESET_NAMES]
+    + [TWO_LANE_YAML, agents_yaml(3), crowd_scenario.crowd_yaml(7, 3)],
+    ids=[*PRESET_NAMES, "two_lane", "agents_3", "crowd_7_3"],
+)
+def test_yaml_loaders_give_equal_scenarios(text, monkeypatch):
+    # libyaml's parser, where PyYAML has it, reads each config as the
+    # pure-Python one does
+    scenarios = [_load_with(loader, monkeypatch, text) for loader in LOADERS]
+    assert all(sc == scenarios[0] for sc in scenarios)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("text", ["map: [unclosed", "a: b: c", "map:\n\t- tab"])
+def test_malformed_yaml_is_a_scenario_error(text, loader, monkeypatch):
+    with pytest.raises(ScenarioError, match="^config is not valid YAML: "):
+        _load_with(loader, monkeypatch, text)
