@@ -12,11 +12,11 @@ sampler first needs them, so a Sobol campaign starts without either.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from .fit_helper import FitHelper
 from .geom import Point2
 from .metrics import EpisodeScore, score_episode
 from .scenario import Scenario, prompt_to_world
@@ -90,8 +90,12 @@ def _candidate_set(history: History, cfg: SamplerConfig, dim: int) -> np.ndarray
     return np.vstack([cands, locals_])
 
 
-def suggest_next(history: History, cfg: SamplerConfig, dim: int = 2) -> Tuple[float, ...]:
-    """Next prompt to evaluate; raises once the budget is exhausted."""
+def suggest_next(
+    history: History, cfg: SamplerConfig, dim: int = 2, helper: Optional[FitHelper] = None
+) -> Tuple[float, ...]:
+    """Next prompt to evaluate; raises once the budget is exhausted.
+    `helper` is the campaign's `FitHelper`, which the GP fit hands half of
+    its starts; without one the fit runs them all in this process."""
     if len(history) >= cfg.budget:
         raise RuntimeError("sampling budget exhausted")
     if cfg.kind == "sobol":
@@ -104,12 +108,10 @@ def suggest_next(history: History, cfg: SamplerConfig, dim: int = 2) -> Tuple[fl
     import numpy as np
     from . import surrogate
 
-    if _campaign is not None and surrogate._helper is None:
-        _campaign.enter_context(surrogate.campaign_helper())
     X = np.array([obs.prompt for obs in valid])
     y = np.array([obs.score for obs in valid])
     cands = _candidate_set(history, cfg, dim)
-    model = surrogate.fit(X, y)
+    model = surrogate.fit(X, y, helper=helper)
     acq = ucb(*surrogate.posterior_batch(model, cands), cfg.beta)
     best = int(np.argmax(acq))  # first index wins ties
     return tuple(float(v) for v in cands[best])
@@ -145,25 +147,6 @@ def prompt_dim(scenario: Scenario) -> int:
 
 PolicyFactory = Callable[[Scenario, str, Point2], object]
 
-# The scope of the campaign in progress, None outside one. A BO campaign's
-# first GP fit enters surrogate.campaign_helper() there, so the fits share
-# one helper process from then until the campaign ends. Entering it when
-# the campaign starts would import numpy and scipy, most of a second,
-# before the first episode.
-_campaign: Optional[contextlib.ExitStack] = None
-
-
-@contextlib.contextmanager
-def _campaign_scope() -> Iterator[None]:
-    global _campaign
-    previous = _campaign
-    with contextlib.ExitStack() as _campaign:
-        try:
-            yield
-        finally:
-            _campaign = previous
-
-
 def run_campaign(
     scenario: Scenario,
     cfg: SamplerConfig,
@@ -175,14 +158,15 @@ def run_campaign(
 
     Failed episodes are recorded with score -inf; BO excludes them from GP
     fitting but they still consume budget. The loop is deterministic given
-    (scenario, cfg). The GP's helper process (surrogate.campaign_helper),
-    if a fit started one, is joined before this returns or raises.
+    (scenario, cfg). Every GP fit of the campaign is passed the campaign's
+    `FitHelper` as `helper`; its process, if a fit started one, is joined
+    before this returns or raises.
     """
     dim = prompt_dim(scenario)
     records: List[EpisodeRecord] = []
-    with _campaign_scope():
+    with FitHelper() as helper:
         for it in range(cfg.budget):
-            prompt = suggest_next(records, cfg, dim=dim)
+            prompt = suggest_next(records, cfg, dim=dim, helper=helper)
             goals = split_prompt(scenario, prompt)
             policies = {
                 aid: policy_factory(scenario, aid, goal) for aid, goal in goals.items()

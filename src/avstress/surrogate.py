@@ -48,23 +48,9 @@ tests/test_lbfgsb_reference.py, tests/test_posterior_reference.py).
 themselves (`single_blas_thread`): callers do not wrap them.
 
 A fit's 8 L-BFGS-B starts are independent (Rasmussen & Williams 2006,
-section 5.4). Inside a campaign (`campaign_helper`, which
-`optimizer.run_campaign` opens) and where the process may run on at least
-2 CPUs, one helper process runs the odd-numbered starts while the
-campaign's process runs the even-numbered ones; the runs are merged in
-start order, so the fit picks the start that one process would. The
-static split is balanced: over the 98 fits of a 3-agent, budget-100
-campaign the larger half took 3.74 s of 7.04 s of serial start time.
-Threads would not do: the likelihood is Python over small arrays and holds
-the GIL. The helper is forked (`multiprocessing`'s `fork` context) at the
-campaign's first fit and serves the campaign's later fits. So the fork is
-paid once per campaign, and the imports never: a fresh interpreter takes
-most of a second to import this module, which `spawn` or `forkserver`
-would pay in every campaign, and a fresh process per fit cost more CPU in
-the campaign's process than it saved. Being a fork, the helper runs the
-code as it was at the campaign's first fit: it sees monkeypatches made
-before then, but not later ones. A fit outside a campaign (`export-gp`)
-runs all 8 starts in its own process.
+section 5.4). Given the campaign's `fit_helper.FitHelper`, `fit` runs the
+odd-numbered starts in the helper process and the even-numbered ones here;
+without one, as in `export-gp`, it runs all 8 here.
 """
 from __future__ import annotations
 
@@ -74,7 +60,6 @@ import functools
 import glob
 import math
 import os
-import signal
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -84,6 +69,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize._lbfgsb import setulb
 
+from .fit_helper import FitHelper
 from .sobol import sobol_points
 
 JITTER_FLOOR = 1e-8
@@ -95,9 +81,6 @@ JITTER_CEIL = 1e-4
 POSTERIOR_BLOCK = 512
 # L-BFGS-B iterations per start of a fit
 LBFGS_MAXITER = 200
-# seconds a fit helper has to exit once its pipe is closed: an idle one
-# exits at once
-HELPER_EXIT_S = 5.0
 
 
 @functools.cache
@@ -485,175 +468,53 @@ def _lbfgsb(
 
 def _run_starts(
     pairs: FitPairs, z: np.ndarray, lo: np.ndarray, hi: np.ndarray, starts: np.ndarray
-) -> Tuple[List[_LbfgsbRun], Optional[Exception]]:
-    """Minimize the negated LML from each start in turn, up to the first
-    start that raises: (the runs before it, its exception), or (every run,
-    None)."""
+) -> List[_LbfgsbRun]:
+    """Minimize the negated LML from each start in turn; raises what the
+    first start to raise raised."""
 
     def objective(log_theta):
         ll, grad = log_marginal_likelihood(pairs, z, log_theta)
         return -ll, -grad
 
-    runs = []
-    for x0 in starts:
-        try:
-            runs.append(_lbfgsb(objective, x0, lo, hi))
-        except Exception as exc:
-            return runs, exc
-    return runs, None
-
-
-def _serve(conn, parent_end) -> None:
-    """The helper's loop: for each (fit number, X, z, lo, hi, starts) it
-    receives, send back (fit number, runs, exception) of `_run_starts`.
-    It closes its copy of the campaign's end of the pipe, or the pipe would
-    never report EOF, ignores SIGINT, which the campaign's process handles,
-    and returns at EOF or once the campaign's end is gone."""
-    parent_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    with single_blas_thread():
-        while True:
-            try:
-                fit_number, X, z, lo, hi, starts = conn.recv()
-            except EOFError:
-                return
-            runs, error = _run_starts(fit_pairs(X), z, lo, hi, starts)
-            try:
-                conn.send((fit_number, runs, error))
-            # the campaign's end is gone, or the error does not pickle: the
-            # campaign's process, which sees EOF, runs these starts itself
-            except Exception:
-                return
-
-
-class _Helper:
-    """The helper process of one campaign and the campaign's end of its
-    pipe; forked by the first `send`, and again after the last one died."""
-
-    def __init__(self):
-        self.process = None
-        self.conn = None
-        self.fits = 0  # the number of the last fit sent, echoed in the reply
-
-    def send(self, X, z, lo, hi, starts) -> bool:
-        """Hand `starts` to the helper; False, and nothing sent, where the
-        process may run on one CPU only or the helper is gone."""
-        if self.process is None:
-            if len(os.sched_getaffinity(0)) < 2:
-                return False
-            self._start()
-        self.fits += 1
-        try:
-            self.conn.send((self.fits, X, z, lo, hi, starts))
-        except OSError:
-            self.close(kill=True)
-            return False
-        return True
-
-    def receive(self) -> Optional[Tuple[List[_LbfgsbRun], Optional[Exception]]]:
-        """`_run_starts`'s result for the starts last sent, or None if the
-        helper died before it replied."""
-        try:
-            fit_number, runs, error = self.conn.recv()
-        except (EOFError, OSError):
-            self.close(kill=True)
-            return None
-        if fit_number != self.fits:
-            raise RuntimeError(f"fit helper replied for fit {fit_number}, not {self.fits}")
-        return runs, error
-
-    def _start(self) -> None:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        conn, child_end = ctx.Pipe()
-        process = ctx.Process(target=_serve, args=(child_end, conn), daemon=True)
-        # SIGINT stays blocked from the fork until the helper ignores it
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            process.start()
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        child_end.close()
-        self.process, self.conn = process, conn
-
-    def close(self, kill: bool = False) -> None:
-        """Close the pipe and join the helper, which then exits at EOF;
-        `kill` it first where it may be in the middle of a fit. A helper
-        still there after HELPER_EXIT_S is killed, so that a fault in it
-        cannot hang the campaign."""
-        if self.process is None:
-            return
-        self.conn.close()
-        if kill:
-            self.process.kill()
-        self.process.join(HELPER_EXIT_S)
-        if self.process.exitcode is None:
-            self.process.kill()
-            self.process.join()
-        self.process = self.conn = None
-
-
-# the helper of the campaign in progress, None outside one (campaign_helper)
-_helper: Optional[_Helper] = None
-
-
-@contextlib.contextmanager
-def campaign_helper() -> Iterator[None]:
-    """Scope of one campaign's helper process: `fit` forks it at its first
-    call in the scope and hands it half of every fit's starts. On leaving,
-    the pipe is closed and the helper joined, whether the campaign returned
-    or raised. The helper is state of this module, not an argument of
-    `fit`, because `fit` and `optimizer.suggest_next` keep their
-    signatures."""
-    global _helper
-    previous, _helper = _helper, _Helper()
-    try:
-        yield
-    finally:
-        helper, _helper = _helper, previous
-        helper.close()
-
-
-def _multistart(
-    X: np.ndarray, z: np.ndarray, lo: np.ndarray, hi: np.ndarray, starts: np.ndarray
-) -> List[_LbfgsbRun]:
-    """Every start's run, in start order, each equal to the bit to the run
-    of a serial loop. In a campaign's helper scope the helper runs the
-    odd-numbered starts and this process the even-numbered ones; a helper
-    that dies leaves its starts to this process. This process reads the
-    helper's reply before it returns or raises. Raises what the first start
-    to raise in start order raised."""
-    pairs = fit_pairs(X)
-    helper = _helper
-    if helper is None or not helper.send(X, z, lo, hi, starts[1::2]):
-        runs, error = _run_starts(pairs, z, lo, hi, starts)
-        if error is not None:
-            raise error
-        return runs
-    try:
-        own, own_error = _run_starts(pairs, z, lo, hi, starts[0::2])
-        reply = helper.receive()
-    except BaseException:  # an interrupt, or a reply out of turn
-        helper.close(kill=True)
-        raise
-    if reply is None:  # the helper died: its starts run here
-        reply = _run_starts(pairs, z, lo, hi, starts[1::2])
-    theirs, their_error = reply
-    # start 2i is own[i] and start 2i + 1 theirs[i]: raise what the first
-    # start to raise, in that order, raised
-    if own_error is not None and (their_error is None or len(own) <= len(theirs)):
-        raise own_error
-    if their_error is not None:
-        raise their_error
-    runs = [None] * len(starts)
-    runs[0::2], runs[1::2] = own, theirs
-    return runs
+    return [_lbfgsb(objective, x0, lo, hi) for x0 in starts]
 
 
 @single_blas_thread()
-def fit(inputs: np.ndarray, targets: np.ndarray) -> GpModel:
+def _helper_runs(
+    X: np.ndarray, z: np.ndarray, lo: np.ndarray, hi: np.ndarray, starts: np.ndarray
+) -> List[_LbfgsbRun]:
+    """`_run_starts` on X: the share of a fit that the helper runs."""
+    return _run_starts(fit_pairs(X), z, lo, hi, starts)
+
+
+def _multistart(
+    X: np.ndarray, z: np.ndarray, lo: np.ndarray, hi: np.ndarray, starts: np.ndarray,
+    helper: Optional[FitHelper],
+) -> List[_LbfgsbRun]:
+    """Every start's run, in start order, each equal to the bit to the run
+    of a serial loop. Given a helper that can run, the helper runs the
+    odd-numbered starts and this process the even-numbered ones, and this
+    process reads the helper's reply before it goes on (an interrupt leaves
+    it unread, and leaving the helper's `with` block then kills it). If a
+    start raised in either process, or the helper died, the serial loop
+    runs every start here: it raises what the first start to raise in start
+    order raised."""
+    pairs = fit_pairs(X)
+    if helper is not None and helper.send(_helper_runs, X, z, lo, hi, starts[1::2]):
+        try:
+            own = _run_starts(pairs, z, lo, hi, starts[0::2])
+        except Exception:  # the serial loop below raises it in start order
+            own = None
+        theirs = helper.receive()
+        if own is not None and theirs is not None:
+            runs = [None] * len(starts)
+            runs[0::2], runs[1::2] = own, theirs
+            return runs
+    return _run_starts(pairs, z, lo, hi, starts)
+
+
+@single_blas_thread()
+def fit(inputs: np.ndarray, targets: np.ndarray, helper: Optional[FitHelper] = None) -> GpModel:
     """Fit hyperparameters by multi-start MLE and condition on the data.
 
     Eight L-BFGS starts are taken from a Sobol grid over the log-parameter
@@ -661,13 +522,10 @@ def fit(inputs: np.ndarray, targets: np.ndarray) -> GpModel:
     prediction. Of the runs, the first with the strictly lowest final
     objective wins.
 
-    In a campaign (`campaign_helper`), on 2 CPUs or more, the odd-numbered
-    starts run in the campaign's helper process and the even-numbered ones
-    here; outside one, all run here. Every run, and so the model, is the
-    same to the bit either way. The helper is forked, not spawned, at the
-    campaign's first fit and serves the campaign's later fits, so no fit
-    pays for a process start or for this module's imports. It sees
-    monkeypatches made before that first fit, not later ones.
+    `helper` is the campaign's `fit_helper.FitHelper`: on 2 CPUs or more
+    the odd-numbered starts run in its process and the even-numbered ones
+    here. Without a helper, or on one CPU, all run here. Every run, and so
+    the model, is the same to the bit either way.
     """
     X, y, _, _, z = _checked_data(inputs, targets)
     d = X.shape[1]
@@ -679,7 +537,7 @@ def fit(inputs: np.ndarray, targets: np.ndarray) -> GpModel:
     hi = np.array([math.log(2.0)] * d + [math.log(10.0 * z_std), math.log(z_std)])
     starts = lo + sobol_points(8, dim=d + 2, start=1) * (hi - lo)
     best = None
-    for res in _multistart(X, z, lo, hi, starts):
+    for res in _multistart(X, z, lo, hi, starts, helper):
         if best is None or res.fun < best.fun:
             best = res
     assert best is not None

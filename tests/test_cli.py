@@ -505,7 +505,9 @@ class TestReplay:
 
 
 # runs in a fresh interpreter: which modules are loaded after `import
-# avstress.cli`, after a Sobol run, `report` and `replay`, and after a BO run
+# avstress.cli`, after a Sobol run, `report` and `replay`, after a budget-2
+# BO run (two Sobol bootstraps, no GP fit), after `import
+# avstress.fit_helper`, and after a BO run that fits
 LOADED_MODULES_SCRIPT = """
 import contextlib, io, json, os, sys
 import avstress.cli
@@ -522,6 +524,12 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert avstress.cli.main(argv) == 0, argv
 seen.append(loaded())
 with contextlib.redirect_stdout(io.StringIO()):
+    argv = ["run", "front", "--sampler", "bo", "--budget", "2", "--out", out]
+    assert avstress.cli.main(argv) == 0, argv
+seen.append(loaded())
+import avstress.fit_helper
+seen.append(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
     argv = ["run", "front", "--sampler", "bo", "--budget", "3", "--out", out]
     assert avstress.cli.main(argv) == 0, argv
 seen.append(loaded())
@@ -531,15 +539,19 @@ print(json.dumps(seen))
 
 def test_only_bo_loads_numpy_and_scipy(tmp_path):
     # numpy and scipy take most of a second to import; Sobol runs, `report`
-    # and `replay` use neither, so they must not pay for them. The BO run
-    # shows that the check sees the libraries when they are loaded.
+    # and `replay` use neither, so they must not pay for them. Nor does a
+    # BO campaign before its first GP fit, or its fit helper's module: the
+    # campaign opens its helper when it starts. The last BO run shows that
+    # the check sees the libraries when they are loaded.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES_SCRIPT, str(tmp_path)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    after_import, after_sobol, after_bo = json.loads(proc.stdout)
+    after_import, after_sobol, after_bootstrap, after_helper, after_bo = json.loads(proc.stdout)
     assert after_import == []
     assert after_sobol == []
+    assert after_bootstrap == []
+    assert after_helper == []
     assert after_bo == ["numpy", "scipy"]

@@ -1,4 +1,4 @@
-"""The GP fit's helper process (`surrogate.campaign_helper`).
+"""The GP fit's helper process (`fit_helper.FitHelper`).
 
 Inside a campaign, and where the process may run on at least 2 CPUs, one
 forked helper runs the odd-numbered L-BFGS-B starts of every fit. These
@@ -17,7 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from avstress import cli, surrogate
+from avstress import cli, optimizer, surrogate
+from avstress.fit_helper import FitHelper
 from avstress.optimizer import SamplerConfig, run_campaign
 from avstress.planner import LatticePlanner
 from avstress.scenario import load_preset
@@ -68,8 +69,23 @@ def wait_until(predicate, timeout=10.0):
     return True
 
 
-def helper_pid():
-    helper = surrogate._helper
+@pytest.fixture
+def opened(monkeypatch):
+    """The FitHelpers that campaigns open during the test, in order."""
+    helpers = []
+
+    class Recording(FitHelper):
+        def __init__(self):
+            super().__init__()
+            helpers.append(self)
+
+    monkeypatch.setattr(optimizer, "FitHelper", Recording)
+    return helpers
+
+
+def helper_pid(helpers):
+    """The pid of the last helper's process, None where it has none."""
+    helper = helpers[-1] if helpers else None
     return None if helper is None or helper.process is None else helper.process.pid
 
 
@@ -96,24 +112,25 @@ def assert_same_tree(a, b):
 
 @needs_two_cpus
 class TestLifecycle:
-    def test_no_child_left_after_the_campaign_returns(self):
+    def test_no_child_left_after_the_campaign_returns(self, opened):
         before = children()
         pids = set()
         records = run_campaign(load_preset("behind"), SamplerConfig(kind="bo", budget=5),
-                               LatticePlanner(), episode_sink=lambda r: pids.add(helper_pid()))
+                               LatticePlanner(),
+                               episode_sink=lambda r: pids.add(helper_pid(opened)))
         assert len(records) == 5
         pids.discard(None)
         assert len(pids) == 1  # forked at the first fit, kept for the others
-        assert surrogate._helper is None
+        assert len(opened) == 1 and opened[0].process is None
         assert children() - before == set()
         assert all(proc_state(pid) is None for pid in pids)
 
-    def test_no_child_left_after_the_campaign_raises(self):
+    def test_no_child_left_after_the_campaign_raises(self, opened):
         before = children()
         pids = []
 
         def sink(record):
-            pids.append(helper_pid())
+            pids.append(helper_pid(opened))
             if record.iteration == 3:
                 raise RuntimeError("sink failed")
 
@@ -121,30 +138,37 @@ class TestLifecycle:
             run_campaign(load_preset("behind"), SamplerConfig(kind="bo", budget=6),
                          LatticePlanner(), episode_sink=sink)
         assert pids[-1] is not None
-        assert surrogate._helper is None
+        assert len(opened) == 1 and opened[0].process is None
         assert children() - before == set()
         assert proc_state(pids[-1]) is None
 
-    def test_sobol_campaign_starts_no_helper(self):
+    def test_sobol_campaign_starts_no_helper(self, opened):
         pids = set()
         run_campaign(load_preset("behind"), SamplerConfig(kind="sobol", budget=3),
-                     LatticePlanner(), episode_sink=lambda r: pids.add(helper_pid()))
+                     LatticePlanner(), episode_sink=lambda r: pids.add(helper_pid(opened)))
         assert pids == {None}
 
 
 # runs a BO campaign that prints its helper's pid once and keeps going
 PRINT_HELPER_SCRIPT = """
 import os, sys
-from avstress import surrogate
+from avstress import optimizer
 from avstress.optimizer import SamplerConfig, run_campaign
 from avstress.planner import LatticePlanner
 from avstress.scenario import load_preset
 
-printed = []
+printed, opened = [], []
+
+class Recording(optimizer.FitHelper):
+    def __init__(self):
+        super().__init__()
+        opened.append(self)
+
+optimizer.FitHelper = Recording
 
 def sink(record):
-    helper = surrogate._helper
-    if not printed and helper is not None and helper.process is not None:
+    helper = opened[-1]
+    if not printed and helper.process is not None:
         printed.append(helper.process.pid)
         print(helper.process.pid, flush=True)
 
@@ -211,25 +235,28 @@ class TestSignals:
 
 @needs_two_cpus
 class TestHelperFailure:
-    def test_killed_helper_leaves_the_campaign_files_unchanged(self, tmp_path, monkeypatch):
+    def test_killed_helper_leaves_the_campaign_files_unchanged(
+        self, tmp_path, monkeypatch, opened
+    ):
         undisturbed = campaign_files(tmp_path, "undisturbed")
         fit, run_starts = surrogate.fit, surrogate._run_starts
         after = []  # the helper's pid after each fit, None where there is none
 
         def kill_helper():
-            pid = helper_pid()
+            pid = helper_pid(opened)
             os.kill(pid, signal.SIGKILL)
             assert wait_until(lambda: proc_state(pid) == "Z")
 
-        def fit_killing_before_the_fifth(X, y):
+        def fit_killing_before_the_fifth(X, y, helper=None):
             if len(after) == 4:  # between two fits: the next send finds no reader
                 kill_helper()
-            model = fit(X, y)
-            after.append(helper_pid())
+            model = fit(X, y, helper=helper)
+            after.append(helper_pid(opened))
             return model
 
         def run_starts_killing_in_the_tenth(*args):
-            if len(after) == 9 and helper_pid() is not None:  # mid-fit: no reply comes
+            # mid-fit: no reply comes
+            if len(after) == 9 and helper_pid(opened) is not None:
                 kill_helper()
             return run_starts(*args)
 
@@ -251,9 +278,9 @@ class TestHelperFailure:
         seen = []
         multistart = surrogate._multistart
 
-        def recording(X, z, lo, hi, starts):
+        def recording(X, z, lo, hi, starts, helper=None):
             seen.append((len(X), starts))
-            return multistart(X, z, lo, hi, starts)
+            return multistart(X, z, lo, hi, starts, helper)
 
         with monkeypatch.context() as m:
             m.setattr(surrogate, "_multistart", recording)
@@ -290,15 +317,14 @@ class TestHelperFailure:
         with pytest.raises(np.linalg.LinAlgError) as serial_error:
             surrogate.fit(X, y)
         assert str(serial_error.value) == f"start {raised}"
-        with surrogate.campaign_helper():
+        with FitHelper() as helper:
             with pytest.raises(np.linalg.LinAlgError) as helper_error:
-                surrogate.fit(X, y)
-            helper = surrogate._helper
+                surrogate.fit(X, y, helper=helper)
             pid = helper.process.pid
             # the reply was read before the fit raised: nothing is left in
             # the pipe, and the next fit reads its own reply
             assert not helper.conn.poll()
-            model = surrogate.fit(X10, y10)
+            model = surrogate.fit(X10, y10, helper=helper)
             assert (helper.process.pid, helper.fits) == (pid, 2)
         assert str(helper_error.value) == str(serial_error.value)
         assert model.params == expected.params
@@ -312,18 +338,20 @@ class TestHelperFailure:
         X, y = rng.random((12, 2)), rng.random(12)
         starts = self.first_fit_starts(monkeypatch, surrogate.fit, X, y)
         self.fail_at(monkeypatch, *starts, {3}, LocalError)
-        with surrogate.campaign_helper():
-            # the helper cannot send a local class back; this process then
-            # runs its starts and raises the error itself
+        with FitHelper() as helper:
+            # the helper sends back no error, only that its starts failed;
+            # this process then runs the starts and raises the error itself
             with pytest.raises(LocalError, match="start 3"):
-                surrogate.fit(X, y)
-            assert helper_pid() is None
-            surrogate.fit(X[:10], y[:10])
-            assert helper_pid() is not None
+                surrogate.fit(X, y, helper=helper)
+            pid = helper.process.pid
+            # the same helper serves the next fit
+            assert not helper.conn.poll()
+            surrogate.fit(X[:10], y[:10], helper=helper)
+            assert (helper.process.pid, helper.fits) == (pid, 2)
         # the helper exited quietly
         assert "Traceback" not in capfd.readouterr().err
 
-    def test_campaign_raises_the_serial_error_and_leaves_no_child(self, monkeypatch):
+    def test_campaign_raises_the_serial_error_and_leaves_no_child(self, monkeypatch, opened):
         scenario, cfg = load_preset("behind"), SamplerConfig(kind="bo", budget=6)
         first = self.first_fit_starts(monkeypatch, run_campaign, scenario, cfg, LatticePlanner())
         self.fail_at(monkeypatch, *first, {3})
@@ -337,12 +365,12 @@ class TestHelperFailure:
                     run_campaign(scenario, cfg, LatticePlanner())
             errors.append(str(error.value))
         assert errors == ["start 3", "start 3"]
-        assert surrogate._helper is None
+        assert opened and all(helper.process is None for helper in opened)
         assert children() - before == set()
 
 
 @needs_two_cpus
-def test_runs_over_both_processes_count_every_serial_evaluation(monkeypatch):
+def test_runs_over_both_processes_count_every_serial_evaluation(monkeypatch, opened):
     # the helper's evaluations are not counted in this process, but each
     # run it returns carries its count
     scenario, cfg = load_preset("behind"), SamplerConfig(kind="bo", budget=12)
@@ -371,10 +399,25 @@ def test_runs_over_both_processes_count_every_serial_evaluation(monkeypatch):
     pids = set()
     monkeypatch.setattr(surrogate, "_multistart", summing(1))
     records = run_campaign(scenario, cfg, LatticePlanner(),
-                           episode_sink=lambda r: pids.add(helper_pid()))
+                           episode_sink=lambda r: pids.add(helper_pid(opened)))
     assert len(pids - {None}) == 1
     assert nfev == [evaluations[0], evaluations[0]]
     assert [r.prompt for r in records] == [r.prompt for r in serial_records]
+
+
+def test_a_platform_without_sched_getaffinity_runs_fits_serially(
+    tmp_path, monkeypatch, opened
+):
+    # macOS and Windows have no os.sched_getaffinity: the helper takes such
+    # a platform for one CPU, and the campaign is the pinned one
+    with monkeypatch.context() as m:
+        serial(m)
+        pinned = campaign_files(tmp_path, "pinned")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    unknown = campaign_files(tmp_path, "unknown")
+    # no fit sent its starts, so no helper process was forked
+    assert [(helper.fits, helper.process) for helper in opened] == [(0, None), (0, None)]
+    assert_same_tree(pinned, unknown)
 
 
 # runs `avstress run` in a fresh interpreter, optionally on one CPU, and

@@ -38,7 +38,7 @@ def pinned_kernel(monkeypatch):
     """Condition the GP on short_scale_params() instead of refitting by MLE."""
     monkeypatch.setattr(
         surrogate, "fit",
-        lambda X, y: build_model(X, y, short_scale_params()),
+        lambda X, y, helper=None: build_model(X, y, short_scale_params()),
     )
 
 
