@@ -52,6 +52,9 @@ def cmd_run(args) -> int:
     out_root = args.out or os.environ.get(OUT_ROOT_ENV, ".")
     out_dir = os.path.join(out_root, f"{scenario.scenario_id}_{cfg.kind}")
     episodes_dir = os.path.join(out_dir, "episodes")
+    for path in (out_root, out_dir, episodes_dir):
+        if os.path.exists(path) and not os.path.isdir(path):
+            raise CliError(f"output path '{path}' exists and is not a directory")
     os.makedirs(episodes_dir, exist_ok=True)
     # this run replaces any earlier campaign in the directory, and the GP
     # grid and samples that `export-gp` made from it
@@ -215,6 +218,13 @@ def cmd_replay(args) -> int:
         raise CliError(f"no scenario file '{scenario_path}'")
     except IsADirectoryError:
         raise CliError(f"'{scenario_path}' is a directory, not a scenario file")
+    ids = sorted(a.id for a in scenario.agents)
+    for joint in episode.trace:
+        if sorted(joint.states) != ids:
+            raise CliError(
+                f"the episode's agents {sorted(joint.states)} at t={joint.timestep} are not"
+                f" the agents {ids} of '{scenario_path}'"
+            )
     for joint in episode.trace:
         parts = [f"t={joint.timestep:3d}"]
         for aid in sorted(joint.states):

@@ -8,7 +8,6 @@ time-to-collision spreads, and pairwise trajectory diversity.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from statistics import mean, stdev
@@ -108,36 +107,26 @@ def asd(trajectories: Sequence[Sequence[Tuple[float, float]]]) -> float:
     # Trajectories equal by value (an ego that repeats its path) give equal
     # pair terms bit for bit: math.dist takes the absolute value of each
     # difference, so neither the sign of a zero nor the order of the pair
-    # changes it. Each group of equal trajectories that occurs more than once
-    # gets one row of terms, against every group, held as C doubles that read
-    # back as the same floats; the terms are then added in (i, j) order, so
-    # the sum rounds as the plain double loop does. A pair of trajectories
-    # that occur once each is computed where it is added and stored nowhere.
+    # changes it. So the term of a pair that involves a trajectory occurring
+    # more than once is computed once per pair of groups and kept; any other
+    # pair is computed where it is added and kept nowhere. The terms are
+    # added in (i, j) order, so the sum rounds as the plain double loop does.
     groups = {}
     group = [groups.setdefault(tuple(map(tuple, tau)), len(groups)) for tau in trajectories]
-    reps = list(groups)
-    n_g = len(reps)
     size = Counter(group)
-    base = [-1] * n_g  # where a repeated group's row starts in `terms`
-    terms = array("d")
-    for g in range(n_g):
-        if size[g] > 1:
-            base[g] = len(terms)
-            for h in range(n_g):
-                if h < g and base[h] >= 0:
-                    terms.append(terms[base[h] + g])
-                else:
-                    terms.append(_pair_distance(reps[g], reps[h]))
+    repeated = [size[g] > 1 for g in group]
+    kept = {}  # (g, h) with g <= h: the term of groups g and h
     total = 0.0
     for i in range(n_e):
         g = group[i]
-        row = base[g]
         for j in range(i + 1, n_e):
-            h = group[j]
-            if row >= 0:
-                total += terms[row + h]
-            elif base[h] >= 0:
-                total += terms[base[h] + g]
+            if repeated[i] or repeated[j]:
+                h = group[j]
+                pair = (g, h) if g <= h else (h, g)
+                term = kept.get(pair)
+                if term is None:
+                    term = kept[pair] = _pair_distance(trajectories[i], trajectories[j])
+                total += term
             else:
                 total += _pair_distance(trajectories[i], trajectories[j])
     return total / (n_e * (n_e - 1))

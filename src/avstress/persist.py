@@ -229,7 +229,9 @@ def campaign_record_to_json(record: EpisodeRecord, episode_file: str) -> str:
 
 def read_campaign_log(path: str) -> List[dict]:
     """The records of a campaign.jsonl file. A line that is not a JSON
-    object raises a ValueError that starts with `path:lineno:`."""
+    object, or a record whose `u` is not a list of numbers or whose score
+    is neither a number nor null, raises a ValueError that starts with
+    `path:lineno:`."""
     records = []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -242,6 +244,11 @@ def read_campaign_log(path: str) -> List[dict]:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: record is not a JSON object")
+            u, score = record.get("u"), record.get("score")
+            if not (isinstance(u, list) and all(type(v) in (int, float) for v in u)):
+                raise ValueError(f"{path}:{lineno}: u is not a list of numbers: {u!r}")
+            if type(score) not in (int, float, type(None)):
+                raise ValueError(f"{path}:{lineno}: score is not a number: {score!r}")
             records.append(record)
     return records
 

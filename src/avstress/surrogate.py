@@ -466,25 +466,20 @@ def _lbfgsb(
     return _LbfgsbRun(fun=f, x=x, nfev=nfev, nit=nit)
 
 
+@single_blas_thread()
 def _run_starts(
-    pairs: FitPairs, z: np.ndarray, lo: np.ndarray, hi: np.ndarray, starts: np.ndarray
+    X: np.ndarray, z: np.ndarray, lo: np.ndarray, hi: np.ndarray, starts: np.ndarray
 ) -> List[_LbfgsbRun]:
-    """Minimize the negated LML from each start in turn; raises what the
-    first start to raise raised."""
+    """Minimize the negated LML on inputs X from each start in turn; raises
+    what the first start to raise raised. The one start runner, in the
+    campaign's process and in its fit helper alike."""
+    pairs = fit_pairs(X)
 
     def objective(log_theta):
         ll, grad = log_marginal_likelihood(pairs, z, log_theta)
         return -ll, -grad
 
     return [_lbfgsb(objective, x0, lo, hi) for x0 in starts]
-
-
-@single_blas_thread()
-def _helper_runs(
-    X: np.ndarray, z: np.ndarray, lo: np.ndarray, hi: np.ndarray, starts: np.ndarray
-) -> List[_LbfgsbRun]:
-    """`_run_starts` on X: the share of a fit that the helper runs."""
-    return _run_starts(fit_pairs(X), z, lo, hi, starts)
 
 
 def _multistart(
@@ -499,10 +494,9 @@ def _multistart(
     start raised in either process, or the helper died, the serial loop
     runs every start here: it raises what the first start to raise in start
     order raised."""
-    pairs = fit_pairs(X)
-    if helper is not None and helper.send(_helper_runs, X, z, lo, hi, starts[1::2]):
+    if helper is not None and helper.send(_run_starts, X, z, lo, hi, starts[1::2]):
         try:
-            own = _run_starts(pairs, z, lo, hi, starts[0::2])
+            own = _run_starts(X, z, lo, hi, starts[0::2])
         except Exception:  # the serial loop below raises it in start order
             own = None
         theirs = helper.receive()
@@ -510,7 +504,7 @@ def _multistart(
             runs = [None] * len(starts)
             runs[0::2], runs[1::2] = own, theirs
             return runs
-    return _run_starts(pairs, z, lo, hi, starts)
+    return _run_starts(X, z, lo, hi, starts)
 
 
 @single_blas_thread()
@@ -536,12 +530,7 @@ def fit(inputs: np.ndarray, targets: np.ndarray, helper: Optional[FitHelper] = N
     lo = np.array([math.log(0.05)] * d + [math.log(0.1 * z_std), math.log(1e-4)])
     hi = np.array([math.log(2.0)] * d + [math.log(10.0 * z_std), math.log(z_std)])
     starts = lo + sobol_points(8, dim=d + 2, start=1) * (hi - lo)
-    best = None
-    for res in _multistart(X, z, lo, hi, starts, helper):
-        if best is None or res.fun < best.fun:
-            best = res
-    assert best is not None
-    theta = best.x
+    theta = min(_multistart(X, z, lo, hi, starts, helper), key=lambda run: run.fun).x
     params = KernelParams(
         signal_variance=math.exp(2.0 * theta[d]),
         length_scales=tuple(np.exp(theta[:d])),

@@ -109,6 +109,25 @@ class TestRun:
         assert capsys.readouterr().err == "error: budget must be >= 1\n"
         assert not os.path.exists(out)
 
+    def test_out_that_is_a_file_rejected_without_outputs(self, scenario_file, tmp_path, capsys):
+        # --out itself, and the campaign directory under it
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        assert run_cli("run", scenario_file, "--sampler", "sobol", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: output path '{out}' exists and is not a directory\n")
+        assert out.read_text() == "not a directory\n"
+        root = tmp_path / "root"
+        root.mkdir()
+        (root / "two_lane_sobol").write_text("not a directory\n")
+        assert run_cli("run", scenario_file, "--sampler", "sobol", "--out", str(root)) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: output path '{root / 'two_lane_sobol'}' exists and is not a directory\n")
+        assert os.listdir(root) == ["two_lane_sobol"]
+        assert (root / "two_lane_sobol").read_text() == "not a directory\n"
+
     @pytest.mark.parametrize("beta", ["nan", "inf"])
     def test_non_finite_beta_rejected_before_the_campaign_is_touched(
         self, beta, scenario_file, tmp_path, capsys
@@ -467,6 +486,27 @@ class TestReplay:
         captured = capsys.readouterr()
         assert captured.err == f"error: '{tmp_path}' is a directory, not a scenario file\n"
         assert captured.out == ""
+
+    def test_scenario_with_other_agents_exit_2_before_printing(
+        self, tmp_path, capsys, two_lane_scenario
+    ):
+        episode = make_episode(
+            two_lane_scenario,
+            {
+                "ego": straight_positions((0.0, 3.5), (10.0, 0.0), 5),
+                "npc": straight_positions((15.0, 3.5), (0.0, 0.0), 5),
+            },
+        )
+        ep_path = str(tmp_path / "ep_0000.jsonl")
+        persist.write_episode(ep_path, episode, two_lane_scenario)
+        other = tmp_path / "other.yaml"
+        other.write_text(TWO_LANE_YAML.replace("npc", "car7"))
+        assert run_cli("replay", ep_path, "--scenario", str(other)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the episode's agents ['ego', 'npc'] at t=0 are not the agents"
+            f" ['car7', 'ego'] of '{other}'\n")
 
     def test_metrics_match_campaign_log(self, scenario_file, tmp_path, capsys):
         out = str(tmp_path / "out")

@@ -239,8 +239,9 @@ class TestHelperFailure:
         self, tmp_path, monkeypatch, opened
     ):
         undisturbed = campaign_files(tmp_path, "undisturbed")
-        fit, run_starts = surrogate.fit, surrogate._run_starts
+        fit, lbfgsb = surrogate.fit, surrogate._lbfgsb
         after = []  # the helper's pid after each fit, None where there is none
+        killed_mid_fit = []
 
         def kill_helper():
             pid = helper_pid(opened)
@@ -254,14 +255,17 @@ class TestHelperFailure:
             after.append(helper_pid(opened))
             return model
 
-        def run_starts_killing_in_the_tenth(*args):
-            # mid-fit: no reply comes
-            if len(after) == 9 and helper_pid(opened) is not None:
+        def lbfgsb_killing_in_the_tenth(*args):
+            # mid-fit, once: no reply comes. The job sent to the helper is
+            # `_run_starts`, pickled by name, so the hook sits in the runs it
+            # calls; the helper's forked copy of `after` never reaches 9
+            if len(after) == 9 and not killed_mid_fit:
+                killed_mid_fit.append(True)
                 kill_helper()
-            return run_starts(*args)
+            return lbfgsb(*args)
 
         monkeypatch.setattr(surrogate, "fit", fit_killing_before_the_fifth)
-        monkeypatch.setattr(surrogate, "_run_starts", run_starts_killing_in_the_tenth)
+        monkeypatch.setattr(surrogate, "_lbfgsb", lbfgsb_killing_in_the_tenth)
         disturbed = campaign_files(tmp_path, "disturbed")
         # each death was seen in the fit it hit, whose starts all ran here,
         # and a fresh helper was forked at the next fit

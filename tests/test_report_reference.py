@@ -7,6 +7,7 @@ and `reference_read_episode` are the code they replaced, verbatim.
 """
 import json
 import math
+import os
 import tracemalloc
 
 import pytest
@@ -136,19 +137,24 @@ class TestAsdBits:
 
     def test_unique_trajectories_take_no_memo_entry(self, monkeypatch):
         # every pair computed directly, as in the plain double loop, and no
-        # memo held: 2,775 entries would take well over 200 kB
-        trajs = [line_of(k, 81, y=0.01 * k) for k in range(75)]
-        asd(trajs)
-        tracemalloc.start()
-        try:
+        # memo held: 2,775 entries would take well over 200 kB. With one of
+        # 74 distinct trajectories repeated, only the 74 pairs of groups that
+        # involve the repeated one are kept
+        distinct = [line_of(k, 81, y=0.01 * k) for k in range(75)]
+        one_repeat = distinct[:74] + [distinct[37]]
+        for trajs, pairs in ((distinct, 75 * 74 // 2), (one_repeat, 74 * 73 // 2 + 1)):
             asd(trajs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
-        calls = count_pairs(monkeypatch)
-        assert asd(trajs).hex() == reference_asd(trajs).hex()
-        assert len(calls) == 75 * 74 // 2
+            tracemalloc.start()
+            try:
+                asd(trajs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000
+            with monkeypatch.context() as m:
+                calls = count_pairs(m)
+                assert asd(trajs).hex() == reference_asd(trajs).hex()
+            assert len(calls) == pairs
 
 
 @pytest.fixture(scope="module")
@@ -352,6 +358,36 @@ class TestBadCampaignFiles:
         assert cli.main(["report", campaign_dir]) == 2
         assert capsys.readouterr().err == (
             f"warning: skipping '{campaign_dir}': {message}\n"
+            "error: no readable campaigns\n")
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("u", None, "u is not a list of numbers: None"),
+        ("u", 0.5, "u is not a list of numbers: 0.5"),
+        ("u", ["a", 1.0], "u is not a list of numbers: ['a', 1.0]"),
+        ("score", "-3.0", "score is not a number: '-3.0'"),
+    ], ids=["no_u", "u_not_a_list", "u_not_numbers", "score_not_a_number"])
+    def test_export_gp_and_report_name_a_bad_record(
+        self, campaign_dir, capsys, field, value, error
+    ):
+        log = f"{campaign_dir}/campaign.jsonl"
+        with open(log) as fh:
+            lines = fh.read().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        assert not record["failed"] and record["score"] is not None
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        lines[2] = json.dumps(record) + "\n"
+        with open(log, "w") as fh:
+            fh.writelines(lines)
+        assert cli.main(["export-gp", campaign_dir]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {log}:3: {error}\n")
+        assert not os.path.exists(f"{campaign_dir}/gp_grid.csv")
+        assert cli.main(["report", campaign_dir]) == 2
+        assert capsys.readouterr().err == (
+            f"warning: skipping '{campaign_dir}': {log}:3: {error}\n"
             "error: no readable campaigns\n")
 
     def test_report_names_the_episode_with_a_bad_header(self, campaign_dir, capsys):
