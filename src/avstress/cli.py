@@ -19,6 +19,8 @@ from .planner import LatticePlanner
 from .scenario import PRESET_NAMES, ScenarioError, load_scenario_file, preset_path
 
 OUT_ROOT_ENV = "AVSTRESS_OUT"
+# what `export-gp` writes into a campaign directory, and a new `run` deletes
+GP_FILES = ("gp_grid.csv", "gp_samples.csv")
 
 
 class CliError(Exception):
@@ -52,15 +54,19 @@ def cmd_run(args) -> int:
     out_root = args.out or os.environ.get(OUT_ROOT_ENV, ".")
     out_dir = os.path.join(out_root, f"{scenario.scenario_id}_{cfg.kind}")
     episodes_dir = os.path.join(out_dir, "episodes")
-    for path in (out_root, out_dir, episodes_dir):
-        if os.path.exists(path) and not os.path.isdir(path):
-            raise CliError(f"output path '{path}' exists and is not a directory")
-    os.makedirs(episodes_dir, exist_ok=True)
+    try:
+        os.makedirs(episodes_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        # makedirs creates nothing before a path component that is a file
+        path = episodes_dir
+        while path and not os.path.lexists(path):
+            path = os.path.dirname(path)
+        raise CliError(f"output path '{path}' exists and is not a directory")
     # this run replaces any earlier campaign in the directory, and the GP
     # grid and samples that `export-gp` made from it
-    stale = glob.glob(os.path.join(episodes_dir, "ep_*.jsonl"))
-    for name in ("stats.csv", "gp_grid.csv", "gp_samples.csv"):
-        stale += glob.glob(os.path.join(out_dir, name))
+    stale = glob.glob(os.path.join(glob.escape(episodes_dir), "ep_*.jsonl"))
+    for name in ("stats.csv", *GP_FILES):
+        stale += glob.glob(os.path.join(glob.escape(out_dir), name))
     for path in stale:
         os.remove(path)
     scenario_copy = os.path.join(out_dir, "scenario.yaml")
@@ -153,7 +159,7 @@ def cmd_report(args) -> int:
     for scenario_id, sampler, s in rows:
         ttc = "inf" if not math.isfinite(s.ttc_mean) else f"{s.ttc_mean:.2f}+-{s.ttc_std:.2f}"
         print(
-            f"{scenario_id:<14}{sampler:<9}{s.n_episodes:>4}{s.coll_rate:>8.1f}"
+            f"{scenario_id:<14}{sampler:<9}{s.n:>4}{s.coll_pct:>8.1f}"
             f"{f'{s.min_dist_mean:.2f}+-{s.min_dist_std:.2f}':>16}{ttc:>16}"
             f"{s.ego_asd:>9.2f}{s.agent_asd:>10.2f}"
         )
@@ -187,10 +193,10 @@ def cmd_export_gp(args) -> int:
     X = np.array([u for u, _ in pairs])
     y = np.array([s for _, s in pairs])
     model = surrogate.fit(X, y)
-    grid = surrogate.posterior_grid(model, args.resolution)
-    persist.write_gp_grid_csv(os.path.join(args.campaign_dir, "gp_grid.csv"), grid)
-    persist.write_samples_csv(os.path.join(args.campaign_dir, "gp_samples.csv"), X, y)
-    print(os.path.join(args.campaign_dir, "gp_grid.csv"))
+    grid_path, samples_path = (os.path.join(args.campaign_dir, name) for name in GP_FILES)
+    persist.write_gp_grid_csv(grid_path, surrogate.posterior_grid(model, args.resolution))
+    persist.write_samples_csv(samples_path, X, y)
+    print(grid_path)
     return 0
 
 

@@ -20,15 +20,20 @@ from .sim import Episode
 
 @dataclass(frozen=True)
 class EpisodeScore:
-    g: float  # criticality, negative meters
     min_dist: float
     ttc_min: float  # seconds, may be inf
     collided: bool
 
+    @property
+    def g(self) -> float:  # criticality, negative meters
+        return -self.min_dist
+
 
 @dataclass(frozen=True)
 class CampaignStats:
-    coll_rate: float  # percent
+    # the stats.csv columns after scenario and sampler, by name and in order
+    n: int  # successful episodes
+    coll_pct: float
     min_dist_mean: float
     min_dist_std: float
     ttc_mean: float
@@ -36,7 +41,6 @@ class CampaignStats:
     ttc_inf_count: int
     ego_asd: float
     agent_asd: float
-    n_episodes: int
 
 
 def distance_table(episode: Episode, scenario: Scenario) -> List[List[float]]:
@@ -87,7 +91,6 @@ def score_episode(episode: Episode, scenario: Scenario) -> EpisodeScore:
     # criticality leaves out t = 0, which the prompt cannot change
     md = min(min(row) for row in table[1:])
     return EpisodeScore(
-        g=-md,
         min_dist=md,
         ttc_min=_ttc_min(table, scenario),
         collided=episode.collision is not None,
@@ -174,7 +177,8 @@ def campaign_stats(
     )
 
     return CampaignStats(
-        coll_rate=100.0 * collided / n_e,
+        n=n_e,
+        coll_pct=100.0 * collided / n_e,
         min_dist_mean=mean(min_dists),
         min_dist_std=stdev(min_dists),
         ttc_mean=mean(finite_ttc) if finite_ttc else math.inf,
@@ -182,5 +186,4 @@ def campaign_stats(
         ttc_inf_count=ttc_inf,
         ego_asd=ego_asd,
         agent_asd=mean(agent_asds),
-        n_episodes=n_e,
     )

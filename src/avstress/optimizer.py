@@ -122,11 +122,17 @@ class EpisodeRecord:
     iteration: int
     prompt: Tuple[float, ...]
     goals_world: Dict[str, Point2]
-    score: float
-    episode: Optional[Episode]
-    metrics: Optional[EpisodeScore]
-    failed: bool = False
+    episode: Optional[Episode] = None
+    metrics: Optional[EpisodeScore] = None  # None: the episode failed
     failure_reason: str = ""
+
+    @property
+    def failed(self) -> bool:
+        return self.metrics is None
+
+    @property
+    def score(self) -> float:
+        return -math.inf if self.metrics is None else self.metrics.g
 
 
 def split_prompt(
@@ -171,21 +177,14 @@ def run_campaign(
             policies = {
                 aid: policy_factory(scenario, aid, goal) for aid, goal in goals.items()
             }
-            record = EpisodeRecord(
-                iteration=it, prompt=prompt, goals_world=goals,
-                score=-math.inf, episode=None, metrics=None,
-            )
+            record = EpisodeRecord(iteration=it, prompt=prompt, goals_world=goals)
             try:
-                episode = simulate_episode(scenario, goals, planner, policies)
-                record.episode = episode
+                record.episode = episode = simulate_episode(scenario, goals, planner, policies)
                 if episode.failed:
-                    record.failed = True
                     record.failure_reason = episode.failure_reason
                 else:
                     record.metrics = score_episode(episode, scenario)
-                    record.score = record.metrics.g
             except Exception as exc:
-                record.failed = True
                 record.failure_reason = str(exc)
             records.append(record)
             if episode_sink is not None:

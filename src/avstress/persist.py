@@ -1,11 +1,13 @@
 """On-disk campaign layout and (de)serialization.
 
 A campaign directory contains:
-    manifest.json     run manifest, written before the first episode
+    manifest.json     run manifest, written before the first episode; its
+                      sampler block is the run's `SamplerConfig`
     scenario.yaml     verbatim copy of the scenario config
     campaign.jsonl    one record per episode (prompt, goal, score, metrics)
     episodes/ep_NNNN.jsonl   per-episode traces
-    stats.csv         one aggregate row
+    stats.csv         one aggregate row: scenario, sampler, then the
+                      fields of `CampaignStats`
 
 All writes use deterministic JSON (sorted keys, default float repr), so a
 rerun with the same inputs reproduces every file byte for byte.
@@ -15,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
+from dataclasses import asdict, astuple, fields
 from typing import List, Optional
 
 from .geom import Point2
@@ -29,10 +33,7 @@ TTC_CONVENTION = (
     " forward-difference closing speed"
 )
 
-STATS_COLUMNS = (
-    "scenario,sampler,n,coll_pct,min_dist_mean,min_dist_std,"
-    "ttc_mean,ttc_std,ttc_inf_count,ego_asd,agent_asd"
-)
+STATS_COLUMNS = ",".join(["scenario", "sampler"] + [f.name for f in fields(CampaignStats)])
 
 
 def _dump(obj) -> str:
@@ -51,12 +52,7 @@ def _opt(value: float) -> Optional[float]:
 def write_manifest(out_dir: str, scenario_path: str, cfg: SamplerConfig) -> None:
     manifest = {
         "scenario_file": os.path.basename(scenario_path),
-        "sampler": {
-            "kind": cfg.kind,
-            "budget": cfg.budget,
-            "beta": cfg.beta,
-            "candidates": cfg.candidates,
-        },
+        "sampler": asdict(cfg),
         "tool_version": TOOL_VERSION,
         "conventions": {"ttc": TTC_CONVENTION},
     }
@@ -227,11 +223,17 @@ def campaign_record_to_json(record: EpisodeRecord, episode_file: str) -> str:
     )
 
 
+def _finite(v) -> bool:
+    # json reads NaN, Infinity and 1e400 as floats that are not finite; the
+    # comparison also rejects an int beyond the float range
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 def read_campaign_log(path: str) -> List[dict]:
     """The records of a campaign.jsonl file. A line that is not a JSON
-    object, or a record whose `u` is not a list of numbers or whose score
-    is neither a number nor null, raises a ValueError that starts with
-    `path:lineno:`."""
+    object, or a record whose `u` is not a list of finite numbers or whose
+    score is neither a finite number nor null, raises a ValueError that
+    starts with `path:lineno:`."""
     records = []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -245,33 +247,21 @@ def read_campaign_log(path: str) -> List[dict]:
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: record is not a JSON object")
             u, score = record.get("u"), record.get("score")
-            if not (isinstance(u, list) and all(type(v) in (int, float) for v in u)):
-                raise ValueError(f"{path}:{lineno}: u is not a list of numbers: {u!r}")
-            if type(score) not in (int, float, type(None)):
-                raise ValueError(f"{path}:{lineno}: score is not a number: {score!r}")
+            if not (isinstance(u, list) and all(map(_finite, u))):
+                raise ValueError(f"{path}:{lineno}: u is not a list of finite numbers: {u!r}")
+            if not (score is None or _finite(score)):
+                raise ValueError(f"{path}:{lineno}: score is not a finite number: {score!r}")
             records.append(record)
     return records
 
 
 def stats_csv_row(scenario_id: str, sampler: str, stats: CampaignStats) -> str:
-    def fmt(v: float) -> str:
-        return "inf" if not math.isfinite(v) else f"{v:.6g}"
+    def fmt(v) -> str:
+        if isinstance(v, int):
+            return str(v)
+        return f"{v:.6g}" if math.isfinite(v) else "inf"
 
-    return ",".join(
-        [
-            scenario_id,
-            sampler,
-            str(stats.n_episodes),
-            fmt(stats.coll_rate),
-            fmt(stats.min_dist_mean),
-            fmt(stats.min_dist_std),
-            fmt(stats.ttc_mean),
-            fmt(stats.ttc_std),
-            str(stats.ttc_inf_count),
-            fmt(stats.ego_asd),
-            fmt(stats.agent_asd),
-        ]
-    )
+    return ",".join([scenario_id, sampler] + [fmt(v) for v in astuple(stats)])
 
 
 def write_stats_csv(path: str, rows: List[str]) -> None:

@@ -133,16 +133,19 @@ def _check_keys(entry, allowed, path):
             )
 
 
+def _number(value, field):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioError(f"{field}: expected a number")
+    # an exact comparison: rejects NaN, infinities and integers beyond floats
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ScenarioError(f"{field}: must be finite, got {value}")
+    return float(value)
+
+
 def _num(mapping, key, path, default=None):
     if default is not None and key not in mapping:
         return float(default)
-    value = _require(mapping, key, path)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{path}.{key}: expected a number")
-    # an exact comparison: rejects NaN, infinities and integers beyond floats
-    if not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ScenarioError(f"{path}.{key}: must be finite, got {value}")
-    return float(value)
+    return _number(_require(mapping, key, path), f"{path}.{key}")
 
 
 def _count(mapping, key, path, default):
@@ -176,10 +179,15 @@ def _parse_lane(entry, i: int) -> Lane:
     raw = _require(entry, "centerline", path, list)
     if len(raw) < 2:
         raise ScenarioError(f"{path}.centerline: need at least 2 vertices")
+    verts = []
+    for k, v in enumerate(raw):
+        field = f"{path}.centerline[{k}]"
+        if not (isinstance(v, list) and len(v) == 2):
+            raise ScenarioError(f"{field}: expected an [x, y] pair")
+        verts.append(Point2(_number(v[0], field), _number(v[1], field)))
     try:
-        verts = tuple(Point2(float(v[0]), float(v[1])) for v in raw)
-        centerline = Polyline(verts)
-    except (TypeError, IndexError, ValueError) as exc:
+        centerline = Polyline(tuple(verts))
+    except ValueError as exc:
         raise ScenarioError(f"{path}.centerline: {exc}") from exc
     width = _num(entry, "width", path)
     if width <= 0:

@@ -188,9 +188,9 @@ def test_criterion_4_directional_table(preset_campaigns):
         for name in PRESET_NAMES:
             bo = preset_campaigns[(name, "bo")]
             sobol = preset_campaigns[(name, "sobol")]
-            if bo.coll_rate > 0:
+            if bo.coll_pct > 0:
                 any_bo_collision = True
-            if bo.coll_rate >= sobol.coll_rate and bo.min_dist_mean <= sobol.min_dist_mean:
+            if bo.coll_pct >= sobol.coll_pct and bo.min_dist_mean <= sobol.min_dist_mean:
                 wins += 1
         assert wins >= 2
         assert any_bo_collision

@@ -87,6 +87,16 @@ class TestRun:
         assert eps == [f"ep_{i:04d}.jsonl" for i in range(budget)]
         assert os.path.exists(os.path.join(first, "stats.csv")) == (budget >= 2)
 
+    def test_rerun_into_an_out_with_glob_characters(self, scenario_file, tmp_path, capsys):
+        # '[1]' is a character class to glob: the earlier campaign's files
+        # are found under the path as written
+        argv = ("run", scenario_file, "--sampler", "sobol", "--out", str(tmp_path / "r[1]"))
+        assert run_cli(*argv, "--budget", "4") == 0
+        out_dir = capsys.readouterr().out.strip()
+        assert run_cli(*argv, "--budget", "1") == 0
+        assert os.listdir(os.path.join(out_dir, "episodes")) == ["ep_0000.jsonl"]
+        assert not os.path.exists(os.path.join(out_dir, "stats.csv"))
+
     def test_rerun_removes_exported_gp_files(self, scenario_file, tmp_path, capsys):
         # the GP grid and samples of the earlier campaign would sit beside
         # the new campaign's log as if they had been fitted to it
@@ -110,14 +120,16 @@ class TestRun:
         assert not os.path.exists(out)
 
     def test_out_that_is_a_file_rejected_without_outputs(self, scenario_file, tmp_path, capsys):
-        # --out itself, and the campaign directory under it
+        # --out itself, a path through it, and the campaign directory under
+        # --out; the error names the file
         out = tmp_path / "out"
         out.write_text("not a directory\n")
-        assert run_cli("run", scenario_file, "--sampler", "sobol", "--out", str(out)) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == (
-            "", f"error: output path '{out}' exists and is not a directory\n")
-        assert out.read_text() == "not a directory\n"
+        for arg in (out, out / "sub"):
+            assert run_cli("run", scenario_file, "--sampler", "sobol", "--out", str(arg)) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error: output path '{out}' exists and is not a directory\n")
+            assert out.read_text() == "not a directory\n"
         root = tmp_path / "root"
         root.mkdir()
         (root / "two_lane_sobol").write_text("not a directory\n")
@@ -199,8 +211,10 @@ class TestRun:
         run_cli("run", scenario_file, "--sampler", "sobol", "--budget", "2", "--out", out)
         out_dir = capsys.readouterr().out.strip()
         with open(os.path.join(out_dir, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        assert manifest["sampler"]["kind"] == "sobol"
+            text = fh.read()
+        manifest = json.loads(text)
+        # the run's SamplerConfig, every field by name, as json writes it
+        assert '"sampler": {"beta": 2.0, "budget": 2, "candidates": 1024, "kind": "sobol"}' in text
         assert manifest["conventions"] == {"ttc": persist.TTC_CONVENTION}
         assert manifest["tool_version"]
 
@@ -244,7 +258,9 @@ class TestReport:
         capsys.readouterr()
         with open(csv_path) as fh:
             header, row = fh.read().strip().splitlines()
-        assert header == persist.STATS_COLUMNS
+        assert header == persist.STATS_COLUMNS == (
+            "scenario,sampler,n,coll_pct,min_dist_mean,min_dist_std,"
+            "ttc_mean,ttc_std,ttc_inf_count,ego_asd,agent_asd")
 
         scenario = load_scenario_file(os.path.join(dirs[1], "scenario.yaml"))
         log = persist.read_campaign_log(os.path.join(dirs[1], "campaign.jsonl"))
@@ -256,7 +272,8 @@ class TestReport:
         stats = campaign_stats(episodes, scenario)
         cells = row.split(",")
         assert cells[1] == "sobol"
-        assert float(cells[3]) == pytest.approx(stats.coll_rate, abs=1e-4)
+        assert (cells[2], cells[8]) == (str(stats.n), str(stats.ttc_inf_count))
+        assert float(cells[3]) == pytest.approx(stats.coll_pct, abs=1e-4)
         assert float(cells[4]) == pytest.approx(stats.min_dist_mean, rel=1e-4)
         assert float(cells[9]) == pytest.approx(stats.ego_asd, rel=1e-4, abs=1e-4)
         assert float(cells[10]) == pytest.approx(stats.agent_asd, rel=1e-4, abs=1e-4)

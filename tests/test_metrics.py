@@ -292,8 +292,8 @@ class TestCampaignStats:
 
     def test_collision_rate(self, two_lane_scenario):
         stats = campaign_stats(self.episodes_for_rates(two_lane_scenario), two_lane_scenario)
-        assert stats.coll_rate == pytest.approx(25.0)
-        assert stats.n_episodes == 4
+        assert stats.coll_pct == pytest.approx(25.0)
+        assert stats.n == 4
 
     def test_identical_episodes_zero_spread(self, two_lane_scenario):
         ep = lambda: make_episode(
@@ -339,7 +339,7 @@ class TestCampaignStats:
         min_dists = [CONTACT + 9.5, 20.0, 2.0]
         m = sum(min_dists) / 3
         sd = math.sqrt(sum((d - m) ** 2 for d in min_dists) / 2)
-        assert stats.coll_rate == pytest.approx(100.0 / 3)
+        assert stats.coll_pct == pytest.approx(100.0 / 3)
         assert stats.min_dist_mean == pytest.approx(m)
         assert stats.min_dist_std == pytest.approx(sd)
         # episode 1 closes at 5 m/s from gap 10; episode 2 opens; episode 3 contacts
@@ -364,7 +364,7 @@ class TestCampaignStats:
         )
         bad.failed = True
         stats = campaign_stats(good + [bad], two_lane_scenario)
-        assert stats.n_episodes == 4
+        assert stats.n == 4
 
     def test_dropped_episodes_take_their_scores_with_them(self, two_lane_scenario):
         eps = self.episodes_for_rates(two_lane_scenario)
@@ -376,8 +376,8 @@ class TestCampaignStats:
         scores.append(scores[0])
         got = campaign_stats(eps, two_lane_scenario, scores=scores)
         assert got == campaign_stats(eps, two_lane_scenario)
-        assert got.n_episodes == 3
-        assert got.coll_rate == 0.0
+        assert got.n == 3
+        assert got.coll_pct == 0.0
         assert got.min_dist_mean == mean(s.min_dist for s in scores[1:4])
 
     def test_one_score_per_episode_or_value_error(self, two_lane_scenario):

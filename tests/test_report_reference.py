@@ -361,11 +361,15 @@ class TestBadCampaignFiles:
             "error: no readable campaigns\n")
 
     @pytest.mark.parametrize("field, value, error", [
-        ("u", None, "u is not a list of numbers: None"),
-        ("u", 0.5, "u is not a list of numbers: 0.5"),
-        ("u", ["a", 1.0], "u is not a list of numbers: ['a', 1.0]"),
-        ("score", "-3.0", "score is not a number: '-3.0'"),
-    ], ids=["no_u", "u_not_a_list", "u_not_numbers", "score_not_a_number"])
+        ("u", None, "u is not a list of finite numbers: None"),
+        ("u", 0.5, "u is not a list of finite numbers: 0.5"),
+        ("u", ["a", 1.0], "u is not a list of finite numbers: ['a', 1.0]"),
+        ("score", "-3.0", "score is not a finite number: '-3.0'"),
+        # json writes these as NaN and Infinity, and reads them back
+        ("u", [math.nan, 0.5], "u is not a list of finite numbers: [nan, 0.5]"),
+        ("score", -math.inf, "score is not a finite number: -inf"),
+    ], ids=["no_u", "u_not_a_list", "u_not_numbers", "score_not_a_number", "u_nan",
+            "score_infinite"])
     def test_export_gp_and_report_name_a_bad_record(
         self, campaign_dir, capsys, field, value, error
     ):

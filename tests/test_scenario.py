@@ -197,6 +197,27 @@ def test_non_finite_number_rejected_with_its_path(needle, replacement, path):
         load_scenario(text)
 
 
+# each of these loaded, read by float() or by index, before the vertices
+# were checked as every other number is
+BAD_VERTICES = [
+    ("[[-60.0, 0.0], [300.0, false]]", "[1]: expected a number"),
+    ("[['-60', '0'], [300.0, 0.0]]", "[0]: expected a number"),
+    ("[[-60.0, 0.0, 99], [300.0, 0.0]]", "[0]: expected an [x, y] pair"),
+    ("[{0: -60.0, 1: 0.0}, [300.0, 0.0]]", "[0]: expected an [x, y] pair"),
+    ("[[-60.0, 0.0], [300.0, .nan]]", "[1]: must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("centerline,error", BAD_VERTICES,
+                         ids=["bool", "strings", "three_numbers", "mapping", "nan"])
+def test_bad_centerline_vertex_rejected_with_its_path(centerline, error):
+    needle = "[[-60.0, 0.0], [300.0, 0.0]]"
+    assert TWO_LANE_YAML.count(needle) == 1
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(_broken(TWO_LANE_YAML, needle, centerline))
+    assert str(err.value) == f"map.lanes[0].centerline{error}"
+
+
 @pytest.mark.parametrize("key,whole,fraction", [("horizon_steps", 80, 80.7),
                                                 ("replan_every", 5, 2.5)])
 def test_step_counts_must_be_whole(key, whole, fraction):
