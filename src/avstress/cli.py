@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
 import math
 import os
 import shutil
@@ -80,7 +79,9 @@ def cmd_run(args) -> int:
     def sink(record):
         ep_file = f"episodes/ep_{record.iteration:04d}.jsonl"
         if record.episode is not None:
-            persist.write_episode(os.path.join(out_dir, ep_file), record.episode, scenario)
+            persist.write_episode(
+                os.path.join(out_dir, ep_file), record.episode, record.goals_world, scenario
+            )
         else:
             ep_file = ""
         campaign_log.write(persist.campaign_record_to_json(record, ep_file) + "\n")
@@ -102,8 +103,9 @@ def cmd_run(args) -> int:
         stats = metrics.campaign_stats(
             [r.episode for r in good], scenario, scores=[r.metrics for r in good]
         )
-        row = persist.stats_csv_row(scenario.scenario_id, cfg.kind, stats)
-        persist.write_stats_csv(os.path.join(out_dir, "stats.csv"), [row])
+        persist.write_stats_csv(
+            os.path.join(out_dir, "stats.csv"), [(scenario.scenario_id, cfg.kind, stats)]
+        )
     else:
         print("warning: too few successful episodes for stats", file=sys.stderr)
     print(out_dir)
@@ -112,15 +114,14 @@ def cmd_run(args) -> int:
 
 def _campaign_row(campaign_dir: str):
     scenario = load_scenario_file(os.path.join(campaign_dir, "scenario.yaml"))
-    with open(os.path.join(campaign_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    manifest = persist.read_manifest(os.path.join(campaign_dir, "manifest.json"))
     # the copy is always named scenario.yaml; `run` takes the id from the
     # name of the file it was given, which the manifest records
     scenario_id = os.path.splitext(manifest["scenario_file"])[0]
     log = persist.read_campaign_log(os.path.join(campaign_dir, "campaign.jsonl"))
     episodes = []
     for rec in log:
-        if rec.get("failed") or not rec.get("episode_file"):
+        if rec["failed"] or not rec["episode_file"]:
             continue
         episodes.append(persist.read_episode(os.path.join(campaign_dir, rec["episode_file"])))
     stats = metrics.campaign_stats(episodes, scenario)
@@ -155,7 +156,6 @@ def cmd_report(args) -> int:
     )
     print(header)
     print("-" * len(header))
-    csv_rows = []
     for scenario_id, sampler, s in rows:
         ttc = "inf" if not math.isfinite(s.ttc_mean) else f"{s.ttc_mean:.2f}+-{s.ttc_std:.2f}"
         print(
@@ -163,9 +163,8 @@ def cmd_report(args) -> int:
             f"{f'{s.min_dist_mean:.2f}+-{s.min_dist_std:.2f}':>16}{ttc:>16}"
             f"{s.ego_asd:>9.2f}{s.agent_asd:>10.2f}"
         )
-        csv_rows.append(persist.stats_csv_row(scenario_id, sampler, s))
     if args.csv:
-        persist.write_stats_csv(args.csv, csv_rows)
+        persist.write_stats_csv(args.csv, rows)
     return 0
 
 
@@ -180,7 +179,7 @@ def cmd_export_gp(args) -> int:
     pairs = [
         (rec["u"], rec["score"])
         for rec in log
-        if not rec.get("failed") and rec.get("score") is not None
+        if not rec["failed"] and rec.get("score") is not None
     ]
     if len(pairs) < 2:
         raise CliError("need at least 2 successful episodes to fit a GP")
@@ -194,8 +193,9 @@ def cmd_export_gp(args) -> int:
     y = np.array([s for _, s in pairs])
     model = surrogate.fit(X, y)
     grid_path, samples_path = (os.path.join(args.campaign_dir, name) for name in GP_FILES)
-    persist.write_gp_grid_csv(grid_path, surrogate.posterior_grid(model, args.resolution))
-    persist.write_samples_csv(samples_path, X, y)
+    grid = surrogate.posterior_grid(model, args.resolution)
+    persist.write_csv(grid_path, "u1,u2,mean,variance", grid)
+    persist.write_csv(samples_path, "u1,u2,score", [(*u, s) for u, s in zip(X, y)])
     print(grid_path)
     return 0
 

@@ -179,7 +179,7 @@ def run_campaign(
             }
             record = EpisodeRecord(iteration=it, prompt=prompt, goals_world=goals)
             try:
-                record.episode = episode = simulate_episode(scenario, goals, planner, policies)
+                record.episode = episode = simulate_episode(scenario, planner, policies)
                 if episode.failed:
                     record.failure_reason = episode.failure_reason
                 else:

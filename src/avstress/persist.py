@@ -10,24 +10,26 @@ A campaign directory contains:
                       fields of `CampaignStats`
 
 All writes use deterministic JSON (sorted keys, default float repr), so a
-rerun with the same inputs reproduces every file byte for byte.
+rerun with the same inputs reproduces every file byte for byte. `write_csv`
+is the one CSV writer: it writes `stats.csv`, a `report --csv` file and the
+two files of `export-gp`.
 """
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
-from typing import List, Optional
+from math import isfinite
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import __version__ as TOOL_VERSION
 from .geom import Point2
 from .metrics import CampaignStats
 from .optimizer import EpisodeRecord, SamplerConfig
 from .scenario import Scenario
 from .sim import AgentState, Episode, JointState
 
-TOOL_VERSION = "0.1.0"
 TTC_CONVENTION = (
     "per-step centre distance minus half the two body lengths, over its"
     " forward-difference closing speed"
@@ -46,7 +48,7 @@ _float_repr = float.__repr__
 
 
 def _opt(value: float) -> Optional[float]:
-    return value if math.isfinite(value) else None
+    return value if isfinite(value) else None
 
 
 def write_manifest(out_dir: str, scenario_path: str, cfg: SamplerConfig) -> None:
@@ -60,12 +62,36 @@ def write_manifest(out_dir: str, scenario_path: str, cfg: SamplerConfig) -> None
         fh.write(_dump(manifest) + "\n")
 
 
-def write_episode(path: str, episode: Episode, scenario: Scenario) -> None:
+def read_manifest(path: str) -> dict:
+    """The manifest `write_manifest` wrote. Invalid JSON, or a scenario_file
+    or sampler kind that is not a string, raises a ValueError that starts
+    with `path:`."""
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest is not a JSON object")
+    scenario_file, sampler = manifest.get("scenario_file"), manifest.get("sampler")
+    if not isinstance(scenario_file, str):
+        raise ValueError(f"{path}: scenario_file is not a string: {scenario_file!r}")
+    kind = sampler.get("kind") if isinstance(sampler, dict) else None
+    if not isinstance(kind, str):
+        raise ValueError(f"{path}: sampler kind is not a string: {kind!r}")
+    return manifest
+
+
+def write_episode(
+    path: str, episode: Episode, goals: Dict[str, Point2], scenario: Scenario
+) -> None:
+    """The episode file: a header (the scenario's id and dt, the goals the
+    episode was run with, and how it ended), then one line per trace step."""
     header = {
         "type": "header",
-        "scenario_id": episode.scenario_id,
+        "scenario_id": scenario.scenario_id,
         "dt": scenario.sim.dt,
-        "goals": {aid: [g.x, g.y] for aid, g in episode.prompts_world.items()},
+        "goals": {aid: [g.x, g.y] for aid, g in goals.items()},
         "collision": (
             {"t": episode.collision[0], "pair": list(episode.collision[1])}
             if episode.collision
@@ -81,46 +107,30 @@ def write_episode(path: str, episode: Episode, scenario: Scenario) -> None:
 
 
 def _trace_line(joint: JointState) -> str:
-    """One trace line, byte for byte what `_dump` writes for it.
+    """One trace line, byte for byte what json.dumps(sort_keys=True) writes
+    for it: agent ids sorted and quoted as json quotes a key, each value
+    written by float.__repr__ as json writes a float.
 
-    When every value is a finite float and the timestep an int, the line is
-    one f-string: agent ids sorted and quoted as json quotes a key, each
-    value written by float.__repr__ as json writes a float. Any other line
-    (a NaN or an inf, an int value, an id that is not a str) goes through
-    `_dump`, which writes it or raises the error json.dumps raises.
+    The simulator writes finite floats at int steps. A step that is not an
+    int raises a TypeError, a value that is not finite a ValueError, and a
+    value that is not a float the TypeError of float.__repr__.
     """
     states = joint.states
     t = joint.timestep
-    try:
-        if type(t) is not int:
-            raise TypeError("timestep is not an int")
-        parts = []
-        for aid in sorted(states):
-            s = states[aid]
-            x, y, heading, speed = s.position.x, s.position.y, s.heading, s.speed
-            # a sum of floats is finite only if every term is
-            if not math.isfinite(x + y + heading + speed):
-                raise ValueError("non-finite value")
-            parts.append(
-                f'{_quote(aid)}: {{"heading": {_float_repr(heading)}, '
-                f'"speed": {_float_repr(speed)}, "x": {_float_repr(x)}, "y": {_float_repr(y)}}}'
-            )
-        return f'{{"agents": {{{", ".join(parts)}}}, "t": {t}}}'
-    except (TypeError, ValueError):
-        return _dump(
-            {
-                "t": t,
-                "agents": {
-                    aid: {
-                        "x": s.position.x,
-                        "y": s.position.y,
-                        "heading": s.heading,
-                        "speed": s.speed,
-                    }
-                    for aid, s in states.items()
-                },
-            }
+    if type(t) is not int:
+        raise TypeError(f"timestep is not an int: {t!r}")
+    parts = []
+    for aid in sorted(states):
+        s = states[aid]
+        x, y, heading, speed = s.position.x, s.position.y, s.heading, s.speed
+        part = (
+            f'{_quote(aid)}: {{"heading": {_float_repr(heading)}, '
+            f'"speed": {_float_repr(speed)}, "x": {_float_repr(x)}, "y": {_float_repr(y)}}}'
         )
+        if not (isfinite(x) and isfinite(y) and isfinite(heading) and isfinite(speed)):
+            raise ValueError(f"non-finite value in the state of {aid!r} at t={t}")
+        parts.append(part)
+    return f'{{"agents": {{{", ".join(parts)}}}, "t": {t}}}'
 
 
 # json.loads's own decoder, without the checks json.loads makes around it
@@ -141,18 +151,17 @@ def _loads(line: str):
 
 def _header_fields(header) -> dict:
     """The Episode fields of a decoded header record. A field that is not
-    what `write_episode` writes raises a KeyError, an OverflowError, a
-    TypeError or a ValueError."""
+    what `write_episode` writes, the goals and scenario id included, raises
+    a KeyError, an OverflowError, a TypeError or a ValueError."""
     if not isinstance(header, dict) or header.get("type") != "header":
         raise ValueError("first record is not a header")
     goals = header.get("goals", {})
     if not isinstance(goals, dict):
         raise ValueError("goals is not an object")
-    prompts = {}
     for aid, g in goals.items():
         if not (isinstance(g, list) and len(g) == 2):
             raise ValueError(f"goal of '{aid}' is not two numbers: {g!r}")
-        prompts[aid] = Point2(float(g[0]), float(g[1]))
+        Point2(float(g[0]), float(g[1]))  # refuses a value that is not finite
     collision = header.get("collision")
     if collision:
         if not isinstance(collision, dict):
@@ -165,12 +174,12 @@ def _header_fields(header) -> dict:
     failed = header.get("failed", False)
     if not isinstance(failed, bool):
         raise ValueError(f"failed is not a bool: {failed!r}")
-    fields = {"scenario_id": header.get("scenario_id", ""),
-              "failure_reason": header.get("failure_reason", "")}
-    for name, value in fields.items():
+    for name in ("scenario_id", "failure_reason"):
+        value = header.get(name, "")
         if not isinstance(value, str):
             raise ValueError(f"{name} is not a string: {value!r}")
-    return dict(fields, prompts_world=prompts, collision=collision or None, failed=failed)
+    return {"collision": collision or None, "failed": failed,
+            "failure_reason": header.get("failure_reason", "")}
 
 
 def read_episode(path: str) -> Episode:
@@ -231,9 +240,10 @@ def _finite(v) -> bool:
 
 def read_campaign_log(path: str) -> List[dict]:
     """The records of a campaign.jsonl file. A line that is not a JSON
-    object, or a record whose `u` is not a list of finite numbers or whose
-    score is neither a finite number nor null, raises a ValueError that
-    starts with `path:lineno:`."""
+    object, or a record whose `u` is not a list of finite numbers, whose
+    score is neither a finite number nor null, whose `failed` is not a bool
+    or whose `episode_file` is not a string, raises a ValueError that starts
+    with `path:lineno:`."""
     records = []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -247,40 +257,37 @@ def read_campaign_log(path: str) -> List[dict]:
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: record is not a JSON object")
             u, score = record.get("u"), record.get("score")
+            failed, episode_file = record.get("failed"), record.get("episode_file")
             if not (isinstance(u, list) and all(map(_finite, u))):
                 raise ValueError(f"{path}:{lineno}: u is not a list of finite numbers: {u!r}")
             if not (score is None or _finite(score)):
                 raise ValueError(f"{path}:{lineno}: score is not a finite number: {score!r}")
+            if not isinstance(failed, bool):
+                raise ValueError(f"{path}:{lineno}: failed is not a bool: {failed!r}")
+            if not isinstance(episode_file, str):
+                raise ValueError(
+                    f"{path}:{lineno}: episode_file is not a string: {episode_file!r}")
             records.append(record)
     return records
 
 
-def stats_csv_row(scenario_id: str, sampler: str, stats: CampaignStats) -> str:
-    def fmt(v) -> str:
-        if isinstance(v, int):
-            return str(v)
-        return f"{v:.6g}" if math.isfinite(v) else "inf"
+def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, int):
+        return str(v)
+    return f"{v:.6g}" if isfinite(v) else "inf"
 
-    return ",".join([scenario_id, sampler] + [fmt(v) for v in astuple(stats)])
 
-
-def write_stats_csv(path: str, rows: List[str]) -> None:
+def write_csv(path: str, header: str, rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row: a str cell as it is, an int by
+    str, a finite float at 6 significant digits, any other float as inf."""
     with open(path, "w") as fh:
-        fh.write(STATS_COLUMNS + "\n")
+        fh.write(header + "\n")
         for row in rows:
-            fh.write(row + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
-def write_gp_grid_csv(path: str, grid) -> None:
-    """Posterior grid CSV: u1,u2,mean,variance at 6 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("u1,u2,mean,variance\n")
-        for u1, u2, mean, var in grid:
-            fh.write(f"{u1:.6g},{u2:.6g},{mean:.6g},{var:.6g}\n")
-
-
-def write_samples_csv(path: str, prompts, scores) -> None:
-    with open(path, "w") as fh:
-        fh.write("u1,u2,score\n")
-        for (u1, u2), score in zip(prompts, scores):
-            fh.write(f"{u1:.6g},{u2:.6g},{score:.6g}\n")
+def write_stats_csv(path: str, rows: Iterable[Tuple[str, str, CampaignStats]]) -> None:
+    """stats.csv: one row per (scenario id, sampler kind, stats)."""
+    write_csv(path, STATS_COLUMNS, [(sid, kind, *astuple(stats)) for sid, kind, stats in rows])

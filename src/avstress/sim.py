@@ -38,8 +38,6 @@ class JointState:
 
 @dataclass
 class Episode:
-    scenario_id: str
-    prompts_world: Dict[str, Point2]
     trace: List[JointState]
     collision: Optional[Tuple[int, Tuple[str, str]]] = None
     failed: bool = False
@@ -192,10 +190,7 @@ def initial_joint_state(scenario: Scenario) -> JointState:
 
 
 def simulate_episode(
-    scenario: Scenario,
-    goals: Dict[str, Point2],
-    planner: PlannerHandle,
-    policies: Dict[str, PolicyHandle],
+    scenario: Scenario, planner: PlannerHandle, policies: Dict[str, PolicyHandle]
 ) -> Episode:
     """Roll out one closed-loop episode.
 
@@ -207,11 +202,7 @@ def simulate_episode(
     ego_id = scenario.ego.id
     replan = scenario.sim.replan_every
     T = scenario.sim.horizon_steps
-    episode = Episode(
-        scenario_id=scenario.scenario_id,
-        prompts_world=dict(goals),
-        trace=[initial_joint_state(scenario)],
-    )
+    episode = Episode(trace=[initial_joint_state(scenario)])
 
     pair = _find_collision(episode.trace[0], scenario)
     if pair is not None:

@@ -88,7 +88,7 @@ def two_lane_scenario():
     return load_scenario(TWO_LANE_YAML, scenario_id="two_lane")
 
 
-def make_episode(scenario, positions, collision=None):
+def make_episode(positions, collision=None):
     """Episode from {agent_id: [(x, y), ...]} position lists (equal length)."""
     n = len(next(iter(positions.values())))
     trace = []
@@ -97,12 +97,7 @@ def make_episode(scenario, positions, collision=None):
             aid: AgentState(Point2(*pts[t]), 0.0, 0.0) for aid, pts in positions.items()
         }
         trace.append(JointState(t, states))
-    return Episode(
-        scenario_id=scenario.scenario_id,
-        prompts_world={},
-        trace=trace,
-        collision=collision,
-    )
+    return Episode(trace=trace, collision=collision)
 
 
 def straight_positions(start, velocity, steps, dt=0.1):

@@ -59,7 +59,7 @@ def test_criterion_1_scoring_oracle():
                 a.id: [tuple(p) for p in rng.uniform(-100, 100, (steps, 2))]
                 for a in scenario.agents
             }
-            episode = make_episode(scenario, positions)
+            episode = make_episode(positions)
             # independent exhaustive (t, n) double loop
             ego_id = scenario.ego.id
             best = math.inf
@@ -232,12 +232,7 @@ def test_criterion_6_planner_premise():
                 agent.id,
                 [AgentState(Point2(*wp), state0.heading, state0.speed) for wp in pred],
             )
-            episode = simulate_episode(
-                scenario,
-                {agent.id: scenario.ego_goal},
-                LatticePlanner(),
-                {agent.id: scripted},
-            )
+            episode = simulate_episode(scenario, LatticePlanner(), {agent.id: scripted})
             assert not episode.failed
             assert episode.collision is None
 

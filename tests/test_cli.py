@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import avstress
 from avstress import cli, persist
 from avstress.cli import main
 from avstress.metrics import campaign_stats, score_episode
@@ -218,6 +219,29 @@ class TestRun:
         assert manifest["conventions"] == {"ttc": persist.TTC_CONVENTION}
         assert manifest["tool_version"]
 
+    def test_episode_header_written_from_the_scenario_and_the_record(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert run_cli("run", "front", "--sampler", "sobol", "--budget", "2", "--out", out) == 0
+        out_dir = capsys.readouterr().out.strip()
+        with open(os.path.join(out_dir, "episodes", "ep_0000.jsonl")) as fh:
+            first = fh.readline()
+        assert first == (
+            '{"collision": {"pair": ["ego", "npc"], "t": 35}, "dt": 0.1, "failed": false, '
+            '"failure_reason": "", "goals": {"npc": [65.0, 1.75]}, "scenario_id": "front", '
+            '"type": "header"}\n')
+        # one simulated agent, so the record's goal_world is its one goal
+        for rec in persist.read_campaign_log(os.path.join(out_dir, "campaign.jsonl")):
+            with open(os.path.join(out_dir, rec["episode_file"])) as fh:
+                header = json.loads(fh.readline())
+            assert header["goals"] == {"npc": rec["goal_world"]}
+
+    def test_tool_version_is_the_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            version = tomllib.load(fh)["project"]["version"]
+        assert version == avstress.__version__ == persist.TOOL_VERSION
+
 
 class TestReport:
     def make_campaigns(self, scenario_file, tmp_path, capsys):
@@ -353,7 +377,8 @@ class TestExportGp:
         out_dir = tmp_path / "camp"
         out_dir.mkdir()
         (out_dir / "campaign.jsonl").write_text(
-            json.dumps({"iter": 0, "u": [0.5, 0.5], "score": 1.0, "failed": False}) + "\n"
+            json.dumps({"iter": 0, "u": [0.5, 0.5], "score": 1.0, "failed": False,
+                        "episode_file": ""}) + "\n"
         )
         assert run_cli("export-gp", str(out_dir)) == 2
 
@@ -367,7 +392,7 @@ class TestExportGp:
         out_dir.mkdir()
         records = [
             json.dumps({"iter": i - 1, "u": list(sobol_point(i)), "score": -float(i),
-                        "failed": False})
+                        "failed": False, "episode_file": ""})
             for i in range(1, 7)
         ]
         (out_dir / "campaign.jsonl").write_text("\n".join(records) + "\n")
@@ -383,7 +408,7 @@ class TestExportGp:
         out_dir.mkdir()
         records = [
             json.dumps({"iter": i - 1, "u": list(sobol_point(i, dim=6)), "score": -float(i),
-                        "failed": False})
+                        "failed": False, "episode_file": ""})
             for i in range(1, 7)
         ]
         (out_dir / "campaign.jsonl").write_text("\n".join(records) + "\n")
@@ -407,7 +432,7 @@ class TestExportGp:
         out_dir.mkdir()
         records = [
             json.dumps({"iter": i - 1, "u": list(sobol_point(i)), "score": -float(i),
-                        "failed": False})
+                        "failed": False, "episode_file": ""})
             for i in range(1, 7)
         ]
         (out_dir / "campaign.jsonl").write_text("\n".join(records) + "\n")
@@ -419,7 +444,6 @@ class TestExportGp:
 class TestReplay:
     def test_collision_named_in_summary(self, tmp_path, capsys, two_lane_scenario):
         episode = make_episode(
-            two_lane_scenario,
             {
                 "ego": straight_positions((0.0, 3.5), (10.0, 0.0), 15),
                 "npc": straight_positions((15.0, 3.5), (0.0, 0.0), 15),
@@ -428,7 +452,7 @@ class TestReplay:
         )
         (tmp_path / "scenario.yaml").write_text(TWO_LANE_YAML)
         ep_path = str(tmp_path / "ep_0000.jsonl")
-        persist.write_episode(ep_path, episode, two_lane_scenario)
+        persist.write_episode(ep_path, episode, {}, two_lane_scenario)
         assert run_cli("replay", ep_path) == 0
         out = capsys.readouterr().out
         assert "collision at t=14 between ego and npc" in out
@@ -448,9 +472,9 @@ class TestReplay:
     ):
         (tmp_path / "scenario.yaml").write_text(agents_yaml(2))
         scenario = load_scenario_file(str(tmp_path / "scenario.yaml"))
-        episode = make_episode(scenario, {"ego": [(0.0, 0.0)] * 3, "npc": npc, "npc2": npc2})
+        episode = make_episode({"ego": [(0.0, 0.0)] * 3, "npc": npc, "npc2": npc2})
         ep_path = str(tmp_path / "ep_0000.jsonl")
-        persist.write_episode(ep_path, episode, scenario)
+        persist.write_episode(ep_path, episode, {}, scenario)
         assert run_cli("replay", ep_path) == 0
         lines = capsys.readouterr().out.splitlines()
         assert f"min distance 3.000 m at {expected}" in lines
@@ -471,12 +495,12 @@ class TestReplay:
         assert capsys.readouterr().err == f"error: no episode file '{missing}'\n"
 
     def test_missing_scenario_file_exit_2(self, tmp_path, capsys, two_lane_scenario):
-        episode = make_episode(two_lane_scenario, {
+        episode = make_episode({
             "ego": straight_positions((0.0, 3.5), (10.0, 0.0), 3),
             "npc": straight_positions((15.0, 3.5), (0.0, 0.0), 3),
         })
         ep_path = str(tmp_path / "ep_0000.jsonl")
-        persist.write_episode(ep_path, episode, two_lane_scenario)
+        persist.write_episode(ep_path, episode, {}, two_lane_scenario)
         missing = str(tmp_path / "nope.yaml")
         assert run_cli("replay", ep_path, "--scenario", missing) == 2
         captured = capsys.readouterr()
@@ -493,12 +517,12 @@ class TestReplay:
         assert captured.out == ""
 
     def test_directory_as_scenario_file_exit_2(self, tmp_path, capsys, two_lane_scenario):
-        episode = make_episode(two_lane_scenario, {
+        episode = make_episode({
             "ego": straight_positions((0.0, 3.5), (10.0, 0.0), 3),
             "npc": straight_positions((15.0, 3.5), (0.0, 0.0), 3),
         })
         ep_path = str(tmp_path / "ep_0000.jsonl")
-        persist.write_episode(ep_path, episode, two_lane_scenario)
+        persist.write_episode(ep_path, episode, {}, two_lane_scenario)
         assert run_cli("replay", ep_path, "--scenario", str(tmp_path)) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: '{tmp_path}' is a directory, not a scenario file\n"
@@ -507,15 +531,12 @@ class TestReplay:
     def test_scenario_with_other_agents_exit_2_before_printing(
         self, tmp_path, capsys, two_lane_scenario
     ):
-        episode = make_episode(
-            two_lane_scenario,
-            {
-                "ego": straight_positions((0.0, 3.5), (10.0, 0.0), 5),
-                "npc": straight_positions((15.0, 3.5), (0.0, 0.0), 5),
-            },
-        )
+        episode = make_episode({
+            "ego": straight_positions((0.0, 3.5), (10.0, 0.0), 5),
+            "npc": straight_positions((15.0, 3.5), (0.0, 0.0), 5),
+        })
         ep_path = str(tmp_path / "ep_0000.jsonl")
-        persist.write_episode(ep_path, episode, two_lane_scenario)
+        persist.write_episode(ep_path, episode, {}, two_lane_scenario)
         other = tmp_path / "other.yaml"
         other.write_text(TWO_LANE_YAML.replace("npc", "car7"))
         assert run_cli("replay", ep_path, "--scenario", str(other)) == 2

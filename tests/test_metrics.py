@@ -38,14 +38,12 @@ def two_agent_scenario():
 class TestCriticality:
     def test_single_step_single_agent(self, two_lane_scenario):
         ep = make_episode(
-            two_lane_scenario,
             {"ego": [(0.0, 0.0), (0.0, 0.0)], "npc": [(50.0, 0.0), (3.0, 4.0)]},
         )
         assert score_episode(ep, two_lane_scenario).g == pytest.approx(-5.0)
 
     def test_min_over_timesteps(self, two_lane_scenario):
         ep = make_episode(
-            two_lane_scenario,
             {"ego": [(0.0, 0.0)] * 3, "npc": [(50.0, 0.0), (5.0, 0.0), (2.0, 0.0)]},
         )
         assert score_episode(ep, two_lane_scenario).g == pytest.approx(-2.0)
@@ -53,7 +51,6 @@ class TestCriticality:
     def test_min_over_agents_and_timesteps(self):
         sc = two_agent_scenario()
         ep = make_episode(
-            sc,
             {
                 "ego": [(0.0, 0.0)] * 4,
                 "npc": [(50.0, 0.0), (4.0, 0.0), (3.0, 0.0), (6.0, 0.0)],
@@ -65,14 +62,13 @@ class TestCriticality:
     def test_initial_state_excluded(self, two_lane_scenario):
         # the t=0 distance (1 m) must not contribute
         ep = make_episode(
-            two_lane_scenario,
             {"ego": [(0.0, 0.0)] * 2, "npc": [(1.0, 0.0), (9.0, 0.0)]},
         )
         assert score_episode(ep, two_lane_scenario).g == pytest.approx(-9.0)
 
     def test_single_entry_trace_rejected(self, two_lane_scenario):
         ep = make_episode(
-            two_lane_scenario, {"ego": [(0.0, 0.0)], "npc": [(9.0, 0.0)]}
+            {"ego": [(0.0, 0.0)], "npc": [(9.0, 0.0)]}
         )
         with pytest.raises(ValueError):
             score_episode(ep, two_lane_scenario)
@@ -82,7 +78,6 @@ class TestCriticality:
         for _ in range(20):
             n = int(rng.integers(2, 12))
             ep = make_episode(
-                two_lane_scenario,
                 {
                     "ego": [tuple(p) for p in rng.uniform(-50, 50, (n, 2))],
                     "npc": [tuple(p) for p in rng.uniform(-50, 50, (n, 2))],
@@ -99,11 +94,9 @@ class TestCriticality:
         pts_n = rng.uniform(-20, 20, (6, 2))
         shift = np.array([123.4, -56.7])
         ep0 = make_episode(
-            two_lane_scenario,
             {"ego": [tuple(p) for p in pts_e], "npc": [tuple(p) for p in pts_n]},
         )
         ep1 = make_episode(
-            two_lane_scenario,
             {
                 "ego": [tuple(p + shift) for p in pts_e],
                 "npc": [tuple(p + shift) for p in pts_n],
@@ -119,7 +112,6 @@ class TestDistanceTable:
         sc = two_agent_scenario()
         # positions listed out of config order, which is ego, npc, npc2
         ep = make_episode(
-            sc,
             {
                 "npc2": [(6.0, 8.0), (1.0, -1.0), (0.0, 7.0)],
                 "ego": [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)],
@@ -129,7 +121,7 @@ class TestDistanceTable:
         assert distance_table(ep, sc) == [[5.0, 10.0], [2.0, 1.0], [5.0, 7.0]]
 
     def test_single_entry_trace_rejected(self, two_lane_scenario):
-        ep = make_episode(two_lane_scenario, {"ego": [(0.0, 0.0)], "npc": [(9.0, 0.0)]})
+        ep = make_episode({"ego": [(0.0, 0.0)], "npc": [(9.0, 0.0)]})
         with pytest.raises(ValueError):
             distance_table(ep, two_lane_scenario)
 
@@ -138,7 +130,6 @@ class TestTtc:
     def test_constant_closing_speed(self, two_lane_scenario):
         # gap 10 m closing at 5 m/s -> 2.0 s
         ep = make_episode(
-            two_lane_scenario,
             {
                 "ego": [(0.0, 0.0), (0.0, 0.0)],
                 "npc": [(CONTACT + 10.0, 0.0), (CONTACT + 9.5, 0.0)],
@@ -148,7 +139,6 @@ class TestTtc:
 
     def test_opening_gap_is_infinite(self, two_lane_scenario):
         ep = make_episode(
-            two_lane_scenario,
             {
                 "ego": [(0.0, 0.0)] * 4,
                 "npc": straight_positions((CONTACT + 5.0, 0.0), (3.0, 0.0), 4),
@@ -158,7 +148,6 @@ class TestTtc:
 
     def test_contact_is_zero(self, two_lane_scenario):
         ep = make_episode(
-            two_lane_scenario,
             {"ego": [(0.0, 0.0)] * 2, "npc": [(20.0, 0.0), (2.0, 0.0)]},
         )
         assert score_episode(ep, two_lane_scenario).ttc_min == 0.0
@@ -171,7 +160,7 @@ class TestTtc:
             def episode_for(scale):
                 npc = [(CONTACT + scale * g, 0.0) for g in gaps]
                 return make_episode(
-                    two_lane_scenario, {"ego": [(0.0, 0.0)] * len(npc), "npc": npc}
+                    {"ego": [(0.0, 0.0)] * len(npc), "npc": npc}
                 )
 
             base = score_episode(episode_for(1.0), two_lane_scenario).ttc_min
@@ -280,7 +269,6 @@ class TestCampaignStats:
             collided = k == 0
             eps.append(
                 make_episode(
-                    scenario,
                     {
                         "ego": straight_positions((0.0, 0.0), (10.0, 0.0), 6),
                         "npc": straight_positions((20.0 + k, 3.5), (8.0, 0.0), 6),
@@ -297,7 +285,6 @@ class TestCampaignStats:
 
     def test_identical_episodes_zero_spread(self, two_lane_scenario):
         ep = lambda: make_episode(
-            two_lane_scenario,
             {
                 "ego": straight_positions((0.0, 0.0), (10.0, 0.0), 6),
                 "npc": straight_positions((30.0, 3.5), (8.0, 0.0), 6),
@@ -312,21 +299,18 @@ class TestCampaignStats:
         sc = two_lane_scenario
         eps = [
             make_episode(
-                sc,
                 {
                     "ego": [(0.0, 0.0)] * 3,
                     "npc": [(CONTACT + 9.0, 0.0), (CONTACT + 10.0, 0.0), (CONTACT + 9.5, 0.0)],
                 },
             ),
             make_episode(
-                sc,
                 {
                     "ego": [(0.0, 0.0)] * 3,
                     "npc": [(19.0, 0.0), (20.0, 0.0), (21.0, 0.0)],
                 },
             ),
             make_episode(
-                sc,
                 {
                     "ego": [(0.0, 0.0)] * 3,
                     "npc": [(50.0, 0.0), (2.0, 0.0), (2.0, 0.0)],
@@ -359,7 +343,6 @@ class TestCampaignStats:
     def test_failed_episodes_filtered(self, two_lane_scenario):
         good = self.episodes_for_rates(two_lane_scenario)
         bad = make_episode(
-            two_lane_scenario,
             {"ego": [(0.0, 0.0)] * 2, "npc": [(30.0, 3.5)] * 2},
         )
         bad.failed = True
@@ -372,7 +355,7 @@ class TestCampaignStats:
         # the only colliding episode, now marked failed, and a single-state
         # episode, which has no score of its own: it gets the collision's
         eps[0].failed = True
-        eps.append(make_episode(two_lane_scenario, {"ego": [(0.0, 0.0)], "npc": [(5.0, 0.0)]}))
+        eps.append(make_episode({"ego": [(0.0, 0.0)], "npc": [(5.0, 0.0)]}))
         scores.append(scores[0])
         got = campaign_stats(eps, two_lane_scenario, scores=scores)
         assert got == campaign_stats(eps, two_lane_scenario)

@@ -2,7 +2,9 @@
 
 `persist.write_episode` writes each trace line from a template rather than
 through json.dumps; the file must still be byte for byte the per-line
-`json.dumps(sort_keys=True, allow_nan=False)` form, and raise what it raises.
+`json.dumps(sort_keys=True, allow_nan=False)` form. The template takes finite
+floats at int steps, which is all the simulator produces, and raises on
+anything else.
 """
 import json
 import math
@@ -19,8 +21,11 @@ from conftest import TWO_LANE_YAML
 
 # a quote, a backslash and a non-ASCII letter, which json escapes
 IDS = ("ego", 'say "hi"', "back\\slash", "Zoë")
+# the two largest are finite, though their sum is not
 VALUES = (-0.0, 0.0, 5e-324, 0.1 + 0.2, 1e16, 1e22, 3.0, -250.0, 1.5e-7, 123456.789,
-          -math.pi, 2.0**53 + 2.0)
+          -math.pi, 2.0**53 + 2.0, 1.7e308, 1.7e308)
+GOALS = {"npc": Point2(1.0, 2.0)}
+OK = AgentState(Point2(0.5, 0.0), 0.0, 1.0)
 
 
 def dumped_line(joint):
@@ -38,14 +43,9 @@ def dumped_line(joint):
     )
 
 
-def episode_of(trace):
-    return Episode(scenario_id="two_lane", prompts_world={"npc": Point2(1.0, 2.0)},
-                   trace=trace)
-
-
 def contract_trace():
     """Joint states whose values cycle through VALUES, ids in no sorted
-    order, one line with an int value and one with a numpy.float64."""
+    order, and one line of numpy.float64 values."""
     trace = []
     n = len(VALUES)
     for t in range(2 * n):
@@ -54,7 +54,6 @@ def contract_trace():
             v = [VALUES[(t + j + k) % n] for k in range(4)]
             states[aid] = AgentState(Point2(v[0], v[1]), v[2], abs(v[3]))
         trace.append(JointState(t, states))
-    trace.append(JointState(len(trace), {"ego": AgentState(Point2(3, -4), 0, 2)}))
     trace.append(JointState(len(trace), {
         "ego": AgentState(Point2(np.float64(0.1), np.float64(1e22)), np.float64(-0.0),
                           np.float64(7.25))}))
@@ -69,7 +68,7 @@ def scenario():
 def test_file_equals_per_line_json_dumps(scenario, tmp_path):
     trace = contract_trace()
     path = tmp_path / "ep.jsonl"
-    persist.write_episode(str(path), episode_of(trace), scenario)
+    persist.write_episode(str(path), Episode(trace), GOALS, scenario)
     lines = path.read_bytes().decode("ascii").split("\n")
     assert lines[-1] == ""
     assert lines[1:-1] == [dumped_line(joint) for joint in trace]
@@ -77,19 +76,18 @@ def test_file_equals_per_line_json_dumps(scenario, tmp_path):
 
 
 def test_finite_float_lines_do_not_go_through_json(scenario, tmp_path, monkeypatch):
-    # only the header, the int line and nothing else falls back
+    # only the header goes through json.dumps
     dumped = []
     real = persist._dump
     monkeypatch.setattr(persist, "_dump", lambda obj: dumped.append(obj) or real(obj))
-    trace = contract_trace()
-    persist.write_episode(str(tmp_path / "ep.jsonl"), episode_of(trace), scenario)
-    assert [obj.get("type", obj.get("t")) for obj in dumped] == ["header", len(trace) - 2]
+    persist.write_episode(str(tmp_path / "ep.jsonl"), Episode(contract_trace()), GOALS, scenario)
+    assert [obj["type"] for obj in dumped] == ["header"]
 
 
 def test_every_float_reads_back_bit_for_bit(scenario, tmp_path):
     trace = contract_trace()
     path = str(tmp_path / "ep.jsonl")
-    persist.write_episode(path, episode_of(trace), scenario)
+    persist.write_episode(path, Episode(trace), GOALS, scenario)
     episode = persist.read_episode(path)
 
     def bits(tr):
@@ -111,26 +109,35 @@ def test_non_finite_value_raises_what_json_raises(bad, field, scenario, tmp_path
     # AgentState refuses non-finite values, so the state is a plain namespace
     state = SimpleNamespace(position=SimpleNamespace(x=values["x"], y=values["y"]),
                             heading=values["heading"], speed=values["speed"])
-    ok = AgentState(Point2(0.0, 0.0), 0.0, 0.0)
-    joint = JointState(1, {"ego": ok, "npc": state})
-    with pytest.raises(ValueError) as want:
+    joint = JointState(1, {"ego": OK, "npc": state})
+    with pytest.raises(ValueError):
         dumped_line(joint)
     path = tmp_path / "ep.jsonl"
     with pytest.raises(ValueError) as got:
-        persist.write_episode(str(path), episode_of([JointState(0, {"ego": ok}), joint]),
+        persist.write_episode(str(path), Episode([JointState(0, {"ego": OK}), joint]), GOALS,
                               scenario)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == "non-finite value in the state of 'npc' at t=1"
     assert not path.exists()
 
 
-def test_timestep_that_is_not_an_int_is_written_as_json_writes_it(scenario, tmp_path):
-    ok = AgentState(Point2(0.5, 0.0), 0.0, 1.0)
+def test_timestep_that_is_not_an_int_raises_type_error(scenario, tmp_path):
     path = tmp_path / "ep.jsonl"
-    persist.write_episode(str(path), episode_of([JointState(True, {"ego": ok})]), scenario)
-    assert path.read_text().splitlines()[1] == dumped_line(JointState(True, {"ego": ok}))
-    joint = JointState(np.int64(3), {"ego": ok})
+    for step in (True, np.int64(3), 3.0):
+        with pytest.raises(TypeError) as got:
+            persist.write_episode(str(path), Episode([JointState(step, {"ego": OK})]), GOALS,
+                                  scenario)
+        assert str(got.value) == f"timestep is not an int: {step!r}"
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [3, True, "1.5"])
+def test_value_that_is_not_a_float_raises_what_float_repr_raises(value, scenario, tmp_path):
+    state = SimpleNamespace(position=SimpleNamespace(x=0.5, y=0.0), heading=value, speed=1.0)
     with pytest.raises(TypeError) as want:
-        dumped_line(joint)
+        float.__repr__(value)
+    path = tmp_path / "ep.jsonl"
     with pytest.raises(TypeError) as got:
-        persist.write_episode(str(path), episode_of([joint]), scenario)
+        persist.write_episode(str(path), Episode([JointState(0, {"ego": state})]), GOALS,
+                              scenario)
     assert str(got.value) == str(want.value)
+    assert not path.exists()

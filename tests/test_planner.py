@@ -116,9 +116,7 @@ class TestLatticePlan:
         npc0 = initial_joint_state(sc).states["npc"]
         pred = predict_constant_velocity(npc0, sc.map, sc.sim.horizon_steps, sc.sim.dt)
         states = [AgentState(Point2(*wp), npc0.heading, npc0.speed) for wp in pred]
-        episode = simulate_episode(
-            sc, {"npc": sc.ego_goal}, LatticePlanner(), {"npc": ScriptedPolicy("npc", states)}
-        )
+        episode = simulate_episode(sc, LatticePlanner(), {"npc": ScriptedPolicy("npc", states)})
         assert episode.collision is None
         assert not episode.failed
 

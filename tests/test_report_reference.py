@@ -3,7 +3,9 @@
 `metrics.asd` computes each pair of distinct trajectories once, and
 `persist.read_episode` decodes a trace line with `JSONDecoder.raw_decode`.
 Both must give what the plain versions below give, bit for bit: `reference_asd`
-and `reference_read_episode` are the code they replaced, verbatim.
+and `reference_read_episode` are the code they replaced, verbatim, except
+that the reference reader no longer keeps the header's goals and scenario id,
+which `Episode` dropped.
 """
 import json
 import math
@@ -73,11 +75,6 @@ def reference_read_episode(path):
             tuple(header["collision"]["pair"]),
         )
     episode = Episode(
-        scenario_id=header.get("scenario_id", ""),
-        prompts_world={
-            aid: Point2(float(g[0]), float(g[1]))
-            for aid, g in header.get("goals", {}).items()
-        },
         trace=trace,
         collision=collision,
         failed=bool(header.get("failed", False)),
@@ -368,8 +365,10 @@ class TestBadCampaignFiles:
         # json writes these as NaN and Infinity, and reads them back
         ("u", [math.nan, 0.5], "u is not a list of finite numbers: [nan, 0.5]"),
         ("score", -math.inf, "score is not a finite number: -inf"),
+        ("failed", "no", "failed is not a bool: 'no'"),
+        ("episode_file", 5, "episode_file is not a string: 5"),
     ], ids=["no_u", "u_not_a_list", "u_not_numbers", "score_not_a_number", "u_nan",
-            "score_infinite"])
+            "score_infinite", "failed_not_a_bool", "episode_file_not_a_string"])
     def test_export_gp_and_report_name_a_bad_record(
         self, campaign_dir, capsys, field, value, error
     ):
@@ -392,6 +391,29 @@ class TestBadCampaignFiles:
         assert cli.main(["report", campaign_dir]) == 2
         assert capsys.readouterr().err == (
             f"warning: skipping '{campaign_dir}': {log}:3: {error}\n"
+            "error: no readable campaigns\n")
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda m: m.pop("sampler"), "sampler kind is not a string: None"),
+        (lambda m: m.update(scenario_file=7), "scenario_file is not a string: 7"),
+        (None, "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ], ids=["no_sampler", "scenario_file_not_a_string", "invalid_json"])
+    def test_report_names_a_bad_manifest(self, campaign_dir, capsys, edit, error):
+        path = f"{campaign_dir}/manifest.json"
+        with open(path) as fh:
+            manifest = json.load(fh)
+        with open(path, "w") as fh:
+            if edit is None:
+                fh.write("{" + json.dumps(manifest))
+            else:
+                edit(manifest)
+                json.dump(manifest, fh)
+        with pytest.raises(ValueError) as err:
+            persist.read_manifest(path)
+        assert str(err.value) == f"{path}: {error}"
+        assert cli.main(["report", campaign_dir]) == 2
+        assert capsys.readouterr().err == (
+            f"warning: skipping '{campaign_dir}': {path}: {error}\n"
             "error: no readable campaigns\n")
 
     def test_report_names_the_episode_with_a_bad_header(self, campaign_dir, capsys):

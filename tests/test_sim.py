@@ -101,7 +101,7 @@ class TestSimulateEpisode:
         sc = two_lane_scenario
         states = constant_velocity_states(15.0, 3.5, 0.0, 10.0, sc.sim.horizon_steps, sc.sim.dt)
         policies = {"npc": ScriptedPolicy("npc", states)}
-        episode = simulate_episode(sc, {"npc": Point2(100, 3.5)}, HoldPositionPlanner(), policies)
+        episode = simulate_episode(sc, HoldPositionPlanner(), policies)
         assert episode.collision is None
         for joint in episode.trace:
             expected = 15.0 + joint.timestep * 1.0
@@ -112,7 +112,7 @@ class TestSimulateEpisode:
         ego, npc = two_lane_scenario.agents
         npc = dataclasses.replace(npc, initial_state=AgentState(Point2(1.0, 3.5), 0.0, 10.0))
         sc = dataclasses.replace(two_lane_scenario, agents=(ego, npc))
-        episode = simulate_episode(sc, {"npc": Point2(100, 3.5)}, HoldPositionPlanner(), {
+        episode = simulate_episode(sc, HoldPositionPlanner(), {
             "npc": ScriptedPolicy("npc", [initial_joint_state(sc).states["npc"]]),
         })
         assert episode.collision is not None
@@ -122,7 +122,7 @@ class TestSimulateEpisode:
     def test_trace_bounds_and_consecutive_timesteps(self, two_lane_scenario):
         sc = two_lane_scenario
         policies = {"npc": ReactivePolicy(sc, "npc", Point2(115.0, 3.5))}
-        episode = simulate_episode(sc, {"npc": Point2(115.0, 3.5)}, ConstantVelocityEgoStub(), policies)
+        episode = simulate_episode(sc, ConstantVelocityEgoStub(), policies)
         assert len(episode.trace) <= sc.sim.horizon_steps + 1
         for k, joint in enumerate(episode.trace):
             assert joint.timestep == k
@@ -132,7 +132,7 @@ class TestSimulateEpisode:
 
         def run():
             policies = {"npc": ReactivePolicy(sc, "npc", Point2(100.0, 0.0))}
-            return simulate_episode(sc, {"npc": Point2(100.0, 0.0)}, ConstantVelocityEgoStub(), policies)
+            return simulate_episode(sc, ConstantVelocityEgoStub(), policies)
 
         a, b = run(), run()
         assert len(a.trace) == len(b.trace)
@@ -143,7 +143,7 @@ class TestSimulateEpisode:
     def test_kinematic_displacement_bound(self, two_lane_scenario):
         sc = two_lane_scenario
         policies = {"npc": ReactivePolicy(sc, "npc", Point2(100.0, 0.0))}
-        episode = simulate_episode(sc, {"npc": Point2(100.0, 0.0)}, ConstantVelocityEgoStub(), policies)
+        episode = simulate_episode(sc, ConstantVelocityEgoStub(), policies)
         bound = sc.sim.v_max * sc.sim.dt + 0.5 * ACCEL_MAX * sc.sim.dt**2
         for prev, cur in zip(episode.trace[:-1], episode.trace[1:]):
             for aid in ("npc",):
@@ -156,7 +156,7 @@ class TestSimulateEpisode:
     def test_planner_failure_truncates_episode(self, two_lane_scenario):
         sc = two_lane_scenario
         policies = {"npc": ReactivePolicy(sc, "npc", Point2(115.0, 3.5))}
-        episode = simulate_episode(sc, {"npc": Point2(115.0, 3.5)}, FailingPlanner(fail_at=10), policies)
+        episode = simulate_episode(sc, FailingPlanner(fail_at=10), policies)
         assert episode.failed
         assert "step 10" in episode.failure_reason
         assert len(episode.trace) == 11  # initial + 10 steps
@@ -175,7 +175,7 @@ class TestSimulateEpisode:
 
         def run(order):
             policies = {aid: ReactivePolicy(sc, aid, goals[aid]) for aid in order}
-            return simulate_episode(sc, goals, ConstantVelocityEgoStub(), policies)
+            return simulate_episode(sc, ConstantVelocityEgoStub(), policies)
 
         a = run(["npc", "npc2"])
         b = run(["npc2", "npc"])
