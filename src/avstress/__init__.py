@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .geom import Point2, Polyline  # noqa: F401
 from .scenario import Scenario, load_scenario, load_preset, prompt_to_world  # noqa: F401
-from .optimizer import SamplerConfig, run_campaign, suggest_next  # noqa: F401
+from .optimizer import GpUcbSampler, SobolSampler, run_campaign, suggest_next  # noqa: F401
 from .sim import simulate_episode, ReactivePolicy  # noqa: F401
 from .planner import LatticePlanner  # noqa: F401
 from .metrics import campaign_stats  # noqa: F401

@@ -13,7 +13,7 @@ import shutil
 import sys
 
 from . import metrics, persist
-from .optimizer import SamplerConfig, run_campaign
+from .optimizer import GpUcbSampler, SobolSampler, run_campaign
 from .planner import LatticePlanner
 from .scenario import PRESET_NAMES, ScenarioError, load_scenario_file, preset_path
 
@@ -39,19 +39,18 @@ def _resolve_scenario_path(name: str) -> str:
 
 def cmd_run(args) -> int:
     scenario_path = _resolve_scenario_path(args.scenario)
-    cfg = SamplerConfig(
-        kind=args.sampler,
-        budget=args.budget,
-        beta=args.beta,
-        candidates=args.candidates,
-    )
+    if args.budget < 1:
+        raise CliError("budget must be >= 1")
+    # the GP flags are checked for either sampler: the manifest records them
+    gp_ucb = GpUcbSampler(args.beta, args.candidates)
+    sampler = gp_ucb if args.sampler == "bo" else SobolSampler()
     try:
         scenario = load_scenario_file(scenario_path)
     except ScenarioError as exc:
         raise CliError(f"invalid scenario config: {exc}")
 
     out_root = args.out or os.environ.get(OUT_ROOT_ENV, ".")
-    out_dir = os.path.join(out_root, f"{scenario.scenario_id}_{cfg.kind}")
+    out_dir = os.path.join(out_root, f"{scenario.scenario_id}_{args.sampler}")
     episodes_dir = os.path.join(out_dir, "episodes")
     try:
         os.makedirs(episodes_dir, exist_ok=True)
@@ -72,7 +71,9 @@ def cmd_run(args) -> int:
     # a rerun from the campaign's own copy has nothing to copy
     if not (os.path.exists(scenario_copy) and os.path.samefile(scenario_path, scenario_copy)):
         shutil.copyfile(scenario_path, scenario_copy)
-    persist.write_manifest(out_dir, scenario_path, cfg)
+    persist.write_manifest(out_dir, scenario_path, {
+        "beta": args.beta, "budget": args.budget, "candidates": args.candidates,
+        "kind": args.sampler})
 
     campaign_log = open(os.path.join(out_dir, "campaign.jsonl"), "w")
 
@@ -94,7 +95,7 @@ def cmd_run(args) -> int:
 
     planner = LatticePlanner()
     try:
-        records = run_campaign(scenario, cfg, planner, episode_sink=sink)
+        records = run_campaign(scenario, sampler, planner, args.budget, episode_sink=sink)
     finally:
         campaign_log.close()
 
@@ -104,7 +105,7 @@ def cmd_run(args) -> int:
             [r.episode for r in good], scenario, scores=[r.metrics for r in good]
         )
         persist.write_stats_csv(
-            os.path.join(out_dir, "stats.csv"), [(scenario.scenario_id, cfg.kind, stats)]
+            os.path.join(out_dir, "stats.csv"), [(scenario.scenario_id, args.sampler, stats)]
         )
     else:
         print("warning: too few successful episodes for stats", file=sys.stderr)
@@ -119,11 +120,8 @@ def _campaign_row(campaign_dir: str):
     # name of the file it was given, which the manifest records
     scenario_id = os.path.splitext(manifest["scenario_file"])[0]
     log = persist.read_campaign_log(os.path.join(campaign_dir, "campaign.jsonl"))
-    episodes = []
-    for rec in log:
-        if rec["failed"] or not rec["episode_file"]:
-            continue
-        episodes.append(persist.read_episode(os.path.join(campaign_dir, rec["episode_file"])))
+    episodes = [persist.read_episode(os.path.join(campaign_dir, rec["episode_file"]))
+                for rec in log if not rec["failed"]]
     stats = metrics.campaign_stats(episodes, scenario)
     return scenario_id, manifest["sampler"]["kind"], stats
 
@@ -176,11 +174,7 @@ def cmd_export_gp(args) -> int:
     if not os.path.exists(log_path):
         raise CliError(f"no campaign log in '{args.campaign_dir}'")
     log = persist.read_campaign_log(log_path)
-    pairs = [
-        (rec["u"], rec["score"])
-        for rec in log
-        if not rec["failed"] and rec.get("score") is not None
-    ]
+    pairs = [(rec["u"], rec["score"]) for rec in log if not rec["failed"]]
     if len(pairs) < 2:
         raise CliError("need at least 2 successful episodes to fit a GP")
     if any(len(u) != 2 for u, _ in pairs):
@@ -273,10 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a sampling campaign")
     run_p.add_argument("scenario", help="scenario config file or preset name")
-    run_p.add_argument("--sampler", choices=("bo", "sobol"), default=SamplerConfig.kind)
-    run_p.add_argument("--budget", type=int, default=SamplerConfig.budget)
-    run_p.add_argument("--beta", type=float, default=SamplerConfig.beta)
-    run_p.add_argument("--candidates", type=int, default=SamplerConfig.candidates)
+    run_p.add_argument("--sampler", choices=("bo", "sobol"), default="bo")
+    run_p.add_argument("--budget", type=int, default=75)
+    run_p.add_argument("--beta", type=float, default=GpUcbSampler.beta)
+    run_p.add_argument("--candidates", type=int, default=GpUcbSampler.candidates)
     run_p.add_argument("--out", default=None, help=f"output root (default ${OUT_ROOT_ENV} or .)")
     run_p.set_defaults(func=cmd_run)
 

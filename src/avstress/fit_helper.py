@@ -1,8 +1,9 @@
 """The helper process that runs half of each GP fit's starts in a campaign.
 
 A fit's 8 L-BFGS-B starts are independent (Rasmussen & Williams 2006,
-section 5.4). `optimizer.run_campaign` opens one `FitHelper` per campaign
-and passes it to every fit. Where the process may run on at least 2 CPUs,
+section 5.4). `optimizer.run_campaign` opens the campaign's one `FitHelper`
+and passes it to every proposal: `GpUcbSampler` hands it to each fit, and
+`SobolSampler` ignores it. Where the process may run on at least 2 CPUs,
 the helper runs the odd-numbered starts while the campaign's process runs
 the even-numbered ones; the runs are merged in start order, so the fit
 picks the start that one process would. The static split is balanced: over

@@ -2,10 +2,14 @@
 random baseline, plus the campaign loop that ties sampling, simulation, and
 scoring together.
 
-Prompts live in the unit cube: 2 coordinates per prompted agent. The BO
-sampler bootstraps its first two prompts from the Sobol sequence (a GP needs
-two points to fit), then maximizes UCB over a dense deterministic candidate
-set. The Sobol baseline never looks at scores.
+Prompts live in the unit cube: 2 coordinates per prompted agent. A sampler
+is an object whose `propose(records, dim, helper)` returns the next prompt;
+it reads only each record's `prompt` and `score` (-inf for a failed
+episode), and its state is a function of the records alone, so a fresh
+sampler given a campaign's first k records proposes the campaign's prompt
+k. `SobolSampler` never looks at scores. `GpUcbSampler` bootstraps its first
+two prompts from the Sobol sequence (a GP needs two points to fit), then
+maximizes UCB over a dense deterministic candidate set.
 
 numpy and the GP (`surrogate`, which loads scipy) are imported where the BO
 sampler first needs them, so a Sobol campaign starts without either.
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fit_helper import FitHelper
 from .geom import Point2
@@ -31,36 +35,6 @@ PERTURBATION = 0.02
 LOCAL_CORNERS = 64
 
 
-@dataclass(frozen=True)
-class Observation:
-    prompt: Tuple[float, ...]
-    score: float  # -inf marks a failed episode
-
-
-# suggest_next reads only prompt and score: a campaign passes its
-# EpisodeRecords, whose score is also -inf on failure
-History = Sequence[Union[Observation, "EpisodeRecord"]]
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    kind: str = "bo"  # "bo" | "sobol"
-    budget: int = 75
-    beta: float = 2.0
-    candidates: int = 1024
-
-    def __post_init__(self):
-        if self.kind not in ("bo", "sobol"):
-            raise ValueError(f"unknown sampler kind '{self.kind}'")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        # NaN compares False with everything, so test for the valid range
-        if not 0 <= self.beta < math.inf:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if self.candidates < 16:
-            raise ValueError("candidate count must be >= 16")
-
-
 def ucb(mean: np.ndarray, variance: np.ndarray, beta: float) -> np.ndarray:
     """Upper confidence bound at each candidate (GP-UCB, Srinivas et al. 2010)."""
     import numpy as np
@@ -68,9 +42,9 @@ def ucb(mean: np.ndarray, variance: np.ndarray, beta: float) -> np.ndarray:
     return mean + beta * np.sqrt(variance)
 
 
-def _candidate_set(history: History, cfg: SamplerConfig, dim: int) -> np.ndarray:
-    """Sobol points, then corners of a +-PERTURBATION box around each
-    observed prompt (failed ones too), clipped to the unit cube.
+def _candidate_set(records: Sequence[EpisodeRecord], count: int, dim: int) -> np.ndarray:
+    """`count` Sobol points, then corners of a +-PERTURBATION box around
+    each record's prompt (failed ones too), clipped to the unit cube.
 
     While 2^dim <= LOCAL_CORNERS (up to dim 6) these are all 2^dim corners
     in binary order, the last coordinate fastest, '-' before '+'. Above it,
@@ -79,42 +53,63 @@ def _candidate_set(history: History, cfg: SamplerConfig, dim: int) -> np.ndarray
     1..LOCAL_CORNERS of that dimension: a coordinate >= 0.5 means '+'."""
     import numpy as np
 
-    cands = sobol_points(cfg.candidates, dim=dim, start=1)
+    cands = sobol_points(count, dim=dim, start=1)
     if 2**dim <= LOCAL_CORNERS:
         plus = ((np.arange(2**dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1) == 1
     else:
         plus = sobol_points(LOCAL_CORNERS, dim=dim, start=1) >= 0.5
     deltas = np.where(plus, PERTURBATION, -PERTURBATION)
-    base = np.array([obs.prompt for obs in history])
+    base = np.array([rec.prompt for rec in records])
     locals_ = np.clip(base[:, None, :] + deltas, 0.0, 1.0).reshape(-1, dim)
     return np.vstack([cands, locals_])
 
 
-def suggest_next(
-    history: History, cfg: SamplerConfig, dim: int = 2, helper: Optional[FitHelper] = None
-) -> Tuple[float, ...]:
-    """Next prompt to evaluate; raises once the budget is exhausted.
-    `helper` is the campaign's `FitHelper`, which the GP fit hands half of
-    its starts; without one the fit runs them all in this process."""
-    if len(history) >= cfg.budget:
-        raise RuntimeError("sampling budget exhausted")
-    if cfg.kind == "sobol":
-        return sobol_point(len(history) + 1, dim=dim)
+class SobolSampler:
+    """The random baseline: the Sobol point after the records' prompts."""
 
-    valid = [obs for obs in history if math.isfinite(obs.score)]
-    if len(valid) < 2:
-        return sobol_point(len(history) + 1, dim=dim)
+    def propose(self, records: Sequence[EpisodeRecord], dim: int,
+                helper: Optional[FitHelper] = None) -> Tuple[float, ...]:
+        return sobol_point(len(records) + 1, dim=dim)
 
-    import numpy as np
-    from . import surrogate
 
-    X = np.array([obs.prompt for obs in valid])
-    y = np.array([obs.score for obs in valid])
-    cands = _candidate_set(history, cfg, dim)
-    model = surrogate.fit(X, y, helper=helper)
-    acq = ucb(*surrogate.posterior_batch(model, cands), cfg.beta)
-    best = int(np.argmax(acq))  # first index wins ties
-    return tuple(float(v) for v in cands[best])
+@dataclass(frozen=True)
+class GpUcbSampler:
+    """GP-UCB over the records whose score is finite; Sobol points until
+    two are. `helper` is the campaign's `FitHelper`, which the GP fit hands
+    half of its starts; without one the fit runs them all in this process."""
+
+    beta: float = 2.0
+    candidates: int = 1024
+
+    def __post_init__(self):
+        # NaN compares False with everything, so test for the valid range
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if self.candidates < 16:
+            raise ValueError("candidate count must be >= 16")
+
+    def propose(self, records: Sequence[EpisodeRecord], dim: int,
+                helper: Optional[FitHelper] = None) -> Tuple[float, ...]:
+        valid = [rec for rec in records if math.isfinite(rec.score)]
+        if len(valid) < 2:
+            return sobol_point(len(records) + 1, dim=dim)
+
+        import numpy as np
+        from . import surrogate
+
+        X = np.array([rec.prompt for rec in valid])
+        y = np.array([rec.score for rec in valid])
+        cands = _candidate_set(records, self.candidates, dim)
+        model = surrogate.fit(X, y, helper=helper)
+        acq = ucb(*surrogate.posterior_batch(model, cands), self.beta)
+        best = int(np.argmax(acq))  # first index wins ties
+        return tuple(float(v) for v in cands[best])
+
+
+def suggest_next(sampler, records: Sequence[EpisodeRecord], dim: int,
+                 helper: Optional[FitHelper] = None) -> Tuple[float, ...]:
+    """The campaign's one sampler call per iteration, which the benchmark times."""
+    return sampler.propose(records, dim, helper)
 
 
 @dataclass
@@ -155,24 +150,26 @@ PolicyFactory = Callable[[Scenario, str, Point2], object]
 
 def run_campaign(
     scenario: Scenario,
-    cfg: SamplerConfig,
+    sampler,
     planner: PlannerHandle,
+    budget: int,
     policy_factory: PolicyFactory = ReactivePolicy,
     episode_sink: Optional[Callable[[EpisodeRecord], None]] = None,
 ) -> List[EpisodeRecord]:
-    """Run a full sampling campaign: exactly cfg.budget episodes.
+    """Run a full sampling campaign: exactly `budget` episodes, each from
+    the prompt `sampler` proposes given the records before it.
 
     Failed episodes are recorded with score -inf; BO excludes them from GP
     fitting but they still consume budget. The loop is deterministic given
-    (scenario, cfg). Every GP fit of the campaign is passed the campaign's
+    its arguments. Every proposal is passed the campaign's
     `FitHelper` as `helper`; its process, if a fit started one, is joined
     before this returns or raises.
     """
     dim = prompt_dim(scenario)
     records: List[EpisodeRecord] = []
     with FitHelper() as helper:
-        for it in range(cfg.budget):
-            prompt = suggest_next(records, cfg, dim=dim, helper=helper)
+        for it in range(budget):
+            prompt = suggest_next(sampler, records, dim, helper)
             goals = split_prompt(scenario, prompt)
             policies = {
                 aid: policy_factory(scenario, aid, goal) for aid, goal in goals.items()

@@ -2,7 +2,8 @@
 
 A campaign directory contains:
     manifest.json     run manifest, written before the first episode; its
-                      sampler block is the run's `SamplerConfig`
+                      sampler block is `run`'s sampler flags (kind,
+                      budget, beta, candidates), for either sampler
     scenario.yaml     verbatim copy of the scenario config
     campaign.jsonl    one record per episode (prompt, goal, score, metrics)
     episodes/ep_NNNN.jsonl   per-episode traces
@@ -19,14 +20,14 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import astuple, fields
 from math import isfinite
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__ as TOOL_VERSION
 from .geom import Point2
 from .metrics import CampaignStats
-from .optimizer import EpisodeRecord, SamplerConfig
+from .optimizer import EpisodeRecord
 from .scenario import Scenario
 from .sim import AgentState, Episode, JointState
 
@@ -51,10 +52,10 @@ def _opt(value: float) -> Optional[float]:
     return value if isfinite(value) else None
 
 
-def write_manifest(out_dir: str, scenario_path: str, cfg: SamplerConfig) -> None:
+def write_manifest(out_dir: str, scenario_path: str, sampler: dict) -> None:
     manifest = {
         "scenario_file": os.path.basename(scenario_path),
-        "sampler": asdict(cfg),
+        "sampler": sampler,
         "tool_version": TOOL_VERSION,
         "conventions": {"ttc": TTC_CONVENTION},
     }
@@ -243,7 +244,9 @@ def read_campaign_log(path: str) -> List[dict]:
     object, or a record whose `u` is not a list of finite numbers, whose
     score is neither a finite number nor null, whose `failed` is not a bool
     or whose `episode_file` is not a string, raises a ValueError that starts
-    with `path:lineno:`."""
+    with `path:lineno:`. So does a record that is not what `run` writes: a
+    failed episode with a score, or one that did not fail with no score or
+    no episode file."""
     records = []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -267,6 +270,11 @@ def read_campaign_log(path: str) -> List[dict]:
             if not isinstance(episode_file, str):
                 raise ValueError(
                     f"{path}:{lineno}: episode_file is not a string: {episode_file!r}")
+            if failed and score is not None:
+                raise ValueError(f"{path}:{lineno}: failed episode has a score: {score!r}")
+            if not failed and (score is None or not episode_file):
+                missing = "episode_file" if score is not None else "score"
+                raise ValueError(f"{path}:{lineno}: episode that did not fail has no {missing}")
             records.append(record)
     return records
 

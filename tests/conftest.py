@@ -5,6 +5,7 @@ import pytest
 
 from avstress import planner as planner_module
 from avstress.geom import Point2
+from avstress.optimizer import GpUcbSampler, SobolSampler
 from avstress.scenario import load_scenario
 from avstress.sim import AgentState, Episode, JointState
 
@@ -48,6 +49,14 @@ def agents_yaml(n_simulated):
 
 def scenario_with_agents(n_simulated):
     return load_scenario(agents_yaml(n_simulated), scenario_id=f"synthetic_{n_simulated}")
+
+
+# the default sampler of each `run --sampler` kind
+SAMPLERS = {"bo": GpUcbSampler(), "sobol": SobolSampler()}
+
+# all a sampler reads of a campaign's EpisodeRecord: the prompt and its
+# score, -inf for a failed episode
+ScoredPrompt = namedtuple("ScoredPrompt", "prompt score")
 
 
 class ScriptedPolicy:

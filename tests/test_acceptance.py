@@ -17,7 +17,7 @@ from avstress import persist
 from avstress.cli import main as cli_main
 from avstress.geom import Point2
 from avstress.metrics import asd, campaign_stats, score_episode
-from avstress.optimizer import Observation, SamplerConfig, run_campaign, suggest_next
+from avstress.optimizer import run_campaign, suggest_next
 from avstress.planner import LatticePlanner, predict_constant_velocity
 from avstress.scenario import PRESET_NAMES, load_preset
 from avstress.sim import AgentState, initial_joint_state, simulate_episode
@@ -30,7 +30,14 @@ from avstress.surrogate import (
     log_marginal_likelihood,
     posterior_batch,
 )
-from conftest import ScriptedPolicy, make_episode, scenario_with_agents, trajectory_distance
+from conftest import (
+    SAMPLERS,
+    ScoredPrompt,
+    ScriptedPolicy,
+    make_episode,
+    scenario_with_agents,
+    trajectory_distance,
+)
 
 
 def _criterion(num, name):
@@ -114,11 +121,10 @@ def test_criterion_2_gp_correctness():
 
 
 def _search_best(kind, scorer, budget):
-    cfg = SamplerConfig(kind=kind, budget=budget)
     history = []
     for _ in range(budget):
-        u = suggest_next(history, cfg)
-        history.append(Observation(prompt=u, score=scorer(u)))
+        u = suggest_next(SAMPLERS[kind], history, 2)
+        history.append(ScoredPrompt(prompt=u, score=scorer(u)))
     return max(obs.score for obs in history)
 
 
@@ -170,8 +176,7 @@ def preset_campaigns():
     for name in PRESET_NAMES:
         scenario = load_preset(name)
         for kind in ("bo", "sobol"):
-            cfg = SamplerConfig(kind=kind, budget=75)
-            records = run_campaign(scenario, cfg, LatticePlanner())
+            records = run_campaign(scenario, SAMPLERS[kind], LatticePlanner(), 75)
             good = [r for r in records if not r.failed]
             stats = campaign_stats(
                 [r.episode for r in good], scenario, scores=[r.metrics for r in good]

@@ -8,7 +8,7 @@ campaign, 18 of whose prompts GP-UCB chose. A change to the GP that moves
 any prompt fails here; one that does so on purpose re-pins these values
 and says so.
 """
-from avstress.optimizer import SamplerConfig, run_campaign
+from avstress.optimizer import GpUcbSampler, run_campaign
 from avstress.planner import LatticePlanner
 from avstress.scenario import load_preset
 
@@ -39,9 +39,7 @@ COLLIDED = [False] * 20
 
 
 def test_behind_bo_campaign_equals_pinned_prompts_and_outcomes():
-    records = run_campaign(
-        load_preset("behind"), SamplerConfig(kind="bo", budget=20), LatticePlanner()
-    )
+    records = run_campaign(load_preset("behind"), GpUcbSampler(), LatticePlanner(), 20)
     assert not any(r.failed for r in records)
     assert [tuple(v.hex() for v in r.prompt) for r in records] == PROMPTS
     assert [r.metrics.collided for r in records] == COLLIDED

@@ -10,10 +10,12 @@ import avstress
 from avstress import cli, persist
 from avstress.cli import main
 from avstress.metrics import campaign_stats, score_episode
+from avstress.optimizer import GpUcbSampler, SobolSampler
 from avstress.scenario import load_scenario_file, preset_path
 from avstress.sobol import sobol_point
 from conftest import (
     TWO_LANE_YAML,
+    ScoredPrompt,
     agents_yaml,
     make_episode,
     record_blas_threads,
@@ -141,16 +143,21 @@ class TestRun:
         assert os.listdir(root) == ["two_lane_sobol"]
         assert (root / "two_lane_sobol").read_text() == "not a directory\n"
 
-    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    # a Sobol run checks the GP flags too: its manifest records them
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--beta", "nan", "beta must be finite and >= 0, got nan"),
+        ("--beta", "inf", "beta must be finite and >= 0, got inf"),
+        ("--candidates", "8", "candidate count must be >= 16"),
+    ], ids=["nan", "inf", "candidates_8"])
     def test_non_finite_beta_rejected_before_the_campaign_is_touched(
-        self, beta, scenario_file, tmp_path, capsys
+        self, flag, value, error, scenario_file, tmp_path, capsys
     ):
         argv = ("run", scenario_file, "--sampler", "sobol", "--out", str(tmp_path / "out"))
         assert run_cli(*argv, "--budget", "3") == 0
         out_dir = capsys.readouterr().out.strip()
         before = read_bytes_tree(out_dir)
-        assert run_cli(*argv, "--budget", "3", "--beta", beta) == 2
-        assert capsys.readouterr().err == f"error: beta must be finite and >= 0, got {beta}\n"
+        assert run_cli(*argv, "--budget", "3", flag, value) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert read_bytes_tree(out_dir) == before
 
     def test_rerun_from_the_campaigns_own_scenario_copy(self, tmp_path, capsys):
@@ -214,7 +221,7 @@ class TestRun:
         with open(os.path.join(out_dir, "manifest.json")) as fh:
             text = fh.read()
         manifest = json.loads(text)
-        # the run's SamplerConfig, every field by name, as json writes it
+        # the run's four sampler flags, for either sampler, as json writes them
         assert '"sampler": {"beta": 2.0, "budget": 2, "candidates": 1024, "kind": "sobol"}' in text
         assert manifest["conventions"] == {"ttc": persist.TTC_CONVENTION}
         assert manifest["tool_version"]
@@ -234,6 +241,26 @@ class TestRun:
             with open(os.path.join(out_dir, rec["episode_file"])) as fh:
                 header = json.loads(fh.readline())
             assert header["goals"] == {"npc": rec["goal_world"]}
+
+    @pytest.mark.parametrize("kind", ["bo", "sobol"])
+    def test_campaign_files_rebuild_the_sampler(self, kind, tmp_path, capsys):
+        # a fresh sampler from the manifest, given the first k records read
+        # back from campaign.jsonl, proposes record k's prompt bit for bit:
+        # a sampler's state is a function of the records alone
+        argv = ("run", "behind", "--sampler", kind, "--budget", "10", "--out", str(tmp_path))
+        assert run_cli(*argv) == 0
+        out_dir = capsys.readouterr().out.strip()
+        flags = persist.read_manifest(os.path.join(out_dir, "manifest.json"))["sampler"]
+        log = persist.read_campaign_log(os.path.join(out_dir, "campaign.jsonl"))
+        records = [
+            ScoredPrompt(tuple(rec["u"]), -math.inf if rec["score"] is None else rec["score"])
+            for rec in log
+        ]
+        for k, rec in enumerate(log):
+            fresh = (GpUcbSampler(flags["beta"], flags["candidates"]) if flags["kind"] == "bo"
+                     else SobolSampler())
+            u = fresh.propose(records[:k], len(rec["u"]))
+            assert [v.hex() for v in u] == [float(v).hex() for v in rec["u"]]
 
     def test_tool_version_is_the_package_version(self):
         tomllib = pytest.importorskip("tomllib")
@@ -362,7 +389,8 @@ class TestExportGp:
                     {
                         "iter": i - 1, "u": list(u), "goal_world": [0.0, 0.0],
                         "score": -7.5, "collided": False, "min_dist": 7.5,
-                        "ttc_min": None, "episode_file": "", "failed": False,
+                        "ttc_min": None, "episode_file": f"episodes/ep_{i - 1:04d}.jsonl",
+                        "failed": False,
                     }
                 )
             )
@@ -378,7 +406,7 @@ class TestExportGp:
         out_dir.mkdir()
         (out_dir / "campaign.jsonl").write_text(
             json.dumps({"iter": 0, "u": [0.5, 0.5], "score": 1.0, "failed": False,
-                        "episode_file": ""}) + "\n"
+                        "episode_file": "episodes/ep_0000.jsonl"}) + "\n"
         )
         assert run_cli("export-gp", str(out_dir)) == 2
 
@@ -392,7 +420,7 @@ class TestExportGp:
         out_dir.mkdir()
         records = [
             json.dumps({"iter": i - 1, "u": list(sobol_point(i)), "score": -float(i),
-                        "failed": False, "episode_file": ""})
+                        "failed": False, "episode_file": f"episodes/ep_{i - 1:04d}.jsonl"})
             for i in range(1, 7)
         ]
         (out_dir / "campaign.jsonl").write_text("\n".join(records) + "\n")
@@ -408,7 +436,7 @@ class TestExportGp:
         out_dir.mkdir()
         records = [
             json.dumps({"iter": i - 1, "u": list(sobol_point(i, dim=6)), "score": -float(i),
-                        "failed": False, "episode_file": ""})
+                        "failed": False, "episode_file": f"episodes/ep_{i - 1:04d}.jsonl"})
             for i in range(1, 7)
         ]
         (out_dir / "campaign.jsonl").write_text("\n".join(records) + "\n")
@@ -432,7 +460,7 @@ class TestExportGp:
         out_dir.mkdir()
         records = [
             json.dumps({"iter": i - 1, "u": list(sobol_point(i)), "score": -float(i),
-                        "failed": False, "episode_file": ""})
+                        "failed": False, "episode_file": f"episodes/ep_{i - 1:04d}.jsonl"})
             for i in range(1, 7)
         ]
         (out_dir / "campaign.jsonl").write_text("\n".join(records) + "\n")

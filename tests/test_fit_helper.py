@@ -19,7 +19,7 @@ import pytest
 
 from avstress import cli, optimizer, surrogate
 from avstress.fit_helper import FitHelper
-from avstress.optimizer import SamplerConfig, run_campaign
+from avstress.optimizer import GpUcbSampler, SobolSampler, run_campaign
 from avstress.planner import LatticePlanner
 from avstress.scenario import load_preset
 
@@ -115,8 +115,7 @@ class TestLifecycle:
     def test_no_child_left_after_the_campaign_returns(self, opened):
         before = children()
         pids = set()
-        records = run_campaign(load_preset("behind"), SamplerConfig(kind="bo", budget=5),
-                               LatticePlanner(),
+        records = run_campaign(load_preset("behind"), GpUcbSampler(), LatticePlanner(), 5,
                                episode_sink=lambda r: pids.add(helper_pid(opened)))
         assert len(records) == 5
         pids.discard(None)
@@ -135,8 +134,8 @@ class TestLifecycle:
                 raise RuntimeError("sink failed")
 
         with pytest.raises(RuntimeError, match="sink failed"):
-            run_campaign(load_preset("behind"), SamplerConfig(kind="bo", budget=6),
-                         LatticePlanner(), episode_sink=sink)
+            run_campaign(load_preset("behind"), GpUcbSampler(), LatticePlanner(), 6,
+                         episode_sink=sink)
         assert pids[-1] is not None
         assert len(opened) == 1 and opened[0].process is None
         assert children() - before == set()
@@ -144,8 +143,8 @@ class TestLifecycle:
 
     def test_sobol_campaign_starts_no_helper(self, opened):
         pids = set()
-        run_campaign(load_preset("behind"), SamplerConfig(kind="sobol", budget=3),
-                     LatticePlanner(), episode_sink=lambda r: pids.add(helper_pid(opened)))
+        run_campaign(load_preset("behind"), SobolSampler(), LatticePlanner(), 3,
+                     episode_sink=lambda r: pids.add(helper_pid(opened)))
         assert pids == {None}
 
 
@@ -153,7 +152,7 @@ class TestLifecycle:
 PRINT_HELPER_SCRIPT = """
 import os, sys
 from avstress import optimizer
-from avstress.optimizer import SamplerConfig, run_campaign
+from avstress.optimizer import GpUcbSampler, run_campaign
 from avstress.planner import LatticePlanner
 from avstress.scenario import load_preset
 
@@ -173,8 +172,8 @@ def sink(record):
         print(helper.process.pid, flush=True)
 
 try:
-    run_campaign(load_preset("behind"), SamplerConfig(kind="bo", budget=400),
-                 LatticePlanner(), episode_sink=sink)
+    run_campaign(load_preset("behind"), GpUcbSampler(), LatticePlanner(), 400,
+                 episode_sink=sink)
 except KeyboardInterrupt:
     children = [
         entry for entry in os.listdir("/proc") if entry.isdigit()
@@ -356,8 +355,9 @@ class TestHelperFailure:
         assert "Traceback" not in capfd.readouterr().err
 
     def test_campaign_raises_the_serial_error_and_leaves_no_child(self, monkeypatch, opened):
-        scenario, cfg = load_preset("behind"), SamplerConfig(kind="bo", budget=6)
-        first = self.first_fit_starts(monkeypatch, run_campaign, scenario, cfg, LatticePlanner())
+        scenario = load_preset("behind")
+        first = self.first_fit_starts(
+            monkeypatch, run_campaign, scenario, GpUcbSampler(), LatticePlanner(), 6)
         self.fail_at(monkeypatch, *first, {3})
         before = children()
         errors = []
@@ -366,7 +366,7 @@ class TestHelperFailure:
                 if not helper:
                     serial(m)
                 with pytest.raises(np.linalg.LinAlgError) as error:
-                    run_campaign(scenario, cfg, LatticePlanner())
+                    run_campaign(scenario, GpUcbSampler(), LatticePlanner(), 6)
             errors.append(str(error.value))
         assert errors == ["start 3", "start 3"]
         assert opened and all(helper.process is None for helper in opened)
@@ -377,7 +377,7 @@ class TestHelperFailure:
 def test_runs_over_both_processes_count_every_serial_evaluation(monkeypatch, opened):
     # the helper's evaluations are not counted in this process, but each
     # run it returns carries its count
-    scenario, cfg = load_preset("behind"), SamplerConfig(kind="bo", budget=12)
+    scenario = load_preset("behind")
     multistart = surrogate._multistart
     nfev, evaluations = [0, 0], [0]
 
@@ -399,10 +399,10 @@ def test_runs_over_both_processes_count_every_serial_evaluation(monkeypatch, ope
         serial(m)
         m.setattr(surrogate, "_multistart", summing(0))
         m.setattr(surrogate, "log_marginal_likelihood", counted)
-        serial_records = run_campaign(scenario, cfg, LatticePlanner())
+        serial_records = run_campaign(scenario, GpUcbSampler(), LatticePlanner(), 12)
     pids = set()
     monkeypatch.setattr(surrogate, "_multistart", summing(1))
-    records = run_campaign(scenario, cfg, LatticePlanner(),
+    records = run_campaign(scenario, GpUcbSampler(), LatticePlanner(), 12,
                            episode_sink=lambda r: pids.add(helper_pid(opened)))
     assert len(pids - {None}) == 1
     assert nfev == [evaluations[0], evaluations[0]]

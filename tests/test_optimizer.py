@@ -11,8 +11,8 @@ from avstress import surrogate
 from avstress.optimizer import (
     LOCAL_CORNERS,
     PERTURBATION,
-    Observation,
-    SamplerConfig,
+    GpUcbSampler,
+    SobolSampler,
     _candidate_set,
     prompt_dim,
     run_campaign,
@@ -24,7 +24,13 @@ from avstress.planner import HORIZON_STEPS, LatticePlanner
 from avstress.scenario import load_preset, load_scenario
 from avstress.sobol import sobol_point, sobol_points
 from avstress.surrogate import KernelParams, build_model, posterior_batch
-from conftest import ConstantVelocityEgoStub, record_blas_threads, scenario_with_agents
+from conftest import (
+    SAMPLERS,
+    ConstantVelocityEgoStub,
+    ScoredPrompt,
+    record_blas_threads,
+    scenario_with_agents,
+)
 
 
 def short_scale_params():
@@ -44,8 +50,8 @@ def pinned_kernel(monkeypatch):
 
 def corner_history():
     return [
-        Observation(prompt=(0.0, 0.0), score=0.0),
-        Observation(prompt=(1.0, 1.0), score=10.0),
+        ScoredPrompt(prompt=(0.0, 0.0), score=0.0),
+        ScoredPrompt(prompt=(1.0, 1.0), score=10.0),
     ]
 
 
@@ -63,9 +69,9 @@ class TestUcb:
             assert ucb(2.5, 0.0, beta) == pytest.approx(2.5)
 
 
-def loop_candidate_set(history, cfg, dim):
+def loop_candidate_set(history, count, dim):
     """The per-observation loop that _candidate_set's broadcast replaced."""
-    cands = sobol_points(cfg.candidates, dim=dim, start=1)
+    cands = sobol_points(count, dim=dim, start=1)
     locals_ = []
     for obs in history:
         base = np.asarray(obs.prompt)
@@ -87,8 +93,8 @@ def edge_history(dim):
     rng = np.random.default_rng(dim)
     prompts = [tuple(rng.random(dim)) for _ in range(5)]
     prompts += [(0.0,) * dim, (1.0,) * dim, tuple([0.0, 1.0] * dim)[:dim]]
-    history = [Observation(prompt=p, score=float(i)) for i, p in enumerate(prompts)]
-    history[3] = Observation(prompt=history[3].prompt, score=-math.inf)
+    history = [ScoredPrompt(prompt=p, score=float(i)) for i, p in enumerate(prompts)]
+    history[3] = ScoredPrompt(prompt=history[3].prompt, score=-math.inf)
     return history
 
 
@@ -100,10 +106,9 @@ BO_9_AGENTS_SCRIPT = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from conftest import scenario_with_agents
-from avstress.optimizer import SamplerConfig, run_campaign
+from avstress.optimizer import GpUcbSampler, run_campaign
 from avstress.planner import LatticePlanner
-records = run_campaign(scenario_with_agents(9), SamplerConfig(kind="bo", budget=12),
-                       LatticePlanner())
+records = run_campaign(scenario_with_agents(9), GpUcbSampler(), LatticePlanner(), 12)
 print(sum(r.failed for r in records), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
@@ -113,16 +118,14 @@ class TestCandidateSet:
     @pytest.mark.parametrize("dim", [2, 6])
     def test_equals_per_observation_loop(self, dim):
         history = edge_history(dim)
-        cfg = SamplerConfig(kind="bo", budget=20, candidates=32)
-        got = _candidate_set(history, cfg, dim)
+        got = _candidate_set(history, 32, dim)
         assert got.shape == (32 + len(history) * 2**dim, dim)
-        assert hex_rows(got) == hex_rows(loop_candidate_set(history, cfg, dim))
+        assert hex_rows(got) == hex_rows(loop_candidate_set(history, 32, dim))
 
     @pytest.mark.parametrize("dim", [7, 8, 12, 18])
     def test_sobol_signed_corners_above_the_full_box_dimension(self, dim):
         history = edge_history(dim)
-        cfg = SamplerConfig(kind="bo", budget=20, candidates=32)
-        got = _candidate_set(history, cfg, dim)
+        got = _candidate_set(history, 32, dim)
         assert got.shape == (32 + len(history) * LOCAL_CORNERS, dim)
         assert np.array_equal(got[:32], sobol_points(32, dim=dim, start=1))
         signs = sobol_points(LOCAL_CORNERS, dim=dim, start=1) >= 0.5
@@ -149,36 +152,31 @@ class TestCandidateSet:
 
 class TestSuggestNext:
     def test_sobol_empty_history(self):
-        cfg = SamplerConfig(kind="sobol", budget=10)
-        assert suggest_next([], cfg) == (0.5, 0.5)
+        assert suggest_next(SobolSampler(), [], 2) == (0.5, 0.5)
 
     def test_sobol_follows_sequence(self):
-        cfg = SamplerConfig(kind="sobol", budget=10)
         history = []
         for i in range(1, 6):
-            u = suggest_next(history, cfg)
+            u = suggest_next(SobolSampler(), history, 2)
             assert u == sobol_point(i, dim=2)
-            history.append(Observation(prompt=u, score=0.0))
+            history.append(ScoredPrompt(prompt=u, score=0.0))
 
     def test_sobol_ignores_scores(self):
-        cfg = SamplerConfig(kind="sobol", budget=10)
-        lo = [Observation(prompt=sobol_point(i), score=-100.0) for i in (1, 2, 3)]
-        hi = [Observation(prompt=sobol_point(i), score=+100.0) for i in (1, 2, 3)]
-        assert suggest_next(lo, cfg) == suggest_next(hi, cfg)
+        lo = [ScoredPrompt(prompt=sobol_point(i), score=-100.0) for i in (1, 2, 3)]
+        hi = [ScoredPrompt(prompt=sobol_point(i), score=+100.0) for i in (1, 2, 3)]
+        assert suggest_next(SobolSampler(), lo, 2) == suggest_next(SobolSampler(), hi, 2)
 
     def test_bo_bootstraps_from_sobol(self):
-        cfg = SamplerConfig(kind="bo", budget=10)
-        assert suggest_next([], cfg) == sobol_point(1)
-        one = [Observation(prompt=sobol_point(1), score=1.0)]
-        assert suggest_next(one, cfg) == sobol_point(2)
+        assert suggest_next(GpUcbSampler(), [], 2) == sobol_point(1)
+        one = [ScoredPrompt(prompt=sobol_point(1), score=1.0)]
+        assert suggest_next(GpUcbSampler(), one, 2) == sobol_point(2)
 
     @pytest.mark.usefixtures("pinned_kernel")
     def test_bo_exploits_high_score_corner(self):
         # beta=0 with a short length-scale: suggestion hugs the good corner;
         # oracle = dense-grid argmax of the posterior mean
-        cfg = SamplerConfig(kind="bo", budget=10, beta=0.0)
         history = corner_history()
-        u = suggest_next(history, cfg)
+        u = suggest_next(GpUcbSampler(beta=0.0), history, 2)
         assert math.hypot(u[0] - 1.0, u[1] - 1.0) < 0.05
 
         X = np.array([obs.prompt for obs in history])
@@ -192,77 +190,63 @@ class TestSuggestNext:
 
     @pytest.mark.usefixtures("pinned_kernel")
     def test_bo_huge_beta_explores(self):
-        cfg = SamplerConfig(kind="bo", budget=10, beta=1e6)
-        u = suggest_next(corner_history(), cfg)
+        u = suggest_next(GpUcbSampler(beta=1e6), corner_history(), 2)
         for obs in corner_history():
             d = math.hypot(u[0] - obs.prompt[0], u[1] - obs.prompt[1])
             assert d >= 0.3
 
-    def test_budget_exhaustion_refused(self):
-        cfg = SamplerConfig(kind="sobol", budget=3)
-        history = [Observation(prompt=sobol_point(i), score=0.0) for i in (1, 2, 3)]
-        with pytest.raises(RuntimeError):
-            suggest_next(history, cfg)
-
     @pytest.mark.usefixtures("pinned_kernel")
     def test_failed_episodes_excluded_from_gp(self):
         # -inf observations must not poison the surrogate
-        cfg = SamplerConfig(kind="bo", budget=10, beta=0.0)
         history = corner_history() + [
-            Observation(prompt=(0.5, 0.5), score=-math.inf)
+            ScoredPrompt(prompt=(0.5, 0.5), score=-math.inf)
         ]
-        u = suggest_next(history, cfg)
+        u = suggest_next(GpUcbSampler(beta=0.0), history, 2)
         assert all(math.isfinite(v) for v in u)
         assert math.hypot(u[0] - 1.0, u[1] - 1.0) < 0.05
 
     @pytest.mark.usefixtures("pinned_kernel")
     def test_argmax_invariant_under_affine_rescale(self):
-        cfg = SamplerConfig(kind="bo", budget=20, beta=0.0)
+        sampler = GpUcbSampler(beta=0.0)
         rng = np.random.default_rng(21)
         history = [
-            Observation(prompt=tuple(rng.random(2)), score=float(rng.normal()))
+            ScoredPrompt(prompt=tuple(rng.random(2)), score=float(rng.normal()))
             for _ in range(8)
         ]
         scaled = [
-            Observation(prompt=o.prompt, score=3.0 * o.score + 7.0) for o in history
+            ScoredPrompt(prompt=o.prompt, score=3.0 * o.score + 7.0) for o in history
         ]
-        assert suggest_next(history, cfg) == suggest_next(scaled, cfg)
+        assert suggest_next(sampler, history, 2) == suggest_next(sampler, scaled, 2)
 
     @pytest.mark.usefixtures("pinned_kernel")
     def test_suggestions_stay_in_unit_square(self):
-        for kind in ("sobol", "bo"):
-            cfg = SamplerConfig(kind=kind, budget=40)
+        for sampler in (SobolSampler(), GpUcbSampler()):
             history = []
             rng = np.random.default_rng(22)
             for _ in range(12):
-                u = suggest_next(history, cfg)
+                u = suggest_next(sampler, history, 2)
                 assert all(0.0 <= v <= 1.0 for v in u)
-                history.append(Observation(prompt=u, score=float(rng.normal())))
+                history.append(ScoredPrompt(prompt=u, score=float(rng.normal())))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            SamplerConfig(kind="random")
-        with pytest.raises(ValueError):
-            SamplerConfig(budget=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(beta=-1.0)
+            GpUcbSampler(beta=-1.0)
         for beta in (math.nan, math.inf):
             with pytest.raises(ValueError, match="beta"):
-                SamplerConfig(beta=beta)
+                GpUcbSampler(beta=beta)
         with pytest.raises(ValueError):
-            SamplerConfig(candidates=4)
+            GpUcbSampler(candidates=4)
 
 
 class TestSyntheticSearch:
     def run_sampler(self, kind, budget):
         # distance-to-optimum objective; higher is better
         opt = (0.7, 0.3)
-        cfg = SamplerConfig(kind=kind, budget=budget)
         history = []
         for _ in range(budget):
-            u = suggest_next(history, cfg)
+            u = suggest_next(SAMPLERS[kind], history, 2)
             g = -math.hypot(u[0] - opt[0], u[1] - opt[1])
-            history.append(Observation(prompt=u, score=g))
+            history.append(ScoredPrompt(prompt=u, score=g))
         return max(obs.score for obs in history)
 
     @pytest.mark.usefixtures("pinned_kernel")
@@ -273,18 +257,15 @@ class TestSyntheticSearch:
 
 class TestRunCampaign:
     def test_sobol_budget_three_uses_first_three_points(self, two_lane_scenario):
-        cfg = SamplerConfig(kind="sobol", budget=3)
-        records = run_campaign(two_lane_scenario, cfg, ConstantVelocityEgoStub())
+        records = run_campaign(two_lane_scenario, SobolSampler(), ConstantVelocityEgoStub(), 3)
         assert len(records) == 3
         for i, rec in enumerate(records, start=1):
             assert rec.prompt == sobol_point(i)
 
     @pytest.mark.usefixtures("pinned_kernel")
     def test_campaign_is_deterministic(self, two_lane_scenario):
-        cfg = SamplerConfig(kind="bo", budget=5)
-
         def run():
-            return run_campaign(two_lane_scenario, cfg, ConstantVelocityEgoStub())
+            return run_campaign(two_lane_scenario, GpUcbSampler(), ConstantVelocityEgoStub(), 5)
 
         a, b = run(), run()
         assert [r.prompt for r in a] == [r.prompt for r in b]
@@ -295,8 +276,7 @@ class TestRunCampaign:
                 assert ja.states == jb.states
 
     def test_goals_inside_domain_image(self, two_lane_scenario):
-        cfg = SamplerConfig(kind="sobol", budget=8)
-        records = run_campaign(two_lane_scenario, cfg, ConstantVelocityEgoStub())
+        records = run_campaign(two_lane_scenario, SobolSampler(), ConstantVelocityEgoStub(), 8)
         dom = two_lane_scenario.goal_domains["npc"]
         for rec in records:
             goal = rec.goals_world["npc"]
@@ -318,13 +298,14 @@ class TestRunCampaign:
         def fail_the_third(record):
             planner.fail = record.iteration == 1
 
-        cfg = SamplerConfig(kind="bo", budget=6)
-        records = run_campaign(two_lane_scenario, cfg, planner, episode_sink=fail_the_third)
+        sampler = GpUcbSampler()
+        records = run_campaign(two_lane_scenario, sampler, planner, 6,
+                               episode_sink=fail_the_third)
         assert [r.failed for r in records] == [False, False, True, False, False, False]
-        observations = [Observation(prompt=r.prompt, score=r.score) for r in records]
+        observations = [ScoredPrompt(prompt=r.prompt, score=r.score) for r in records]
         for k in range(3, len(records)):
-            got = suggest_next(records[:k], cfg)
-            want = suggest_next(observations[:k], cfg)
+            got = suggest_next(sampler, records[:k], 2)
+            want = suggest_next(sampler, observations[:k], 2)
             assert [v.hex() for v in got] == [v.hex() for v in want]
             assert got == records[k].prompt
 
@@ -333,8 +314,7 @@ class TestRunCampaign:
             def plan(self, world, scenario):
                 raise RuntimeError("no solution")
 
-        cfg = SamplerConfig(kind="sobol", budget=4)
-        records = run_campaign(two_lane_scenario, cfg, AlwaysFails())
+        records = run_campaign(two_lane_scenario, SobolSampler(), AlwaysFails(), 4)
         assert len(records) == 4
         for rec in records:
             assert rec.failed
@@ -345,7 +325,7 @@ class TestRunCampaign:
     def test_many_agents_complete(self, kind, n_simulated):
         # the GP's restarts need 2 * agents + 2 Sobol dimensions: 12 at 5 agents
         scenario = scenario_with_agents(n_simulated)
-        records = run_campaign(scenario, SamplerConfig(kind=kind, budget=4), LatticePlanner())
+        records = run_campaign(scenario, SAMPLERS[kind], LatticePlanner(), 4)
         assert len(records) == 4
         assert [r.failure_reason for r in records if r.failed] == []
         assert all(len(r.prompt) == 2 * n_simulated for r in records)
@@ -357,8 +337,7 @@ class TestRunCampaign:
         text = resources.files("avstress").joinpath("presets/front.yaml").read_text()
         scenario = load_scenario(text.replace("replan_every: 5", "replan_every: 40"), "front")
         assert scenario.sim.replan_every == 40
-        cfg = SamplerConfig(kind="sobol", budget=2)
-        records = run_campaign(scenario, cfg, LatticePlanner())
+        records = run_campaign(scenario, SobolSampler(), LatticePlanner(), 2)
         assert len(records) == 2
         assert [r.failure_reason for r in records if r.failed] == []
 
@@ -367,9 +346,8 @@ class TestBlasThreadScope:
     def test_one_thread_inside_suggest_next_and_previous_count_after(self, monkeypatch):
         controls, inside = record_blas_threads(monkeypatch)
         before = [get() for get, _ in controls]
-        cfg = SamplerConfig(kind="bo", budget=10)
-        history = [Observation(prompt=sobol_point(i), score=float(i)) for i in (1, 2, 3)]
-        suggest_next(history, cfg)
+        history = [ScoredPrompt(prompt=sobol_point(i), score=float(i)) for i in (1, 2, 3)]
+        suggest_next(GpUcbSampler(), history, 2)
         # the fit's factorizations and the posterior's kernel calls
         assert {name for name, _ in inside} == {"_factor", "kernel_matrix"}
         assert all(counts == [1] * len(controls) for _, counts in inside)
@@ -380,13 +358,12 @@ class TestBlasThreadScope:
 
         monkeypatch.setattr(surrogate, "_factor", failing_factor)
         with pytest.raises(np.linalg.LinAlgError):
-            suggest_next(history, cfg)
+            suggest_next(GpUcbSampler(), history, 2)
         assert [get() for get, _ in controls] == before
 
     def test_no_openblas_found_is_a_no_op(self, monkeypatch):
         monkeypatch.setattr(surrogate, "_openblas_thread_controls", lambda: ())
-        records = run_campaign(load_preset("front"), SamplerConfig(kind="bo", budget=4),
-                               LatticePlanner())
+        records = run_campaign(load_preset("front"), GpUcbSampler(), LatticePlanner(), 4)
         assert len(records) == 4
         assert [r.failure_reason for r in records if r.failed] == []
 

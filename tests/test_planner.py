@@ -5,7 +5,7 @@ import pytest
 
 from avstress import planner as planner_module
 from avstress.geom import Point2
-from avstress.optimizer import SamplerConfig, run_campaign
+from avstress.optimizer import SobolSampler, run_campaign
 from avstress.planner import ACCEL_GRID, D_SAFE, LatticePlanner, predict_constant_velocity
 from avstress.scenario import MapModel, load_preset, load_scenario
 from avstress.sim import AgentState, JointState, initial_joint_state, simulate_episode
@@ -201,10 +201,9 @@ class FreshPlanner:
 
 def test_memoised_campaign_matches_fresh_planners(rollout_calls):
     scenario = load_preset("front_right")
-    cfg = SamplerConfig(kind="sobol", budget=8)
-    memoised = run_campaign(scenario, cfg, LatticePlanner())
+    memoised = run_campaign(scenario, SobolSampler(), LatticePlanner(), 8)
     memoised_calls = rollout_calls[0]
-    fresh = run_campaign(scenario, cfg, FreshPlanner())
+    fresh = run_campaign(scenario, SobolSampler(), FreshPlanner(), 8)
     # later episodes replay rollouts of earlier ones
     assert memoised_calls < rollout_calls[0] - memoised_calls
     assert len(memoised) == len(fresh) == 8

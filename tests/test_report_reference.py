@@ -17,7 +17,7 @@ import pytest
 from avstress import cli, metrics, persist
 from avstress.geom import Point2
 from avstress.metrics import asd, campaign_stats
-from avstress.optimizer import SamplerConfig, run_campaign
+from avstress.optimizer import SobolSampler, run_campaign
 from avstress.planner import LatticePlanner
 from avstress.scenario import PRESET_NAMES, load_preset
 from avstress.sim import AgentState, Episode, JointState
@@ -160,8 +160,7 @@ def sobol_campaigns():
     out = {}
     for name in PRESET_NAMES:
         scenario = load_preset(name)
-        records = run_campaign(scenario, SamplerConfig(kind="sobol", budget=75),
-                               LatticePlanner())
+        records = run_campaign(scenario, SobolSampler(), LatticePlanner(), 75)
         out[name] = (scenario, [r for r in records if not r.failed])
     return out
 
@@ -367,8 +366,14 @@ class TestBadCampaignFiles:
         ("score", -math.inf, "score is not a finite number: -inf"),
         ("failed", "no", "failed is not a bool: 'no'"),
         ("episode_file", 5, "episode_file is not a string: 5"),
+        # records that `run` does not write: report and export-gp used to
+        # skip them without a word
+        ("episode_file", "", "episode that did not fail has no episode_file"),
+        ("score", None, "episode that did not fail has no score"),
+        ("failed", True, "failed episode has a score: {score!r}"),
     ], ids=["no_u", "u_not_a_list", "u_not_numbers", "score_not_a_number", "u_nan",
-            "score_infinite", "failed_not_a_bool", "episode_file_not_a_string"])
+            "score_infinite", "failed_not_a_bool", "episode_file_not_a_string",
+            "no_episode_file", "no_score", "failed_with_a_score"])
     def test_export_gp_and_report_name_a_bad_record(
         self, campaign_dir, capsys, field, value, error
     ):
@@ -377,6 +382,7 @@ class TestBadCampaignFiles:
             lines = fh.read().splitlines(keepends=True)
         record = json.loads(lines[2])
         assert not record["failed"] and record["score"] is not None
+        error = error.format(score=record["score"])
         if value is None:
             del record[field]
         else:
