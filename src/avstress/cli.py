@@ -76,8 +76,12 @@ def cmd_run(args) -> int:
         "kind": args.sampler})
 
     campaign_log = open(os.path.join(out_dir, "campaign.jsonl"), "w")
+    scores, paths = [], [[] for _ in scenario.agents]
 
     def sink(record):
+        """Write the record's episode and its campaign.jsonl line, keep the
+        score and the agents' paths of an episode that did not fail for
+        stats.csv, and drop the episode."""
         ep_file = f"episodes/ep_{record.iteration:04d}.jsonl"
         if record.episode is not None:
             persist.write_episode(
@@ -92,18 +96,20 @@ def cmd_run(args) -> int:
                 f"warning: episode {record.iteration} failed: {record.failure_reason}",
                 file=sys.stderr,
             )
+        else:
+            _keep_for_stats(scores, paths, record.metrics, record.episode, scenario)
+        # run_campaign keeps every record as the sampler's history, so an
+        # episode left on its record would stay alive to the campaign's end
+        record.episode = None
 
     planner = LatticePlanner()
     try:
-        records = run_campaign(scenario, sampler, planner, args.budget, episode_sink=sink)
+        run_campaign(scenario, sampler, planner, args.budget, episode_sink=sink)
     finally:
         campaign_log.close()
 
-    good = [r for r in records if not r.failed]
-    if len(good) >= 2:
-        stats = metrics.campaign_stats(
-            [r.episode for r in good], scenario, scores=[r.metrics for r in good]
-        )
+    if len(scores) >= 2:
+        stats = metrics.campaign_stats(scores, paths)
         persist.write_stats_csv(
             os.path.join(out_dir, "stats.csv"), [(scenario.scenario_id, args.sampler, stats)]
         )
@@ -113,6 +119,14 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _keep_for_stats(scores, paths, score, episode, scenario):
+    """Append what `metrics.campaign_stats` reads of one episode: its score
+    and each agent's (x, y) path, the ego's first."""
+    scores.append(score)
+    for agent_paths, agent in zip(paths, (scenario.ego, *scenario.simulated_agents)):
+        agent_paths.append(metrics.agent_trajectory(episode, agent.id))
+
+
 def _campaign_row(campaign_dir: str):
     scenario = load_scenario_file(os.path.join(campaign_dir, "scenario.yaml"))
     manifest = persist.read_manifest(os.path.join(campaign_dir, "manifest.json"))
@@ -120,9 +134,25 @@ def _campaign_row(campaign_dir: str):
     # name of the file it was given, which the manifest records
     scenario_id = os.path.splitext(manifest["scenario_file"])[0]
     log = persist.read_campaign_log(os.path.join(campaign_dir, "campaign.jsonl"))
-    episodes = [persist.read_episode(os.path.join(campaign_dir, rec["episode_file"]))
-                for rec in log if not rec["failed"]]
-    stats = metrics.campaign_stats(episodes, scenario)
+    scores, paths = [], [[] for _ in scenario.agents]
+    # one episode at a time, so that memory grows only with the paths
+    for rec in log:
+        if rec["failed"]:
+            continue
+        path = os.path.join(campaign_dir, rec["episode_file"])
+        episode = persist.read_episode(path)
+        # a file that disagrees with its record, such as one cut short by a
+        # truncated write, is an error, not an episode to leave out
+        if episode.failed:
+            raise ValueError(f"{path}: episode failed, but its campaign record says it did not")
+        if len(episode.trace) < 2:
+            raise ValueError(
+                f"{path}: a trace of {len(episode.trace)} step(s) cannot be scored,"
+                " but its campaign record says the episode did not fail"
+            )
+        score = metrics.score_episode(episode, scenario)
+        _keep_for_stats(scores, paths, score, episode, scenario)
+    stats = metrics.campaign_stats(scores, paths)
     return scenario_id, manifest["sampler"]["kind"], stats
 
 

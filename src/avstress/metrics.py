@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from statistics import mean, stdev
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .geom import euclidean_distance
 from .scenario import Scenario
@@ -148,33 +148,29 @@ def agent_trajectory(episode: Episode, agent_id: str) -> List[Tuple[float, float
 
 
 def campaign_stats(
-    episodes: Sequence[Episode],
-    scenario: Scenario,
-    scores: Optional[Sequence[EpisodeScore]] = None,
+    scores: Sequence[EpisodeScore],
+    paths: Sequence[Sequence[Sequence[Tuple[float, float]]]],
 ) -> CampaignStats:
-    """Aggregate statistics over the successful episodes of one campaign;
-    `scores`, if given, holds one score per episode, kept or not."""
-    if scores is None:
-        scores = [None] * len(episodes)
-    elif len(scores) != len(episodes):
-        raise ValueError(f"{len(scores)} scores for {len(episodes)} episodes")
-    kept = [(e, s) for e, s in zip(episodes, scores) if not e.failed and len(e.trace) >= 2]
-    n_e = len(kept)
+    """Aggregate statistics over the successful episodes of one campaign.
+
+    `scores` holds one score per successful episode, and `paths` one list
+    per agent, the ego first and then the simulated agents in config order,
+    of that agent's (x, y) path in each of those episodes, as
+    `agent_trajectory` gives it. Only these are read, so a caller can build
+    them one episode at a time and drop each episode once it is read."""
+    n_e = len(scores)
+    for agent_paths in paths:
+        if len(agent_paths) != n_e:
+            raise ValueError(f"{len(agent_paths)} paths of an agent for {n_e} scores")
     if n_e < 2:
         raise ValueError("campaign statistics need at least 2 successful episodes")
-    episodes = [e for e, _ in kept]
-    scores = [score_episode(e, scenario) if s is None else s for e, s in kept]
 
     collided = sum(1 for s in scores if s.collided)
     min_dists = [s.min_dist for s in scores]
     finite_ttc = [s.ttc_min for s in scores if math.isfinite(s.ttc_min)]
     ttc_inf = n_e - len(finite_ttc)
 
-    # one agent's trajectories at a time, so that only they are held
-    ego_asd, *agent_asds = (
-        asd([agent_trajectory(e, agent.id) for e in episodes])
-        for agent in (scenario.ego, *scenario.simulated_agents)
-    )
+    ego_asd, *agent_asds = map(asd, paths)
 
     return CampaignStats(
         n=n_e,

@@ -3,6 +3,7 @@ from collections import namedtuple
 
 import pytest
 
+from avstress import metrics
 from avstress import planner as planner_module
 from avstress.geom import Point2
 from avstress.optimizer import GpUcbSampler, SobolSampler
@@ -135,6 +136,16 @@ def trajectory_distance(tau_a, tau_b):
     prefix of two trajectories: the pair term of `metrics.asd`, for oracles."""
     n = min(len(tau_a), len(tau_b))
     return sum(math.dist(tau_a[k], tau_b[k]) for k in range(n)) / n
+
+
+def stats_of(episodes, scenario, scores=None):
+    """`metrics.campaign_stats` of successful episodes: their scores, by
+    default scored here, and each agent's path in each, the ego first."""
+    if scores is None:
+        scores = [metrics.score_episode(e, scenario) for e in episodes]
+    paths = [[metrics.agent_trajectory(e, agent.id) for e in episodes]
+             for agent in (scenario.ego, *scenario.simulated_agents)]
+    return metrics.campaign_stats(scores, paths)
 
 
 # one row of a LatticePlanner's table with its clearance this replan, its

@@ -16,7 +16,7 @@ import pytest
 from avstress import persist
 from avstress.cli import main as cli_main
 from avstress.geom import Point2
-from avstress.metrics import asd, campaign_stats, score_episode
+from avstress.metrics import asd, score_episode
 from avstress.optimizer import run_campaign, suggest_next
 from avstress.planner import LatticePlanner, predict_constant_velocity
 from avstress.scenario import PRESET_NAMES, load_preset
@@ -36,6 +36,7 @@ from conftest import (
     ScriptedPolicy,
     make_episode,
     scenario_with_agents,
+    stats_of,
     trajectory_distance,
 )
 
@@ -178,9 +179,7 @@ def preset_campaigns():
         for kind in ("bo", "sobol"):
             records = run_campaign(scenario, SAMPLERS[kind], LatticePlanner(), 75)
             good = [r for r in records if not r.failed]
-            stats = campaign_stats(
-                [r.episode for r in good], scenario, scores=[r.metrics for r in good]
-            )
+            stats = stats_of([r.episode for r in good], scenario, [r.metrics for r in good])
             out[(name, kind)] = stats
     out["elapsed"] = time.monotonic() - start
     return out

@@ -1,15 +1,17 @@
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import avstress
-from avstress import cli, persist
+from avstress import cli, optimizer, persist
 from avstress.cli import main
-from avstress.metrics import campaign_stats, score_episode
+from avstress.metrics import score_episode
 from avstress.optimizer import GpUcbSampler, SobolSampler
 from avstress.scenario import load_scenario_file, preset_path
 from avstress.sobol import sobol_point
@@ -19,6 +21,7 @@ from conftest import (
     agents_yaml,
     make_episode,
     record_blas_threads,
+    stats_of,
     straight_positions,
 )
 
@@ -42,6 +45,30 @@ def read_bytes_tree(root):
             with open(full, "rb") as fh:
                 out[os.path.relpath(full, root)] = fh.read()
     return out
+
+
+def run_with_failures(scenario_file, tmp_path, monkeypatch, capsys):
+    """A budget-6 Sobol campaign whose episode 1 fails in the simulator and
+    whose episode 3 raises; returns its directory."""
+    real = optimizer.simulate_episode
+    calls = []
+
+    def simulate(*args):
+        calls.append(None)
+        if len(calls) == 4:
+            raise RuntimeError("planner raised")
+        episode = real(*args)
+        if len(calls) == 2:
+            episode.failed, episode.failure_reason = True, "stuck"
+        return episode
+
+    monkeypatch.setattr(optimizer, "simulate_episode", simulate)
+    out = str(tmp_path / "out")
+    assert run_cli("run", scenario_file, "--sampler", "sobol", "--budget", "6", "--out", out) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: episode 1 failed: stuck\nwarning: episode 3 failed: planner raised\n")
+    return captured.out.strip()
 
 
 class TestRun:
@@ -269,6 +296,47 @@ class TestRun:
             version = tomllib.load(fh)["project"]["version"]
         assert version == avstress.__version__ == persist.TOOL_VERSION
 
+    def test_run_holds_at_most_two_episodes(self, tmp_path, monkeypatch, capsys):
+        # the episode being written and the one before it, which the
+        # campaign loop's local still holds until the next one replaces it
+        # run_campaign records an exception from the simulator as a failed
+        # episode, so the episodes alive at each call are checked afterwards
+        refs, alive = [], []
+        real = optimizer.simulate_episode
+
+        def simulate(*args):
+            episode = real(*args)
+            refs.append(weakref.ref(episode))
+            gc.collect()
+            alive.append([k for k, ref in enumerate(refs) if ref() is not None])
+            return episode
+
+        monkeypatch.setattr(optimizer, "simulate_episode", simulate)
+        out = str(tmp_path / "out")
+        assert run_cli("run", "front", "--sampler", "sobol", "--budget", "8", "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        assert len(alive) == 8
+        for k, held in enumerate(alive):
+            assert set(held) <= {k - 1, k}, (k, held)
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 8
+
+    def test_failed_episodes_left_out_of_stats(self, scenario_file, tmp_path, monkeypatch,
+                                               capsys):
+        out_dir = run_with_failures(scenario_file, tmp_path, monkeypatch, capsys)
+        log = persist.read_campaign_log(os.path.join(out_dir, "campaign.jsonl"))
+        assert [rec["failed"] for rec in log] == [False, True, False, True, False, False]
+        assert [rec["episode_file"] != "" for rec in log] == [True] * 3 + [False] + [True] * 2
+        scenario = load_scenario_file(scenario_file)
+        episodes = [persist.read_episode(os.path.join(out_dir, rec["episode_file"]))
+                    for rec in log if not rec["failed"]]
+        stats = stats_of(episodes, scenario)
+        assert stats.n == 4
+        want = str(tmp_path / "want.csv")
+        persist.write_stats_csv(want, [("two_lane", "sobol", stats)])
+        with open(want, "rb") as fh, open(os.path.join(out_dir, "stats.csv"), "rb") as got:
+            assert got.read() == fh.read()
+
 
 class TestReport:
     def make_campaigns(self, scenario_file, tmp_path, capsys):
@@ -320,7 +388,7 @@ class TestReport:
             for rec in log
             if not rec["failed"]
         ]
-        stats = campaign_stats(episodes, scenario)
+        stats = stats_of(episodes, scenario)
         cells = row.split(",")
         assert cells[1] == "sobol"
         assert (cells[2], cells[8]) == (str(stats.n), str(stats.ttc_inf_count))
@@ -328,6 +396,18 @@ class TestReport:
         assert float(cells[4]) == pytest.approx(stats.min_dist_mean, rel=1e-4)
         assert float(cells[9]) == pytest.approx(stats.ego_asd, rel=1e-4, abs=1e-4)
         assert float(cells[10]) == pytest.approx(stats.agent_asd, rel=1e-4, abs=1e-4)
+
+    def test_failed_records_left_out_with_their_scores(self, scenario_file, tmp_path,
+                                                       monkeypatch, capsys):
+        # one failed record names an episode file whose header says it
+        # failed, the other names none; neither adds a score or a path
+        out_dir = run_with_failures(scenario_file, tmp_path, monkeypatch, capsys)
+        monkeypatch.undo()
+        csv_path = str(tmp_path / "table.csv")
+        assert run_cli("report", out_dir, "--csv", csv_path) == 0
+        assert capsys.readouterr().out.splitlines()[2].split()[2] == "4"
+        with open(csv_path, "rb") as fh, open(os.path.join(out_dir, "stats.csv"), "rb") as ref:
+            assert fh.read() == ref.read()
 
     def test_unreadable_campaigns_exit_2(self, tmp_path):
         empty = tmp_path / "nothing"

@@ -1,5 +1,4 @@
 import math
-from statistics import mean
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from conftest import (
     TWO_LANE_YAML,
     brute_force_min_distance,
     make_episode,
+    stats_of,
     straight_positions,
     trajectory_distance,
 )
@@ -279,7 +279,7 @@ class TestCampaignStats:
         return eps
 
     def test_collision_rate(self, two_lane_scenario):
-        stats = campaign_stats(self.episodes_for_rates(two_lane_scenario), two_lane_scenario)
+        stats = stats_of(self.episodes_for_rates(two_lane_scenario), two_lane_scenario)
         assert stats.coll_pct == pytest.approx(25.0)
         assert stats.n == 4
 
@@ -290,7 +290,7 @@ class TestCampaignStats:
                 "npc": straight_positions((30.0, 3.5), (8.0, 0.0), 6),
             },
         )
-        stats = campaign_stats([ep(), ep(), ep()], two_lane_scenario)
+        stats = stats_of([ep(), ep(), ep()], two_lane_scenario)
         assert stats.ego_asd == 0.0
         assert stats.agent_asd == 0.0
         assert stats.min_dist_std == pytest.approx(0.0)
@@ -318,7 +318,7 @@ class TestCampaignStats:
                 collision=(1, ("ego", "npc")),
             ),
         ]
-        stats = campaign_stats(eps, sc)
+        stats = stats_of(eps, sc)
         # spreadsheet-style recomputation
         min_dists = [CONTACT + 9.5, 20.0, 2.0]
         m = sum(min_dists) / 3
@@ -340,39 +340,20 @@ class TestCampaignStats:
         )
         assert stats.agent_asd == pytest.approx(total / 6)
 
-    def test_failed_episodes_filtered(self, two_lane_scenario):
-        good = self.episodes_for_rates(two_lane_scenario)
-        bad = make_episode(
-            {"ego": [(0.0, 0.0)] * 2, "npc": [(30.0, 3.5)] * 2},
-        )
-        bad.failed = True
-        stats = campaign_stats(good + [bad], two_lane_scenario)
-        assert stats.n == 4
-
-    def test_dropped_episodes_take_their_scores_with_them(self, two_lane_scenario):
-        eps = self.episodes_for_rates(two_lane_scenario)
-        scores = [score_episode(e, two_lane_scenario) for e in eps]
-        # the only colliding episode, now marked failed, and a single-state
-        # episode, which has no score of its own: it gets the collision's
-        eps[0].failed = True
-        eps.append(make_episode({"ego": [(0.0, 0.0)], "npc": [(5.0, 0.0)]}))
-        scores.append(scores[0])
-        got = campaign_stats(eps, two_lane_scenario, scores=scores)
-        assert got == campaign_stats(eps, two_lane_scenario)
-        assert got.n == 3
-        assert got.coll_pct == 0.0
-        assert got.min_dist_mean == mean(s.min_dist for s in scores[1:4])
-
     def test_one_score_per_episode_or_value_error(self, two_lane_scenario):
         eps = self.episodes_for_rates(two_lane_scenario)
         scores = [score_episode(e, two_lane_scenario) for e in eps]
-        with pytest.raises(ValueError, match="3 scores for 4 episodes"):
-            campaign_stats(eps, two_lane_scenario, scores=scores[1:])
+        ego = [agent_trajectory(e, "ego") for e in eps]
+        npc = [agent_trajectory(e, "npc") for e in eps]
+        with pytest.raises(ValueError, match="3 paths of an agent for 4 scores"):
+            campaign_stats(scores, [ego, npc[1:]])
+        with pytest.raises(ValueError, match="4 paths of an agent for 3 scores"):
+            campaign_stats(scores[1:], [ego[1:], npc])
 
     def test_too_few_episodes_rejected(self, two_lane_scenario):
         eps = self.episodes_for_rates(two_lane_scenario)[:1]
         with pytest.raises(ValueError):
-            campaign_stats(eps, two_lane_scenario)
+            stats_of(eps, two_lane_scenario)
 
     def test_score_episode_consistency(self, two_lane_scenario):
         ep = self.episodes_for_rates(two_lane_scenario)[1]

@@ -16,11 +16,12 @@ import pytest
 
 from avstress import cli, metrics, persist
 from avstress.geom import Point2
-from avstress.metrics import asd, campaign_stats
+from avstress.metrics import asd
 from avstress.optimizer import SobolSampler, run_campaign
 from avstress.planner import LatticePlanner
 from avstress.scenario import PRESET_NAMES, load_preset
 from avstress.sim import AgentState, Episode, JointState
+from conftest import stats_of
 
 
 def reference_asd(trajectories):
@@ -172,9 +173,9 @@ def test_campaign_stats_of_each_preset_field_by_field(name, sobol_campaigns, mon
     # the ego repeats its path in these campaigns, so the groups are used
     ego = {tuple(metrics.agent_trajectory(e, scenario.ego.id)) for e in episodes}
     assert len(ego) < len(episodes)
-    got = campaign_stats(episodes, scenario, scores=scores)
+    got = stats_of(episodes, scenario, scores)
     monkeypatch.setattr(metrics, "asd", reference_asd)
-    want = campaign_stats(episodes, scenario, scores=scores)
+    want = stats_of(episodes, scenario, scores)
     for field in got.__dataclass_fields__:
         g, w = getattr(got, field), getattr(want, field)
         assert type(g) is type(w), field
@@ -436,4 +437,28 @@ class TestBadCampaignFiles:
         assert capsys.readouterr().err == (
             f"warning: skipping '{campaign_dir}': "
             f"{path}:1: goal of '{aid}' is not two numbers: [1.0]\n"
+            "error: no readable campaigns\n")
+
+    @pytest.mark.parametrize("cut, error", [
+        (lambda lines: [lines[0].replace('"failed": false', '"failed": true')] + lines[1:],
+         "episode failed, but its campaign record says it did not"),
+        # as a write cut short after the first step leaves it
+        (lambda lines: lines[:2],
+         "a trace of 1 step(s) cannot be scored, but its campaign record says the episode"
+         " did not fail"),
+    ], ids=["header_says_failed", "trace_of_one_step"])
+    def test_report_names_an_episode_its_record_contradicts(
+        self, campaign_dir, capsys, cut, error
+    ):
+        log = persist.read_campaign_log(f"{campaign_dir}/campaign.jsonl")
+        assert not log[2]["failed"]
+        path = f"{campaign_dir}/episodes/ep_0002.jsonl"
+        with open(path) as fh:
+            lines = fh.read().splitlines(keepends=True)
+        assert '"failed": false' in lines[0] and len(lines) > 2
+        with open(path, "w") as fh:
+            fh.writelines(cut(lines))
+        assert cli.main(["report", campaign_dir]) == 2
+        assert capsys.readouterr().err == (
+            f"warning: skipping '{campaign_dir}': {path}: {error}\n"
             "error: no readable campaigns\n")
