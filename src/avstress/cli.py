@@ -78,29 +78,20 @@ def cmd_run(args) -> int:
     campaign_log = open(os.path.join(out_dir, "campaign.jsonl"), "w")
     scores, paths = [], [[] for _ in scenario.agents]
 
-    def sink(record):
-        """Write the record's episode and its campaign.jsonl line, keep the
-        score and the agents' paths of an episode that did not fail for
-        stats.csv, and drop the episode."""
-        ep_file = f"episodes/ep_{record.iteration:04d}.jsonl"
-        if record.episode is not None:
-            persist.write_episode(
-                os.path.join(out_dir, ep_file), record.episode, record.goals_world, scenario
-            )
-        else:
-            ep_file = ""
+    def sink(record, episode):
+        """Write the episode and its record's campaign.jsonl line, and keep
+        the score and the agents' paths of an episode that did not fail for
+        stats.csv."""
+        ep_file = persist.episode_file(record.iteration)
+        persist.write_episode(os.path.join(out_dir, ep_file), episode, record.goals_world,
+                              scenario)
         campaign_log.write(persist.campaign_record_to_json(record, ep_file) + "\n")
         campaign_log.flush()
         if record.failed:
-            print(
-                f"warning: episode {record.iteration} failed: {record.failure_reason}",
-                file=sys.stderr,
-            )
+            print(f"warning: episode {record.iteration} failed: {episode.failure_reason}",
+                  file=sys.stderr)
         else:
-            _keep_for_stats(scores, paths, record.metrics, record.episode, scenario)
-        # run_campaign keeps every record as the sampler's history, so an
-        # episode left on its record would stay alive to the campaign's end
-        record.episode = None
+            _keep_for_stats(scores, paths, record.metrics, episode, scenario)
 
     planner = LatticePlanner()
     try:

@@ -112,14 +112,12 @@ def suggest_next(sampler, records: Sequence[EpisodeRecord], dim: int,
     return sampler.propose(records, dim, helper)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeRecord:
     iteration: int
     prompt: Tuple[float, ...]
     goals_world: Dict[str, Point2]
-    episode: Optional[Episode] = None
-    metrics: Optional[EpisodeScore] = None  # None: the episode failed
-    failure_reason: str = ""
+    metrics: Optional[EpisodeScore]  # None: the episode failed
 
     @property
     def failed(self) -> bool:
@@ -154,16 +152,18 @@ def run_campaign(
     planner: PlannerHandle,
     budget: int,
     policy_factory: PolicyFactory = ReactivePolicy,
-    episode_sink: Optional[Callable[[EpisodeRecord], None]] = None,
+    episode_sink: Optional[Callable[[EpisodeRecord, Episode], None]] = None,
 ) -> List[EpisodeRecord]:
     """Run a full sampling campaign: exactly `budget` episodes, each from
-    the prompt `sampler` proposes given the records before it.
+    the prompt `sampler` proposes given the records before it, and each
+    handed with its record to `episode_sink`. Returns the records.
 
-    Failed episodes are recorded with score -inf; BO excludes them from GP
-    fitting but they still consume budget. The loop is deterministic given
-    its arguments. Every proposal is passed the campaign's
-    `FitHelper` as `helper`; its process, if a fit started one, is joined
-    before this returns or raises.
+    An episode fails only in `simulate_episode`; its record scores -inf, BO
+    leaves it out of the GP fit, and it still consumes budget. Any other
+    exception ends the campaign. The loop is deterministic given its
+    arguments. Every proposal is passed the campaign's `FitHelper` as
+    `helper`; its process, if a fit started one, is joined before this
+    returns or raises.
     """
     dim = prompt_dim(scenario)
     records: List[EpisodeRecord] = []
@@ -174,16 +174,10 @@ def run_campaign(
             policies = {
                 aid: policy_factory(scenario, aid, goal) for aid, goal in goals.items()
             }
-            record = EpisodeRecord(iteration=it, prompt=prompt, goals_world=goals)
-            try:
-                record.episode = episode = simulate_episode(scenario, planner, policies)
-                if episode.failed:
-                    record.failure_reason = episode.failure_reason
-                else:
-                    record.metrics = score_episode(episode, scenario)
-            except Exception as exc:
-                record.failure_reason = str(exc)
+            episode = simulate_episode(scenario, planner, policies)
+            metrics = None if episode.failed else score_episode(episode, scenario)
+            record = EpisodeRecord(it, prompt, goals, metrics)
             records.append(record)
             if episode_sink is not None:
-                episode_sink(record)
+                episode_sink(record, episode)
     return records

@@ -6,7 +6,7 @@ A campaign directory contains:
                       budget, beta, candidates), for either sampler
     scenario.yaml     verbatim copy of the scenario config
     campaign.jsonl    one record per episode (prompt, goal, score, metrics)
-    episodes/ep_NNNN.jsonl   per-episode traces
+    episodes/ep_NNNN.jsonl   per-episode traces, named by `episode_file`
     stats.csv         one aggregate row: scenario, sampler, then the
                       fields of `CampaignStats`
 
@@ -83,6 +83,11 @@ def read_manifest(path: str) -> dict:
     return manifest
 
 
+def episode_file(iteration: int) -> str:
+    """The path of an episode's file, relative to its campaign directory."""
+    return f"episodes/ep_{iteration:04d}.jsonl"
+
+
 def write_episode(
     path: str, episode: Episode, goals: Dict[str, Point2], scenario: Scenario
 ) -> None:
@@ -150,6 +155,13 @@ def _loads(line: str):
     return obj if end == len(line) else json.loads(line)
 
 
+def _step(t) -> int:
+    """A step as `write_episode` writes it: a JSON integer, not a bool."""
+    if type(t) is not int:
+        raise TypeError(f"step is not an integer: {t!r}")
+    return t
+
+
 def _header_fields(header) -> dict:
     """The Episode fields of a decoded header record. A field that is not
     what `write_episode` writes, the goals and scenario id included, raises
@@ -167,7 +179,7 @@ def _header_fields(header) -> dict:
     if collision:
         if not isinstance(collision, dict):
             raise ValueError("collision is not an object")
-        t, pair = int(collision["t"]), collision["pair"]
+        t, pair = _step(collision["t"]), collision["pair"]
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(isinstance(aid, str) for aid in pair)):
             raise ValueError(f"collision pair is not two agent ids: {pair!r}")
@@ -208,7 +220,7 @@ def read_episode(path: str) -> Episode:
                 )
                 for aid, s in rec["agents"].items()
             }
-            trace.append(JointState(int(rec["t"]), states))
+            trace.append(JointState(_step(rec["t"]), states))
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return Episode(trace=trace, **fields)

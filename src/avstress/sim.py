@@ -197,7 +197,8 @@ def simulate_episode(
     The planner is consulted every replan_every steps and its plan overwrites
     the ego states until the next replan; simulated agents step their
     policies on the same joint state. The episode ends at the horizon, at
-    the first collision, or at a planner/policy failure.
+    the first collision, or when the planner or a policy fails: raises, or
+    returns a plan of the wrong length or a state that is not an AgentState.
     """
     ego_id = scenario.ego.id
     replan = scenario.sim.replan_every
@@ -215,20 +216,20 @@ def simulate_episode(
         if t % replan == 0:
             try:
                 plan = planner.plan(world, scenario)
+                wrong = [type(s).__name__ for s in plan if not isinstance(s, AgentState)]
+                if wrong or len(plan) != replan:
+                    raise TypeError(f"returned a {wrong[0]}, not an AgentState" if wrong
+                                    else f"returned {len(plan)} states, expected {replan}")
             except Exception as exc:
                 episode.failed = True
                 episode.failure_reason = f"planner failed at step {t}: {exc}"
                 return episode
-            if len(plan) != replan:
-                episode.failed = True
-                episode.failure_reason = (
-                    f"planner returned {len(plan)} states, expected {replan}"
-                )
-                return episode
         next_states = {ego_id: plan[t % replan]}
         for aid, policy in sorted(policies.items()):
             try:
-                next_states[aid] = policy.step(world)
+                state = next_states[aid] = policy.step(world)
+                if not isinstance(state, AgentState):
+                    raise TypeError(f"returned a {type(state).__name__}, not an AgentState")
             except Exception as exc:
                 episode.failed = True
                 episode.failure_reason = f"policy '{aid}' failed at step {t}: {exc}"

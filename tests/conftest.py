@@ -3,7 +3,7 @@ from collections import namedtuple
 
 import pytest
 
-from avstress import metrics
+from avstress import metrics, optimizer
 from avstress import planner as planner_module
 from avstress.geom import Point2
 from avstress.optimizer import GpUcbSampler, SobolSampler
@@ -60,6 +60,17 @@ SAMPLERS = {"bo": GpUcbSampler(), "sobol": SobolSampler()}
 ScoredPrompt = namedtuple("ScoredPrompt", "prompt score")
 
 
+def run_collecting(scenario, sampler, planner, budget, **kwargs):
+    """`optimizer.run_campaign` with a sink that keeps what it is handed:
+    the campaign's (record, episode) pairs, whose records are the ones
+    `run_campaign` returns."""
+    pairs = []
+    records = optimizer.run_campaign(scenario, sampler, planner, budget,
+                                     episode_sink=lambda *pair: pairs.append(pair), **kwargs)
+    assert [record for record, _ in pairs] == records
+    return pairs
+
+
 class ScriptedPolicy:
     """Replays a fixed list of states; used for stubs and premise checks."""
 
@@ -91,6 +102,18 @@ class ConstantVelocityEgoStub:
             )
             out.append(cur)
         return out
+
+
+def as_tuple(state):
+    return (state.position.x, state.position.y, state.heading, state.speed)
+
+
+class TuplePlanner:
+    """Plans the ego's current state as (x, y, heading, speed) tuples, not
+    as AgentStates: a plan of the wrong type."""
+
+    def plan(self, world, scenario):
+        return [as_tuple(world.states[scenario.ego.id])] * scenario.sim.replan_every
 
 
 @pytest.fixture

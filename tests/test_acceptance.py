@@ -17,7 +17,7 @@ from avstress import persist
 from avstress.cli import main as cli_main
 from avstress.geom import Point2
 from avstress.metrics import asd, score_episode
-from avstress.optimizer import run_campaign, suggest_next
+from avstress.optimizer import suggest_next
 from avstress.planner import LatticePlanner, predict_constant_velocity
 from avstress.scenario import PRESET_NAMES, load_preset
 from avstress.sim import AgentState, initial_joint_state, simulate_episode
@@ -35,6 +35,7 @@ from conftest import (
     ScoredPrompt,
     ScriptedPolicy,
     make_episode,
+    run_collecting,
     scenario_with_agents,
     stats_of,
     trajectory_distance,
@@ -177,9 +178,9 @@ def preset_campaigns():
     for name in PRESET_NAMES:
         scenario = load_preset(name)
         for kind in ("bo", "sobol"):
-            records = run_campaign(scenario, SAMPLERS[kind], LatticePlanner(), 75)
-            good = [r for r in records if not r.failed]
-            stats = stats_of([r.episode for r in good], scenario, [r.metrics for r in good])
+            pairs = run_collecting(scenario, SAMPLERS[kind], LatticePlanner(), 75)
+            good = [(r, e) for r, e in pairs if not r.failed]
+            stats = stats_of([e for _, e in good], scenario, [r.metrics for r, _ in good])
             out[(name, kind)] = stats
     out["elapsed"] = time.monotonic() - start
     return out

@@ -13,11 +13,13 @@ from avstress import cli, optimizer, persist
 from avstress.cli import main
 from avstress.metrics import score_episode
 from avstress.optimizer import GpUcbSampler, SobolSampler
-from avstress.scenario import load_scenario_file, preset_path
+from avstress.planner import LatticePlanner
+from avstress.scenario import load_preset, load_scenario_file, preset_path
 from avstress.sobol import sobol_point
 from conftest import (
     TWO_LANE_YAML,
     ScoredPrompt,
+    TuplePlanner,
     agents_yaml,
     make_episode,
     record_blas_threads,
@@ -47,17 +49,23 @@ def read_bytes_tree(root):
     return out
 
 
+class RaisingPlanner:
+    def plan(self, world, scenario):
+        raise RuntimeError("planner raised")
+
+
 def run_with_failures(scenario_file, tmp_path, monkeypatch, capsys):
-    """A budget-6 Sobol campaign whose episode 1 fails in the simulator and
-    whose episode 3 raises; returns its directory."""
+    """A budget-6 Sobol campaign whose episode 1 is marked failed after the
+    simulator and whose episode 3 fails in it, through a planner that
+    raises; returns its directory."""
     real = optimizer.simulate_episode
     calls = []
 
-    def simulate(*args):
+    def simulate(scenario, planner, policies):
         calls.append(None)
         if len(calls) == 4:
-            raise RuntimeError("planner raised")
-        episode = real(*args)
+            planner = RaisingPlanner()
+        episode = real(scenario, planner, policies)
         if len(calls) == 2:
             episode.failed, episode.failure_reason = True, "stuck"
         return episode
@@ -67,7 +75,8 @@ def run_with_failures(scenario_file, tmp_path, monkeypatch, capsys):
     assert run_cli("run", scenario_file, "--sampler", "sobol", "--budget", "6", "--out", out) == 0
     captured = capsys.readouterr()
     assert captured.err == (
-        "warning: episode 1 failed: stuck\nwarning: episode 3 failed: planner raised\n")
+        "warning: episode 1 failed: stuck\n"
+        "warning: episode 3 failed: planner failed at step 0: planner raised\n")
     return captured.out.strip()
 
 
@@ -299,8 +308,6 @@ class TestRun:
     def test_run_holds_at_most_two_episodes(self, tmp_path, monkeypatch, capsys):
         # the episode being written and the one before it, which the
         # campaign loop's local still holds until the next one replaces it
-        # run_campaign records an exception from the simulator as a failed
-        # episode, so the episodes alive at each call are checked afterwards
         refs, alive = [], []
         real = optimizer.simulate_episode
 
@@ -326,7 +333,10 @@ class TestRun:
         out_dir = run_with_failures(scenario_file, tmp_path, monkeypatch, capsys)
         log = persist.read_campaign_log(os.path.join(out_dir, "campaign.jsonl"))
         assert [rec["failed"] for rec in log] == [False, True, False, True, False, False]
-        assert [rec["episode_file"] != "" for rec in log] == [True] * 3 + [False] + [True] * 2
+        assert [rec["episode_file"] for rec in log] == [persist.episode_file(i) for i in range(6)]
+        failed = persist.read_episode(os.path.join(out_dir, log[3]["episode_file"]))
+        assert failed.failed
+        assert failed.failure_reason == "planner failed at step 0: planner raised"
         scenario = load_scenario_file(scenario_file)
         episodes = [persist.read_episode(os.path.join(out_dir, rec["episode_file"]))
                     for rec in log if not rec["failed"]]
@@ -336,6 +346,50 @@ class TestRun:
         persist.write_stats_csv(want, [("two_lane", "sobol", stats)])
         with open(want, "rb") as fh, open(os.path.join(out_dir, "stats.csv"), "rb") as got:
             assert got.read() == fh.read()
+
+    def test_programming_error_ends_the_campaign(self, tmp_path, monkeypatch, capsys):
+        # only the planner and the policies fail an episode: any other
+        # exception ends the run after the records before it
+        real, calls = optimizer.score_episode, []
+
+        def score(episode, scenario):
+            calls.append(None)
+            if len(calls) == 4:
+                raise AssertionError("scoring broke at iteration 3")
+            return real(episode, scenario)
+
+        monkeypatch.setattr(optimizer, "score_episode", score)
+        out = str(tmp_path / "out")
+        assert run_cli("run", "front", "--sampler", "sobol", "--budget", "6", "--out", out) == 3
+        assert capsys.readouterr().err == "runtime error: scoring broke at iteration 3\n"
+        out_dir = os.path.join(out, "front_sobol")
+        log = persist.read_campaign_log(os.path.join(out_dir, "campaign.jsonl"))
+        assert [(rec["iter"], rec["failed"]) for rec in log] == [(0, False), (1, False), (2, False)]
+        assert sorted(os.listdir(os.path.join(out_dir, "episodes"))) == [
+            os.path.basename(persist.episode_file(i)) for i in range(3)]
+        assert not os.path.exists(os.path.join(out_dir, "stats.csv"))
+        calls.clear()
+        with pytest.raises(AssertionError, match="scoring broke at iteration 3"):
+            optimizer.run_campaign(load_preset("front"), SobolSampler(), LatticePlanner(), 6)
+        assert len(calls) == 4
+
+    def test_plan_of_the_wrong_type_fails_only_its_episodes(self, tmp_path, monkeypatch,
+                                                            capsys):
+        monkeypatch.setattr(cli, "LatticePlanner", TuplePlanner)
+        out = str(tmp_path / "out")
+        assert run_cli("run", "front", "--sampler", "sobol", "--budget", "2", "--out", out) == 0
+        reason = "planner failed at step 0: returned a tuple, not an AgentState"
+        assert capsys.readouterr().err == (
+            f"warning: episode 0 failed: {reason}\nwarning: episode 1 failed: {reason}\n"
+            "warning: too few successful episodes for stats\n")
+        out_dir = os.path.join(out, "front_sobol")
+        log = persist.read_campaign_log(os.path.join(out_dir, "campaign.jsonl"))
+        assert [(rec["failed"], rec["episode_file"]) for rec in log] == [
+            (True, persist.episode_file(i)) for i in range(2)]
+        for rec in log:
+            with open(os.path.join(out_dir, rec["episode_file"])) as fh:
+                header = json.loads(fh.readline())
+            assert (header["failed"], header["failure_reason"]) == (True, reason)
 
 
 class TestReport:
@@ -400,9 +454,19 @@ class TestReport:
     def test_failed_records_left_out_with_their_scores(self, scenario_file, tmp_path,
                                                        monkeypatch, capsys):
         # one failed record names an episode file whose header says it
-        # failed, the other names none; neither adds a score or a path
+        # failed; the other names none and has no file, as a failed record
+        # of an older run can; neither adds a score or a path
         out_dir = run_with_failures(scenario_file, tmp_path, monkeypatch, capsys)
         monkeypatch.undo()
+        log_path = os.path.join(out_dir, "campaign.jsonl")
+        with open(log_path) as fh:
+            lines = fh.read().splitlines()
+        record = json.loads(lines[3])
+        assert record["failed"]
+        os.remove(os.path.join(out_dir, record["episode_file"]))
+        lines[3] = json.dumps({**record, "episode_file": ""}, sort_keys=True)
+        with open(log_path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
         csv_path = str(tmp_path / "table.csv")
         assert run_cli("report", out_dir, "--csv", csv_path) == 0
         assert capsys.readouterr().out.splitlines()[2].split()[2] == "4"

@@ -116,7 +116,7 @@ class TestLifecycle:
         before = children()
         pids = set()
         records = run_campaign(load_preset("behind"), GpUcbSampler(), LatticePlanner(), 5,
-                               episode_sink=lambda r: pids.add(helper_pid(opened)))
+                               episode_sink=lambda r, e: pids.add(helper_pid(opened)))
         assert len(records) == 5
         pids.discard(None)
         assert len(pids) == 1  # forked at the first fit, kept for the others
@@ -128,7 +128,7 @@ class TestLifecycle:
         before = children()
         pids = []
 
-        def sink(record):
+        def sink(record, episode):
             pids.append(helper_pid(opened))
             if record.iteration == 3:
                 raise RuntimeError("sink failed")
@@ -144,7 +144,7 @@ class TestLifecycle:
     def test_sobol_campaign_starts_no_helper(self, opened):
         pids = set()
         run_campaign(load_preset("behind"), SobolSampler(), LatticePlanner(), 3,
-                     episode_sink=lambda r: pids.add(helper_pid(opened)))
+                     episode_sink=lambda r, e: pids.add(helper_pid(opened)))
         assert pids == {None}
 
 
@@ -165,7 +165,7 @@ class Recording(optimizer.FitHelper):
 
 optimizer.FitHelper = Recording
 
-def sink(record):
+def sink(record, episode):
     helper = opened[-1]
     if not printed and helper.process is not None:
         printed.append(helper.process.pid)
@@ -403,7 +403,7 @@ def test_runs_over_both_processes_count_every_serial_evaluation(monkeypatch, ope
     pids = set()
     monkeypatch.setattr(surrogate, "_multistart", summing(1))
     records = run_campaign(scenario, GpUcbSampler(), LatticePlanner(), 12,
-                           episode_sink=lambda r: pids.add(helper_pid(opened)))
+                           episode_sink=lambda r, e: pids.add(helper_pid(opened)))
     assert len(pids - {None}) == 1
     assert nfev == [evaluations[0], evaluations[0]]
     assert [r.prompt for r in records] == [r.prompt for r in serial_records]

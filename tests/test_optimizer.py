@@ -28,7 +28,9 @@ from conftest import (
     SAMPLERS,
     ConstantVelocityEgoStub,
     ScoredPrompt,
+    TuplePlanner,
     record_blas_threads,
+    run_collecting,
     scenario_with_agents,
 )
 
@@ -265,14 +267,14 @@ class TestRunCampaign:
     @pytest.mark.usefixtures("pinned_kernel")
     def test_campaign_is_deterministic(self, two_lane_scenario):
         def run():
-            return run_campaign(two_lane_scenario, GpUcbSampler(), ConstantVelocityEgoStub(), 5)
+            return run_collecting(two_lane_scenario, GpUcbSampler(), ConstantVelocityEgoStub(), 5)
 
         a, b = run(), run()
-        assert [r.prompt for r in a] == [r.prompt for r in b]
-        assert [r.score for r in a] == [r.score for r in b]
-        for ra, rb in zip(a, b):
-            assert len(ra.episode.trace) == len(rb.episode.trace)
-            for ja, jb in zip(ra.episode.trace, rb.episode.trace):
+        assert [r.prompt for r, _ in a] == [r.prompt for r, _ in b]
+        assert [r.score for r, _ in a] == [r.score for r, _ in b]
+        for (_, ea), (_, eb) in zip(a, b):
+            assert len(ea.trace) == len(eb.trace)
+            for ja, jb in zip(ea.trace, eb.trace):
                 assert ja.states == jb.states
 
     def test_goals_inside_domain_image(self, two_lane_scenario):
@@ -295,7 +297,7 @@ class TestRunCampaign:
 
         planner = FailsWhenToldTo()
 
-        def fail_the_third(record):
+        def fail_the_third(record, episode):
             planner.fail = record.iteration == 1
 
         sampler = GpUcbSampler()
@@ -320,15 +322,21 @@ class TestRunCampaign:
             assert rec.failed
             assert rec.score == -math.inf
 
+    def test_plan_of_the_wrong_type_fails_only_its_episodes(self, two_lane_scenario):
+        pairs = run_collecting(two_lane_scenario, SobolSampler(), TuplePlanner(), 2)
+        assert [(r.iteration, r.failed) for r, _ in pairs] == [(0, True), (1, True)]
+        assert [e.failure_reason for _, e in pairs] == [
+            "planner failed at step 0: returned a tuple, not an AgentState"] * 2
+
 
     @pytest.mark.parametrize("kind,n_simulated", [("bo", 5), ("sobol", 6)])
     def test_many_agents_complete(self, kind, n_simulated):
         # the GP's restarts need 2 * agents + 2 Sobol dimensions: 12 at 5 agents
         scenario = scenario_with_agents(n_simulated)
-        records = run_campaign(scenario, SAMPLERS[kind], LatticePlanner(), 4)
-        assert len(records) == 4
-        assert [r.failure_reason for r in records if r.failed] == []
-        assert all(len(r.prompt) == 2 * n_simulated for r in records)
+        pairs = run_collecting(scenario, SAMPLERS[kind], LatticePlanner(), 4)
+        assert len(pairs) == 4
+        assert [e.failure_reason for r, e in pairs if r.failed] == []
+        assert all(len(r.prompt) == 2 * n_simulated for r, _ in pairs)
 
     def test_replan_interval_longer_than_planner_horizon(self):
         # the planner rolls out max(HORIZON_STEPS, replan_every) steps, so a
@@ -337,9 +345,9 @@ class TestRunCampaign:
         text = resources.files("avstress").joinpath("presets/front.yaml").read_text()
         scenario = load_scenario(text.replace("replan_every: 5", "replan_every: 40"), "front")
         assert scenario.sim.replan_every == 40
-        records = run_campaign(scenario, SobolSampler(), LatticePlanner(), 2)
-        assert len(records) == 2
-        assert [r.failure_reason for r in records if r.failed] == []
+        pairs = run_collecting(scenario, SobolSampler(), LatticePlanner(), 2)
+        assert len(pairs) == 2
+        assert [e.failure_reason for r, e in pairs if r.failed] == []
 
 
 class TestBlasThreadScope:
@@ -363,9 +371,9 @@ class TestBlasThreadScope:
 
     def test_no_openblas_found_is_a_no_op(self, monkeypatch):
         monkeypatch.setattr(surrogate, "_openblas_thread_controls", lambda: ())
-        records = run_campaign(load_preset("front"), GpUcbSampler(), LatticePlanner(), 4)
-        assert len(records) == 4
-        assert [r.failure_reason for r in records if r.failed] == []
+        pairs = run_collecting(load_preset("front"), GpUcbSampler(), LatticePlanner(), 4)
+        assert len(pairs) == 4
+        assert [e.failure_reason for r, e in pairs if r.failed] == []
 
 
 class TestSplitPrompt:

@@ -5,11 +5,11 @@ import pytest
 
 from avstress import planner as planner_module
 from avstress.geom import Point2
-from avstress.optimizer import SobolSampler, run_campaign
+from avstress.optimizer import SobolSampler
 from avstress.planner import ACCEL_GRID, D_SAFE, LatticePlanner, predict_constant_velocity
 from avstress.scenario import MapModel, load_preset, load_scenario
 from avstress.sim import AgentState, JointState, initial_joint_state, simulate_episode
-from conftest import TWO_LANE_YAML, ScriptedPolicy, scored_rows
+from conftest import TWO_LANE_YAML, ScriptedPolicy, run_collecting, scored_rows
 from test_rollout_reference import ref_choice
 
 
@@ -201,17 +201,17 @@ class FreshPlanner:
 
 def test_memoised_campaign_matches_fresh_planners(rollout_calls):
     scenario = load_preset("front_right")
-    memoised = run_campaign(scenario, SobolSampler(), LatticePlanner(), 8)
+    memoised = run_collecting(scenario, SobolSampler(), LatticePlanner(), 8)
     memoised_calls = rollout_calls[0]
-    fresh = run_campaign(scenario, SobolSampler(), FreshPlanner(), 8)
+    fresh = run_collecting(scenario, SobolSampler(), FreshPlanner(), 8)
     # later episodes replay rollouts of earlier ones
     assert memoised_calls < rollout_calls[0] - memoised_calls
     assert len(memoised) == len(fresh) == 8
-    for a, b in zip(memoised, fresh):
-        assert not a.failed and not b.failed
-        assert a.episode.collision == b.episode.collision
-        assert len(a.episode.trace) == len(b.episode.trace)
-        for wa, wb in zip(a.episode.trace, b.episode.trace):
+    for (ra, a), (rb, b) in zip(memoised, fresh):
+        assert not ra.failed and not rb.failed
+        assert a.collision == b.collision
+        assert len(a.trace) == len(b.trace)
+        for wa, wb in zip(a.trace, b.trace):
             assert sorted(wa.states) == sorted(wb.states)
             for aid in wa.states:
                 sa, sb = wa.states[aid], wb.states[aid]

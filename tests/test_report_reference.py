@@ -17,11 +17,11 @@ import pytest
 from avstress import cli, metrics, persist
 from avstress.geom import Point2
 from avstress.metrics import asd
-from avstress.optimizer import SobolSampler, run_campaign
+from avstress.optimizer import SobolSampler
 from avstress.planner import LatticePlanner
 from avstress.scenario import PRESET_NAMES, load_preset
 from avstress.sim import AgentState, Episode, JointState
-from conftest import stats_of
+from conftest import run_collecting, stats_of
 
 
 def reference_asd(trajectories):
@@ -161,15 +161,15 @@ def sobol_campaigns():
     out = {}
     for name in PRESET_NAMES:
         scenario = load_preset(name)
-        records = run_campaign(scenario, SobolSampler(), LatticePlanner(), 75)
-        out[name] = (scenario, [r for r in records if not r.failed])
+        pairs = run_collecting(scenario, SobolSampler(), LatticePlanner(), 75)
+        out[name] = (scenario, [(r, e) for r, e in pairs if not r.failed])
     return out
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_campaign_stats_of_each_preset_field_by_field(name, sobol_campaigns, monkeypatch):
     scenario, good = sobol_campaigns[name]
-    episodes, scores = [r.episode for r in good], [r.metrics for r in good]
+    episodes, scores = [e for _, e in good], [r.metrics for r, _ in good]
     # the ego repeats its path in these campaigns, so the groups are used
     ego = {tuple(metrics.agent_trajectory(e, scenario.ego.id)) for e in episodes}
     assert len(ego) < len(episodes)
@@ -207,6 +207,10 @@ TRACE_LINES = {
     "missing_t": GOOD_LINE.replace(', "t": 1', ""),
     "nan": GOOD_LINE.replace("0.25", "NaN"),
     "infinite_t": GOOD_LINE.replace('"t": 1', '"t": 1e999'),
+    "fractional_t": GOOD_LINE.replace('"t": 1', '"t": 0.7'),
+    "float_t": GOOD_LINE.replace('"t": 1', '"t": 1.0'),
+    "string_t": GOOD_LINE.replace('"t": 1', '"t": "0"'),
+    "bool_t": GOOD_LINE.replace('"t": 1', '"t": true'),
     "negative_speed": GOOD_LINE.replace("3.0", "-3.0"),
     "string_value": GOOD_LINE.replace("1.5", '"1.5"'),
     "agents_not_object": '{"agents": [], "t": 1}',
@@ -216,7 +220,12 @@ TRACE_LINES = {
 READABLE = {"valid", "leading_whitespace", "trailing_whitespace", "blank", "string_value"}
 # lines on which the reference raised an error that named no file: json
 # parses 1e999 as inf, which int() refuses, and a list has no .items()
-MENDED = {"infinite_t": OverflowError, "agents_not_object": AttributeError}
+MENDED = {"infinite_t": (OverflowError, "step is not an integer: inf"),
+          "agents_not_object": (AttributeError, "'list' object has no attribute 'items'")}
+# lines the reference read with a wrong step, through int(): 0.7 and "0" as
+# 0, true as 1. The reader refuses a step that is not a JSON integer, as
+# the writer refuses one that is not an int
+STEP_MENDED = {"fractional_t": "0.7", "float_t": "1.0", "string_t": "'0'", "bool_t": "True"}
 
 
 def read_outcome(reader, path):
@@ -235,8 +244,12 @@ def test_reader_matches_the_reference_on_odd_trace_lines(name, tmp_path):
     want = read_outcome(lambda p: reference_read_episode(p)[0], path)
     got = read_outcome(persist.read_episode, path)
     if name in MENDED:
-        assert want[0] is MENDED[name]
-        assert got == (ValueError, f"{path}:3: {want[1]}")
+        reference_error, message = MENDED[name]
+        assert want[0] is reference_error
+        assert got == (ValueError, f"{path}:3: {message}")
+    elif name in STEP_MENDED:
+        assert isinstance(want, Episode)
+        assert got == (ValueError, f"{path}:3: step is not an integer: {STEP_MENDED[name]}")
     elif name in READABLE:
         assert isinstance(got, Episode)
         assert got == want
@@ -263,7 +276,11 @@ BAD_HEADERS = {
     "collision_not_object": ({"collision": [2, "ego"]}, "collision is not an object"),
     "collision_t_missing": ({"collision": {"pair": ["ego", "npc"]}}, "'t'"),
     "collision_t_not_a_number": ({"collision": {"t": "two", "pair": ["ego", "npc"]}},
-                                 "invalid literal for int() with base 10: 'two'"),
+                                 "step is not an integer: 'two'"),
+    "collision_t_fractional": ({"collision": {"t": 12.9, "pair": ["ego", "npc"]}},
+                               "step is not an integer: 12.9"),
+    "collision_t_bool": ({"collision": {"t": True, "pair": ["ego", "npc"]}},
+                         "step is not an integer: True"),
     "goal_of_one_number": ({"goals": {"npc": [1.0]}},
                            "goal of 'npc' is not two numbers: [1.0]"),
     "goal_of_three_numbers": ({"goals": {"npc": [1.0, 2.0, 3.0]}},

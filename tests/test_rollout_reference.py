@@ -13,7 +13,6 @@ import math
 import pytest
 
 from avstress.geom import Point2, Polyline, point_at_arclength, project_to_polyline
-from avstress.optimizer import run_campaign
 from avstress.planner import (
     ACCEL_GRID, COMFORT_WEIGHT, D_SAFE, HORIZON_STEPS, LANE_SNAP_RANGE, LATERAL_DECAY_TAU,
     LatticePlanner, _rollout, predict_constant_velocity,
@@ -23,7 +22,7 @@ from avstress.sim import (
     ACCEL_MAX, ACCEL_MIN, COMFORT_DECEL, STEER_LIMIT, WHEELBASE, AgentState, ReactivePolicy,
     bicycle_step,
 )
-from conftest import SAMPLERS, scenario_with_agents, scored_rows
+from conftest import SAMPLERS, run_collecting, scenario_with_agents, scored_rows
 
 # ---------------------------------------------------------------- reference
 
@@ -308,11 +307,9 @@ def _scenario(name):
 def test_campaign_matches_reference_at_every_replan(name, kind, budget):
     scenario = _scenario(name)
     planner, policies = CheckedPlanner(), CheckedPolicies()
-    records = run_campaign(
-        scenario, SAMPLERS[kind], planner, budget, policy_factory=policies
-    )
+    pairs = run_collecting(scenario, SAMPLERS[kind], planner, budget, policy_factory=policies)
     # a failed check ends its episode as a planner or policy failure
-    assert [r.failure_reason for r in records if r.failed] == []
+    assert [e.failure_reason for r, e in pairs if r.failed] == []
     assert planner.replans >= budget
     assert policies.steps >= planner.replans
 

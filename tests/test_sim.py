@@ -13,7 +13,7 @@ from avstress.sim import (
     initial_joint_state,
     simulate_episode,
 )
-from conftest import TWO_LANE_YAML, ConstantVelocityEgoStub, ScriptedPolicy
+from conftest import TWO_LANE_YAML, ConstantVelocityEgoStub, ScriptedPolicy, as_tuple
 
 
 def constant_velocity_states(x0, y0, heading, speed, steps, dt):
@@ -45,6 +45,20 @@ class FailingPlanner:
             raise RuntimeError("solver diverged")
         ego = world.states[scenario.ego.id]
         return [ego] * scenario.sim.replan_every
+
+
+class MalformedPlanner:
+    """Holds the ego still until `fail_at`, then returns `malformed(ego, n)`
+    for a plan of n states."""
+
+    def __init__(self, fail_at, malformed):
+        self.fail_at = fail_at
+        self.malformed = malformed
+
+    def plan(self, world, scenario):
+        ego = world.states[scenario.ego.id]
+        n = scenario.sim.replan_every
+        return [ego] * n if world.timestep < self.fail_at else self.malformed(ego, n)
 
 
 class TestReactivePolicy:
@@ -160,6 +174,41 @@ class TestSimulateEpisode:
         assert episode.failed
         assert "step 10" in episode.failure_reason
         assert len(episode.trace) == 11  # initial + 10 steps
+
+    @pytest.mark.parametrize("malformed,fault", [
+        (lambda ego, n: [as_tuple(ego)] * n, "returned a tuple, not an AgentState"),
+        (lambda ego, n: [ego] * (n - 1) + [as_tuple(ego)], "returned a tuple, not an AgentState"),
+        (lambda ego, n: [ego] * (n - 1) + [None], "returned a NoneType, not an AgentState"),
+        (lambda ego, n: [ego] * (n - 1), "returned 4 states, expected 5"),
+        (lambda ego, n: [ego] * (n + 1), "returned 6 states, expected 5"),
+        (lambda ego, n: None, "'NoneType' object is not iterable"),
+    ], ids=["tuples", "last_a_tuple", "last_none", "short", "long", "none"])
+    def test_malformed_plan_fails_its_episode(self, malformed, fault, two_lane_scenario):
+        sc = two_lane_scenario
+        policies = {"npc": ReactivePolicy(sc, "npc", Point2(115.0, 3.5))}
+        episode = simulate_episode(sc, MalformedPlanner(10, malformed), policies)
+        assert episode.failed
+        assert episode.failure_reason == f"planner failed at step 10: {fault}"
+        assert len(episode.trace) == 11
+        assert episode.collision is None
+
+    @pytest.mark.parametrize("step,fault", [
+        (as_tuple, "returned a tuple, not an AgentState"),
+        (lambda s: 1 / 0, "division by zero"),
+    ], ids=["tuple", "raises"])
+    def test_policy_failure_truncates_episode(self, step, fault, two_lane_scenario):
+        sc = two_lane_scenario
+        policy = ReactivePolicy(sc, "npc", Point2(115.0, 3.5))
+
+        class BreaksAtSeven:
+            def step(self, world):
+                state = policy.step(world)
+                return step(state) if world.timestep == 7 else state
+
+        episode = simulate_episode(sc, HoldPositionPlanner(), {"npc": BreaksAtSeven()})
+        assert episode.failed
+        assert episode.failure_reason == f"policy 'npc' failed at step 7: {fault}"
+        assert len(episode.trace) == 8
 
     def test_policy_iteration_order_irrelevant(self):
         # two simulated agents; synchronous updates must not depend on dict order
