@@ -119,7 +119,8 @@ def _keep_for_stats(scores, paths, score, episode, scenario):
 
 
 def _campaign_row(campaign_dir: str):
-    scenario = load_scenario_file(os.path.join(campaign_dir, "scenario.yaml"))
+    scenario_path = os.path.join(campaign_dir, "scenario.yaml")
+    scenario = load_scenario_file(scenario_path)
     manifest = persist.read_manifest(os.path.join(campaign_dir, "manifest.json"))
     # the copy is always named scenario.yaml; `run` takes the id from the
     # name of the file it was given, which the manifest records
@@ -141,6 +142,9 @@ def _campaign_row(campaign_dir: str):
                 f"{path}: a trace of {len(episode.trace)} step(s) cannot be scored,"
                 " but its campaign record says the episode did not fail"
             )
+        mismatch = _mismatch(episode, scenario, scenario_path)
+        if mismatch:
+            raise ValueError(f"{path}: {mismatch}")
         score = metrics.score_episode(episode, scenario)
         _keep_for_stats(scores, paths, score, episode, scenario)
     stats = metrics.campaign_stats(scores, paths)
@@ -225,6 +229,21 @@ def _find_scenario_for(episode_file: str) -> str:
     raise CliError(f"no scenario.yaml found near '{episode_file}'")
 
 
+def _mismatch(episode, scenario, scenario_path: str) -> str | None:
+    """Why the episode was not simulated in the scenario: its agents at a
+    step are not the scenario's, or its file's dt is not the scenario's
+    sim.dt, with which the metrics compute TTC. None if neither."""
+    ids = {a.id for a in scenario.agents}
+    for joint in episode.trace:
+        if joint.states.keys() != ids:
+            return (f"the episode's agents {sorted(joint.states)} at t={joint.timestep} are not"
+                    f" the agents {sorted(ids)} of '{scenario_path}'")
+    if episode.dt is not None and episode.dt != scenario.sim.dt:
+        return (f"the episode's dt {episode.dt} is not the sim.dt {scenario.sim.dt}"
+                f" of '{scenario_path}'")
+    return None
+
+
 def cmd_replay(args) -> int:
     try:
         episode = persist.read_episode(args.episode_file)
@@ -239,13 +258,9 @@ def cmd_replay(args) -> int:
         raise CliError(f"no scenario file '{scenario_path}'")
     except IsADirectoryError:
         raise CliError(f"'{scenario_path}' is a directory, not a scenario file")
-    ids = sorted(a.id for a in scenario.agents)
-    for joint in episode.trace:
-        if sorted(joint.states) != ids:
-            raise CliError(
-                f"the episode's agents {sorted(joint.states)} at t={joint.timestep} are not"
-                f" the agents {ids} of '{scenario_path}'"
-            )
+    mismatch = _mismatch(episode, scenario, scenario_path)
+    if mismatch:
+        raise CliError(mismatch)
     for joint in episode.trace:
         parts = [f"t={joint.timestep:3d}"]
         for aid in sorted(joint.states):

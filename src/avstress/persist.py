@@ -162,6 +162,18 @@ def _step(t) -> int:
     return t
 
 
+def _number(name: str, v) -> float:
+    """`v` as a float, if it is a JSON number: an int or a float, not a bool.
+    Together with Point2 and AgentState, which refuse a value that is not
+    finite, and float(), which refuses an int beyond the float range, this
+    is the rule `_finite` states."""
+    if type(v) is float:
+        return v
+    if type(v) is not int:
+        raise TypeError(f"{name} is not a number: {v!r}")
+    return float(v)
+
+
 def _header_fields(header) -> dict:
     """The Episode fields of a decoded header record. A field that is not
     what `write_episode` writes, the goals and scenario id included, raises
@@ -174,7 +186,10 @@ def _header_fields(header) -> dict:
     for aid, g in goals.items():
         if not (isinstance(g, list) and len(g) == 2):
             raise ValueError(f"goal of '{aid}' is not two numbers: {g!r}")
-        Point2(float(g[0]), float(g[1]))  # refuses a value that is not finite
+        Point2(*(_number(f"goal of '{aid}'", c) for c in g))
+    dt = header.get("dt")
+    if "dt" in header and not _finite(dt):
+        raise ValueError(f"dt is not a finite number: {dt!r}")
     collision = header.get("collision")
     if collision:
         if not isinstance(collision, dict):
@@ -192,7 +207,8 @@ def _header_fields(header) -> dict:
         if not isinstance(value, str):
             raise ValueError(f"{name} is not a string: {value!r}")
     return {"collision": collision or None, "failed": failed,
-            "failure_reason": header.get("failure_reason", "")}
+            "failure_reason": header.get("failure_reason", ""),
+            "dt": None if dt is None else float(dt)}
 
 
 def read_episode(path: str) -> Episode:
@@ -212,14 +228,14 @@ def read_episode(path: str) -> Episode:
             continue
         try:
             rec = _loads(line)
-            states = {
-                aid: AgentState(
-                    Point2(float(s["x"]), float(s["y"])),
-                    float(s["heading"]),
-                    float(s["speed"]),
-                )
-                for aid, s in rec["agents"].items()
-            }
+            states = {}
+            for aid, s in rec["agents"].items():
+                x, y, heading, speed = s["x"], s["y"], s["heading"], s["speed"]
+                # every value `write_episode` writes is a float
+                if not (type(x) is type(y) is type(heading) is type(speed) is float):
+                    x, y, heading, speed = (
+                        _number(k, s[k]) for k in ("x", "y", "heading", "speed"))
+                states[aid] = AgentState(Point2(x, y), heading, speed)
             trace.append(JointState(_step(rec["t"]), states))
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc

@@ -473,6 +473,30 @@ class TestReport:
         with open(csv_path, "rb") as fh, open(os.path.join(out_dir, "stats.csv"), "rb") as ref:
             assert fh.read() == ref.read()
 
+    @pytest.mark.parametrize("edit, error", [
+        (("dt: 0.1", "dt: 0.2"), "the episode's dt 0.1 is not the sim.dt 0.2 of '{}'"),
+        (("npc", "npc_renamed"), "the episode's agents ['ego', 'npc'] at t=0 are not the"
+                                 " agents ['ego', 'npc_renamed'] of '{}'"),
+    ], ids=["another_dt", "other_agents"])
+    def test_scenario_that_did_not_run_the_episodes_skips_the_campaign(
+        self, scenario_file, tmp_path, capsys, edit, error
+    ):
+        out = str(tmp_path / "out")
+        assert run_cli("run", scenario_file, "--sampler", "sobol", "--budget", "3",
+                       "--out", out) == 0
+        out_dir = capsys.readouterr().out.strip()
+        scenario_copy = os.path.join(out_dir, "scenario.yaml")
+        with open(scenario_copy) as fh:
+            text = fh.read()
+        assert edit[0] in text
+        with open(scenario_copy, "w") as fh:
+            fh.write(text.replace(*edit))
+        assert run_cli("report", out_dir) == 2
+        episode = os.path.join(out_dir, "episodes", "ep_0000.jsonl")
+        assert capsys.readouterr().err == (
+            f"warning: skipping '{out_dir}': {episode}: {error.format(scenario_copy)}\n"
+            "error: no readable campaigns\n")
+
     def test_unreadable_campaigns_exit_2(self, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()
@@ -717,6 +741,25 @@ class TestReplay:
         assert captured.err == (
             "error: the episode's agents ['ego', 'npc'] at t=0 are not the agents"
             f" ['car7', 'ego'] of '{other}'\n")
+
+    def test_scenario_at_another_dt_exit_2_before_printing(
+        self, tmp_path, capsys, two_lane_scenario
+    ):
+        # TTC counts steps of the scenario's sim.dt: at twice the episode's
+        # dt it would print twice the TTC
+        episode = make_episode({
+            "ego": straight_positions((0.0, 3.5), (10.0, 0.0), 5),
+            "npc": straight_positions((15.0, 3.5), (0.0, 0.0), 5),
+        })
+        ep_path = str(tmp_path / "ep_0000.jsonl")
+        persist.write_episode(ep_path, episode, {}, two_lane_scenario)
+        other = tmp_path / "other.yaml"
+        other.write_text(TWO_LANE_YAML.replace("dt: 0.1", "dt: 0.2"))
+        assert run_cli("replay", ep_path, "--scenario", str(other)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the episode's dt 0.1 is not the sim.dt 0.2 of '{other}'\n")
 
     def test_metrics_match_campaign_log(self, scenario_file, tmp_path, capsys):
         out = str(tmp_path / "out")

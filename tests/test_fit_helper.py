@@ -451,3 +451,21 @@ def test_campaign_on_one_cpu_equals_the_campaign_on_all(tmp_path):
     # pinned to one CPU no helper starts; unpinned one does where it can
     assert loaded == ["False", str(len(os.sched_getaffinity(0)) >= 2)]
     assert_same_tree(tmp_path / "1", tmp_path / "0")
+
+
+def test_campaign_and_grid_on_one_blas_thread_equal_the_default(tmp_path):
+    # the GP sets its own BLAS thread count, so OpenBLAS's own default, one
+    # thread per core, changes no bit of a campaign with 10 GP-UCB steps or
+    # of its grid
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        out = str(tmp_path / name)
+        for argv in (["run", "behind", "--sampler", "bo", "--budget", "12", "--out", out],
+                     ["export-gp", os.path.join(out, "behind_bo"), "--resolution", "33"]):
+            proc = subprocess.run([sys.executable, "-m", "avstress.cli", *argv],
+                                  capture_output=True, text=True, env={**env, **threads},
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "one" / "behind_bo" / "gp_grid.csv").exists()
+    assert_same_tree(tmp_path / "one", tmp_path / "default")

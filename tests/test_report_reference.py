@@ -5,7 +5,7 @@
 Both must give what the plain versions below give, bit for bit: `reference_asd`
 and `reference_read_episode` are the code they replaced, verbatim, except
 that the reference reader no longer keeps the header's goals and scenario id,
-which `Episode` dropped.
+which `Episode` dropped, and keeps its dt, which `Episode` holds.
 """
 import json
 import math
@@ -80,6 +80,7 @@ def reference_read_episode(path):
         collision=collision,
         failed=bool(header.get("failed", False)),
         failure_reason=header.get("failure_reason", ""),
+        dt=header.get("dt"),
     )
     return episode, header
 
@@ -213,11 +214,14 @@ TRACE_LINES = {
     "bool_t": GOOD_LINE.replace('"t": 1', '"t": true'),
     "negative_speed": GOOD_LINE.replace("3.0", "-3.0"),
     "string_value": GOOD_LINE.replace("1.5", '"1.5"'),
+    "string_speed": GOOD_LINE.replace('"speed": 3.0', '"speed": "10.3"'),
+    "bool_value": GOOD_LINE.replace('"x": 1.5', '"x": true'),
+    "int_value": GOOD_LINE.replace('"x": 20.0', '"x": 20'),
     "agents_not_object": '{"agents": [], "t": 1}',
 }
 
 
-READABLE = {"valid", "leading_whitespace", "trailing_whitespace", "blank", "string_value"}
+READABLE = {"valid", "leading_whitespace", "trailing_whitespace", "blank", "int_value"}
 # lines on which the reference raised an error that named no file: json
 # parses 1e999 as inf, which int() refuses, and a list has no .items()
 MENDED = {"infinite_t": (OverflowError, "step is not an integer: inf"),
@@ -226,6 +230,12 @@ MENDED = {"infinite_t": (OverflowError, "step is not an integer: inf"),
 # 0, true as 1. The reader refuses a step that is not a JSON integer, as
 # the writer refuses one that is not an int
 STEP_MENDED = {"fractional_t": "0.7", "float_t": "1.0", "string_t": "'0'", "bool_t": "True"}
+# lines the reference read through float(), which takes "1.5" as 1.5 and
+# true as 1.0. The reader takes a value only as a JSON number, not a bool,
+# the rule read_campaign_log applies to a record's numbers
+VALUE_MENDED = {"string_value": "x is not a number: '1.5'",
+                "string_speed": "speed is not a number: '10.3'",
+                "bool_value": "x is not a number: True"}
 
 
 def read_outcome(reader, path):
@@ -250,6 +260,9 @@ def test_reader_matches_the_reference_on_odd_trace_lines(name, tmp_path):
     elif name in STEP_MENDED:
         assert isinstance(want, Episode)
         assert got == (ValueError, f"{path}:3: step is not an integer: {STEP_MENDED[name]}")
+    elif name in VALUE_MENDED:
+        assert isinstance(want, Episode)
+        assert got == (ValueError, f"{path}:3: {VALUE_MENDED[name]}")
     elif name in READABLE:
         assert isinstance(got, Episode)
         assert got == want
@@ -287,6 +300,14 @@ BAD_HEADERS = {
                               "goal of 'npc' is not two numbers: [1.0, 2.0, 3.0]"),
     "goal_not_a_list": ({"goals": {"npc": 4}}, "goal of 'npc' is not two numbers: 4"),
     "goal_not_finite": ({"goals": {"npc": [1.0, math.inf]}}, "non-finite point (1.0, inf)"),
+    # goals and dt the reference read through float() or did not read
+    "goal_of_a_bool": ({"goals": {"npc": [True, "90"]}}, "goal of 'npc' is not a number: True"),
+    "goal_of_a_string": ({"goals": {"npc": [30.0, "90"]}},
+                         "goal of 'npc' is not a number: '90'"),
+    "dt_not_a_number": ({"dt": "fast"}, "dt is not a finite number: 'fast'"),
+    "dt_bool": ({"dt": True}, "dt is not a finite number: True"),
+    "dt_null": ({"dt": None}, "dt is not a finite number: None"),
+    "dt_not_finite": ({"dt": math.inf}, "dt is not a finite number: inf"),
     "goals_not_object": ({"goals": [[1.0, 2.0]]}, "goals is not an object"),
     "failed_not_bool": ({"failed": "no"}, "failed is not a bool: 'no'"),
     "reason_not_string": ({"failure_reason": 7}, "failure_reason is not a string: 7"),
@@ -313,7 +334,7 @@ class TestHeaderFields:
 
     def test_valid_header_reads_as_the_reference(self, tmp_path):
         for fields in ({}, {"collision": None}, {"collision": {}}, {"failed": True,
-                       "failure_reason": "planner raised"}):
+                       "failure_reason": "planner raised"}, {"goals": {"npc": [30, 4]}, "dt": 1}):
             path = write_episode_file(tmp_path, fields)
             assert persist.read_episode(path) == reference_read_episode(path)[0]
         # the fields write_episode always writes may be missing
