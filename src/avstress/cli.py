@@ -1,7 +1,8 @@
 """Command-line front end: run campaigns, report stats, export GP grids,
 and replay stored episodes.
 
-Exit codes: 0 success, 2 usage/config error, 3 irrecoverable runtime error.
+Exit codes: 0 success, 2 bad input (an `InputError`: a bad flag, scenario
+or campaign file), 3 any other exception, which is a fault of the program.
 """
 from __future__ import annotations
 
@@ -15,15 +16,11 @@ import sys
 from . import metrics, persist
 from .optimizer import GpUcbSampler, SobolSampler, run_campaign
 from .planner import LatticePlanner
-from .scenario import PRESET_NAMES, ScenarioError, load_scenario_file, preset_path
+from .scenario import PRESET_NAMES, InputError, load_scenario_file, preset_path
 
 OUT_ROOT_ENV = "AVSTRESS_OUT"
 # what `export-gp` writes into a campaign directory, and a new `run` deletes
 GP_FILES = ("gp_grid.csv", "gp_samples.csv")
-
-
-class CliError(Exception):
-    """A usage or config error: `main` prints it and returns 2."""
 
 
 def _resolve_scenario_path(name: str) -> str:
@@ -33,21 +30,21 @@ def _resolve_scenario_path(name: str) -> str:
     if name in PRESET_NAMES:
         return preset_path(name)
     if os.path.isdir(name):
-        raise CliError(f"scenario '{name}' is a directory, not a scenario file or a preset name")
-    raise CliError(f"scenario '{name}' is neither a file nor a preset name")
+        raise InputError(f"scenario '{name}' is a directory, not a scenario file or a preset name")
+    raise InputError(f"scenario '{name}' is neither a file nor a preset name")
 
 
 def cmd_run(args) -> int:
     scenario_path = _resolve_scenario_path(args.scenario)
     if args.budget < 1:
-        raise CliError("budget must be >= 1")
+        raise InputError("budget must be >= 1")
     # the GP flags are checked for either sampler: the manifest records them
-    gp_ucb = GpUcbSampler(args.beta, args.candidates)
-    sampler = gp_ucb if args.sampler == "bo" else SobolSampler()
     try:
-        scenario = load_scenario_file(scenario_path)
-    except ScenarioError as exc:
-        raise CliError(f"invalid scenario config: {exc}")
+        gp_ucb = GpUcbSampler(args.beta, args.candidates)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    sampler = gp_ucb if args.sampler == "bo" else SobolSampler()
+    scenario = load_scenario_file(scenario_path)
 
     out_root = args.out or os.environ.get(OUT_ROOT_ENV, ".")
     out_dir = os.path.join(out_root, f"{scenario.scenario_id}_{args.sampler}")
@@ -59,7 +56,7 @@ def cmd_run(args) -> int:
         path = episodes_dir
         while path and not os.path.lexists(path):
             path = os.path.dirname(path)
-        raise CliError(f"output path '{path}' exists and is not a directory")
+        raise InputError(f"output path '{path}' exists and is not a directory")
     # this run replaces any earlier campaign in the directory, and the GP
     # grid and samples that `export-gp` made from it
     stale = glob.glob(os.path.join(glob.escape(episodes_dir), "ep_*.jsonl"))
@@ -119,8 +116,7 @@ def _keep_for_stats(scores, paths, score, episode, scenario):
 
 
 def _campaign_row(campaign_dir: str):
-    scenario_path = os.path.join(campaign_dir, "scenario.yaml")
-    scenario = load_scenario_file(scenario_path)
+    scenario = load_scenario_file(os.path.join(campaign_dir, "scenario.yaml"))
     manifest = persist.read_manifest(os.path.join(campaign_dir, "manifest.json"))
     # the copy is always named scenario.yaml; `run` takes the id from the
     # name of the file it was given, which the manifest records
@@ -132,21 +128,20 @@ def _campaign_row(campaign_dir: str):
         if rec["failed"]:
             continue
         path = os.path.join(campaign_dir, rec["episode_file"])
-        episode = persist.read_episode(path)
+        episode = persist.read_episode(path, scenario)
         # a file that disagrees with its record, such as one cut short by a
         # truncated write, is an error, not an episode to leave out
         if episode.failed:
-            raise ValueError(f"{path}: episode failed, but its campaign record says it did not")
+            raise InputError(f"{path}: episode failed, but its campaign record says it did not")
         if len(episode.trace) < 2:
-            raise ValueError(
+            raise InputError(
                 f"{path}: a trace of {len(episode.trace)} step(s) cannot be scored,"
                 " but its campaign record says the episode did not fail"
             )
-        mismatch = _mismatch(episode, scenario, scenario_path)
-        if mismatch:
-            raise ValueError(f"{path}: {mismatch}")
         score = metrics.score_episode(episode, scenario)
         _keep_for_stats(scores, paths, score, episode, scenario)
+    if len(scores) < 2:
+        raise InputError("campaign statistics need at least 2 successful episodes")
     stats = metrics.campaign_stats(scores, paths)
     return scenario_id, manifest["sampler"]["kind"], stats
 
@@ -155,10 +150,10 @@ def _check_csv_path(path: str) -> None:
     """A usage error for a CSV path that cannot be written, before the
     campaigns are read."""
     if os.path.isdir(path):
-        raise CliError(f"'{path}' is a directory, not a CSV file")
+        raise InputError(f"'{path}' is a directory, not a CSV file")
     parent = os.path.dirname(path)
     if parent and not os.path.isdir(parent):
-        raise CliError(f"no directory '{parent}' for the CSV file '{path}'")
+        raise InputError(f"no directory '{parent}' for the CSV file '{path}'")
 
 
 def cmd_report(args) -> int:
@@ -168,10 +163,10 @@ def cmd_report(args) -> int:
     for d in args.campaign_dirs:
         try:
             rows.append(_campaign_row(d))
-        except Exception as exc:
+        except (InputError, OSError) as exc:
             print(f"warning: skipping '{d}': {exc}", file=sys.stderr)
     if not rows:
-        raise CliError("no readable campaigns")
+        raise InputError("no readable campaigns")
     rows.sort(key=lambda r: (r[0], r[1]))
     header = (
         f"{'scenario':<14}{'sampler':<9}{'n':>4}{'coll%':>8}{'min_dist':>16}"
@@ -194,16 +189,16 @@ def cmd_report(args) -> int:
 def cmd_export_gp(args) -> int:
     # checked before the fit, which takes seconds
     if args.resolution < 2:
-        raise CliError("grid resolution must be >= 2")
+        raise InputError("grid resolution must be >= 2")
     log_path = os.path.join(args.campaign_dir, "campaign.jsonl")
     if not os.path.exists(log_path):
-        raise CliError(f"no campaign log in '{args.campaign_dir}'")
+        raise InputError(f"no campaign log in '{args.campaign_dir}'")
     log = persist.read_campaign_log(log_path)
     pairs = [(rec["u"], rec["score"]) for rec in log if not rec["failed"]]
     if len(pairs) < 2:
-        raise CliError("need at least 2 successful episodes to fit a GP")
+        raise InputError("need at least 2 successful episodes to fit a GP")
     if any(len(u) != 2 for u, _ in pairs):
-        raise CliError("GP grid export supports 2-D prompt spaces only")
+        raise InputError("GP grid export supports 2-D prompt spaces only")
     # the only command that needs numpy and the GP, which loads scipy
     import numpy as np
     from . import surrogate
@@ -220,47 +215,29 @@ def cmd_export_gp(args) -> int:
 
 
 def _find_scenario_for(episode_file: str) -> str:
+    """The scenario.yaml of the episode's campaign: in the episode file's
+    directory, or in its parent, the campaign of `episodes/ep_NNNN.jsonl`."""
     d = os.path.dirname(os.path.abspath(episode_file))
-    for _ in range(3):
-        candidate = os.path.join(d, "scenario.yaml")
+    for candidate_dir in (d, os.path.dirname(d)):
+        candidate = os.path.join(candidate_dir, "scenario.yaml")
         if os.path.exists(candidate):
             return candidate
-        d = os.path.dirname(d)
-    raise CliError(f"no scenario.yaml found near '{episode_file}'")
-
-
-def _mismatch(episode, scenario, scenario_path: str) -> str | None:
-    """Why the episode was not simulated in the scenario: its agents at a
-    step are not the scenario's, or its file's dt is not the scenario's
-    sim.dt, with which the metrics compute TTC. None if neither."""
-    ids = {a.id for a in scenario.agents}
-    for joint in episode.trace:
-        if joint.states.keys() != ids:
-            return (f"the episode's agents {sorted(joint.states)} at t={joint.timestep} are not"
-                    f" the agents {sorted(ids)} of '{scenario_path}'")
-    if episode.dt is not None and episode.dt != scenario.sim.dt:
-        return (f"the episode's dt {episode.dt} is not the sim.dt {scenario.sim.dt}"
-                f" of '{scenario_path}'")
-    return None
+    raise InputError(f"no scenario.yaml found near '{episode_file}'")
 
 
 def cmd_replay(args) -> int:
-    try:
-        episode = persist.read_episode(args.episode_file)
-    except FileNotFoundError:
-        raise CliError(f"no episode file '{args.episode_file}'")
-    except IsADirectoryError:
-        raise CliError(f"'{args.episode_file}' is a directory, not an episode file")
+    if not os.path.exists(args.episode_file):
+        raise InputError(f"no episode file '{args.episode_file}'")
+    if os.path.isdir(args.episode_file):
+        raise InputError(f"'{args.episode_file}' is a directory, not an episode file")
     scenario_path = args.scenario or _find_scenario_for(args.episode_file)
     try:
         scenario = load_scenario_file(scenario_path)
     except FileNotFoundError:
-        raise CliError(f"no scenario file '{scenario_path}'")
+        raise InputError(f"no scenario file '{scenario_path}'")
     except IsADirectoryError:
-        raise CliError(f"'{scenario_path}' is a directory, not a scenario file")
-    mismatch = _mismatch(episode, scenario, scenario_path)
-    if mismatch:
-        raise CliError(mismatch)
+        raise InputError(f"'{scenario_path}' is a directory, not a scenario file")
+    episode = persist.read_episode(args.episode_file, scenario)
     for joint in episode.trace:
         parts = [f"t={joint.timestep:3d}"]
         for aid in sorted(joint.states):
@@ -332,7 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:  # ScenarioError is a ValueError
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

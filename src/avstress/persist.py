@@ -28,7 +28,7 @@ from . import __version__ as TOOL_VERSION
 from .geom import Point2
 from .metrics import CampaignStats
 from .optimizer import EpisodeRecord
-from .scenario import Scenario
+from .scenario import InputError, Scenario, read_text
 from .sim import AgentState, Episode, JointState
 
 TTC_CONVENTION = (
@@ -65,21 +65,21 @@ def write_manifest(out_dir: str, scenario_path: str, sampler: dict) -> None:
 
 def read_manifest(path: str) -> dict:
     """The manifest `write_manifest` wrote. Invalid JSON, or a scenario_file
-    or sampler kind that is not a string, raises a ValueError that starts
+    or sampler kind that is not a string, raises an InputError that starts
     with `path:`."""
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    text = read_text(path)
+    try:
+        manifest = json.loads(text)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: manifest is not a JSON object")
+        raise InputError(f"{path}: manifest is not a JSON object")
     scenario_file, sampler = manifest.get("scenario_file"), manifest.get("sampler")
     if not isinstance(scenario_file, str):
-        raise ValueError(f"{path}: scenario_file is not a string: {scenario_file!r}")
+        raise InputError(f"{path}: scenario_file is not a string: {scenario_file!r}")
     kind = sampler.get("kind") if isinstance(sampler, dict) else None
     if not isinstance(kind, str):
-        raise ValueError(f"{path}: sampler kind is not a string: {kind!r}")
+        raise InputError(f"{path}: sampler kind is not a string: {kind!r}")
     return manifest
 
 
@@ -174,10 +174,11 @@ def _number(name: str, v) -> float:
     return float(v)
 
 
-def _header_fields(header) -> dict:
+def _header_fields(header, sim_dt: float) -> dict:
     """The Episode fields of a decoded header record. A field that is not
-    what `write_episode` writes, the goals and scenario id included, raises
-    a KeyError, an OverflowError, a TypeError or a ValueError."""
+    what `write_episode` writes, the goals and scenario id included, or a
+    dt that is not `sim_dt`, raises a KeyError, an OverflowError, a
+    TypeError or a ValueError."""
     if not isinstance(header, dict) or header.get("type") != "header":
         raise ValueError("first record is not a header")
     goals = header.get("goals", {})
@@ -190,6 +191,9 @@ def _header_fields(header) -> dict:
     dt = header.get("dt")
     if "dt" in header and not _finite(dt):
         raise ValueError(f"dt is not a finite number: {dt!r}")
+    # the metrics compute TTC in steps of the scenario's sim.dt
+    if "dt" in header and dt != sim_dt:
+        raise ValueError(f"dt {dt} is not the scenario's sim.dt {sim_dt}")
     collision = header.get("collision")
     if collision:
         if not isinstance(collision, dict):
@@ -207,29 +211,35 @@ def _header_fields(header) -> dict:
         if not isinstance(value, str):
             raise ValueError(f"{name} is not a string: {value!r}")
     return {"collision": collision or None, "failed": failed,
-            "failure_reason": header.get("failure_reason", ""),
-            "dt": None if dt is None else float(dt)}
+            "failure_reason": header.get("failure_reason", "")}
 
 
-def read_episode(path: str) -> Episode:
-    """Parse an episode JSONL file. A file that cannot be read as one raises
-    a ValueError that starts with `path:lineno:`."""
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+def read_episode(path: str, scenario: Scenario) -> Episode:
+    """Parse an episode JSONL file that `scenario` ran. A file that cannot
+    be read as one, or whose dt or agent ids are not the scenario's, raises
+    an InputError that starts with `path:lineno:`."""
+    lines = read_text(path).splitlines()
     if not lines:
-        raise ValueError(f"{path}: empty episode file")
+        raise InputError(f"{path}: empty episode file")
     try:
-        fields = _header_fields(json.loads(lines[0]))
+        fields = _header_fields(json.loads(lines[0]), scenario.sim.dt)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}:1: {exc}") from exc
+        raise InputError(f"{path}:1: {exc}") from exc
+    ids = {a.id for a in scenario.agents}
     trace = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.isspace():
             continue
         try:
             rec = _loads(line)
+            agents = rec["agents"]
+            # agents that are not an object raise the AttributeError of .items()
+            items = agents.items()
+            if agents.keys() != ids:
+                raise ValueError(f"agents {sorted(agents)} are not the scenario's agents"
+                                 f" {sorted(ids)}")
             states = {}
-            for aid, s in rec["agents"].items():
+            for aid, s in items:
                 x, y, heading, speed = s["x"], s["y"], s["heading"], s["speed"]
                 # every value `write_episode` writes is a float
                 if not (type(x) is type(y) is type(heading) is type(speed) is float):
@@ -238,7 +248,7 @@ def read_episode(path: str) -> Episode:
                 states[aid] = AgentState(Point2(x, y), heading, speed)
             trace.append(JointState(_step(rec["t"]), states))
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
     return Episode(trace=trace, **fields)
 
 
@@ -271,39 +281,39 @@ def read_campaign_log(path: str) -> List[dict]:
     """The records of a campaign.jsonl file. A line that is not a JSON
     object, or a record whose `u` is not a list of finite numbers, whose
     score is neither a finite number nor null, whose `failed` is not a bool
-    or whose `episode_file` is not a string, raises a ValueError that starts
+    or whose `episode_file` is not a string, raises an InputError that starts
     with `path:lineno:`. So does a record that is not what `run` writes: a
     failed episode with a score, or one that did not fail with no score or
     no episode file."""
     records = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: record is not a JSON object")
-            u, score = record.get("u"), record.get("score")
-            failed, episode_file = record.get("failed"), record.get("episode_file")
-            if not (isinstance(u, list) and all(map(_finite, u))):
-                raise ValueError(f"{path}:{lineno}: u is not a list of finite numbers: {u!r}")
-            if not (score is None or _finite(score)):
-                raise ValueError(f"{path}:{lineno}: score is not a finite number: {score!r}")
-            if not isinstance(failed, bool):
-                raise ValueError(f"{path}:{lineno}: failed is not a bool: {failed!r}")
-            if not isinstance(episode_file, str):
-                raise ValueError(
-                    f"{path}:{lineno}: episode_file is not a string: {episode_file!r}")
-            if failed and score is not None:
-                raise ValueError(f"{path}:{lineno}: failed episode has a score: {score!r}")
-            if not failed and (score is None or not episode_file):
-                missing = "episode_file" if score is not None else "score"
-                raise ValueError(f"{path}:{lineno}: episode that did not fail has no {missing}")
-            records.append(record)
+    # read() ends lines in "\n" alone, as iterating over the file does
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if not isinstance(record, dict):
+            raise InputError(f"{path}:{lineno}: record is not a JSON object")
+        u, score = record.get("u"), record.get("score")
+        failed, episode_file = record.get("failed"), record.get("episode_file")
+        if not (isinstance(u, list) and all(map(_finite, u))):
+            raise InputError(f"{path}:{lineno}: u is not a list of finite numbers: {u!r}")
+        if not (score is None or _finite(score)):
+            raise InputError(f"{path}:{lineno}: score is not a finite number: {score!r}")
+        if not isinstance(failed, bool):
+            raise InputError(f"{path}:{lineno}: failed is not a bool: {failed!r}")
+        if not isinstance(episode_file, str):
+            raise InputError(
+                f"{path}:{lineno}: episode_file is not a string: {episode_file!r}")
+        if failed and score is not None:
+            raise InputError(f"{path}:{lineno}: failed episode has a score: {score!r}")
+        if not failed and (score is None or not episode_file):
+            missing = "episode_file" if score is not None else "score"
+            raise InputError(f"{path}:{lineno}: episode that did not fail has no {missing}")
+        records.append(record)
     return records
 
 

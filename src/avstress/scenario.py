@@ -20,8 +20,23 @@ from .geom import point_at_arclength, project_to_polyline
 from .sobol import MAX_DIM as SOBOL_MAX_DIM
 
 
-class ScenarioError(ValueError):
+class InputError(ValueError):
+    """A file or option the user gave that the program cannot use: a bad
+    scenario, campaign file or flag. The CLI prints it and exits 2; any
+    other exception is a fault of the program."""
+
+
+class ScenarioError(InputError):
     """Config validation failure; message carries the offending field path."""
+
+
+def read_text(path: str) -> str:
+    """The file's text. Bytes that are not UTF-8 raise an InputError naming it."""
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -394,8 +409,7 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
 
 
 def load_scenario_file(path: str) -> Scenario:
-    with open(path, "r") as fh:
-        text = fh.read()
+    text = read_text(path)
     scenario_id = os.path.splitext(os.path.basename(path))[0]
     return load_scenario(text, scenario_id=scenario_id)
 

@@ -42,9 +42,6 @@ class Episode:
     collision: Optional[Tuple[int, Tuple[str, str]]] = None
     failed: bool = False
     failure_reason: str = ""
-    # the step length in the header of the file the episode was read from;
-    # the simulator steps at its scenario's sim.dt and leaves this None
-    dt: Optional[float] = None
 
 
 class PlannerHandle(Protocol):

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 import avstress
-from avstress import cli, optimizer, persist
+from avstress import cli, metrics, optimizer, persist
 from avstress.cli import main
 from avstress.metrics import score_episode
 from avstress.optimizer import GpUcbSampler, SobolSampler
@@ -334,11 +334,11 @@ class TestRun:
         log = persist.read_campaign_log(os.path.join(out_dir, "campaign.jsonl"))
         assert [rec["failed"] for rec in log] == [False, True, False, True, False, False]
         assert [rec["episode_file"] for rec in log] == [persist.episode_file(i) for i in range(6)]
-        failed = persist.read_episode(os.path.join(out_dir, log[3]["episode_file"]))
+        scenario = load_scenario_file(scenario_file)
+        failed = persist.read_episode(os.path.join(out_dir, log[3]["episode_file"]), scenario)
         assert failed.failed
         assert failed.failure_reason == "planner failed at step 0: planner raised"
-        scenario = load_scenario_file(scenario_file)
-        episodes = [persist.read_episode(os.path.join(out_dir, rec["episode_file"]))
+        episodes = [persist.read_episode(os.path.join(out_dir, rec["episode_file"]), scenario)
                     for rec in log if not rec["failed"]]
         stats = stats_of(episodes, scenario)
         assert stats.n == 4
@@ -438,7 +438,7 @@ class TestReport:
         scenario = load_scenario_file(os.path.join(dirs[1], "scenario.yaml"))
         log = persist.read_campaign_log(os.path.join(dirs[1], "campaign.jsonl"))
         episodes = [
-            persist.read_episode(os.path.join(dirs[1], rec["episode_file"]))
+            persist.read_episode(os.path.join(dirs[1], rec["episode_file"]), scenario)
             for rec in log
             if not rec["failed"]
         ]
@@ -474,9 +474,9 @@ class TestReport:
             assert fh.read() == ref.read()
 
     @pytest.mark.parametrize("edit, error", [
-        (("dt: 0.1", "dt: 0.2"), "the episode's dt 0.1 is not the sim.dt 0.2 of '{}'"),
-        (("npc", "npc_renamed"), "the episode's agents ['ego', 'npc'] at t=0 are not the"
-                                 " agents ['ego', 'npc_renamed'] of '{}'"),
+        (("dt: 0.1", "dt: 0.2"), "1: dt 0.1 is not the scenario's sim.dt 0.2"),
+        (("npc", "npc_renamed"), "2: agents ['ego', 'npc'] are not the scenario's agents"
+                                 " ['ego', 'npc_renamed']"),
     ], ids=["another_dt", "other_agents"])
     def test_scenario_that_did_not_run_the_episodes_skips_the_campaign(
         self, scenario_file, tmp_path, capsys, edit, error
@@ -494,7 +494,7 @@ class TestReport:
         assert run_cli("report", out_dir) == 2
         episode = os.path.join(out_dir, "episodes", "ep_0000.jsonl")
         assert capsys.readouterr().err == (
-            f"warning: skipping '{out_dir}': {episode}: {error.format(scenario_copy)}\n"
+            f"warning: skipping '{out_dir}': {episode}:{error}\n"
             "error: no readable campaigns\n")
 
     def test_unreadable_campaigns_exit_2(self, tmp_path):
@@ -679,6 +679,7 @@ class TestReplay:
         bad = tmp_path / "ep.jsonl"
         header = json.dumps({"type": "header", "scenario_id": "x", "goals": {}})
         bad.write_text(header + "\n{not json\n")
+        (tmp_path / "scenario.yaml").write_text(TWO_LANE_YAML)
         assert run_cli("replay", str(bad)) == 2
         assert capsys.readouterr().err == (
             f"error: {bad}:2: Expecting property name enclosed in double quotes: "
@@ -739,8 +740,8 @@ class TestReplay:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: the episode's agents ['ego', 'npc'] at t=0 are not the agents"
-            f" ['car7', 'ego'] of '{other}'\n")
+            f"error: {ep_path}:2: agents ['ego', 'npc'] are not the scenario's agents"
+            " ['car7', 'ego']\n")
 
     def test_scenario_at_another_dt_exit_2_before_printing(
         self, tmp_path, capsys, two_lane_scenario
@@ -758,8 +759,7 @@ class TestReplay:
         assert run_cli("replay", ep_path, "--scenario", str(other)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: the episode's dt 0.1 is not the sim.dt 0.2 of '{other}'\n")
+        assert captured.err == f"error: {ep_path}:1: dt 0.1 is not the scenario's sim.dt 0.2\n"
 
     def test_metrics_match_campaign_log(self, scenario_file, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -791,10 +791,26 @@ class TestReplay:
         )
         out_dir = capsys.readouterr().out.strip()
         scenario = load_scenario_file(os.path.join(out_dir, "scenario.yaml"))
-        episode = persist.read_episode(os.path.join(out_dir, "episodes", "ep_0001.jsonl"))
+        episode = persist.read_episode(os.path.join(out_dir, "episodes", "ep_0001.jsonl"),
+                                       scenario)
         score = score_episode(episode, scenario)
         log = persist.read_campaign_log(os.path.join(out_dir, "campaign.jsonl"))
         assert score.min_dist == pytest.approx(log[1]["min_dist"], abs=1e-9)
+
+    def test_scenario_is_looked_up_in_the_campaign_only(self, scenario_file, tmp_path,
+                                                        capsys):
+        # a scenario.yaml above the campaign directory did not run its episodes
+        out = tmp_path / "out"
+        assert run_cli("run", scenario_file, "--sampler", "sobol", "--budget", "2",
+                       "--out", str(out)) == 0
+        out_dir = capsys.readouterr().out.strip()
+        os.remove(os.path.join(out_dir, "scenario.yaml"))
+        (out / "scenario.yaml").write_text(TWO_LANE_YAML.replace("length: 4.8", "length: 12.0"))
+        ep_path = os.path.join(out_dir, "episodes", "ep_0000.jsonl")
+        assert run_cli("replay", ep_path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no scenario.yaml found near '{ep_path}'\n"
 
 
 # runs in a fresh interpreter: which modules are loaded after `import
@@ -848,3 +864,102 @@ def test_only_bo_loads_numpy_and_scipy(tmp_path):
     assert after_bootstrap == []
     assert after_helper == []
     assert after_bo == ["numpy", "scipy"]
+
+
+# what open() raises on a file whose first byte is 0xff, in a UTF-8 locale
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+class TestExitCodes:
+    """Bad input exits 2 with a message that names the file; any other
+    exception is a fault of the program and exits 3, in every command."""
+
+    def test_value_error_inside_the_campaign_exits_3(self, tmp_path, monkeypatch, capsys):
+        def score(episode, scenario):
+            raise ValueError("scoring broke")
+
+        monkeypatch.setattr(optimizer, "score_episode", score)
+        out = str(tmp_path / "out")
+        assert run_cli("run", "front", "--sampler", "sobol", "--budget", "2", "--out", out) == 3
+        assert capsys.readouterr().err == "runtime error: scoring broke\n"
+
+    def test_gp_that_cannot_factorize_exits_3_in_run_and_export_gp(
+        self, scenario_file, tmp_path, monkeypatch, capsys
+    ):
+        import numpy as np
+        from avstress import surrogate
+
+        out = str(tmp_path / "out")
+        assert run_cli("run", scenario_file, "--sampler", "sobol", "--budget", "4",
+                       "--out", out) == 0
+        sobol_dir = capsys.readouterr().out.strip()
+
+        def factor(K, noise_variance):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(surrogate, "_factor", factor)
+        assert run_cli("run", scenario_file, "--sampler", "bo", "--budget", "3",
+                       "--out", out) == 3
+        assert capsys.readouterr().err == "runtime error: not positive definite\n"
+        assert run_cli("export-gp", sobol_dir) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "runtime error: not positive definite\n")
+        assert not os.path.exists(os.path.join(sobol_dir, "gp_grid.csv"))
+
+    def test_fault_in_report_exits_3_and_skips_no_campaign(self, scenario_file, tmp_path,
+                                                            monkeypatch, capsys):
+        out = str(tmp_path / "out")
+        assert run_cli("run", scenario_file, "--sampler", "sobol", "--budget", "3",
+                       "--out", out) == 0
+        out_dir = capsys.readouterr().out.strip()
+
+        def score(episode, scenario):
+            raise AssertionError("bug in scoring")
+
+        monkeypatch.setattr(metrics, "score_episode", score)
+        assert run_cli("report", out_dir) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "runtime error: bug in scoring\n")
+
+    def test_report_skips_a_campaign_of_one_successful_episode(self, scenario_file, tmp_path,
+                                                               capsys):
+        out = str(tmp_path / "out")
+        assert run_cli("run", scenario_file, "--sampler", "sobol", "--budget", "1",
+                       "--out", out) == 0
+        out_dir = capsys.readouterr().out.strip()
+        assert run_cli("report", out_dir) == 2
+        assert capsys.readouterr().err == (
+            f"warning: skipping '{out_dir}': campaign statistics need at least 2 successful"
+            " episodes\nerror: no readable campaigns\n")
+
+    def test_scenario_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"\xff" + TWO_LANE_YAML.encode())
+        assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {path}: {NOT_UTF8}\n"
+
+    def test_episode_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        (tmp_path / "scenario.yaml").write_text(TWO_LANE_YAML)
+        path = tmp_path / "ep_0000.jsonl"
+        path.write_bytes(b"\xff{}\n")
+        assert run_cli("replay", str(path)) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}: {NOT_UTF8}\n")
+
+    def test_campaign_log_that_is_not_utf8_names_the_file(self, scenario_file, tmp_path,
+                                                         capsys):
+        out = str(tmp_path / "out")
+        assert run_cli("run", scenario_file, "--sampler", "sobol", "--budget", "3",
+                       "--out", out) == 0
+        out_dir = capsys.readouterr().out.strip()
+        log = os.path.join(out_dir, "campaign.jsonl")
+        with open(log, "rb") as fh:
+            data = fh.read()
+        with open(log, "wb") as fh:
+            fh.write(b"\xff" + data)
+        assert run_cli("export-gp", out_dir) == 2
+        assert capsys.readouterr().err == f"error: {log}: {NOT_UTF8}\n"
+        assert run_cli("report", out_dir) == 2
+        assert capsys.readouterr().err == (
+            f"warning: skipping '{out_dir}': {log}: {NOT_UTF8}\n"
+            "error: no readable campaigns\n")

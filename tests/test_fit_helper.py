@@ -454,9 +454,11 @@ def test_campaign_on_one_cpu_equals_the_campaign_on_all(tmp_path):
 
 
 def test_campaign_and_grid_on_one_blas_thread_equal_the_default(tmp_path):
-    # the GP sets its own BLAS thread count, so OpenBLAS's own default, one
-    # thread per core, changes no bit of a campaign with 10 GP-UCB steps or
-    # of its grid
+    # the OPENBLAS_NUM_THREADS variable, at 1 or unset (OpenBLAS's default,
+    # one thread per core), changes no bit of a campaign with 10 GP-UCB steps
+    # or of its grid. It does not show that the GP pins one thread: at this
+    # size OpenBLAS does not split its work. TestBlasThreads in
+    # test_surrogate.py and TestBlasThreadScope in test_optimizer.py do
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = SRC
     for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):

@@ -55,8 +55,8 @@ def contract_trace():
             states[aid] = AgentState(Point2(v[0], v[1]), v[2], abs(v[3]))
         trace.append(JointState(t, states))
     trace.append(JointState(len(trace), {
-        "ego": AgentState(Point2(np.float64(0.1), np.float64(1e22)), np.float64(-0.0),
-                          np.float64(7.25))}))
+        aid: AgentState(Point2(np.float64(0.1), np.float64(1e22)), np.float64(-0.0),
+                        np.float64(7.25)) for aid in IDS}))
     return trace
 
 
@@ -88,7 +88,9 @@ def test_every_float_reads_back_bit_for_bit(scenario, tmp_path):
     trace = contract_trace()
     path = str(tmp_path / "ep.jsonl")
     persist.write_episode(path, Episode(trace), GOALS, scenario)
-    episode = persist.read_episode(path)
+    # the reader checks the file against its scenario's dt and agent ids only
+    ran = SimpleNamespace(sim=scenario.sim, agents=[SimpleNamespace(id=aid) for aid in IDS])
+    episode = persist.read_episode(path, ran)
 
     def bits(tr):
         return [

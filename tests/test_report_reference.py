@@ -4,8 +4,10 @@
 `persist.read_episode` decodes a trace line with `JSONDecoder.raw_decode`.
 Both must give what the plain versions below give, bit for bit: `reference_asd`
 and `reference_read_episode` are the code they replaced, verbatim, except
-that the reference reader no longer keeps the header's goals and scenario id,
-which `Episode` dropped, and keeps its dt, which `Episode` holds.
+that the reference reader no longer keeps the header's goals, scenario id and
+dt, which `Episode` dropped. `persist.read_episode` also refuses a file whose
+dt or agent ids are not its scenario's; every file here is one that
+`TWO_LANE_YAML`'s scenario ran, unless a test says otherwise.
 """
 import json
 import math
@@ -19,9 +21,15 @@ from avstress.geom import Point2
 from avstress.metrics import asd
 from avstress.optimizer import SobolSampler
 from avstress.planner import LatticePlanner
-from avstress.scenario import PRESET_NAMES, load_preset
+from avstress.scenario import PRESET_NAMES, InputError, load_preset, load_scenario
 from avstress.sim import AgentState, Episode, JointState
-from conftest import run_collecting, stats_of
+from conftest import TWO_LANE_YAML, run_collecting, stats_of
+
+SCENARIO = load_scenario(TWO_LANE_YAML, "two_lane")
+
+
+def read_episode(path):
+    return persist.read_episode(path, SCENARIO)
 
 
 def reference_asd(trajectories):
@@ -80,7 +88,6 @@ def reference_read_episode(path):
         collision=collision,
         failed=bool(header.get("failed", False)),
         failure_reason=header.get("failure_reason", ""),
-        dt=header.get("dt"),
     )
     return episode, header
 
@@ -252,23 +259,25 @@ def test_reader_matches_the_reference_on_odd_trace_lines(name, tmp_path):
         fh.write(HEADER + "\n" + GOOD_LINE.replace('"t": 1', '"t": 0') + "\n"
                  + TRACE_LINES[name] + "\n")
     want = read_outcome(lambda p: reference_read_episode(p)[0], path)
-    got = read_outcome(persist.read_episode, path)
+    got = read_outcome(read_episode, path)
     if name in MENDED:
         reference_error, message = MENDED[name]
         assert want[0] is reference_error
-        assert got == (ValueError, f"{path}:3: {message}")
+        assert got == (InputError, f"{path}:3: {message}")
     elif name in STEP_MENDED:
         assert isinstance(want, Episode)
-        assert got == (ValueError, f"{path}:3: step is not an integer: {STEP_MENDED[name]}")
+        assert got == (InputError, f"{path}:3: step is not an integer: {STEP_MENDED[name]}")
     elif name in VALUE_MENDED:
         assert isinstance(want, Episode)
-        assert got == (ValueError, f"{path}:3: {VALUE_MENDED[name]}")
+        assert got == (InputError, f"{path}:3: {VALUE_MENDED[name]}")
     elif name in READABLE:
         assert isinstance(got, Episode)
         assert got == want
     else:
-        assert got == want
-        assert got[0] is ValueError and got[1].startswith(f"{path}:3: ")
+        # the reference raised the built-in ValueError, with the same message
+        assert want[0] is ValueError
+        assert got == (InputError, want[1])
+        assert got[1].startswith(f"{path}:3: ")
 
 
 def write_episode_file(tmp_path, header_fields):
@@ -321,29 +330,34 @@ class TestHeaderFields:
     def test_bad_field_names_file_and_line_one(self, name, tmp_path):
         fields, message = BAD_HEADERS[name]
         path = write_episode_file(tmp_path, fields)
-        with pytest.raises(ValueError) as err:
-            persist.read_episode(path)
+        with pytest.raises(InputError) as err:
+            read_episode(path)
         assert str(err.value) == f"{path}:1: {message}"
 
     def test_header_that_is_not_an_object(self, tmp_path):
         path = tmp_path / "ep.jsonl"
         path.write_text('["header"]\n' + GOOD_LINE + "\n")
-        with pytest.raises(ValueError) as err:
-            persist.read_episode(str(path))
+        with pytest.raises(InputError) as err:
+            read_episode(str(path))
         assert str(err.value) == f"{path}:1: first record is not a header"
 
     def test_valid_header_reads_as_the_reference(self, tmp_path):
         for fields in ({}, {"collision": None}, {"collision": {}}, {"failed": True,
-                       "failure_reason": "planner raised"}, {"goals": {"npc": [30, 4]}, "dt": 1}):
+                       "failure_reason": "planner raised"}, {"goals": {"npc": [30, 4]}}):
             path = write_episode_file(tmp_path, fields)
-            assert persist.read_episode(path) == reference_read_episode(path)[0]
+            assert read_episode(path) == reference_read_episode(path)[0]
+        # a dt written as an int, of a scenario at sim.dt 1.0
+        path = write_episode_file(tmp_path, {"dt": 1})
+        at_one_second = load_scenario(TWO_LANE_YAML.replace("dt: 0.1", "dt: 1"), "two_lane")
+        assert persist.read_episode(path, at_one_second) == reference_read_episode(path)[0]
         # the fields write_episode always writes may be missing
         path = tmp_path / "bare.jsonl"
         path.write_text('{"type": "header"}\n' + GOOD_LINE + "\n")
-        assert persist.read_episode(str(path)) == reference_read_episode(str(path))[0]
+        assert read_episode(str(path)) == reference_read_episode(str(path))[0]
 
     def test_replay_exits_2_naming_the_file(self, tmp_path, capsys):
         path = write_episode_file(tmp_path, {"collision": {"t": 2, "pair": 5}})
+        (tmp_path / "scenario.yaml").write_text(TWO_LANE_YAML)
         assert cli.main(["replay", path]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}:1: collision pair is not two agent ids: 5\n")
