@@ -163,7 +163,7 @@ def cmd_report(args) -> int:
     for d in args.campaign_dirs:
         try:
             rows.append(_campaign_row(d))
-        except (InputError, OSError) as exc:
+        except InputError as exc:
             print(f"warning: skipping '{d}': {exc}", file=sys.stderr)
     if not rows:
         raise InputError("no readable campaigns")
@@ -190,10 +190,7 @@ def cmd_export_gp(args) -> int:
     # checked before the fit, which takes seconds
     if args.resolution < 2:
         raise InputError("grid resolution must be >= 2")
-    log_path = os.path.join(args.campaign_dir, "campaign.jsonl")
-    if not os.path.exists(log_path):
-        raise InputError(f"no campaign log in '{args.campaign_dir}'")
-    log = persist.read_campaign_log(log_path)
+    log = persist.read_campaign_log(os.path.join(args.campaign_dir, "campaign.jsonl"))
     pairs = [(rec["u"], rec["score"]) for rec in log if not rec["failed"]]
     if len(pairs) < 2:
         raise InputError("need at least 2 successful episodes to fit a GP")
@@ -226,17 +223,9 @@ def _find_scenario_for(episode_file: str) -> str:
 
 
 def cmd_replay(args) -> int:
-    if not os.path.exists(args.episode_file):
-        raise InputError(f"no episode file '{args.episode_file}'")
-    if os.path.isdir(args.episode_file):
-        raise InputError(f"'{args.episode_file}' is a directory, not an episode file")
-    scenario_path = args.scenario or _find_scenario_for(args.episode_file)
-    try:
-        scenario = load_scenario_file(scenario_path)
-    except FileNotFoundError:
-        raise InputError(f"no scenario file '{scenario_path}'")
-    except IsADirectoryError:
-        raise InputError(f"'{scenario_path}' is a directory, not a scenario file")
+    scenario_path = (_resolve_scenario_path(args.scenario) if args.scenario
+                     else _find_scenario_for(args.episode_file))
+    scenario = load_scenario_file(scenario_path)
     episode = persist.read_episode(args.episode_file, scenario)
     for joint in episode.trace:
         parts = [f"t={joint.timestep:3d}"]
@@ -299,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay_p = sub.add_parser("replay", help="print a stored episode")
     replay_p.add_argument("episode_file")
-    replay_p.add_argument("--scenario", default=None)
+    replay_p.add_argument("--scenario", default=None, help="scenario config file or preset name")
     replay_p.set_defaults(func=cmd_replay)
     return parser
 

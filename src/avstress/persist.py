@@ -174,11 +174,12 @@ def _number(name: str, v) -> float:
     return float(v)
 
 
-def _header_fields(header, sim_dt: float) -> dict:
+def _header_fields(header, scenario: Scenario) -> dict:
     """The Episode fields of a decoded header record. A field that is not
-    what `write_episode` writes, the goals and scenario id included, or a
-    dt that is not `sim_dt`, raises a KeyError, an OverflowError, a
-    TypeError or a ValueError."""
+    what `write_episode` writes, the goals and scenario id included, a dt
+    that is not the scenario's or a collision pair that is not two of its
+    agents, raises a KeyError, an OverflowError, a TypeError or a
+    ValueError."""
     if not isinstance(header, dict) or header.get("type") != "header":
         raise ValueError("first record is not a header")
     goals = header.get("goals", {})
@@ -192,16 +193,17 @@ def _header_fields(header, sim_dt: float) -> dict:
     if "dt" in header and not _finite(dt):
         raise ValueError(f"dt is not a finite number: {dt!r}")
     # the metrics compute TTC in steps of the scenario's sim.dt
-    if "dt" in header and dt != sim_dt:
-        raise ValueError(f"dt {dt} is not the scenario's sim.dt {sim_dt}")
+    if "dt" in header and dt != scenario.sim.dt:
+        raise ValueError(f"dt {dt} is not the scenario's sim.dt {scenario.sim.dt}")
     collision = header.get("collision")
     if collision:
         if not isinstance(collision, dict):
             raise ValueError("collision is not an object")
         t, pair = _step(collision["t"]), collision["pair"]
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(aid, str) for aid in pair)):
-            raise ValueError(f"collision pair is not two agent ids: {pair!r}")
+        ids = sorted(a.id for a in scenario.agents)
+        if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1]
+                and all(isinstance(aid, str) and aid in ids for aid in pair)):
+            raise ValueError(f"collision pair {pair!r} is not two of the scenario's agents {ids}")
         collision = (t, tuple(pair))
     failed = header.get("failed", False)
     if not isinstance(failed, bool):
@@ -216,13 +218,14 @@ def _header_fields(header, sim_dt: float) -> dict:
 
 def read_episode(path: str, scenario: Scenario) -> Episode:
     """Parse an episode JSONL file that `scenario` ran. A file that cannot
-    be read as one, or whose dt or agent ids are not the scenario's, raises
-    an InputError that starts with `path:lineno:`."""
+    be read as one, whose dt, agent ids or collision pair are not the
+    scenario's, or whose collision is not on the trace's last step, raises an
+    InputError that starts with `path:lineno:`."""
     lines = read_text(path).splitlines()
     if not lines:
         raise InputError(f"{path}: empty episode file")
     try:
-        fields = _header_fields(json.loads(lines[0]), scenario.sim.dt)
+        fields = _header_fields(json.loads(lines[0]), scenario)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"{path}:1: {exc}") from exc
     ids = {a.id for a in scenario.agents}
@@ -249,6 +252,10 @@ def read_episode(path: str, scenario: Scenario) -> Episode:
             trace.append(JointState(_step(rec["t"]), states))
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
+    # the simulator ends an episode on the step of its collision
+    collision = fields["collision"]
+    if collision and not (trace and collision[0] == trace[-1].timestep):
+        raise InputError(f"{path}:1: collision at t={collision[0]} is not the trace's last step")
     return Episode(trace=trace, **fields)
 
 

@@ -31,12 +31,15 @@ class ScenarioError(InputError):
 
 
 def read_text(path: str) -> str:
-    """The file's text. Bytes that are not UTF-8 raise an InputError naming it."""
-    with open(path) as fh:
-        try:
+    """The file's text. A file that cannot be opened or read, or whose bytes
+    are not UTF-8, raises an InputError naming it."""
+    try:
+        with open(path) as fh:
             return fh.read()
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -125,10 +125,6 @@ def single_blas_thread() -> Iterator[None]:
             set_(count)
 
 
-class InsufficientDataError(ValueError):
-    """Raised when a GP fit is requested with fewer than 2 observations."""
-
-
 @dataclass(frozen=True)
 class KernelParams:
     signal_variance: float
@@ -307,7 +303,7 @@ def _checked_data(
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
     if len(y) < 2:
-        raise InsufficientDataError("GP fit needs at least 2 observations")
+        raise ValueError("GP fit needs at least 2 observations")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
     y_mean, y_std = _standardization(y)

@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import math
@@ -392,6 +393,35 @@ class TestRun:
             assert (header["failed"], header["failure_reason"]) == (True, reason)
 
 
+def front_sobol_campaign(tmp_path, capsys):
+    """A budget-3 Sobol campaign on the `front` preset; returns its
+    directory. Its episode 2 runs all 81 steps without a collision."""
+    out = str(tmp_path / "out")
+    assert run_cli("run", "front", "--sampler", "sobol", "--budget", "3", "--out", out) == 0
+    return capsys.readouterr().out.strip()
+
+
+def rewrite_collision(episode_path, collision):
+    """Replace the collision in an episode file's header; returns the
+    header it had."""
+    with open(episode_path) as fh:
+        lines = fh.read().splitlines()
+    header = json.loads(lines[0])
+    lines[0] = json.dumps({**header, "collision": collision}, sort_keys=True)
+    with open(episode_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return header
+
+
+# collisions that the simulator cannot write into episode 2 of
+# `front_sobol_campaign`, and what the episode reader says of each
+BAD_COLLISIONS = pytest.mark.parametrize("collision, error", [
+    ({"t": 999, "pair": ["ghost", "npc"]},
+     "collision pair ['ghost', 'npc'] is not two of the scenario's agents ['ego', 'npc']"),
+    ({"t": 40, "pair": ["ego", "npc"]}, "collision at t=40 is not the trace's last step"),
+], ids=["agent_of_another_scenario", "before_the_last_step"])
+
+
 class TestReport:
     def make_campaigns(self, scenario_file, tmp_path, capsys):
         dirs = []
@@ -496,6 +526,18 @@ class TestReport:
         assert capsys.readouterr().err == (
             f"warning: skipping '{out_dir}': {episode}:{error}\n"
             "error: no readable campaigns\n")
+
+    @BAD_COLLISIONS
+    def test_collision_the_scenario_cannot_have_skips_the_campaign(self, tmp_path, capsys,
+                                                                   collision, error):
+        out_dir = front_sobol_campaign(tmp_path, capsys)
+        episode = os.path.join(out_dir, "episodes", "ep_0002.jsonl")
+        assert rewrite_collision(episode, collision)["collision"] is None
+        assert run_cli("report", out_dir) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            f"warning: skipping '{out_dir}': {episode}:1: {error}\n"
+            "error: no readable campaigns\n"))
 
     def test_unreadable_campaigns_exit_2(self, tmp_path):
         empty = tmp_path / "nothing"
@@ -687,9 +729,10 @@ class TestReplay:
         )
 
     def test_missing_episode_file_exit_2(self, tmp_path, capsys):
+        (tmp_path / "scenario.yaml").write_text(TWO_LANE_YAML)
         missing = str(tmp_path / "nope.jsonl")
         assert run_cli("replay", missing) == 2
-        assert capsys.readouterr().err == f"error: no episode file '{missing}'\n"
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
     def test_missing_scenario_file_exit_2(self, tmp_path, capsys, two_lane_scenario):
         episode = make_episode({
@@ -701,16 +744,23 @@ class TestReplay:
         missing = str(tmp_path / "nope.yaml")
         assert run_cli("replay", ep_path, "--scenario", missing) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: no scenario file '{missing}'\n"
+        assert captured.err == f"error: scenario '{missing}' is neither a file nor a preset name\n"
         assert captured.out == ""
 
     def test_directory_as_episode_file_exit_2(self, tmp_path, capsys):
-        # a campaign directory in place of one of its episodes
-        (tmp_path / "episodes").mkdir()
+        episodes = tmp_path / "episodes"
+        episodes.mkdir()
         (tmp_path / "scenario.yaml").write_text(TWO_LANE_YAML)
+        # a campaign directory in place of one of its episodes: no scenario
+        # beside it or above it
         assert run_cli("replay", str(tmp_path)) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: '{tmp_path}' is a directory, not an episode file\n"
+        assert captured.err == f"error: no scenario.yaml found near '{tmp_path}'\n"
+        assert captured.out == ""
+        # the episodes directory, beside the campaign's scenario
+        assert run_cli("replay", str(episodes)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {episodes}: Is a directory\n"
         assert captured.out == ""
 
     def test_directory_as_scenario_file_exit_2(self, tmp_path, capsys, two_lane_scenario):
@@ -722,8 +772,28 @@ class TestReplay:
         persist.write_episode(ep_path, episode, {}, two_lane_scenario)
         assert run_cli("replay", ep_path, "--scenario", str(tmp_path)) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: '{tmp_path}' is a directory, not a scenario file\n"
+        assert captured.err == (
+            f"error: scenario '{tmp_path}' is a directory, not a scenario file or a preset name\n")
         assert captured.out == ""
+
+    def test_scenario_option_takes_a_preset_name(self, tmp_path, monkeypatch, capsys):
+        out_dir = front_sobol_campaign(tmp_path, capsys)
+        monkeypatch.chdir(tmp_path)
+        ep_path = os.path.join(out_dir, "episodes", "ep_0000.jsonl")
+        assert run_cli("replay", ep_path) == 0
+        with_the_campaigns_scenario = capsys.readouterr().out
+        assert run_cli("replay", ep_path, "--scenario", "front") == 0
+        assert capsys.readouterr().out == with_the_campaigns_scenario
+
+    @BAD_COLLISIONS
+    def test_collision_the_scenario_cannot_have_exit_2_before_printing(self, tmp_path, capsys,
+                                                                       collision, error):
+        out_dir = front_sobol_campaign(tmp_path, capsys)
+        episode = os.path.join(out_dir, "episodes", "ep_0002.jsonl")
+        assert rewrite_collision(episode, collision)["collision"] is None
+        assert run_cli("replay", episode) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {episode}:1: {error}\n")
 
     def test_scenario_with_other_agents_exit_2_before_printing(
         self, tmp_path, capsys, two_lane_scenario
@@ -963,3 +1033,50 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"warning: skipping '{out_dir}': {log}: {NOT_UTF8}\n"
             "error: no readable campaigns\n")
+
+    def test_campaign_log_that_is_a_directory_names_the_file(self, tmp_path, capsys):
+        out_dir = front_sobol_campaign(tmp_path, capsys)
+        log = os.path.join(out_dir, "campaign.jsonl")
+        os.remove(log)
+        os.mkdir(log)
+        assert run_cli("export-gp", out_dir) == 2
+        assert capsys.readouterr().err == f"error: {log}: Is a directory\n"
+        assert run_cli("report", out_dir) == 2
+        assert capsys.readouterr().err == (
+            f"warning: skipping '{out_dir}': {log}: Is a directory\n"
+            "error: no readable campaigns\n")
+
+    @pytest.mark.parametrize("command", [
+        "run", "replay", "replay_scenario", "export-gp", "report"])
+    def test_file_that_cannot_be_opened_names_the_file(self, command, tmp_path, monkeypatch,
+                                                       capsys):
+        # root reads a file whatever its mode, so rather than a chmod, the
+        # readers' open() refuses the one file as it refuses a file without
+        # read permission
+        out_dir = front_sobol_campaign(tmp_path, capsys)
+        episode = os.path.join(out_dir, "episodes", "ep_0000.jsonl")
+        scenario_copy = os.path.join(out_dir, "scenario.yaml")
+        rerun = str(tmp_path / "rerun")
+        denied, argv = {
+            "run": (scenario_copy, ["run", scenario_copy, "--out", rerun]),
+            "replay": (episode, ["replay", episode]),
+            "replay_scenario": (scenario_copy, ["replay", episode, "--scenario", scenario_copy]),
+            "export-gp": (os.path.join(out_dir, "campaign.jsonl"), ["export-gp", out_dir]),
+            "report": (os.path.join(out_dir, "manifest.json"), ["report", out_dir]),
+        }[command]
+
+        def refusing_open(path, *args, **kwargs):
+            if path == denied:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr("avstress.scenario.open", refusing_open, raising=False)
+        status = run_cli(*argv)
+        captured = capsys.readouterr()
+        error = f"{denied}: Permission denied"
+        if command == "report":
+            error = f"warning: skipping '{out_dir}': {error}\nerror: no readable campaigns"
+        else:
+            error = f"error: {error}"
+        assert (status, captured.out, captured.err) == (2, "", error + "\n")
+        assert not os.path.exists(rerun)

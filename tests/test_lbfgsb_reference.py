@@ -26,7 +26,7 @@ def ref_fit(inputs, targets):
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
     if len(y) < 2:
-        raise surrogate.InsufficientDataError("GP fit needs at least 2 observations")
+        raise ValueError("GP fit needs at least 2 observations")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
     d = X.shape[1]

@@ -6,8 +6,9 @@ Both must give what the plain versions below give, bit for bit: `reference_asd`
 and `reference_read_episode` are the code they replaced, verbatim, except
 that the reference reader no longer keeps the header's goals, scenario id and
 dt, which `Episode` dropped. `persist.read_episode` also refuses a file whose
-dt or agent ids are not its scenario's; every file here is one that
-`TWO_LANE_YAML`'s scenario ran, unless a test says otherwise.
+dt, agent ids or collision pair are not its scenario's, or whose collision
+is not on its last step; every file here is one that `TWO_LANE_YAML`'s
+scenario ran, unless a test says otherwise.
 """
 import json
 import math
@@ -195,8 +196,11 @@ GOOD_LINE = ('{"agents": {"ego": {"heading": 0.25, "speed": 3.0, "x": 1.5, "y": 
              '"npc": {"heading": -0.0, "speed": 0.0, "x": 20.0, "y": 3.5}}, "t": 1}')
 HEADER = json.dumps({"type": "header", "scenario_id": "two_lane", "dt": 0.1,
                      "goals": {"npc": [30.0, 3.5]},
-                     "collision": {"t": 2, "pair": ["ego", "npc"]},
+                     "collision": {"t": 1, "pair": ["ego", "npc"]},
                      "failed": False, "failure_reason": ""}, sort_keys=True)
+# the odd lines below end a trace at step 0 or 1, so its header names no
+# collision, which must be on the trace's last step
+TRACE_HEADER = json.dumps({**json.loads(HEADER), "collision": None}, sort_keys=True)
 
 TRACE_LINES = {
     "valid": GOOD_LINE,
@@ -256,7 +260,7 @@ def read_outcome(reader, path):
 def test_reader_matches_the_reference_on_odd_trace_lines(name, tmp_path):
     path = str(tmp_path / "ep.jsonl")
     with open(path, "w") as fh:
-        fh.write(HEADER + "\n" + GOOD_LINE.replace('"t": 1', '"t": 0') + "\n"
+        fh.write(TRACE_HEADER + "\n" + GOOD_LINE.replace('"t": 1', '"t": 0') + "\n"
                  + TRACE_LINES[name] + "\n")
     want = read_outcome(lambda p: reference_read_episode(p)[0], path)
     got = read_outcome(read_episode, path)
@@ -289,12 +293,25 @@ def write_episode_file(tmp_path, header_fields):
 
 
 BAD_HEADERS = {
-    "pair_not_a_list": ({"collision": {"t": 2, "pair": 5}},
-                        "collision pair is not two agent ids: 5"),
-    "pair_of_one": ({"collision": {"t": 2, "pair": ["ego"]}},
-                    "collision pair is not two agent ids: ['ego']"),
-    "pair_of_numbers": ({"collision": {"t": 2, "pair": [1, 2]}},
-                        "collision pair is not two agent ids: [1, 2]"),
+    "pair_not_a_list": ({"collision": {"t": 1, "pair": 5}},
+                        "collision pair 5 is not two of the scenario's agents ['ego', 'npc']"),
+    "pair_of_one": ({"collision": {"t": 1, "pair": ["ego"]}},
+                    "collision pair ['ego'] is not two of the scenario's agents ['ego', 'npc']"),
+    "pair_of_numbers": ({"collision": {"t": 1, "pair": [1, 2]}},
+                        "collision pair [1, 2] is not two of the scenario's agents"
+                        " ['ego', 'npc']"),
+    # the simulator names two distinct agents of its scenario
+    "pair_of_another_agent": ({"collision": {"t": 1, "pair": ["ghost", "npc"]}},
+                              "collision pair ['ghost', 'npc'] is not two of the scenario's"
+                              " agents ['ego', 'npc']"),
+    "pair_of_one_agent_twice": ({"collision": {"t": 1, "pair": ["npc", "npc"]}},
+                                "collision pair ['npc', 'npc'] is not two of the scenario's"
+                                " agents ['ego', 'npc']"),
+    # and ends the episode on the step of its collision, here step 1
+    "collision_after_the_trace": ({"collision": {"t": 999, "pair": ["ego", "npc"]}},
+                                  "collision at t=999 is not the trace's last step"),
+    "collision_before_the_last_step": ({"collision": {"t": 0, "pair": ["ego", "npc"]}},
+                                       "collision at t=0 is not the trace's last step"),
     "collision_not_object": ({"collision": [2, "ego"]}, "collision is not an object"),
     "collision_t_missing": ({"collision": {"pair": ["ego", "npc"]}}, "'t'"),
     "collision_t_not_a_number": ({"collision": {"t": "two", "pair": ["ego", "npc"]}},
@@ -356,11 +373,12 @@ class TestHeaderFields:
         assert read_episode(str(path)) == reference_read_episode(str(path))[0]
 
     def test_replay_exits_2_naming_the_file(self, tmp_path, capsys):
-        path = write_episode_file(tmp_path, {"collision": {"t": 2, "pair": 5}})
+        path = write_episode_file(tmp_path, {"collision": {"t": 1, "pair": 5}})
         (tmp_path / "scenario.yaml").write_text(TWO_LANE_YAML)
         assert cli.main(["replay", path]) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}:1: collision pair is not two agent ids: 5\n")
+            f"error: {path}:1: collision pair 5 is not two of the scenario's agents"
+            " ['ego', 'npc']\n")
 
 
 @pytest.fixture

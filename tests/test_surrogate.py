@@ -6,7 +6,6 @@ import pytest
 
 from avstress import surrogate
 from avstress.surrogate import (
-    InsufficientDataError,
     KernelParams,
     build_model,
     fit,
@@ -278,7 +277,7 @@ class TestValidation:
 
     def test_build_model_refuses_fewer_than_two_observations(self):
         for n in (0, 1):
-            with pytest.raises(InsufficientDataError):
+            with pytest.raises(ValueError, match="GP fit needs at least 2 observations"):
                 build_model(np.full((n, 2), 0.5), np.ones(n), default_params())
 
     @pytest.mark.parametrize("noise", [np.nan, np.inf])
@@ -301,7 +300,7 @@ class TestValidation:
 
 class TestFit:
     def test_refuses_single_point(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ValueError, match="GP fit needs at least 2 observations"):
             fit(np.array([[0.5, 0.5]]), np.array([1.0]))
 
     def test_rejects_nonfinite_targets(self):
