@@ -129,15 +129,9 @@ def _campaign_row(campaign_dir: str):
             continue
         path = os.path.join(campaign_dir, rec["episode_file"])
         episode = persist.read_episode(path, scenario)
-        # a file that disagrees with its record, such as one cut short by a
-        # truncated write, is an error, not an episode to leave out
+        # a file that disagrees with its record is an error, not an episode to leave out
         if episode.failed:
             raise InputError(f"{path}: episode failed, but its campaign record says it did not")
-        if len(episode.trace) < 2:
-            raise InputError(
-                f"{path}: a trace of {len(episode.trace)} step(s) cannot be scored,"
-                " but its campaign record says the episode did not fail"
-            )
         score = metrics.score_episode(episode, scenario)
         _keep_for_stats(scores, paths, score, episode, scenario)
     if len(scores) < 2:
@@ -238,9 +232,6 @@ def cmd_replay(args) -> int:
         print("  ".join(parts))
     if episode.failed:
         print(f"episode failed: {episode.failure_reason}")
-        return 0
-    if len(episode.trace) < 2:
-        print("trace too short for metrics")
         return 0
     score = metrics.score_episode(episode, scenario)
     table = metrics.distance_table(episode, scenario)

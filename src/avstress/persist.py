@@ -29,7 +29,7 @@ from .geom import Point2
 from .metrics import CampaignStats
 from .optimizer import EpisodeRecord
 from .scenario import InputError, Scenario, read_text
-from .sim import AgentState, Episode, JointState
+from .sim import AgentState, Episode, JointState, _find_collision
 
 TTC_CONVENTION = (
     "per-step centre distance minus half the two body lengths, over its"
@@ -98,11 +98,7 @@ def write_episode(
         "scenario_id": scenario.scenario_id,
         "dt": scenario.sim.dt,
         "goals": {aid: [g.x, g.y] for aid, g in goals.items()},
-        "collision": (
-            {"t": episode.collision[0], "pair": list(episode.collision[1])}
-            if episode.collision
-            else None
-        ),
+        "collision": _collision_record(episode.collision),
         "failed": episode.failed,
         "failure_reason": episode.failure_reason,
     }
@@ -110,6 +106,11 @@ def write_episode(
     lines += map(_trace_line, episode.trace)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _collision_record(collision) -> Optional[dict]:
+    """An Episode's collision (t, pair) as the header holds it."""
+    return {"t": collision[0], "pair": list(collision[1])} if collision else None
 
 
 def _trace_line(joint: JointState) -> str:
@@ -155,13 +156,6 @@ def _loads(line: str):
     return obj if end == len(line) else json.loads(line)
 
 
-def _step(t) -> int:
-    """A step as `write_episode` writes it: a JSON integer, not a bool."""
-    if type(t) is not int:
-        raise TypeError(f"step is not an integer: {t!r}")
-    return t
-
-
 def _number(name: str, v) -> float:
     """`v` as a float, if it is a JSON number: an int or a float, not a bool.
     Together with Point2 and AgentState, which refuse a value that is not
@@ -175,11 +169,10 @@ def _number(name: str, v) -> float:
 
 
 def _header_fields(header, scenario: Scenario) -> dict:
-    """The Episode fields of a decoded header record. A field that is not
-    what `write_episode` writes, the goals and scenario id included, a dt
-    that is not the scenario's or a collision pair that is not two of its
-    agents, raises a KeyError, an OverflowError, a TypeError or a
-    ValueError."""
+    """What `_episode` reads of a decoded header record, its collision as
+    decoded. A field that is not what `write_episode` writes, the goals and
+    scenario id included, or a dt that is not the scenario's, raises a
+    KeyError, an OverflowError, a TypeError or a ValueError."""
     if not isinstance(header, dict) or header.get("type") != "header":
         raise ValueError("first record is not a header")
     goals = header.get("goals", {})
@@ -195,16 +188,6 @@ def _header_fields(header, scenario: Scenario) -> dict:
     # the metrics compute TTC in steps of the scenario's sim.dt
     if "dt" in header and dt != scenario.sim.dt:
         raise ValueError(f"dt {dt} is not the scenario's sim.dt {scenario.sim.dt}")
-    collision = header.get("collision")
-    if collision:
-        if not isinstance(collision, dict):
-            raise ValueError("collision is not an object")
-        t, pair = _step(collision["t"]), collision["pair"]
-        ids = sorted(a.id for a in scenario.agents)
-        if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1]
-                and all(isinstance(aid, str) and aid in ids for aid in pair)):
-            raise ValueError(f"collision pair {pair!r} is not two of the scenario's agents {ids}")
-        collision = (t, tuple(pair))
     failed = header.get("failed", False)
     if not isinstance(failed, bool):
         raise ValueError(f"failed is not a bool: {failed!r}")
@@ -212,18 +195,44 @@ def _header_fields(header, scenario: Scenario) -> dict:
         value = header.get(name, "")
         if not isinstance(value, str):
             raise ValueError(f"{name} is not a string: {value!r}")
-    return {"collision": collision or None, "failed": failed,
+    return {"collision": header.get("collision"), "failed": failed,
             "failure_reason": header.get("failure_reason", "")}
+
+
+def _episode(trace: List[JointState], fields: dict, scenario: Scenario) -> Episode:
+    """The episode of a trace of steps 0, 1, ... and its header's fields, if
+    `simulate_episode` can end it so. It stops at the first step on which
+    `_find_collision` finds an overlap, which the scenario rules out at t=0,
+    at the horizon T, or when the planner or a policy fails before T. So a
+    failed episode has 1 to T steps and no overlap, one that did not fail
+    T+1 steps or fewer ending at an overlap, and the header's collision is
+    that overlap, at the last step, or null. Others raise a ValueError."""
+    if not trace:
+        raise ValueError("trace has no steps")
+    T, t, failed = scenario.sim.horizon_steps, len(trace) - 1, fields["failed"]
+    pair = _find_collision(trace[-1], scenario)
+    ends = f"; this one ends at t={t}" + (" on a collision" if pair else "")
+    if failed and (t >= T or pair):
+        raise ValueError(f"a failed episode ends before t={T} and not on a collision{ends}")
+    if not failed and t != T and not (pair and t > 0):
+        raise ValueError(
+            f"an episode that did not fail ends at t={T} or on a collision after t=0{ends}")
+    collision = (t, pair) if pair else None
+    # compared as JSON, so that a step of 1.0 or true is not step 1
+    written = json.dumps(fields["collision"], sort_keys=True)
+    found = _dump(_collision_record(collision))
+    if written != found:
+        raise ValueError(f"collision is {written}; the simulator finds {found} at the last step")
+    return Episode(trace, collision, failed, fields["failure_reason"])
 
 
 def read_episode(path: str, scenario: Scenario) -> Episode:
     """Parse an episode JSONL file that `scenario` ran. A file that cannot
-    be read as one, whose dt, agent ids or collision pair are not the
-    scenario's, or whose collision is not on the trace's last step, raises an
-    InputError that starts with `path:lineno:`."""
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise InputError(f"{path}: empty episode file")
+    be read as one, whose dt or agent ids are not the scenario's, whose
+    steps are not 0, 1, ..., or that the simulator cannot have written (see
+    `_episode`), raises an InputError that starts with `path:lineno:`."""
+    # read() ends lines in "\n" alone, as read_campaign_log splits them
+    lines = read_text(path).split("\n")
     try:
         fields = _header_fields(json.loads(lines[0]), scenario)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -235,7 +244,11 @@ def read_episode(path: str, scenario: Scenario) -> Episode:
             continue
         try:
             rec = _loads(line)
-            agents = rec["agents"]
+            agents, t = rec["agents"], rec["t"]
+            if type(t) is not int:
+                raise TypeError(f"step is not an integer: {t!r}")
+            if t != len(trace):
+                raise ValueError(f"t={t} is not the trace's step {len(trace)}")
             # agents that are not an object raise the AttributeError of .items()
             items = agents.items()
             if agents.keys() != ids:
@@ -249,14 +262,13 @@ def read_episode(path: str, scenario: Scenario) -> Episode:
                     x, y, heading, speed = (
                         _number(k, s[k]) for k in ("x", "y", "heading", "speed"))
                 states[aid] = AgentState(Point2(x, y), heading, speed)
-            trace.append(JointState(_step(rec["t"]), states))
+            trace.append(JointState(t, states))
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
-    # the simulator ends an episode on the step of its collision
-    collision = fields["collision"]
-    if collision and not (trace and collision[0] == trace[-1].timestep):
-        raise InputError(f"{path}:1: collision at t={collision[0]} is not the trace's last step")
-    return Episode(trace=trace, **fields)
+    try:
+        return _episode(trace, fields, scenario)
+    except ValueError as exc:
+        raise InputError(f"{path}:1: {exc}") from exc
 
 
 def campaign_record_to_json(record: EpisodeRecord, episode_file: str) -> str:

@@ -26,10 +26,6 @@ class InputError(ValueError):
     other exception is a fault of the program."""
 
 
-class ScenarioError(InputError):
-    """Config validation failure; message carries the offending field path."""
-
-
 def read_text(path: str) -> str:
     """The file's text. A file that cannot be opened or read, or whose bytes
     are not UTF-8, raises an InputError naming it."""
@@ -132,10 +128,10 @@ class Scenario:
 def _require(mapping, key, path, kind=None):
     field = f"{path}.{key}" if path else key
     if not isinstance(mapping, dict) or key not in mapping:
-        raise ScenarioError(f"{field}: missing required field")
+        raise InputError(f"{field}: missing required field")
     value = mapping[key]
     if kind is not None and not isinstance(value, kind):
-        raise ScenarioError(f"{field}: expected {kind}, got {type(value).__name__}")
+        raise InputError(f"{field}: expected {kind}, got {type(value).__name__}")
     return value
 
 
@@ -143,20 +139,20 @@ def _check_keys(entry, allowed, path):
     """Reject a key of the mapping `entry` that is not in `allowed`: a
     misspelled field would otherwise fall back to its default unnoticed."""
     if not isinstance(entry, dict):
-        raise ScenarioError(f"{path}: expected a mapping, got {type(entry).__name__}")
+        raise InputError(f"{path}: expected a mapping, got {type(entry).__name__}")
     for key in entry:
         if key not in allowed:
-            raise ScenarioError(
+            raise InputError(
                 f"{path}.{key}: unknown key; expected one of {', '.join(allowed)}"
             )
 
 
 def _number(value, field):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{field}: expected a number")
+        raise InputError(f"{field}: expected a number")
     # an exact comparison: rejects NaN, infinities and integers beyond floats
     if not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ScenarioError(f"{field}: must be finite, got {value}")
+        raise InputError(f"{field}: must be finite, got {value}")
     return float(value)
 
 
@@ -170,7 +166,7 @@ def _count(mapping, key, path, default):
     """A step count: a whole number, written as 80 or 80.0."""
     value = _num(mapping, key, path, default)
     if value != int(value):
-        raise ScenarioError(f"{path}.{key}: must be a whole number, got {value}")
+        raise InputError(f"{path}.{key}: must be a whole number, got {value}")
     return int(value)
 
 
@@ -180,7 +176,7 @@ def _id(value, field, what):
     own repr, so each is rejected with the field's path."""
     if value is None or isinstance(value, (list, dict)):
         kind = "null" if value is None else type(value).__name__
-        raise ScenarioError(f"{field}: expected {what}, got {kind}")
+        raise InputError(f"{field}: expected {what}, got {kind}")
     return str(value)
 
 
@@ -196,20 +192,20 @@ def _parse_lane(entry, i: int) -> Lane:
     lane_id = _id(_require(entry, "id", path), f"{path}.id", "a lane id")
     raw = _require(entry, "centerline", path, list)
     if len(raw) < 2:
-        raise ScenarioError(f"{path}.centerline: need at least 2 vertices")
+        raise InputError(f"{path}.centerline: need at least 2 vertices")
     verts = []
     for k, v in enumerate(raw):
         field = f"{path}.centerline[{k}]"
         if not (isinstance(v, list) and len(v) == 2):
-            raise ScenarioError(f"{field}: expected an [x, y] pair")
+            raise InputError(f"{field}: expected an [x, y] pair")
         verts.append(Point2(_number(v[0], field), _number(v[1], field)))
     try:
         centerline = Polyline(tuple(verts))
     except ValueError as exc:
-        raise ScenarioError(f"{path}.centerline: {exc}") from exc
+        raise InputError(f"{path}.centerline: {exc}") from exc
     width = _num(entry, "width", path)
     if width <= 0:
-        raise ScenarioError(f"{path}.width: must be > 0")
+        raise InputError(f"{path}.width: must be > 0")
     # a neighbour names a lane id, read as the id itself is, or is null for none
     neighbors = {}
     for key in ("left_neighbor", "right_neighbor"):
@@ -223,19 +219,19 @@ def _parse_agent(entry, i: int) -> AgentConfig:
     _check_keys(entry, AGENT_KEYS, path)
     role = str(_require(entry, "role", path))
     if role not in ("ego", "simulated"):
-        raise ScenarioError(f"{path}.role: must be 'ego' or 'simulated'")
+        raise InputError(f"{path}.role: must be 'ego' or 'simulated'")
     speed = _num(entry, "speed", path)
     if speed < 0:
-        raise ScenarioError(f"{path}.speed: must be >= 0")
+        raise InputError(f"{path}.speed: must be >= 0")
     length = _num(entry, "length", path)
     width = _num(entry, "width", path)
     if length <= 0 or width <= 0:
-        raise ScenarioError(f"{path}: footprint must be positive")
+        raise InputError(f"{path}: footprint must be positive")
     if width > length:
-        raise ScenarioError(f"{path}: width {width} exceeds length {length}")
+        raise InputError(f"{path}: width {width} exceeds length {length}")
     v_desired = _num(entry, "v_desired", path, default=speed)
     if v_desired < 0:
-        raise ScenarioError(f"{path}.v_desired: must be >= 0")
+        raise InputError(f"{path}.v_desired: must be >= 0")
     return AgentConfig(
         id=_id(_require(entry, "id", path), f"{path}.id", "an agent id"),
         role=role,
@@ -271,12 +267,12 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
     try:
         doc = yaml.load(config_text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ScenarioError(f"config is not valid YAML: {exc}") from exc
+        raise InputError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ScenarioError("config root must be a mapping")
+        raise InputError("config root must be a mapping")
     for key in doc:
         if key not in TOP_LEVEL_KEYS:
-            raise ScenarioError(
+            raise InputError(
                 f"{key}: unknown top-level key; expected one of {', '.join(TOP_LEVEL_KEYS)}"
             )
 
@@ -284,18 +280,18 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
     _check_keys(map_entry, ("lanes",), "map")
     lane_entries = _require(map_entry, "lanes", "map", list)
     if not lane_entries:
-        raise ScenarioError("map.lanes: at least one lane required")
+        raise InputError("map.lanes: at least one lane required")
     lanes: Dict[str, Lane] = {}
     for i, entry in enumerate(lane_entries):
         lane = _parse_lane(entry, i)
         if lane.id in lanes:
-            raise ScenarioError(f"map.lanes[{i}].id: duplicate lane id '{lane.id}'")
+            raise InputError(f"map.lanes[{i}].id: duplicate lane id '{lane.id}'")
         lanes[lane.id] = lane
     for i, lane in enumerate(lanes.values()):
         for key in ("left_neighbor", "right_neighbor"):
             ref = getattr(lane, key)
             if ref is not None and ref not in lanes:
-                raise ScenarioError(
+                raise InputError(
                     f"map.lanes[{i}].{key}: dangling neighbor reference '{ref}'"
                 )
     map_model = MapModel(lanes=lanes)
@@ -304,12 +300,12 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
     agents = tuple(_parse_agent(e, i) for i, e in enumerate(agent_entries))
     ego_count = sum(1 for a in agents if a.role == "ego")
     if ego_count != 1:
-        raise ScenarioError(f"agents: exactly one ego required, found {ego_count}")
+        raise InputError(f"agents: exactly one ego required, found {ego_count}")
     if not any(a.role == "simulated" for a in agents):
-        raise ScenarioError("agents: at least one simulated agent required")
+        raise InputError("agents: at least one simulated agent required")
     ids = [a.id for a in agents]
     if len(set(ids)) != len(ids):
-        raise ScenarioError("agents: duplicate agent ids")
+        raise InputError("agents: duplicate agent ids")
     # the same test as the episode's collision check, so no episode can
     # start in a collision
     pair = first_overlap([
@@ -317,14 +313,14 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
         for a in agents
     ])
     if pair is not None:
-        raise ScenarioError(
+        raise InputError(
             f"agents: '{agents[pair[0]].id}' and '{agents[pair[1]].id}' overlap at t = 0"
         )
     n_simulated = sum(1 for a in agents if a.role == "simulated")
     # the GP's hyperparameter restarts are Sobol points in 2 dimensions per
     # prompted agent plus 2 (signal and noise scale)
     if 2 * n_simulated + 2 > SOBOL_MAX_DIM:
-        raise ScenarioError(
+        raise InputError(
             f"agents: {n_simulated} simulated agents need {2 * n_simulated + 2} Sobol "
             f"dimensions, over the limit of {SOBOL_MAX_DIM} "
             f"(at most {(SOBOL_MAX_DIM - 2) // 2} simulated agents)"
@@ -340,16 +336,16 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
         _check_keys(entry, GOAL_DOMAIN_KEYS, path)
         agent_id = _id(_require(entry, "agent_id", path), f"{path}.agent_id", "an agent id")
         if agent_id not in ids:
-            raise ScenarioError(f"{path}.agent_id: unknown agent '{agent_id}'")
+            raise InputError(f"{path}.agent_id: unknown agent '{agent_id}'")
         agent = agents[ids.index(agent_id)]
         # a second entry would replace the first, and one for the ego is never read
         if agent_id in domains:
-            raise ScenarioError(f"{path}.agent_id: duplicate goal domain for '{agent_id}'")
+            raise InputError(f"{path}.agent_id: duplicate goal domain for '{agent_id}'")
         if agent.role == "ego":
-            raise ScenarioError(f"{path}.agent_id: '{agent_id}' is the ego, which takes no goal")
+            raise InputError(f"{path}.agent_id: '{agent_id}' is the ego, which takes no goal")
         lane_id = _id(_require(entry, "lane", path), f"{path}.lane", "a lane id")
         if lane_id not in lanes:
-            raise ScenarioError(f"{path}.lane: dangling lane reference '{lane_id}'")
+            raise InputError(f"{path}.lane: dangling lane reference '{lane_id}'")
         dom = GoalDomain(
             reference_lane=lane_id,
             s_min=_num(entry, "s_min", path),
@@ -358,21 +354,21 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
             l_max=_num(entry, "l_max", path),
         )
         if not dom.s_min < dom.s_max:
-            raise ScenarioError(f"{path}: s_min must be < s_max")
+            raise InputError(f"{path}: s_min must be < s_max")
         if not dom.l_min < dom.l_max:
-            raise ScenarioError(f"{path}: l_min must be < l_max")
+            raise InputError(f"{path}: l_min must be < l_max")
         lane = lanes[lane_id]
         if dom.s_max > lane.centerline.total_length + 1e-9:
-            raise ScenarioError(f"{path}.s_max: beyond end of lane '{lane_id}'")
+            raise InputError(f"{path}.s_max: beyond end of lane '{lane_id}'")
         lo, hi = _drivable_l_range(map_model, lane)
         if dom.l_min < lo - 1e-9 or dom.l_max > hi + 1e-9:
-            raise ScenarioError(
+            raise InputError(
                 f"{path}: l_range [{dom.l_min}, {dom.l_max}] outside drivable "
                 f"width [{lo}, {hi}] of lane '{lane_id}' and its neighbors"
             )
         s_agent, _, _ = project_to_polyline(*agent.initial_state.position, lane.centerline)
         if dom.s_min < s_agent - 1e-9:
-            raise ScenarioError(
+            raise InputError(
                 f"{path}.s_min: {dom.s_min} lies behind agent '{agent_id}' "
                 f"(arc-length {s_agent:.3f} on lane '{lane_id}')"
             )
@@ -380,7 +376,7 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
 
     for agent in agents:
         if agent.role == "simulated" and agent.id not in domains:
-            raise ScenarioError(
+            raise InputError(
                 f"goal_domains: missing entry for simulated agent '{agent.id}'"
             )
 
@@ -393,13 +389,13 @@ def load_scenario(config_text: str, scenario_id: str = "scenario") -> Scenario:
         v_max=_num(sim_entry, "v_max", "sim", default=30.0),
     )
     if sim.horizon_steps < 1:
-        raise ScenarioError("sim.horizon_steps: must be >= 1")
+        raise InputError("sim.horizon_steps: must be >= 1")
     if sim.dt <= 0:
-        raise ScenarioError("sim.dt: must be > 0")
+        raise InputError("sim.dt: must be > 0")
     if sim.replan_every < 1:
-        raise ScenarioError("sim.replan_every: must be >= 1")
+        raise InputError("sim.replan_every: must be >= 1")
     if sim.v_max <= 0:
-        raise ScenarioError("sim.v_max: must be > 0")
+        raise InputError("sim.v_max: must be > 0")
 
     return Scenario(
         scenario_id=scenario_id,
@@ -423,7 +419,7 @@ PRESET_NAMES = ("front", "front_right", "behind")
 def preset_path(name: str) -> str:
     """Path of one of the shipped scenario presets."""
     if name not in PRESET_NAMES:
-        raise ScenarioError(f"unknown preset '{name}'; choose from {PRESET_NAMES}")
+        raise InputError(f"unknown preset '{name}'; choose from {PRESET_NAMES}")
     return str(resources.files("avstress").joinpath(f"presets/{name}.yaml"))
 
 

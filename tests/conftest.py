@@ -121,7 +121,7 @@ def two_lane_scenario():
     return load_scenario(TWO_LANE_YAML, scenario_id="two_lane")
 
 
-def make_episode(positions, collision=None):
+def make_episode(positions, collision=None, failed=False):
     """Episode from {agent_id: [(x, y), ...]} position lists (equal length)."""
     n = len(next(iter(positions.values())))
     trace = []
@@ -130,7 +130,7 @@ def make_episode(positions, collision=None):
             aid: AgentState(Point2(*pts[t]), 0.0, 0.0) for aid, pts in positions.items()
         }
         trace.append(JointState(t, states))
-    return Episode(trace=trace, collision=collision)
+    return Episode(trace=trace, collision=collision, failed=failed)
 
 
 def straight_positions(start, velocity, steps, dt=0.1):

@@ -395,7 +395,8 @@ class TestRun:
 
 def front_sobol_campaign(tmp_path, capsys):
     """A budget-3 Sobol campaign on the `front` preset; returns its
-    directory. Its episode 2 runs all 81 steps without a collision."""
+    directory. Its episode 0 ends at a collision between ego and npc at
+    t=35, and its episode 2 runs all 81 steps without a collision."""
     out = str(tmp_path / "out")
     assert run_cli("run", "front", "--sampler", "sobol", "--budget", "3", "--out", out) == 0
     return capsys.readouterr().out.strip()
@@ -413,13 +414,21 @@ def rewrite_collision(episode_path, collision):
     return header
 
 
-# collisions that the simulator cannot write into episode 2 of
+# collisions that the simulator cannot write into an episode of
 # `front_sobol_campaign`, and what the episode reader says of each
-BAD_COLLISIONS = pytest.mark.parametrize("collision, error", [
-    ({"t": 999, "pair": ["ghost", "npc"]},
-     "collision pair ['ghost', 'npc'] is not two of the scenario's agents ['ego', 'npc']"),
-    ({"t": 40, "pair": ["ego", "npc"]}, "collision at t=40 is not the trace's last step"),
-], ids=["agent_of_another_scenario", "before_the_last_step"])
+BAD_COLLISIONS = pytest.mark.parametrize("iteration, collision, error", [
+    (2, {"t": 999, "pair": ["ghost", "npc"]},
+     'collision is {"pair": ["ghost", "npc"], "t": 999}; the simulator finds null at the last'
+     ' step'),
+    (2, {"t": 40, "pair": ["ego", "npc"]},
+     'collision is {"pair": ["ego", "npc"], "t": 40}; the simulator finds null at the last step'),
+    (0, None,
+     'collision is null; the simulator finds {"pair": ["ego", "npc"], "t": 35} at the last step'),
+    (0, {"t": 35, "pair": ["npc", "ego"]},
+     'collision is {"pair": ["npc", "ego"], "t": 35}; the simulator finds'
+     ' {"pair": ["ego", "npc"], "t": 35} at the last step'),
+], ids=["agent_of_another_scenario", "before_the_last_step", "nulled_on_an_overlap",
+        "pair_in_reverse_order"])
 
 
 class TestReport:
@@ -529,10 +538,10 @@ class TestReport:
 
     @BAD_COLLISIONS
     def test_collision_the_scenario_cannot_have_skips_the_campaign(self, tmp_path, capsys,
-                                                                   collision, error):
+                                                                   iteration, collision, error):
         out_dir = front_sobol_campaign(tmp_path, capsys)
-        episode = os.path.join(out_dir, "episodes", "ep_0002.jsonl")
-        assert rewrite_collision(episode, collision)["collision"] is None
+        episode = os.path.join(out_dir, persist.episode_file(iteration))
+        assert rewrite_collision(episode, collision)["collision"] != collision
         assert run_cli("report", out_dir) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", (
@@ -696,7 +705,8 @@ class TestReplay:
         assert "collision at t=14 between ego and npc" in out
 
     # ego at the origin; both agents 1 m away at t = 0, which is not scored,
-    # and 3 m away at the closest after it
+    # and 3 m away at the closest after it. The agents are 2 m long, so that
+    # none overlaps the ego at t = 2, where the horizon ends the episode
     @pytest.mark.parametrize("npc,npc2,expected", [
         # both agents 3 m away at t = 1, npc2 again at t = 2
         ([(1.0, 0.0), (3.0, 0.0), (5.0, 0.0)], [(0.0, 1.0), (0.0, 3.0), (0.0, -3.0)],
@@ -708,7 +718,9 @@ class TestReplay:
     def test_ties_go_to_the_earliest_step_then_the_first_agent(
         self, tmp_path, capsys, npc, npc2, expected
     ):
-        (tmp_path / "scenario.yaml").write_text(agents_yaml(2))
+        (tmp_path / "scenario.yaml").write_text(
+            agents_yaml(2).replace("length: 4.8, width: 2.0", "length: 2.0, width: 1.0")
+            .replace("horizon_steps: 80", "horizon_steps: 2"))
         scenario = load_scenario_file(str(tmp_path / "scenario.yaml"))
         episode = make_episode({"ego": [(0.0, 0.0)] * 3, "npc": npc, "npc2": npc2})
         ep_path = str(tmp_path / "ep_0000.jsonl")
@@ -735,10 +747,11 @@ class TestReplay:
         assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
     def test_missing_scenario_file_exit_2(self, tmp_path, capsys, two_lane_scenario):
+        # a failed episode, as the two-lane scenario ends one this short
         episode = make_episode({
             "ego": straight_positions((0.0, 3.5), (10.0, 0.0), 3),
             "npc": straight_positions((15.0, 3.5), (0.0, 0.0), 3),
-        })
+        }, failed=True)
         ep_path = str(tmp_path / "ep_0000.jsonl")
         persist.write_episode(ep_path, episode, {}, two_lane_scenario)
         missing = str(tmp_path / "nope.yaml")
@@ -764,10 +777,11 @@ class TestReplay:
         assert captured.out == ""
 
     def test_directory_as_scenario_file_exit_2(self, tmp_path, capsys, two_lane_scenario):
+        # a failed episode, as the two-lane scenario ends one this short
         episode = make_episode({
             "ego": straight_positions((0.0, 3.5), (10.0, 0.0), 3),
             "npc": straight_positions((15.0, 3.5), (0.0, 0.0), 3),
-        })
+        }, failed=True)
         ep_path = str(tmp_path / "ep_0000.jsonl")
         persist.write_episode(ep_path, episode, {}, two_lane_scenario)
         assert run_cli("replay", ep_path, "--scenario", str(tmp_path)) == 2
@@ -787,10 +801,11 @@ class TestReplay:
 
     @BAD_COLLISIONS
     def test_collision_the_scenario_cannot_have_exit_2_before_printing(self, tmp_path, capsys,
-                                                                       collision, error):
+                                                                       iteration, collision,
+                                                                       error):
         out_dir = front_sobol_campaign(tmp_path, capsys)
-        episode = os.path.join(out_dir, "episodes", "ep_0002.jsonl")
-        assert rewrite_collision(episode, collision)["collision"] is None
+        episode = os.path.join(out_dir, persist.episode_file(iteration))
+        assert rewrite_collision(episode, collision)["collision"] != collision
         assert run_cli("replay", episode) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {episode}:1: {error}\n")
@@ -798,10 +813,11 @@ class TestReplay:
     def test_scenario_with_other_agents_exit_2_before_printing(
         self, tmp_path, capsys, two_lane_scenario
     ):
+        # a failed episode, as the two-lane scenario ends one this short
         episode = make_episode({
             "ego": straight_positions((0.0, 3.5), (10.0, 0.0), 5),
             "npc": straight_positions((15.0, 3.5), (0.0, 0.0), 5),
-        })
+        }, failed=True)
         ep_path = str(tmp_path / "ep_0000.jsonl")
         persist.write_episode(ep_path, episode, {}, two_lane_scenario)
         other = tmp_path / "other.yaml"
@@ -818,10 +834,11 @@ class TestReplay:
     ):
         # TTC counts steps of the scenario's sim.dt: at twice the episode's
         # dt it would print twice the TTC
+        # a failed episode, as the two-lane scenario ends one this short
         episode = make_episode({
             "ego": straight_positions((0.0, 3.5), (10.0, 0.0), 5),
             "npc": straight_positions((15.0, 3.5), (0.0, 0.0), 5),
-        })
+        }, failed=True)
         ep_path = str(tmp_path / "ep_0000.jsonl")
         persist.write_episode(ep_path, episode, {}, two_lane_scenario)
         other = tmp_path / "other.yaml"

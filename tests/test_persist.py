@@ -4,10 +4,13 @@
 through json.dumps; the file must still be byte for byte the per-line
 `json.dumps(sort_keys=True, allow_nan=False)` form. The template takes finite
 floats at int steps, which is all the simulator produces, and raises on
-anything else.
+anything else. And `persist.read_episode` must read back every episode that
+the simulator gives a campaign, as it was: its rule of which episodes the
+simulator can end so holds for each.
 """
 import json
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,9 +18,11 @@ import pytest
 
 from avstress import persist
 from avstress.geom import Point2
-from avstress.scenario import load_scenario
+from avstress.optimizer import SobolSampler
+from avstress.planner import LatticePlanner
+from avstress.scenario import load_preset, load_scenario
 from avstress.sim import AgentState, Episode, JointState
-from conftest import TWO_LANE_YAML
+from conftest import TWO_LANE_YAML, run_collecting
 
 # a quote, a backslash and a non-ASCII letter, which json escapes
 IDS = ("ego", 'say "hi"', "back\\slash", "Zoë")
@@ -86,10 +91,13 @@ def test_finite_float_lines_do_not_go_through_json(scenario, tmp_path, monkeypat
 
 def test_every_float_reads_back_bit_for_bit(scenario, tmp_path):
     trace = contract_trace()
+    # the agents of the last step share one point, so the episode ends at
+    # the collision of the first two, before the two-lane scenario's horizon
     path = str(tmp_path / "ep.jsonl")
-    persist.write_episode(path, Episode(trace), GOALS, scenario)
-    # the reader checks the file against its scenario's dt and agent ids only
-    ran = SimpleNamespace(sim=scenario.sim, agents=[SimpleNamespace(id=aid) for aid in IDS])
+    persist.write_episode(path, Episode(trace, (len(trace) - 1, IDS[:2])), GOALS, scenario)
+    # the reader checks the file against its scenario's sim block and agents
+    ran = SimpleNamespace(sim=scenario.sim, agents=[
+        SimpleNamespace(id=aid, length=4.8, width=2.0) for aid in IDS])
     episode = persist.read_episode(path, ran)
 
     def bits(tr):
@@ -143,3 +151,29 @@ def test_value_that_is_not_a_float_raises_what_float_repr_raises(value, scenario
                               scenario)
     assert str(got.value) == str(want.value)
     assert not path.exists()
+
+
+class SometimesRaisingPlanner(LatticePlanner):
+    """A LatticePlanner that raises on every 23rd call."""
+
+    calls = 0
+
+    def plan(self, world, scenario):
+        self.calls += 1
+        if self.calls % 23 == 0:
+            raise RuntimeError("planner raised")
+        return super().plan(world, scenario)
+
+
+def test_every_episode_of_a_campaign_reads_back_as_it_was(tmp_path):
+    scenario = load_preset("front")
+    ends = Counter()
+    for planner in (LatticePlanner(), SometimesRaisingPlanner()):
+        for record, episode in run_collecting(scenario, SobolSampler(), planner, 75):
+            path = str(tmp_path / f"ep_{record.iteration:04d}.jsonl")
+            persist.write_episode(path, episode, record.goals_world, scenario)
+            assert persist.read_episode(path, scenario) == episode, record.iteration
+            ends["failed" if episode.failed else "collided" if episode.collision
+                 else "horizon"] += 1
+    # every way the simulator ends an episode, many times over
+    assert min(ends[end] for end in ("failed", "collided", "horizon")) >= 10, ends

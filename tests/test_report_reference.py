@@ -6,13 +6,15 @@ Both must give what the plain versions below give, bit for bit: `reference_asd`
 and `reference_read_episode` are the code they replaced, verbatim, except
 that the reference reader no longer keeps the header's goals, scenario id and
 dt, which `Episode` dropped. `persist.read_episode` also refuses a file whose
-dt, agent ids or collision pair are not its scenario's, or whose collision
-is not on its last step; every file here is one that `TWO_LANE_YAML`'s
-scenario ran, unless a test says otherwise.
+dt or agent ids are not its scenario's, or that the simulator cannot have
+written: steps out of order, a length its ending rule does not give, or a
+collision that is not the overlap of the last step. Every file here is one
+that `TWO_LANE_YAML`'s scenario can have run, unless a test says otherwise.
 """
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import pytest
@@ -194,13 +196,19 @@ def test_campaign_stats_of_each_preset_field_by_field(name, sobol_campaigns, mon
 
 GOOD_LINE = ('{"agents": {"ego": {"heading": 0.25, "speed": 3.0, "x": 1.5, "y": -0.0}, '
              '"npc": {"heading": -0.0, "speed": 0.0, "x": 20.0, "y": 3.5}}, "t": 1}')
+FIRST_LINE = GOOD_LINE.replace('"t": 1', '"t": 0')
+# GOOD_LINE with the npc moved onto the ego, which it overlaps
+CRASH_LINE = GOOD_LINE.replace('"x": 20.0, "y": 3.5', '"x": 5.0, "y": 0.5')
+# an episode whose trace is FIRST_LINE and CRASH_LINE: it ends at the
+# collision at t=1
 HEADER = json.dumps({"type": "header", "scenario_id": "two_lane", "dt": 0.1,
                      "goals": {"npc": [30.0, 3.5]},
                      "collision": {"t": 1, "pair": ["ego", "npc"]},
                      "failed": False, "failure_reason": ""}, sort_keys=True)
-# the odd lines below end a trace at step 0 or 1, so its header names no
-# collision, which must be on the trace's last step
-TRACE_HEADER = json.dumps({**json.loads(HEADER), "collision": None}, sort_keys=True)
+# the odd lines below end a trace after FIRST_LINE at step 0 or 1, with no
+# overlap, as an episode that failed there ends
+TRACE_HEADER = json.dumps({**json.loads(HEADER), "collision": None, "failed": True,
+                           "failure_reason": "planner raised"}, sort_keys=True)
 
 TRACE_LINES = {
     "valid": GOOD_LINE,
@@ -260,8 +268,7 @@ def read_outcome(reader, path):
 def test_reader_matches_the_reference_on_odd_trace_lines(name, tmp_path):
     path = str(tmp_path / "ep.jsonl")
     with open(path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n" + GOOD_LINE.replace('"t": 1', '"t": 0') + "\n"
-                 + TRACE_LINES[name] + "\n")
+        fh.write(TRACE_HEADER + "\n" + FIRST_LINE + "\n" + TRACE_LINES[name] + "\n")
     want = read_outcome(lambda p: reference_read_episode(p)[0], path)
     got = read_outcome(read_episode, path)
     if name in MENDED:
@@ -288,38 +295,50 @@ def write_episode_file(tmp_path, header_fields):
     header = json.loads(HEADER)
     header.update(header_fields)
     path = tmp_path / "ep_0000.jsonl"
-    path.write_text(json.dumps(header) + "\n" + GOOD_LINE + "\n")
+    path.write_text(json.dumps(header) + "\n" + FIRST_LINE + "\n" + CRASH_LINE + "\n")
     return str(path)
 
 
+def not_the_crash(collision):
+    """What the reader says of a header whose collision, as JSON, is not
+    that of the episode of HEADER."""
+    return (f"collision is {collision}; the simulator finds"
+            ' {"pair": ["ego", "npc"], "t": 1} at the last step')
+
+
 BAD_HEADERS = {
+    # the collision must be the simulator's, as write_episode writes it
     "pair_not_a_list": ({"collision": {"t": 1, "pair": 5}},
-                        "collision pair 5 is not two of the scenario's agents ['ego', 'npc']"),
+                        not_the_crash('{"pair": 5, "t": 1}')),
     "pair_of_one": ({"collision": {"t": 1, "pair": ["ego"]}},
-                    "collision pair ['ego'] is not two of the scenario's agents ['ego', 'npc']"),
+                    not_the_crash('{"pair": ["ego"], "t": 1}')),
     "pair_of_numbers": ({"collision": {"t": 1, "pair": [1, 2]}},
-                        "collision pair [1, 2] is not two of the scenario's agents"
-                        " ['ego', 'npc']"),
-    # the simulator names two distinct agents of its scenario
+                        not_the_crash('{"pair": [1, 2], "t": 1}')),
     "pair_of_another_agent": ({"collision": {"t": 1, "pair": ["ghost", "npc"]}},
-                              "collision pair ['ghost', 'npc'] is not two of the scenario's"
-                              " agents ['ego', 'npc']"),
+                              not_the_crash('{"pair": ["ghost", "npc"], "t": 1}')),
     "pair_of_one_agent_twice": ({"collision": {"t": 1, "pair": ["npc", "npc"]}},
-                                "collision pair ['npc', 'npc'] is not two of the scenario's"
-                                " agents ['ego', 'npc']"),
-    # and ends the episode on the step of its collision, here step 1
+                                not_the_crash('{"pair": ["npc", "npc"], "t": 1}')),
     "collision_after_the_trace": ({"collision": {"t": 999, "pair": ["ego", "npc"]}},
-                                  "collision at t=999 is not the trace's last step"),
+                                  not_the_crash('{"pair": ["ego", "npc"], "t": 999}')),
     "collision_before_the_last_step": ({"collision": {"t": 0, "pair": ["ego", "npc"]}},
-                                       "collision at t=0 is not the trace's last step"),
-    "collision_not_object": ({"collision": [2, "ego"]}, "collision is not an object"),
-    "collision_t_missing": ({"collision": {"pair": ["ego", "npc"]}}, "'t'"),
+                                       not_the_crash('{"pair": ["ego", "npc"], "t": 0}')),
+    "collision_not_object": ({"collision": [2, "ego"]}, not_the_crash('[2, "ego"]')),
+    "collision_t_missing": ({"collision": {"pair": ["ego", "npc"]}},
+                            not_the_crash('{"pair": ["ego", "npc"]}')),
     "collision_t_not_a_number": ({"collision": {"t": "two", "pair": ["ego", "npc"]}},
-                                 "step is not an integer: 'two'"),
+                                 not_the_crash('{"pair": ["ego", "npc"], "t": "two"}')),
     "collision_t_fractional": ({"collision": {"t": 12.9, "pair": ["ego", "npc"]}},
-                               "step is not an integer: 12.9"),
+                               not_the_crash('{"pair": ["ego", "npc"], "t": 12.9}')),
     "collision_t_bool": ({"collision": {"t": True, "pair": ["ego", "npc"]}},
-                         "step is not an integer: True"),
+                         not_the_crash('{"pair": ["ego", "npc"], "t": true}')),
+    "collision_t_float": ({"collision": {"t": 1.0, "pair": ["ego", "npc"]}},
+                          not_the_crash('{"pair": ["ego", "npc"], "t": 1.0}')),
+    "collision_null_on_an_overlap": ({"collision": None}, not_the_crash("null")),
+    "collision_empty": ({"collision": {}}, not_the_crash("{}")),
+    # the simulator records no state after a failure, and stops at a collision
+    "failed_on_a_collision": ({"failed": True, "failure_reason": "planner raised"},
+                              "a failed episode ends before t=80 and not on a collision;"
+                              " this one ends at t=1 on a collision"),
     "goal_of_one_number": ({"goals": {"npc": [1.0]}},
                            "goal of 'npc' is not two numbers: [1.0]"),
     "goal_of_three_numbers": ({"goals": {"npc": [1.0, 2.0, 3.0]}},
@@ -359,26 +378,37 @@ class TestHeaderFields:
         assert str(err.value) == f"{path}:1: first record is not a header"
 
     def test_valid_header_reads_as_the_reference(self, tmp_path):
-        for fields in ({}, {"collision": None}, {"collision": {}}, {"failed": True,
-                       "failure_reason": "planner raised"}, {"goals": {"npc": [30, 4]}}):
+        for fields in ({}, {"goals": {"npc": [30, 4]}}):
             path = write_episode_file(tmp_path, fields)
             assert read_episode(path) == reference_read_episode(path)[0]
         # a dt written as an int, of a scenario at sim.dt 1.0
         path = write_episode_file(tmp_path, {"dt": 1})
         at_one_second = load_scenario(TWO_LANE_YAML.replace("dt: 0.1", "dt: 1"), "two_lane")
         assert persist.read_episode(path, at_one_second) == reference_read_episode(path)[0]
-        # the fields write_episode always writes may be missing
+        # the fields write_episode always writes may be missing: no
+        # collision, and an episode that did not fail, here one that runs to
+        # a horizon of 1 step
         path = tmp_path / "bare.jsonl"
-        path.write_text('{"type": "header"}\n' + GOOD_LINE + "\n")
-        assert read_episode(str(path)) == reference_read_episode(str(path))[0]
+        path.write_text('{"type": "header"}\n' + FIRST_LINE + "\n" + GOOD_LINE + "\n")
+        one_step = load_scenario(TWO_LANE_YAML.replace("horizon_steps: 80", "horizon_steps: 1"),
+                                 "two_lane")
+        assert persist.read_episode(str(path), one_step) == reference_read_episode(str(path))[0]
+        # a raw U+2028 in a string, which json.dumps escapes but an edit may
+        # leave, is valid JSON on one line; str.splitlines, and so the
+        # reference, breaks the line there
+        reason = "planner\u2028raised"
+        header = {**json.loads(TRACE_HEADER), "failure_reason": reason}
+        path = tmp_path / "u2028.jsonl"
+        path.write_text(json.dumps(header, ensure_ascii=False) + "\n" + FIRST_LINE + "\n",
+                        encoding="utf-8")
+        assert read_episode(str(path)).failure_reason == reason
 
     def test_replay_exits_2_naming_the_file(self, tmp_path, capsys):
         path = write_episode_file(tmp_path, {"collision": {"t": 1, "pair": 5}})
         (tmp_path / "scenario.yaml").write_text(TWO_LANE_YAML)
         assert cli.main(["replay", path]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {path}:1: collision pair 5 is not two of the scenario's agents"
-            " ['ego', 'npc']\n")
+        error = not_the_crash('{"pair": 5, "t": 1}')
+        assert capsys.readouterr().err == f"error: {path}:1: {error}\n"
 
 
 @pytest.fixture
@@ -511,12 +541,21 @@ class TestBadCampaignFiles:
 
     @pytest.mark.parametrize("cut, error", [
         (lambda lines: [lines[0].replace('"failed": false', '"failed": true')] + lines[1:],
-         "episode failed, but its campaign record says it did not"),
-        # as a write cut short after the first step leaves it
+         ":1: a failed episode ends before t=80 and not on a collision; this one ends at t=80"),
+        # a failed episode that the simulator can write, here after t=40
+        (lambda lines: [lines[0].replace('"failed": false', '"failed": true')] + lines[1:42],
+         ": episode failed, but its campaign record says it did not"),
+        # as writes cut short after the first step and after step 40 leave it
         (lambda lines: lines[:2],
-         "a trace of 1 step(s) cannot be scored, but its campaign record says the episode"
-         " did not fail"),
-    ], ids=["header_says_failed", "trace_of_one_step"])
+         ":1: an episode that did not fail ends at t=80 or on a collision after t=0;"
+         " this one ends at t=0"),
+        (lambda lines: lines[:42],
+         ":1: an episode that did not fail ends at t=80 or on a collision after t=0;"
+         " this one ends at t=40"),
+        (lambda lines: [lines[0]] + [re.sub(r'"t": \d+', '"t": 7', line) for line in lines[1:]],
+         ":2: t=7 is not the trace's step 0"),
+    ], ids=["header_says_failed", "header_says_failed_before_the_horizon", "trace_of_one_step",
+            "trace_cut_at_step_40", "every_step_renumbered"])
     def test_report_names_an_episode_its_record_contradicts(
         self, campaign_dir, capsys, cut, error
     ):
@@ -530,5 +569,5 @@ class TestBadCampaignFiles:
             fh.writelines(cut(lines))
         assert cli.main(["report", campaign_dir]) == 2
         assert capsys.readouterr().err == (
-            f"warning: skipping '{campaign_dir}': {path}: {error}\n"
+            f"warning: skipping '{campaign_dir}': {path}{error}\n"
             "error: no readable campaigns\n")

@@ -10,7 +10,7 @@ from avstress import scenario as scenario_module
 from avstress.geom import project_to_polyline
 from avstress.scenario import (
     PRESET_NAMES,
-    ScenarioError,
+    InputError,
     load_preset,
     load_scenario,
     prompt_to_world,
@@ -45,7 +45,7 @@ def test_presets_load(name):
 
 
 def test_unknown_preset():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(InputError):
         load_preset("sideways")
 
 
@@ -61,32 +61,32 @@ def test_missing_goal_domain_rejected():
         "goal_domains: []\n",
     )
     assert "agent_id: npc" not in text
-    with pytest.raises(ScenarioError, match="npc"):
+    with pytest.raises(InputError, match="npc"):
         load_scenario(text)
 
 
 def test_inverted_s_range_rejected():
     text = _broken(TWO_LANE_YAML, "s_min: 75.0, s_max: 175.0", "s_min: 175.0, s_max: 75.0")
-    with pytest.raises(ScenarioError, match="s_min"):
+    with pytest.raises(InputError, match="s_min"):
         load_scenario(text)
 
 
 def test_dangling_lane_reference_rejected():
     text = _broken(TWO_LANE_YAML, "lane: left, s_min", "lane: phantom, s_min")
-    with pytest.raises(ScenarioError, match="phantom"):
+    with pytest.raises(InputError, match="phantom"):
         load_scenario(text)
 
 
 def test_dangling_neighbor_rejected():
     text = _broken(TWO_LANE_YAML, "left_neighbor: left", "left_neighbor: phantom")
-    with pytest.raises(ScenarioError, match="phantom"):
+    with pytest.raises(InputError, match="phantom"):
         load_scenario(text)
 
 
 def test_dangling_neighbor_named_by_lane_index():
     # the second lane, whose id is 'left'
     text = _broken(TWO_LANE_YAML, "right_neighbor: right", "right_neighbor: phantom")
-    with pytest.raises(ScenarioError, match=r"^map\.lanes\[1\]\.right_neighbor: dangling "
+    with pytest.raises(InputError, match=r"^map\.lanes\[1\]\.right_neighbor: dangling "
                                             r"neighbor reference 'phantom'$"):
         load_scenario(text)
 
@@ -103,7 +103,7 @@ def test_numeric_lane_ids_and_neighbor_references_match():
 @pytest.mark.parametrize("ref,kind", [("[left]", "list"), ("{id: left}", "dict")])
 def test_non_scalar_neighbor_rejected_with_its_path(ref, kind):
     text = _broken(TWO_LANE_YAML, "left_neighbor: left", f"left_neighbor: {ref}")
-    with pytest.raises(ScenarioError, match=r"^map\.lanes\[0\]\.left_neighbor: expected "
+    with pytest.raises(InputError, match=r"^map\.lanes\[0\]\.left_neighbor: expected "
                                             f"a lane id, got {kind}$"):
         load_scenario(text)
 
@@ -117,7 +117,7 @@ def _assert_id_rejected(needle, key_text, path, what):
     assert TWO_LANE_YAML.count(needle) == 1
     for value, kind in ID_VALUES:
         text = _broken(TWO_LANE_YAML, needle, f"{key_text}: {value}")
-        with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: expected {what}, "
+        with pytest.raises(InputError, match=f"^{re.escape(path)}: expected {what}, "
                                                 f"got {kind}$"):
             load_scenario(text)
 
@@ -143,20 +143,20 @@ def test_non_scalar_goal_domain_lane_rejected_with_its_path():
 def test_missing_top_level_field_named_without_a_dot(key):
     doc = yaml.safe_load(TWO_LANE_YAML)
     del doc[key]
-    with pytest.raises(ScenarioError, match=f"^{key}: missing required field$"):
+    with pytest.raises(InputError, match=f"^{key}: missing required field$"):
         load_scenario(yaml.safe_dump(doc))
 
 
 def test_zero_simulated_agents_rejected():
     text = _broken(TWO_LANE_YAML, "role: simulated", "role: ego")
-    with pytest.raises(ScenarioError):
+    with pytest.raises(InputError):
         load_scenario(text)
 
 
 def test_agent_count_limited_by_sobol_dimensions():
     most = (MAX_DIM - 2) // 2
     assert len(scenario_with_agents(most).simulated_agents) == most
-    with pytest.raises(ScenarioError, match=f"limit of {MAX_DIM}"):
+    with pytest.raises(InputError, match=f"limit of {MAX_DIM}"):
         scenario_with_agents(most + 1)
 
 
@@ -164,7 +164,7 @@ def test_agent_count_limited_by_sobol_dimensions():
 def test_non_positive_v_max_rejected(v_max):
     # every episode would fail at its first planner step, yet `run` exits 0
     text = _broken(TWO_LANE_YAML, "v_max: 15.0", f"v_max: {v_max}")
-    with pytest.raises(ScenarioError, match=r"sim\.v_max"):
+    with pytest.raises(InputError, match=r"sim\.v_max"):
         load_scenario(text)
 
 
@@ -193,7 +193,7 @@ NON_FINITE = [
 def test_non_finite_number_rejected_with_its_path(needle, replacement, path):
     assert TWO_LANE_YAML.count(needle) == 1
     text = _broken(TWO_LANE_YAML, needle, replacement)
-    with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: must be finite"):
+    with pytest.raises(InputError, match=f"^{re.escape(path)}: must be finite"):
         load_scenario(text)
 
 
@@ -213,7 +213,7 @@ BAD_VERTICES = [
 def test_bad_centerline_vertex_rejected_with_its_path(centerline, error):
     needle = "[[-60.0, 0.0], [300.0, 0.0]]"
     assert TWO_LANE_YAML.count(needle) == 1
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         load_scenario(_broken(TWO_LANE_YAML, needle, centerline))
     assert str(err.value) == f"map.lanes[0].centerline{error}"
 
@@ -222,7 +222,7 @@ def test_bad_centerline_vertex_rejected_with_its_path(centerline, error):
                                                 ("replan_every", 5, 2.5)])
 def test_step_counts_must_be_whole(key, whole, fraction):
     # a fraction was truncated: 80.7 ran 80 steps and 2.5 replanned every 2
-    with pytest.raises(ScenarioError, match=f"^sim\\.{key}: must be a whole number"):
+    with pytest.raises(InputError, match=f"^sim\\.{key}: must be a whole number"):
         load_scenario(_broken(TWO_LANE_YAML, f"{key}: {whole}", f"{key}: {fraction}"))
     for text in (f"{key}: {whole}", f"{key}: {float(whole)}"):
         value = getattr(load_scenario(_broken(TWO_LANE_YAML, f"{key}: {whole}", text)).sim, key)
@@ -233,7 +233,7 @@ def test_agent_wider_than_long_rejected():
     # loaded, then every episode failed with "invalid box extents"
     assert TWO_LANE_YAML.count(NPC) == 1
     text = _broken(TWO_LANE_YAML, NPC, NPC.replace("length: 4.8", "length: 1.8"))
-    with pytest.raises(ScenarioError, match=r"^agents\[1\]: width 2.0 exceeds length 1.8"):
+    with pytest.raises(InputError, match=r"^agents\[1\]: width 2.0 exceeds length 1.8"):
         load_scenario(text)
     # a square footprint is a valid box
     text = _broken(TWO_LANE_YAML, NPC, NPC.replace("length: 4.8", "length: 2.0"))
@@ -244,7 +244,7 @@ def test_agent_wider_than_long_rejected():
                                                 ("length: 4.8", "length: -4.8")])
 def test_non_positive_footprint_rejected(needle, replacement):
     text = _broken(TWO_LANE_YAML, NPC, NPC.replace(needle, replacement))
-    with pytest.raises(ScenarioError, match=r"^agents\[1\]: footprint must be positive"):
+    with pytest.raises(InputError, match=r"^agents\[1\]: footprint must be positive"):
         load_scenario(text)
 
 
@@ -252,7 +252,7 @@ def test_negative_v_desired_rejected():
     # the agent braked to a stop whatever its goal, so every prompt gave
     # nearly the same episode
     text = _broken(TWO_LANE_YAML, NPC, NPC + ", v_desired: -5.0")
-    with pytest.raises(ScenarioError, match=r"^agents\[1\]\.v_desired: must be >= 0"):
+    with pytest.raises(InputError, match=r"^agents\[1\]\.v_desired: must be >= 0"):
         load_scenario(text)
     text = _broken(TWO_LANE_YAML, NPC, NPC + ", v_desired: 0.0")
     assert load_scenario(text).agents[1].v_desired == 0.0
@@ -261,11 +261,11 @@ def test_negative_v_desired_rejected():
 def test_initial_overlap_rejected():
     # loaded, then every episode ended at t = 0 and could not be scored
     text = _broken(TWO_LANE_YAML, NPC, NPC.replace("x: 15.0", "x: 2.0"))
-    with pytest.raises(ScenarioError, match=r"^agents: 'ego' and 'npc' overlap at t = 0$"):
+    with pytest.raises(InputError, match=r"^agents: 'ego' and 'npc' overlap at t = 0$"):
         load_scenario(text)
     # footprints that only touch overlap, as in the episode's collision check
     text = _broken(TWO_LANE_YAML, NPC, NPC.replace("x: 15.0", "x: 4.8"))
-    with pytest.raises(ScenarioError, match="overlap at t = 0"):
+    with pytest.raises(InputError, match="overlap at t = 0"):
         load_scenario(text)
     text = _broken(TWO_LANE_YAML, NPC, NPC.replace("x: 15.0", "x: 4.81"))
     assert load_scenario(text).agents[1].initial_state.position.x == 4.81
@@ -276,7 +276,7 @@ def test_unknown_top_level_key_rejected(key):
     # the scenario file is the whole run configuration: a misspelled or
     # retired section must not be ignored
     text = TWO_LANE_YAML + f"{key}: {{d_safe: 5.0, replan_every: 3}}\n"
-    with pytest.raises(ScenarioError, match=f"^{key}: unknown top-level key"):
+    with pytest.raises(InputError, match=f"^{key}: unknown top-level key"):
         load_scenario(text)
 
 
@@ -301,7 +301,7 @@ NESTED_UNKNOWN_KEYS = [
 def test_unknown_nested_key_rejected_with_its_path(needle, replacement, path):
     assert TWO_LANE_YAML.count(needle) == 1
     text = _broken(TWO_LANE_YAML, needle, replacement)
-    with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: unknown key"):
+    with pytest.raises(InputError, match=f"^{re.escape(path)}: unknown key"):
         load_scenario(text)
 
 
@@ -322,14 +322,14 @@ GOAL_DOMAIN_CONFLICTS = [
 def test_conflicting_goal_domain_rejected_with_its_path(extra, error):
     assert TWO_LANE_YAML.count(DOMAIN) == 1
     text = _broken(TWO_LANE_YAML, DOMAIN, DOMAIN + extra)
-    with pytest.raises(ScenarioError, match=f"^{re.escape(error)}$"):
+    with pytest.raises(InputError, match=f"^{re.escape(error)}$"):
         load_scenario(text)
 
 
 def test_non_mapping_section_rejected():
     text = _broken(TWO_LANE_YAML, "sim: {dt: 0.1, horizon_steps: 80, replan_every: 5, "
                    "v_max: 15.0}", "sim: [0.1, 80]")
-    with pytest.raises(ScenarioError, match="^sim: expected a mapping"):
+    with pytest.raises(InputError, match="^sim: expected a mapping"):
         load_scenario(text)
 
 
@@ -343,13 +343,13 @@ def test_goal_domain_behind_agent_rejected():
     # npc sits at arc-length 75 on the left lane; a domain starting at 10
     # lies behind it
     text = _broken(TWO_LANE_YAML, "s_min: 75.0", "s_min: 10.0")
-    with pytest.raises(ScenarioError, match="behind"):
+    with pytest.raises(InputError, match="behind"):
         load_scenario(text)
 
 
 def test_l_range_outside_drivable_width_rejected():
     text = _broken(TWO_LANE_YAML, "l_min: -5.25", "l_min: -9.0")
-    with pytest.raises(ScenarioError, match="drivable"):
+    with pytest.raises(InputError, match="drivable"):
         load_scenario(text)
 
 
@@ -416,5 +416,5 @@ def test_yaml_loaders_give_equal_scenarios(text, monkeypatch):
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
 @pytest.mark.parametrize("text", ["map: [unclosed", "a: b: c", "map:\n\t- tab"])
 def test_malformed_yaml_is_a_scenario_error(text, loader, monkeypatch):
-    with pytest.raises(ScenarioError, match="^config is not valid YAML: "):
+    with pytest.raises(InputError, match="^config is not valid YAML: "):
         _load_with(loader, monkeypatch, text)
