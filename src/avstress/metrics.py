@@ -46,8 +46,6 @@ class CampaignStats:
 def distance_table(episode: Episode, scenario: Scenario) -> List[List[float]]:
     """Ego-to-agent center distances: one row per trace step, t = 0
     included, and one column per simulated agent in config order."""
-    if len(episode.trace) < 2:
-        raise ValueError("criticality is undefined for a single-entry trace")
     ego_id = scenario.ego.id
     sim_ids = [a.id for a in scenario.simulated_agents]
     return [

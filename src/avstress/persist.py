@@ -29,7 +29,7 @@ from .geom import Point2
 from .metrics import CampaignStats
 from .optimizer import EpisodeRecord
 from .scenario import InputError, Scenario, read_text
-from .sim import AgentState, Episode, JointState, _find_collision
+from .sim import AgentState, Episode, JointState, _find_collision, initial_joint_state
 
 TTC_CONVENTION = (
     "per-step centre distance minus half the two body lengths, over its"
@@ -200,13 +200,14 @@ def _header_fields(header, scenario: Scenario) -> dict:
 
 
 def _episode(trace: List[JointState], fields: dict, scenario: Scenario) -> Episode:
-    """The episode of a trace of steps 0, 1, ... and its header's fields, if
-    `simulate_episode` can end it so. It stops at the first step on which
-    `_find_collision` finds an overlap, which the scenario rules out at t=0,
-    at the horizon T, or when the planner or a policy fails before T. So a
-    failed episode has 1 to T steps and no overlap, one that did not fail
-    T+1 steps or fewer ending at an overlap, and the header's collision is
-    that overlap, at the last step, or null. Others raise a ValueError."""
+    """The episode of a trace of steps 0, 1, ... that starts at the
+    scenario's initial state, and its header's fields, if `simulate_episode`
+    can end it so. It stops at the first step on which `_find_collision`
+    finds an overlap, which the scenario rules out at t=0, at the horizon T,
+    or when the planner or a policy fails before T. So a failed episode has
+    1 to T steps and no overlap, one that did not fail T+1 steps or fewer
+    ending at an overlap, and the header's collision is that overlap, at the
+    last step, or null. Others raise a ValueError."""
     if not trace:
         raise ValueError("trace has no steps")
     T, t, failed = scenario.sim.horizon_steps, len(trace) - 1, fields["failed"]
@@ -214,9 +215,8 @@ def _episode(trace: List[JointState], fields: dict, scenario: Scenario) -> Episo
     ends = f"; this one ends at t={t}" + (" on a collision" if pair else "")
     if failed and (t >= T or pair):
         raise ValueError(f"a failed episode ends before t={T} and not on a collision{ends}")
-    if not failed and t != T and not (pair and t > 0):
-        raise ValueError(
-            f"an episode that did not fail ends at t={T} or on a collision after t=0{ends}")
+    if not failed and t != T and not pair:
+        raise ValueError(f"an episode that did not fail ends at t={T} or on a collision{ends}")
     collision = (t, pair) if pair else None
     # compared as JSON, so that a step of 1.0 or true is not step 1
     written = json.dumps(fields["collision"], sort_keys=True)
@@ -229,15 +229,16 @@ def _episode(trace: List[JointState], fields: dict, scenario: Scenario) -> Episo
 def read_episode(path: str, scenario: Scenario) -> Episode:
     """Parse an episode JSONL file that `scenario` ran. A file that cannot
     be read as one, whose dt or agent ids are not the scenario's, whose
-    steps are not 0, 1, ..., or that the simulator cannot have written (see
-    `_episode`), raises an InputError that starts with `path:lineno:`."""
+    steps are not 0, 1, ..., whose step 0 is not the scenario's initial
+    state, or that the simulator cannot have written (see `_episode`),
+    raises an InputError that starts with `path:lineno:`."""
     # read() ends lines in "\n" alone, as read_campaign_log splits them
     lines = read_text(path).split("\n")
     try:
         fields = _header_fields(json.loads(lines[0]), scenario)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"{path}:1: {exc}") from exc
-    ids = {a.id for a in scenario.agents}
+    start = initial_joint_state(scenario).states
     trace = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.isspace():
@@ -251,9 +252,9 @@ def read_episode(path: str, scenario: Scenario) -> Episode:
                 raise ValueError(f"t={t} is not the trace's step {len(trace)}")
             # agents that are not an object raise the AttributeError of .items()
             items = agents.items()
-            if agents.keys() != ids:
+            if agents.keys() != start.keys():
                 raise ValueError(f"agents {sorted(agents)} are not the scenario's agents"
-                                 f" {sorted(ids)}")
+                                 f" {sorted(start)}")
             states = {}
             for aid, s in items:
                 x, y, heading, speed = s["x"], s["y"], s["heading"], s["speed"]
@@ -262,6 +263,10 @@ def read_episode(path: str, scenario: Scenario) -> Episode:
                     x, y, heading, speed = (
                         _number(k, s[k]) for k in ("x", "y", "heading", "speed"))
                 states[aid] = AgentState(Point2(x, y), heading, speed)
+            if t == 0 and states != start:
+                aid = next(aid for aid in sorted(start) if states[aid] != start[aid])
+                raise ValueError(
+                    f"the state of '{aid}' at t=0 is not the scenario's initial state")
             trace.append(JointState(t, states))
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc

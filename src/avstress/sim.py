@@ -36,7 +36,7 @@ class JointState:
     states: Dict[str, AgentState]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Episode:
     trace: List[JointState]
     collision: Optional[Tuple[int, Tuple[str, str]]] = None
@@ -199,45 +199,35 @@ def simulate_episode(
     policies on the same joint state. The episode ends at the horizon, at
     the first collision, or when the planner or a policy fails: raises, or
     returns a plan of the wrong length or a state that is not an AgentState.
+    Overlaps are checked from t = 1 on: `load_scenario` refuses one at
+    t = 0.
     """
     ego_id = scenario.ego.id
     replan = scenario.sim.replan_every
-    T = scenario.sim.horizon_steps
-    episode = Episode(trace=[initial_joint_state(scenario)])
-
-    pair = _find_collision(episode.trace[0], scenario)
-    if pair is not None:
-        episode.collision = (0, pair)
-        return episode
-
-    plan: List[AgentState] = []
-    for t in range(T):
-        world = episode.trace[-1]
-        if t % replan == 0:
-            try:
+    trace = [initial_joint_state(scenario)]
+    collision, failure_reason = None, ""
+    for t in range(scenario.sim.horizon_steps):
+        world = trace[-1]
+        aid = None  # the policy being stepped, or None for the planner
+        try:
+            if t % replan == 0:
                 plan = planner.plan(world, scenario)
                 wrong = [type(s).__name__ for s in plan if not isinstance(s, AgentState)]
                 if wrong or len(plan) != replan:
                     raise TypeError(f"returned a {wrong[0]}, not an AgentState" if wrong
                                     else f"returned {len(plan)} states, expected {replan}")
-            except Exception as exc:
-                episode.failed = True
-                episode.failure_reason = f"planner failed at step {t}: {exc}"
-                return episode
-        next_states = {ego_id: plan[t % replan]}
-        for aid, policy in sorted(policies.items()):
-            try:
+            next_states = {ego_id: plan[t % replan]}
+            for aid, policy in sorted(policies.items()):
                 state = next_states[aid] = policy.step(world)
                 if not isinstance(state, AgentState):
                     raise TypeError(f"returned a {type(state).__name__}, not an AgentState")
-            except Exception as exc:
-                episode.failed = True
-                episode.failure_reason = f"policy '{aid}' failed at step {t}: {exc}"
-                return episode
-        new_world = JointState(t + 1, next_states)
-        episode.trace.append(new_world)
-        pair = _find_collision(new_world, scenario)
+        except Exception as exc:
+            who = "planner" if aid is None else f"policy '{aid}'"
+            failure_reason = f"{who} failed at step {t}: {exc}"
+            break
+        trace.append(JointState(t + 1, next_states))
+        pair = _find_collision(trace[-1], scenario)
         if pair is not None:
-            episode.collision = (t + 1, pair)
-            return episode
-    return episode
+            collision = (t + 1, pair)
+            break
+    return Episode(trace, collision, bool(failure_reason), failure_reason)

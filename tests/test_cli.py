@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import gc
 import json
@@ -68,7 +69,7 @@ def run_with_failures(scenario_file, tmp_path, monkeypatch, capsys):
             planner = RaisingPlanner()
         episode = real(scenario, planner, policies)
         if len(calls) == 2:
-            episode.failed, episode.failure_reason = True, "stuck"
+            episode = dataclasses.replace(episode, failed=True, failure_reason="stuck")
         return episode
 
     monkeypatch.setattr(optimizer, "simulate_episode", simulate)
@@ -697,30 +698,37 @@ class TestReplay:
             },
             collision=(14, ("ego", "npc")),
         )
-        (tmp_path / "scenario.yaml").write_text(TWO_LANE_YAML)
+        # make_episode's agents stand still at t = 0
+        (tmp_path / "scenario.yaml").write_text(TWO_LANE_YAML.replace("speed: 10.0", "speed: 0.0"))
         ep_path = str(tmp_path / "ep_0000.jsonl")
         persist.write_episode(ep_path, episode, {}, two_lane_scenario)
         assert run_cli("replay", ep_path) == 0
         out = capsys.readouterr().out
         assert "collision at t=14 between ego and npc" in out
 
-    # ego at the origin; both agents 1 m away at t = 0, which is not scored,
-    # and 3 m away at the closest after it. The agents are 2 m long, so that
-    # none overlaps the ego at t = 2, where the horizon ends the episode
+    # ego at the origin; both agents 2.5 m away at t = 0, which is not
+    # scored, and 3 m away at the closest after it. The agents are 2 m long,
+    # so that none overlaps the ego at t = 2, where the horizon ends the
+    # episode
     @pytest.mark.parametrize("npc,npc2,expected", [
         # both agents 3 m away at t = 1, npc2 again at t = 2
-        ([(1.0, 0.0), (3.0, 0.0), (5.0, 0.0)], [(0.0, 1.0), (0.0, 3.0), (0.0, -3.0)],
+        ([(2.5, 0.0), (3.0, 0.0), (5.0, 0.0)], [(0.0, 2.5), (0.0, 3.0), (0.0, -3.0)],
          "t=1 vs agent 'npc'"),
         # npc2 3 m away at t = 1, both agents at t = 2
-        ([(1.0, 0.0), (4.0, 0.0), (-3.0, 0.0)], [(0.0, 1.0), (0.0, 3.0), (0.0, -3.0)],
+        ([(2.5, 0.0), (4.0, 0.0), (-3.0, 0.0)], [(0.0, 2.5), (0.0, 3.0), (0.0, -3.0)],
          "t=1 vs agent 'npc2'"),
     ], ids=["tie_at_one_step", "tie_across_steps"])
     def test_ties_go_to_the_earliest_step_then_the_first_agent(
         self, tmp_path, capsys, npc, npc2, expected
     ):
+        # the scenario starts the agents where make_episode has them at t = 0
         (tmp_path / "scenario.yaml").write_text(
             agents_yaml(2).replace("length: 4.8, width: 2.0", "length: 2.0, width: 1.0")
-            .replace("horizon_steps: 80", "horizon_steps: 2"))
+            .replace("horizon_steps: 80", "horizon_steps: 2")
+            .replace("speed: 10.0", "speed: 0.0")
+            .replace("x: 0.0, y: 3.5", "x: 0.0, y: 0.0")
+            .replace("x: 15.0, y: 3.5", "x: 2.5, y: 0.0")
+            .replace("x: 35.0, y: 0.0", "x: 0.0, y: 2.5"))
         scenario = load_scenario_file(str(tmp_path / "scenario.yaml"))
         episode = make_episode({"ego": [(0.0, 0.0)] * 3, "npc": npc, "npc2": npc2})
         ep_path = str(tmp_path / "ep_0000.jsonl")
@@ -828,6 +836,19 @@ class TestReplay:
         assert captured.err == (
             f"error: {ep_path}:2: agents ['ego', 'npc'] are not the scenario's agents"
             " ['car7', 'ego']\n")
+
+    @pytest.mark.parametrize("other", ["behind", "front_right"])
+    def test_scenario_with_other_initial_states_exit_2_before_printing(
+        self, tmp_path, capsys, other
+    ):
+        # the presets share their agent ids and sim block, not their start
+        ep_path = os.path.join(front_sobol_campaign(tmp_path, capsys), "episodes",
+                               "ep_0000.jsonl")
+        assert run_cli("replay", ep_path, "--scenario", other) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {ep_path}:2: the state of 'npc' at t=0 is not the scenario's initial state\n")
 
     def test_scenario_at_another_dt_exit_2_before_printing(
         self, tmp_path, capsys, two_lane_scenario

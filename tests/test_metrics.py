@@ -120,11 +120,6 @@ class TestDistanceTable:
         )
         assert distance_table(ep, sc) == [[5.0, 10.0], [2.0, 1.0], [5.0, 7.0]]
 
-    def test_single_entry_trace_rejected(self, two_lane_scenario):
-        ep = make_episode({"ego": [(0.0, 0.0)], "npc": [(9.0, 0.0)]})
-        with pytest.raises(ValueError):
-            distance_table(ep, two_lane_scenario)
-
 
 class TestTtc:
     def test_constant_closing_speed(self, two_lane_scenario):

@@ -95,9 +95,11 @@ def test_every_float_reads_back_bit_for_bit(scenario, tmp_path):
     # the collision of the first two, before the two-lane scenario's horizon
     path = str(tmp_path / "ep.jsonl")
     persist.write_episode(path, Episode(trace, (len(trace) - 1, IDS[:2])), GOALS, scenario)
-    # the reader checks the file against its scenario's sim block and agents
+    # the reader checks the file against its scenario's sim block and
+    # agents, and its step 0 against their initial states
     ran = SimpleNamespace(sim=scenario.sim, agents=[
-        SimpleNamespace(id=aid, length=4.8, width=2.0) for aid in IDS])
+        SimpleNamespace(id=aid, length=4.8, width=2.0, initial_state=trace[0].states[aid])
+        for aid in IDS])
     episode = persist.read_episode(path, ran)
 
     def bits(tr):

@@ -196,7 +196,9 @@ def test_campaign_stats_of_each_preset_field_by_field(name, sobol_campaigns, mon
 
 GOOD_LINE = ('{"agents": {"ego": {"heading": 0.25, "speed": 3.0, "x": 1.5, "y": -0.0}, '
              '"npc": {"heading": -0.0, "speed": 0.0, "x": 20.0, "y": 3.5}}, "t": 1}')
-FIRST_LINE = GOOD_LINE.replace('"t": 1', '"t": 0')
+# the trace line of TWO_LANE_YAML's initial state, as write_episode writes it
+FIRST_LINE = ('{"agents": {"ego": {"heading": 0.0, "speed": 10.0, "x": 0.0, "y": 3.5}, '
+              '"npc": {"heading": 0.0, "speed": 10.0, "x": 15.0, "y": 3.5}}, "t": 0}')
 # GOOD_LINE with the npc moved onto the ego, which it overlaps
 CRASH_LINE = GOOD_LINE.replace('"x": 20.0, "y": 3.5', '"x": 5.0, "y": 0.5')
 # an episode whose trace is FIRST_LINE and CRASH_LINE: it ends at the
@@ -547,15 +549,18 @@ class TestBadCampaignFiles:
          ": episode failed, but its campaign record says it did not"),
         # as writes cut short after the first step and after step 40 leave it
         (lambda lines: lines[:2],
-         ":1: an episode that did not fail ends at t=80 or on a collision after t=0;"
+         ":1: an episode that did not fail ends at t=80 or on a collision;"
          " this one ends at t=0"),
         (lambda lines: lines[:42],
-         ":1: an episode that did not fail ends at t=80 or on a collision after t=0;"
+         ":1: an episode that did not fail ends at t=80 or on a collision;"
          " this one ends at t=40"),
         (lambda lines: [lines[0]] + [re.sub(r'"t": \d+', '"t": 7', line) for line in lines[1:]],
          ":2: t=7 is not the trace's step 0"),
+        # the ego 1 m ahead of where `front` starts it
+        (lambda lines: [lines[0], lines[1].replace('"x": 0.0', '"x": 1.0', 1)] + lines[2:],
+         ":2: the state of 'ego' at t=0 is not the scenario's initial state"),
     ], ids=["header_says_failed", "header_says_failed_before_the_horizon", "trace_of_one_step",
-            "trace_cut_at_step_40", "every_step_renumbered"])
+            "trace_cut_at_step_40", "every_step_renumbered", "ego_moved_at_step_0"])
     def test_report_names_an_episode_its_record_contradicts(
         self, campaign_dir, capsys, cut, error
     ):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -13,7 +12,13 @@ from avstress.sim import (
     initial_joint_state,
     simulate_episode,
 )
-from conftest import TWO_LANE_YAML, ConstantVelocityEgoStub, ScriptedPolicy, as_tuple
+from conftest import (
+    TWO_LANE_YAML,
+    ConstantVelocityEgoStub,
+    ScriptedPolicy,
+    as_tuple,
+    scenario_with_agents,
+)
 
 
 def constant_velocity_states(x0, y0, heading, speed, steps, dt):
@@ -121,18 +126,6 @@ class TestSimulateEpisode:
             expected = 15.0 + joint.timestep * 1.0
             assert joint.states["npc"].position.x == pytest.approx(expected)
 
-    def test_initial_overlap_collides_at_t0(self, two_lane_scenario):
-        # load_scenario rejects this scene, so move the npc onto the ego here
-        ego, npc = two_lane_scenario.agents
-        npc = dataclasses.replace(npc, initial_state=AgentState(Point2(1.0, 3.5), 0.0, 10.0))
-        sc = dataclasses.replace(two_lane_scenario, agents=(ego, npc))
-        episode = simulate_episode(sc, HoldPositionPlanner(), {
-            "npc": ScriptedPolicy("npc", [initial_joint_state(sc).states["npc"]]),
-        })
-        assert episode.collision is not None
-        assert episode.collision[0] == 0
-        assert len(episode.trace) == 1
-
     def test_trace_bounds_and_consecutive_timesteps(self, two_lane_scenario):
         sc = two_lane_scenario
         policies = {"npc": ReactivePolicy(sc, "npc", Point2(115.0, 3.5))}
@@ -172,7 +165,7 @@ class TestSimulateEpisode:
         policies = {"npc": ReactivePolicy(sc, "npc", Point2(115.0, 3.5))}
         episode = simulate_episode(sc, FailingPlanner(fail_at=10), policies)
         assert episode.failed
-        assert "step 10" in episode.failure_reason
+        assert episode.failure_reason == "planner failed at step 10: solver diverged"
         assert len(episode.trace) == 11  # initial + 10 steps
 
     @pytest.mark.parametrize("malformed,fault", [
@@ -209,6 +202,30 @@ class TestSimulateEpisode:
         assert episode.failed
         assert episode.failure_reason == f"policy 'npc' failed at step 7: {fault}"
         assert len(episode.trace) == 8
+
+    def test_failure_names_the_policy_that_failed(self):
+        # the policies step in sorted id order, so npc2 fails after npc stepped
+        sc = scenario_with_agents(2)
+        policy = ReactivePolicy(sc, "npc2", Point2(120.0, 0.0))
+
+        class BreaksAtSeven:
+            def step(self, world):
+                if world.timestep == 7:
+                    raise RuntimeError("lost its goal")
+                return policy.step(world)
+
+        policies = {"npc2": BreaksAtSeven(), "npc": ReactivePolicy(sc, "npc", Point2(115.0, 3.5))}
+        episode = simulate_episode(sc, HoldPositionPlanner(), policies)
+        assert episode.failure_reason == "policy 'npc2' failed at step 7: lost its goal"
+        assert len(episode.trace) == 8
+
+    def test_planner_failure_after_the_policies_stepped_names_the_planner(self):
+        sc = scenario_with_agents(2)
+        policies = {"npc": ReactivePolicy(sc, "npc", Point2(115.0, 3.5)),
+                    "npc2": ReactivePolicy(sc, "npc2", Point2(120.0, 0.0))}
+        episode = simulate_episode(sc, FailingPlanner(fail_at=10), policies)
+        assert episode.failure_reason == "planner failed at step 10: solver diverged"
+        assert len(episode.trace) == 11
 
     def test_policy_iteration_order_irrelevant(self):
         # two simulated agents; synchronous updates must not depend on dict order
