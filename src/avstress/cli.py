@@ -7,10 +7,8 @@ or campaign file), 3 any other exception, which is a fault of the program.
 from __future__ import annotations
 
 import argparse
-import glob
 import math
 import os
-import shutil
 import sys
 
 from . import metrics, persist
@@ -19,8 +17,6 @@ from .planner import LatticePlanner
 from .scenario import PRESET_NAMES, InputError, load_scenario_file, preset_path
 
 OUT_ROOT_ENV = "AVSTRESS_OUT"
-# what `export-gp` writes into a campaign directory, and a new `run` deletes
-GP_FILES = ("gp_grid.csv", "gp_samples.csv")
 
 
 def _resolve_scenario_path(name: str) -> str:
@@ -39,46 +35,19 @@ def cmd_run(args) -> int:
     if args.budget < 1:
         raise InputError("budget must be >= 1")
     # the GP flags are checked for either sampler: the manifest records them
-    try:
-        gp_ucb = GpUcbSampler(args.beta, args.candidates)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    gp_ucb = GpUcbSampler(args.beta, args.candidates)
     sampler = gp_ucb if args.sampler == "bo" else SobolSampler()
     scenario = load_scenario_file(scenario_path)
 
-    out_root = args.out or os.environ.get(OUT_ROOT_ENV, ".")
-    out_dir = os.path.join(out_root, f"{scenario.scenario_id}_{args.sampler}")
-    episodes_dir = os.path.join(out_dir, "episodes")
-    try:
-        os.makedirs(episodes_dir, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        # makedirs creates nothing before a path component that is a file
-        path = episodes_dir
-        while path and not os.path.lexists(path):
-            path = os.path.dirname(path)
-        raise InputError(f"output path '{path}' exists and is not a directory")
-    # this run replaces any earlier campaign in the directory, and the GP
-    # grid and samples that `export-gp` made from it
-    stale = glob.glob(os.path.join(glob.escape(episodes_dir), "ep_*.jsonl"))
-    for name in ("stats.csv", *GP_FILES):
-        stale += glob.glob(os.path.join(glob.escape(out_dir), name))
-    for path in stale:
-        os.remove(path)
-    scenario_copy = os.path.join(out_dir, "scenario.yaml")
-    # a rerun from the campaign's own copy has nothing to copy
-    if not (os.path.exists(scenario_copy) and os.path.samefile(scenario_path, scenario_copy)):
-        shutil.copyfile(scenario_path, scenario_copy)
-    persist.write_manifest(out_dir, scenario_path, {
-        "beta": args.beta, "budget": args.budget, "candidates": args.candidates,
-        "kind": args.sampler})
-
-    campaign_log = open(os.path.join(out_dir, "campaign.jsonl"), "w")
+    out_dir, campaign_log = persist.prepare_campaign(
+        args.out or os.environ.get(OUT_ROOT_ENV, "."), scenario.scenario_id, scenario_path,
+        {"beta": args.beta, "budget": args.budget, "candidates": args.candidates,
+         "kind": args.sampler})
     scores, paths = [], [[] for _ in scenario.agents]
 
     def sink(record, episode):
-        """Write the episode and its record's campaign.jsonl line, and keep
-        the score and the agents' paths of an episode that did not fail for
-        stats.csv."""
+        """Write the episode and its record's log line, and keep what the
+        statistics read of an episode that did not fail."""
         ep_file = persist.episode_file(record.iteration)
         persist.write_episode(os.path.join(out_dir, ep_file), episode, record.goals_world,
                               scenario)
@@ -90,17 +59,14 @@ def cmd_run(args) -> int:
         else:
             _keep_for_stats(scores, paths, record.metrics, episode, scenario)
 
-    planner = LatticePlanner()
     try:
-        run_campaign(scenario, sampler, planner, args.budget, episode_sink=sink)
+        run_campaign(scenario, sampler, LatticePlanner(), args.budget, episode_sink=sink)
     finally:
         campaign_log.close()
 
     if len(scores) >= 2:
-        stats = metrics.campaign_stats(scores, paths)
-        persist.write_stats_csv(
-            os.path.join(out_dir, "stats.csv"), [(scenario.scenario_id, args.sampler, stats)]
-        )
+        stats = [(scenario.scenario_id, args.sampler, metrics.campaign_stats(scores, paths))]
+        persist.write_stats_csv(os.path.join(out_dir, persist.STATS_CSV), stats)
     else:
         print("warning: too few successful episodes for stats", file=sys.stderr)
     print(out_dir)
@@ -116,12 +82,11 @@ def _keep_for_stats(scores, paths, score, episode, scenario):
 
 
 def _campaign_row(campaign_dir: str):
-    scenario = load_scenario_file(os.path.join(campaign_dir, "scenario.yaml"))
-    manifest = persist.read_manifest(os.path.join(campaign_dir, "manifest.json"))
-    # the copy is always named scenario.yaml; `run` takes the id from the
-    # name of the file it was given, which the manifest records
+    scenario = load_scenario_file(os.path.join(campaign_dir, persist.SCENARIO_COPY))
+    manifest = persist.read_manifest(os.path.join(campaign_dir, persist.MANIFEST))
+    # `run` takes the id from the name of the file it was given, in the manifest
     scenario_id = os.path.splitext(manifest["scenario_file"])[0]
-    log = persist.read_campaign_log(os.path.join(campaign_dir, "campaign.jsonl"))
+    log = persist.read_campaign_log(os.path.join(campaign_dir, persist.CAMPAIGN_LOG))
     scores, paths = [], [[] for _ in scenario.agents]
     # one episode at a time, so that memory grows only with the paths
     for rec in log:
@@ -132,12 +97,8 @@ def _campaign_row(campaign_dir: str):
         # a file that disagrees with its record is an error, not an episode to leave out
         if episode.failed:
             raise InputError(f"{path}: episode failed, but its campaign record says it did not")
-        score = metrics.score_episode(episode, scenario)
-        _keep_for_stats(scores, paths, score, episode, scenario)
-    if len(scores) < 2:
-        raise InputError("campaign statistics need at least 2 successful episodes")
-    stats = metrics.campaign_stats(scores, paths)
-    return scenario_id, manifest["sampler"]["kind"], stats
+        _keep_for_stats(scores, paths, metrics.score_episode(episode, scenario), episode, scenario)
+    return scenario_id, manifest["sampler"]["kind"], metrics.campaign_stats(scores, paths)
 
 
 def _check_csv_path(path: str) -> None:
@@ -162,6 +123,9 @@ def cmd_report(args) -> int:
     if not rows:
         raise InputError("no readable campaigns")
     rows.sort(key=lambda r: (r[0], r[1]))
+    # before the table, so that a CSV that cannot be written prints nothing
+    if args.csv:
+        persist.write_stats_csv(args.csv, rows)
     header = (
         f"{'scenario':<14}{'sampler':<9}{'n':>4}{'coll%':>8}{'min_dist':>16}"
         f"{'ttc':>16}{'ego_asd':>9}{'agent_asd':>10}"
@@ -175,8 +139,6 @@ def cmd_report(args) -> int:
             f"{f'{s.min_dist_mean:.2f}+-{s.min_dist_std:.2f}':>16}{ttc:>16}"
             f"{s.ego_asd:>9.2f}{s.agent_asd:>10.2f}"
         )
-    if args.csv:
-        persist.write_stats_csv(args.csv, rows)
     return 0
 
 
@@ -184,7 +146,7 @@ def cmd_export_gp(args) -> int:
     # checked before the fit, which takes seconds
     if args.resolution < 2:
         raise InputError("grid resolution must be >= 2")
-    log = persist.read_campaign_log(os.path.join(args.campaign_dir, "campaign.jsonl"))
+    log = persist.read_campaign_log(os.path.join(args.campaign_dir, persist.CAMPAIGN_LOG))
     pairs = [(rec["u"], rec["score"]) for rec in log if not rec["failed"]]
     if len(pairs) < 2:
         raise InputError("need at least 2 successful episodes to fit a GP")
@@ -197,7 +159,7 @@ def cmd_export_gp(args) -> int:
     X = np.array([u for u, _ in pairs])
     y = np.array([s for _, s in pairs])
     model = surrogate.fit(X, y)
-    grid_path, samples_path = (os.path.join(args.campaign_dir, name) for name in GP_FILES)
+    grid_path, samples_path = (os.path.join(args.campaign_dir, n) for n in persist.GP_FILES)
     grid = surrogate.posterior_grid(model, args.resolution)
     persist.write_csv(grid_path, "u1,u2,mean,variance", grid)
     persist.write_csv(samples_path, "u1,u2,score", [(*u, s) for u, s in zip(X, y)])
@@ -205,20 +167,9 @@ def cmd_export_gp(args) -> int:
     return 0
 
 
-def _find_scenario_for(episode_file: str) -> str:
-    """The scenario.yaml of the episode's campaign: in the episode file's
-    directory, or in its parent, the campaign of `episodes/ep_NNNN.jsonl`."""
-    d = os.path.dirname(os.path.abspath(episode_file))
-    for candidate_dir in (d, os.path.dirname(d)):
-        candidate = os.path.join(candidate_dir, "scenario.yaml")
-        if os.path.exists(candidate):
-            return candidate
-    raise InputError(f"no scenario.yaml found near '{episode_file}'")
-
-
 def cmd_replay(args) -> int:
     scenario_path = (_resolve_scenario_path(args.scenario) if args.scenario
-                     else _find_scenario_for(args.episode_file))
+                     else persist.find_scenario_copy(args.episode_file))
     scenario = load_scenario_file(scenario_path)
     episode = persist.read_episode(args.episode_file, scenario)
     for joint in episode.trace:

@@ -14,7 +14,7 @@ from statistics import mean, stdev
 from typing import List, Sequence, Tuple
 
 from .geom import euclidean_distance
-from .scenario import Scenario
+from .scenario import InputError, Scenario
 from .sim import Episode
 
 
@@ -161,7 +161,7 @@ def campaign_stats(
         if len(agent_paths) != n_e:
             raise ValueError(f"{len(agent_paths)} paths of an agent for {n_e} scores")
     if n_e < 2:
-        raise ValueError("campaign statistics need at least 2 successful episodes")
+        raise InputError("campaign statistics need at least 2 successful episodes")
 
     collided = sum(1 for s in scores if s.collided)
     min_dists = [s.min_dist for s in scores]

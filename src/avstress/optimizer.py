@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from .fit_helper import FitHelper
 from .geom import Point2
 from .metrics import EpisodeScore, score_episode
-from .scenario import Scenario, prompt_to_world
+from .scenario import InputError, Scenario, prompt_to_world
 from .sim import Episode, PlannerHandle, ReactivePolicy, simulate_episode
 from .sobol import sobol_point, sobol_points
 
@@ -84,9 +84,9 @@ class GpUcbSampler:
     def __post_init__(self):
         # NaN compares False with everything, so test for the valid range
         if not 0 <= self.beta < math.inf:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+            raise InputError(f"beta must be finite and >= 0, got {self.beta}")
         if self.candidates < 16:
-            raise ValueError("candidate count must be >= 16")
+            raise InputError("candidate count must be >= 16")
 
     def propose(self, records: Sequence[EpisodeRecord], dim: int,
                 helper: Optional[FitHelper] = None) -> Tuple[float, ...]:

@@ -1,6 +1,6 @@
 """On-disk campaign layout and (de)serialization.
 
-A campaign directory contains:
+The one module that names the files of a campaign directory:
     manifest.json     run manifest, written before the first episode; its
                       sampler block is `run`'s sampler flags (kind,
                       budget, beta, candidates), for either sampler
@@ -12,13 +12,16 @@ A campaign directory contains:
 
 All writes use deterministic JSON (sorted keys, default float repr), so a
 rerun with the same inputs reproduces every file byte for byte. `write_csv`
-is the one CSV writer: it writes `stats.csv`, a `report --csv` file and the
-two files of `export-gp`.
+is the one CSV writer: it writes `stats.csv`, a `report --csv` file and
+`export-gp`'s gp_grid.csv and gp_samples.csv. A path that cannot be made,
+removed or opened to write raises an InputError that names it.
 """
 from __future__ import annotations
 
+import glob
 import json
 import os
+import shutil
 import sys
 from dataclasses import astuple, fields
 from math import isfinite
@@ -52,6 +55,52 @@ def _opt(value: float) -> Optional[float]:
     return value if isfinite(value) else None
 
 
+# the files of a campaign directory, named nowhere else
+MANIFEST, SCENARIO_COPY, CAMPAIGN_LOG = "manifest.json", "scenario.yaml", "campaign.jsonl"
+EPISODES_DIR, STATS_CSV, GP_FILES = "episodes", "stats.csv", ("gp_grid.csv", "gp_samples.csv")
+
+
+def _writing(call, *args, **kwargs):
+    """call(*args, **kwargs), with its OSError an InputError naming the path."""
+    try:
+        return call(*args, **kwargs)
+    except OSError as exc:
+        raise InputError(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)) from exc
+
+
+def prepare_campaign(out_root: str, scenario_id: str, scenario_path: str, sampler: dict):
+    """Make `<out_root>/<scenario_id>_<kind>/episodes`, clear the earlier
+    campaign there, copy the scenario and write the manifest; return the
+    directory and its log, open for writing. Only a path that cannot be made
+    raises before anything is written or deleted."""
+    out_dir = os.path.join(out_root, f"{scenario_id}_{sampler['kind']}")
+    episodes_dir = os.path.join(out_dir, EPISODES_DIR)
+    _writing(os.makedirs, episodes_dir, exist_ok=True)
+    # this run replaces any earlier campaign in the directory, and the GP
+    # grid and samples that `export-gp` made from it
+    stale = glob.glob(os.path.join(glob.escape(episodes_dir), "ep_*.jsonl"))
+    stale += (os.path.join(out_dir, name) for name in (STATS_CSV, *GP_FILES))
+    for path in filter(os.path.lexists, stale):
+        _writing(os.remove, path)
+    scenario_copy = os.path.join(out_dir, SCENARIO_COPY)
+    # a rerun from the campaign's own copy has nothing to copy
+    if not (os.path.exists(scenario_copy) and os.path.samefile(scenario_path, scenario_copy)):
+        _writing(shutil.copyfile, scenario_path, scenario_copy)
+    write_manifest(out_dir, scenario_path, sampler)
+    return out_dir, _writing(open, os.path.join(out_dir, CAMPAIGN_LOG), "w")
+
+
+def find_scenario_copy(episode_file: str) -> str:
+    """The scenario copy of the episode's campaign: in the episode file's
+    directory, or in its parent, the campaign of an `episode_file` path."""
+    d = os.path.dirname(os.path.abspath(episode_file))
+    for campaign_dir in (d, os.path.dirname(d)):
+        candidate = os.path.join(campaign_dir, SCENARIO_COPY)
+        if os.path.exists(candidate):
+            return candidate
+    raise InputError(f"no {SCENARIO_COPY} found near '{episode_file}'")
+
+
 def write_manifest(out_dir: str, scenario_path: str, sampler: dict) -> None:
     manifest = {
         "scenario_file": os.path.basename(scenario_path),
@@ -59,7 +108,7 @@ def write_manifest(out_dir: str, scenario_path: str, sampler: dict) -> None:
         "tool_version": TOOL_VERSION,
         "conventions": {"ttc": TTC_CONVENTION},
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with _writing(open, os.path.join(out_dir, MANIFEST), "w") as fh:
         fh.write(_dump(manifest) + "\n")
 
 
@@ -85,7 +134,7 @@ def read_manifest(path: str) -> dict:
 
 def episode_file(iteration: int) -> str:
     """The path of an episode's file, relative to its campaign directory."""
-    return f"episodes/ep_{iteration:04d}.jsonl"
+    return f"{EPISODES_DIR}/ep_{iteration:04d}.jsonl"
 
 
 def write_episode(
@@ -104,7 +153,7 @@ def write_episode(
     }
     lines = [_dump(header)]
     lines += map(_trace_line, episode.trace)
-    with open(path, "w") as fh:
+    with _writing(open, path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -352,7 +401,7 @@ def _cell(v) -> str:
 def write_csv(path: str, header: str, rows: Iterable[Sequence]) -> None:
     """A header line, then one line per row: a str cell as it is, an int by
     str, a finite float at 6 significant digits, any other float as inf."""
-    with open(path, "w") as fh:
+    with _writing(open, path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(map(_cell, row)) + "\n")

@@ -162,14 +162,13 @@ class TestRun:
 
     def test_out_that_is_a_file_rejected_without_outputs(self, scenario_file, tmp_path, capsys):
         # --out itself, a path through it, and the campaign directory under
-        # --out; the error names the file
+        # --out; the error names the path that could not be made
         out = tmp_path / "out"
         out.write_text("not a directory\n")
-        for arg in (out, out / "sub"):
+        for arg, unmade in ((out, out / "two_lane_sobol"), (out / "sub", out / "sub")):
             assert run_cli("run", scenario_file, "--sampler", "sobol", "--out", str(arg)) == 2
             captured = capsys.readouterr()
-            assert (captured.out, captured.err) == (
-                "", f"error: output path '{out}' exists and is not a directory\n")
+            assert (captured.out, captured.err) == ("", f"error: {unmade}: Not a directory\n")
             assert out.read_text() == "not a directory\n"
         root = tmp_path / "root"
         root.mkdir()
@@ -177,9 +176,38 @@ class TestRun:
         assert run_cli("run", scenario_file, "--sampler", "sobol", "--out", str(root)) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
-            "", f"error: output path '{root / 'two_lane_sobol'}' exists and is not a directory\n")
+            "", f"error: {root / 'two_lane_sobol' / 'episodes'}: Not a directory\n")
         assert os.listdir(root) == ["two_lane_sobol"]
         assert (root / "two_lane_sobol").read_text() == "not a directory\n"
+
+    # an earlier campaign's file that is a directory: `run` cannot remove,
+    # copy to or open it, and names it where it is reached
+    @pytest.mark.parametrize("name", [
+        "campaign.jsonl", "stats.csv", "scenario.yaml", os.path.join("episodes", "ep_0000.jsonl")])
+    def test_campaign_file_that_is_a_directory_exits_2_naming_it(self, name, scenario_file,
+                                                                 tmp_path, capsys):
+        argv = ("run", scenario_file, "--sampler", "sobol", "--budget", "2",
+                "--out", str(tmp_path / "out"))
+        assert run_cli(*argv) == 0
+        out_dir = capsys.readouterr().out.strip()
+        path = os.path.join(out_dir, name)
+        os.remove(path)
+        os.mkdir(path)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}: Is a directory\n")
+        assert os.path.isdir(path)
+
+    def test_scenario_copy_that_is_a_named_pipe_exits_2_naming_it(self, scenario_file,
+                                                                   tmp_path, capsys):
+        copy = tmp_path / "out" / "two_lane_sobol" / "scenario.yaml"
+        copy.parent.mkdir(parents=True)
+        os.mkfifo(copy)
+        argv = ("run", scenario_file, "--sampler", "sobol", "--budget", "2",
+                "--out", str(tmp_path / "out"))
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: `{copy}` is a named pipe\n")
 
     # a Sobol run checks the GP flags too: its manifest records them
     @pytest.mark.parametrize("flag, value, error", [
@@ -569,6 +597,24 @@ class TestReport:
         assert read == []
         assert not os.path.exists(tmp_path / "missing_dir")
 
+    def test_csv_that_cannot_be_opened_exit_2_before_the_table(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # root writes a file whatever its mode, so the writer's open()
+        # refuses the one path as it refuses a file without write permission
+        out_dir = front_sobol_campaign(tmp_path, capsys)
+        csv_path = str(tmp_path / "table.csv")
+
+        def refusing_open(path, *args, **kwargs):
+            if path == csv_path:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr("avstress.persist.open", refusing_open, raising=False)
+        assert run_cli("report", out_dir, "--csv", csv_path) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {csv_path}: Permission denied\n")
+        assert not os.path.exists(csv_path)
+
 
 # runs `export-gp` in a fresh interpreter: its exit status, and which of
 # numpy and scipy it loaded
@@ -687,6 +733,27 @@ class TestExportGp:
         assert run_cli("export-gp", str(out_dir), "--resolution", "1") == 2
         assert capsys.readouterr().err == "error: grid resolution must be >= 2\n"
         assert not (out_dir / "gp_grid.csv").exists()
+
+    def test_grid_path_that_is_a_directory_exit_2_after_one_fit(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        from avstress import surrogate
+
+        out_dir = front_sobol_campaign(tmp_path, capsys)
+        grid_path = os.path.join(out_dir, "gp_grid.csv")
+        os.mkdir(grid_path)
+        fits = []
+        real_fit = surrogate.fit
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(surrogate, "fit", counting_fit)
+        assert run_cli("export-gp", out_dir, "--resolution", "4") == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {grid_path}: Is a directory\n")
+        assert fits == [1]
+        assert not os.path.exists(os.path.join(out_dir, "gp_samples.csv"))
 
 
 class TestReplay:

@@ -66,13 +66,6 @@ class TestCriticality:
         )
         assert score_episode(ep, two_lane_scenario).g == pytest.approx(-9.0)
 
-    def test_single_entry_trace_rejected(self, two_lane_scenario):
-        ep = make_episode(
-            {"ego": [(0.0, 0.0)], "npc": [(9.0, 0.0)]}
-        )
-        with pytest.raises(ValueError):
-            score_episode(ep, two_lane_scenario)
-
     def test_matches_brute_force_oracle(self, two_lane_scenario):
         rng = np.random.default_rng(31)
         for _ in range(20):
