@@ -101,19 +101,10 @@ def _campaign_row(campaign_dir: str):
     return scenario_id, manifest["sampler"]["kind"], metrics.campaign_stats(scores, paths)
 
 
-def _check_csv_path(path: str) -> None:
-    """A usage error for a CSV path that cannot be written, before the
-    campaigns are read."""
-    if os.path.isdir(path):
-        raise InputError(f"'{path}' is a directory, not a CSV file")
-    parent = os.path.dirname(path)
-    if parent and not os.path.isdir(parent):
-        raise InputError(f"no directory '{parent}' for the CSV file '{path}'")
-
-
 def cmd_report(args) -> int:
     if args.csv:
-        _check_csv_path(args.csv)
+        # before the campaigns are read
+        persist.check_writable(args.csv)
     rows = []
     for d in args.campaign_dirs:
         try:
@@ -152,6 +143,9 @@ def cmd_export_gp(args) -> int:
         raise InputError("need at least 2 successful episodes to fit a GP")
     if any(len(u) != 2 for u, _ in pairs):
         raise InputError("GP grid export supports 2-D prompt spaces only")
+    grid_path, samples_path = (os.path.join(args.campaign_dir, n) for n in persist.GP_FILES)
+    persist.check_writable(grid_path)
+    persist.check_writable(samples_path)
     # the only command that needs numpy and the GP, which loads scipy
     import numpy as np
     from . import surrogate
@@ -159,7 +153,6 @@ def cmd_export_gp(args) -> int:
     X = np.array([u for u, _ in pairs])
     y = np.array([s for _, s in pairs])
     model = surrogate.fit(X, y)
-    grid_path, samples_path = (os.path.join(args.campaign_dir, n) for n in persist.GP_FILES)
     grid = surrogate.posterior_grid(model, args.resolution)
     persist.write_csv(grid_path, "u1,u2,mean,variance", grid)
     persist.write_csv(samples_path, "u1,u2,score", [(*u, s) for u, s in zip(X, y)])

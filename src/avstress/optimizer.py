@@ -53,11 +53,11 @@ def _candidate_set(records: Sequence[EpisodeRecord], count: int, dim: int) -> np
     1..LOCAL_CORNERS of that dimension: a coordinate >= 0.5 means '+'."""
     import numpy as np
 
-    cands = sobol_points(count, dim=dim, start=1)
+    cands = sobol_points(count, dim=dim)
     if 2**dim <= LOCAL_CORNERS:
         plus = ((np.arange(2**dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1) == 1
     else:
-        plus = sobol_points(LOCAL_CORNERS, dim=dim, start=1) >= 0.5
+        plus = sobol_points(LOCAL_CORNERS, dim=dim) >= 0.5
     deltas = np.where(plus, PERTURBATION, -PERTURBATION)
     base = np.array([rec.prompt for rec in records])
     locals_ = np.clip(base[:, None, :] + deltas, 0.0, 1.0).reshape(-1, dim)
@@ -144,14 +144,11 @@ def prompt_dim(scenario: Scenario) -> int:
     return 2 * len(scenario.simulated_agents)
 
 
-PolicyFactory = Callable[[Scenario, str, Point2], object]
-
 def run_campaign(
     scenario: Scenario,
     sampler,
     planner: PlannerHandle,
     budget: int,
-    policy_factory: PolicyFactory = ReactivePolicy,
     episode_sink: Optional[Callable[[EpisodeRecord, Episode], None]] = None,
 ) -> List[EpisodeRecord]:
     """Run a full sampling campaign: exactly `budget` episodes, each from
@@ -171,9 +168,7 @@ def run_campaign(
         for it in range(budget):
             prompt = suggest_next(sampler, records, dim, helper)
             goals = split_prompt(scenario, prompt)
-            policies = {
-                aid: policy_factory(scenario, aid, goal) for aid, goal in goals.items()
-            }
+            policies = {aid: ReactivePolicy(scenario, aid, goal) for aid, goal in goals.items()}
             episode = simulate_episode(scenario, planner, policies)
             metrics = None if episode.failed else score_episode(episode, scenario)
             record = EpisodeRecord(it, prompt, goals, metrics)

@@ -18,6 +18,7 @@ removed or opened to write raises an InputError that names it.
 """
 from __future__ import annotations
 
+import errno
 import glob
 import json
 import os
@@ -66,6 +67,19 @@ def _writing(call, *args, **kwargs):
         return call(*args, **kwargs)
     except OSError as exc:
         raise InputError(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)) from exc
+
+
+def check_writable(path: str) -> None:
+    """The InputError that opening `path` to write raises when it is a
+    directory or its directory is missing, raised without opening it, so a
+    command can fail before its slow part and leave no file behind."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise InputError(f"{path}: {os.strerror(code)}")
 
 
 def prepare_campaign(out_root: str, scenario_id: str, scenario_path: str, sampler: dict):

@@ -164,12 +164,9 @@ class LatticePlanner:
     when none is feasible does it score them all. The key holds the exact
     bits of the start, so 0.0 and -0.0 do not share an entry.
 
-    A table computes each distinct rollout once. The dynamics are Markov,
-    so the next replan's row of the executed row's lane and accel is that
-    row's states from replan_every on plus replan_every new steps. Rows of
-    one lane whose speed saturates at the first step (accel >= 0 reaching
-    v_max, or accel <= 0 reaching 0) share one array, since every later
-    step stays saturated. No row is mutated, so sharing is safe.
+    Rows of one lane whose speed saturates at the first step (accel >= 0
+    reaching v_max, or accel <= 0 reaching 0) share one array, since every
+    later step stays saturated. No row is mutated, so sharing is safe.
 
     At the default horizon a table takes at most about 1.2 KB per row, 17 KB
     for the 14 rows of a start on a two-lane road; the tables are dropped
@@ -181,9 +178,6 @@ class LatticePlanner:
         # packed ego start -> its candidates in planning order, and their
         # indices cheapest first
         self._tables: Dict[bytes, Tuple[List[TableRow], List[int]]] = {}
-        # the packed start the last executed row leaves the ego at, and that
-        # row's lane id, accel and rollout
-        self._executed: Optional[Tuple[bytes, str, float, array]] = None
 
     def _candidate_lanes(self, ego: AgentState, scenario: Scenario) -> List[Lane]:
         current, _, _, _ = scenario.map.nearest_lane(ego.position)
@@ -200,16 +194,13 @@ class LatticePlanner:
         if scenario is not self._scenario:
             self._scenario = scenario
             self._tables = {}
-            self._executed = None
         start = (ego.position.x, ego.position.y, ego.heading, ego.speed)
         key = struct.pack("<4d", *start)
         entry = self._tables.get(key)
         if entry is None:
-            replan = scenario.sim.replan_every
-            horizon = max(HORIZON_STEPS, replan)
+            horizon = max(HORIZON_STEPS, scenario.sim.replan_every)
             dt, v_max = scenario.sim.dt, scenario.sim.v_max
             goal_x, goal_y = scenario.ego_goal.x, scenario.ego_goal.y
-            executed = self._executed
             rows = []
             for lane in self._candidate_lanes(ego, scenario):
                 # this lane's rollout at v_max and at rest, once computed
@@ -224,16 +215,9 @@ class LatticePlanner:
                         cls = None
                     flat = saturated.get(cls)
                     if flat is None:
-                        if executed is not None and executed[:3] == (key, lane.id, accel):
-                            old = executed[3]
-                            flat = old[4 * replan:]
-                            flat.extend(chain.from_iterable(_rollout(
-                                tuple(old[-4:]), lane.centerline, accel, replan, dt, v_max,
-                            )))
-                        else:
-                            flat = array("d", chain.from_iterable(_rollout(
-                                start, lane.centerline, accel, horizon, dt, v_max,
-                            )))
+                        flat = array("d", chain.from_iterable(_rollout(
+                            start, lane.centerline, accel, horizon, dt, v_max,
+                        )))
                         if cls is not None:
                             saturated[cls] = flat
                     x, y = flat[-4], flat[-3]
@@ -272,12 +256,7 @@ class LatticePlanner:
             clearances[i] = clearance
         else:
             best = max(range(len(rows)), key=clearances.__getitem__)
-        replan = scenario.sim.replan_every
-        flat = rows[best][2]
-        # the next replan starts where this plan ends, and _table continues
-        # this row from there
-        self._executed = (struct.pack("<4d", *flat[4 * replan - 4: 4 * replan]), *rows[best][:3])
-        it = iter(flat[: 4 * replan])
+        it = iter(rows[best][2][: 4 * scenario.sim.replan_every])
         return [
             AgentState(Point2(x, y), heading, speed)
             for x, y, heading, speed in zip(it, it, it, it)

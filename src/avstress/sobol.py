@@ -85,19 +85,19 @@ def sobol_point(index: int, dim: int = 2) -> tuple[float, ...]:
     return tuple(out)
 
 
-def sobol_points(n: int, dim: int = 2, start: int = 1) -> np.ndarray:
-    """Points start .. start+n-1 of the sequence as an (n, dim) array.
+def sobol_points(n: int, dim: int = 2) -> np.ndarray:
+    """Points 1 .. n of the sequence as an (n, dim) array.
 
-    The array is built once per (n, dim, start) and shared by every call
-    with those arguments, so it is read-only."""
-    return _points(n, dim, start)
+    The array is built once per (n, dim) and shared by every call with
+    those arguments, so it is read-only."""
+    return _points(n, dim)
 
 
 @functools.cache
-def _points(n: int, dim: int, start: int) -> np.ndarray:
+def _points(n: int, dim: int) -> np.ndarray:
     # numpy only here: Sobol campaigns draw single points and never load it
     import numpy as np
 
-    pts = np.array([sobol_point(start + i, dim) for i in range(n)], dtype=float)
+    pts = np.array([sobol_point(i, dim) for i in range(1, n + 1)], dtype=float)
     pts.flags.writeable = False
     return pts

@@ -525,7 +525,7 @@ def fit(inputs: np.ndarray, targets: np.ndarray, helper: Optional[FitHelper] = N
 
     lo = np.array([math.log(0.05)] * d + [math.log(0.1 * z_std), math.log(1e-4)])
     hi = np.array([math.log(2.0)] * d + [math.log(10.0 * z_std), math.log(z_std)])
-    starts = lo + sobol_points(8, dim=d + 2, start=1) * (hi - lo)
+    starts = lo + sobol_points(8, dim=d + 2) * (hi - lo)
     theta = min(_multistart(X, z, lo, hi, starts, helper), key=lambda run: run.fun).x
     params = KernelParams(
         signal_variance=math.exp(2.0 * theta[d]),

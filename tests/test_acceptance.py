@@ -268,14 +268,14 @@ def test_criterion_8_sobol_correctness():
         qmc = pytest.importorskip("scipy.stats.qmc")
         # reference direction-number implementation (unscrambled Joe-Kuo)
         ref = qmc.Sobol(d=2, scramble=False).random(256)
-        mine = sobol_points(8, dim=2, start=1)
+        mine = sobol_points(8, dim=2)
         for i in range(8):
             assert tuple(ref[i + 1]) == tuple(mine[i])
         assert sobol_point(1) == (0.5, 0.5)
         assert sobol_point(2) == (0.75, 0.25)
         # 16x16 stratification of the first 256 sequence elements (the
         # underlying sequence starts at the origin point)
-        block = np.vstack([[0.0, 0.0], np.array(sobol_points(255, dim=2, start=1))])
+        block = np.vstack([[0.0, 0.0], np.array(sobol_points(255, dim=2))])
         assert np.allclose(block, ref)
         counts = np.zeros((16, 16), dtype=int)
         for u1, u2 in block:

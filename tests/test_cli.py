@@ -734,13 +734,14 @@ class TestExportGp:
         assert capsys.readouterr().err == "error: grid resolution must be >= 2\n"
         assert not (out_dir / "gp_grid.csv").exists()
 
-    def test_grid_path_that_is_a_directory_exit_2_after_one_fit(self, tmp_path, monkeypatch,
-                                                                 capsys):
+    @pytest.mark.parametrize("name", ["gp_grid.csv", "gp_samples.csv"])
+    def test_gp_file_that_is_a_directory_exit_2_before_the_fit(self, name, tmp_path,
+                                                                monkeypatch, capsys):
         from avstress import surrogate
 
         out_dir = front_sobol_campaign(tmp_path, capsys)
-        grid_path = os.path.join(out_dir, "gp_grid.csv")
-        os.mkdir(grid_path)
+        bad = os.path.join(out_dir, name)
+        os.mkdir(bad)
         fits = []
         real_fit = surrogate.fit
 
@@ -751,9 +752,9 @@ class TestExportGp:
         monkeypatch.setattr(surrogate, "fit", counting_fit)
         assert run_cli("export-gp", out_dir, "--resolution", "4") == 2
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {grid_path}: Is a directory\n")
-        assert fits == [1]
-        assert not os.path.exists(os.path.join(out_dir, "gp_samples.csv"))
+        assert (captured.out, captured.err) == ("", f"error: {bad}: Is a directory\n")
+        assert fits == []
+        assert not any(os.path.isfile(os.path.join(out_dir, f)) for f in persist.GP_FILES)
 
 
 class TestReplay:

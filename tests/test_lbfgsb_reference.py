@@ -40,7 +40,7 @@ def ref_fit(inputs, targets):
     lo = np.array([math.log(0.05)] * d + [math.log(0.1 * z_std), math.log(1e-4)])
     hi = np.array([math.log(2.0)] * d + [math.log(10.0 * z_std), math.log(z_std)])
     bounds = list(zip(lo, hi))
-    starts = lo + sobol_points(8, dim=d + 2, start=1) * (hi - lo)
+    starts = lo + sobol_points(8, dim=d + 2) * (hi - lo)
     pairs = surrogate.fit_pairs(X)
 
     def objective(log_theta):
@@ -94,7 +94,7 @@ def lml_problem(n, d):
     z_std = float(np.std(z))
     lo = np.array([math.log(0.05)] * d + [math.log(0.1 * z_std), math.log(1e-4)])
     hi = np.array([math.log(2.0)] * d + [math.log(10.0 * z_std), math.log(z_std)])
-    starts = lo + sobol_points(8, dim=d + 2, start=1) * (hi - lo)
+    starts = lo + sobol_points(8, dim=d + 2) * (hi - lo)
     pairs = surrogate.fit_pairs(X)
 
     def objective(log_theta):

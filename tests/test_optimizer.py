@@ -73,7 +73,7 @@ class TestUcb:
 
 def loop_candidate_set(history, count, dim):
     """The per-observation loop that _candidate_set's broadcast replaced."""
-    cands = sobol_points(count, dim=dim, start=1)
+    cands = sobol_points(count, dim=dim)
     locals_ = []
     for obs in history:
         base = np.asarray(obs.prompt)
@@ -129,8 +129,8 @@ class TestCandidateSet:
         history = edge_history(dim)
         got = _candidate_set(history, 32, dim)
         assert got.shape == (32 + len(history) * LOCAL_CORNERS, dim)
-        assert np.array_equal(got[:32], sobol_points(32, dim=dim, start=1))
-        signs = sobol_points(LOCAL_CORNERS, dim=dim, start=1) >= 0.5
+        assert np.array_equal(got[:32], sobol_points(32, dim=dim))
+        signs = sobol_points(LOCAL_CORNERS, dim=dim) >= 0.5
         assert len({tuple(row) for row in signs}) == LOCAL_CORNERS
         for i, obs in enumerate(history):
             block = got[32 + i * LOCAL_CORNERS: 32 + (i + 1) * LOCAL_CORNERS]

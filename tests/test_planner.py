@@ -441,13 +441,13 @@ class TestEarlyExit:
 
 @pytest.fixture
 def rollout_log(monkeypatch):
-    """The (centerline, accel, horizon) of each planner._rollout call, and
-    the real _rollout."""
+    """The (start, centerline, accel, horizon) of each planner._rollout
+    call, and the real _rollout."""
     log = []
     real = planner_module._rollout
 
     def logging(start, centerline, accel, horizon, dt, v_max):
-        log.append((centerline, accel, horizon))
+        log.append((start, centerline, accel, horizon))
         return real(start, centerline, accel, horizon, dt, v_max)
 
     monkeypatch.setattr(planner_module, "_rollout", logging)
@@ -500,48 +500,24 @@ class TestRolloutReuse:
         assert len(distinct) == len(rows) - len(lanes) * sum(len(c) - 1 for c in classes)
         assert len(log) == len(distinct)
 
-    def test_replan_from_the_executed_row_continues_it(self, rollout_log):
-        log, real = rollout_log
+    def test_campaign_rolls_out_each_row_from_its_table_start(self, rollout_log, monkeypatch):
+        log, _ = rollout_log
         sc = load_preset("front")
-        replan = sc.sim.replan_every
-        planner = LatticePlanner()
-        world = initial_joint_state(sc)
-        first_rows, _ = planner._table(world.states["ego"], sc)
-        plan = planner.plan(world, sc)
-        executed = [_hex(s.position.x, s.position.y, s.heading, s.speed) for s in plan]
-        (lane_id, accel, _, _), = [
-            r for r in first_rows
-            if [_hex(*s) for s in zip(*[iter(r[2][: 4 * replan])] * 4)] == executed
-        ]
-        # the other lane holds a row of the same accel, which must not continue
-        assert sum(r[1] == accel for r in first_rows) == 2
-        log.clear()
-        ego = plan[-1]
-        rows, _ = planner._table(ego, sc)
-        lanes = planner._candidate_lanes(ego, sc)
-        centerline = {lane.id: lane.centerline for lane in lanes}[lane_id]
-        horizon = max(planner_module.HORIZON_STEPS, replan)
-        assert [call for call in log if call[2] != horizon] == [(centerline, accel, replan)]
-        assert len(log) == len(rows)
-        start = (ego.position.x, ego.position.y, ego.heading, ego.speed)
-        _assert_rows_are_fresh_rollouts(rows, lanes, start, sc, real)
+        horizon = max(planner_module.HORIZON_STEPS, sc.sim.replan_every)
+        real_table = LatticePlanner._table
+        # the (start, horizon) each rollout of a table build must have
+        expected = []
 
-    def test_no_continuation_across_a_scenario_change(self, rollout_log):
-        log, real = rollout_log
-        sc = load_preset("front")
-        # a new scenario object whose rollouts differ from those of sc; the
-        # executed row (left, 3.0) ends at 11.5 m/s, so it saturates in
-        # neither, and would continue if the memory outlived the scenario
-        slow = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, v_max=14.0))
-        planner = LatticePlanner()
-        plan = planner.plan(initial_joint_state(sc), sc)
-        ego = plan[-1]
-        assert ego.speed == pytest.approx(11.5)
-        log.clear()
-        rows, _ = planner._table(ego, slow)
-        horizon = max(planner_module.HORIZON_STEPS, slow.sim.replan_every)
-        assert {h for _, _, h in log} == {horizon}
-        start = (ego.position.x, ego.position.y, ego.heading, ego.speed)
-        _assert_rows_are_fresh_rollouts(
-            rows, planner._candidate_lanes(ego, slow), start, slow, real
-        )
+        def table(self, ego, scenario):
+            first = len(log)
+            entry = real_table(self, ego, scenario)
+            start = _hex(ego.position.x, ego.position.y, ego.heading, ego.speed)
+            expected.extend((start, horizon) for _ in log[first:])
+            return entry
+
+        monkeypatch.setattr(LatticePlanner, "_table", table)
+        pairs = run_collecting(sc, SobolSampler(), LatticePlanner(), 10)
+        assert not any(record.failed for record, _ in pairs)
+        assert [(_hex(*start), h) for start, _, _, h in log] == expected
+        # tables were built from more starts than the scenario's initial one
+        assert len(set(expected)) > 1

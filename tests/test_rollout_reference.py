@@ -240,8 +240,8 @@ class CheckedPlanner:
 
 
 class CheckedPolicies:
-    """Policy factory whose ReactivePolicies check every step against the
-    reference."""
+    """Stands in for the campaign's ReactivePolicy class: the policies it
+    makes check every step against the reference."""
 
     def __init__(self):
         self.steps = 0
@@ -304,10 +304,12 @@ def _scenario(name):
 
 @pytest.mark.parametrize("kind,budget", [("sobol", 4), ("bo", 4)])
 @pytest.mark.parametrize("name", PRESET_NAMES + ("curved", "three_agents"))
-def test_campaign_matches_reference_at_every_replan(name, kind, budget):
+def test_campaign_matches_reference_at_every_replan(name, kind, budget, monkeypatch):
     scenario = _scenario(name)
     planner, policies = CheckedPlanner(), CheckedPolicies()
-    pairs = run_collecting(scenario, SAMPLERS[kind], planner, budget, policy_factory=policies)
+    # the campaign makes its agents' policies through this name
+    monkeypatch.setattr("avstress.optimizer.ReactivePolicy", policies)
+    pairs = run_collecting(scenario, SAMPLERS[kind], planner, budget)
     # a failed check ends its episode as a planner or policy failure
     assert [e.failure_reason for r, e in pairs if r.failed] == []
     assert planner.replans >= budget

@@ -16,7 +16,7 @@ def test_matches_reference_implementation():
     # its point 0 is the origin, so our index i is its row i
     for dim in range(1, MAX_DIM + 1):
         ref = qmc.Sobol(d=dim, scramble=False).random(256)
-        mine = sobol_points(255, dim=dim, start=1)
+        mine = sobol_points(255, dim=dim)
         np.testing.assert_array_equal(ref[1:], mine)
 
 
@@ -24,7 +24,7 @@ def test_stratification_16x16():
     # the first 256-point block of the sequence (the implicit origin plus
     # indices 1..255) is a (0,8,2)-net: every dyadic 16x16 stratum of the
     # unit square holds exactly one point
-    block = np.vstack([[0.0, 0.0], sobol_points(255, dim=2, start=1)])
+    block = np.vstack([[0.0, 0.0], sobol_points(255, dim=2)])
     counts = np.zeros((16, 16), dtype=int)
     for u1, u2 in block:
         counts[int(u1 * 16), int(u2 * 16)] += 1
@@ -44,10 +44,10 @@ def test_all_points_in_unit_cube():
 
 
 def test_point_sets_built_once_and_read_only():
-    first = sobol_points(64, dim=6, start=1)
-    again = sobol_points(64, dim=6, start=1)
+    first = sobol_points(64, dim=6)
+    again = sobol_points(64, dim=6)
     np.testing.assert_array_equal(first, again)
     np.testing.assert_array_equal(first, [sobol_point(i, 6) for i in range(1, 65)])
     with pytest.raises(ValueError):
         again[0, 0] = 0.5
-    np.testing.assert_array_equal(sobol_points(64, dim=6, start=1), first)
+    np.testing.assert_array_equal(sobol_points(64, dim=6), first)
