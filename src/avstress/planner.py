@@ -74,6 +74,8 @@ def predict_constant_velocity(
         ]
     segments = lane.centerline.segments
     total = lane.centerline.total_length
+    single = len(segments) == 1  # then the first to end at or after any s
+    ax, ay, dx, dy, ux, uy, seg_len, _, seg_s0, s1 = segments[0]
     waypoints = []
     for k, decay in enumerate(_lateral_decay(horizon, dt), 1):
         # s0 >= 0 and speed >= 0, so s lies in [0, total] and needs neither
@@ -82,10 +84,11 @@ def predict_constant_velocity(
         if total < s:  # min(s, total)
             s = total
         l = l0 * decay
-        # the first segment that ends at or after s
-        for ax, ay, dx, dy, ux, uy, seg_len, _, seg_s0, s1 in segments:
-            if s <= s1:
-                break
+        if not single:
+            # the first segment that ends at or after s
+            for ax, ay, dx, dy, ux, uy, seg_len, _, seg_s0, s1 in segments:
+                if s <= s1:
+                    break
         t = (s - seg_s0) / seg_len
         waypoints.append((ax + t * dx - l * uy, ay + t * dy + l * ux))
     return waypoints
@@ -103,29 +106,41 @@ def _rollout(
     `project_to_polyline` and `point_at_arclength` inlined, with the same
     floating-point operations: calling the functions on every step made a
     rollout step 22-25% slower.
+
+    On a one-segment line, such as every preset lane, both take the segment
+    without a search or a distance: any finite distance picks it.
     """
     segments = centerline.segments
     total = centerline.total_length
+    single = len(segments) == 1
+    ax, ay, dx, dy, ux, uy, seg_len, seg_sq, s0, s1 = segments[0]
     x, y, heading, speed = state
     states = []
     for _ in range(horizon):
-        # project_to_polyline: closest segment, ties to the smallest index
-        best = math.inf
-        for ax, ay, dx, dy, _, _, seg_len, seg_sq, s0, _ in segments:
+        if single:
             t = ((x - ax) * dx + (y - ay) * dy) / seg_sq
             t = t if t > 0.0 else 0.0  # min(1.0, max(0.0, t))
             t = t if t < 1.0 else 1.0
-            dist = math.hypot(x - (ax + t * dx), y - (ay + t * dy))
-            if dist < best - 1e-12:
-                best = dist
-                s = s0 + t * seg_len
+            s = s0 + t * seg_len
+        else:
+            # project_to_polyline: closest segment, ties to the smallest index
+            best = math.inf
+            for ax, ay, dx, dy, _, _, seg_len, seg_sq, s0, _ in segments:
+                t = ((x - ax) * dx + (y - ay) * dy) / seg_sq
+                t = t if t > 0.0 else 0.0
+                t = t if t < 1.0 else 1.0
+                dist = math.hypot(x - (ax + t * dx), y - (ay + t * dy))
+                if dist < best - 1e-12:
+                    best = dist
+                    s = s0 + t * seg_len
         s_target = s + (speed if speed > 5.0 else 5.0)  # s + max(5.0, speed)
         if s_target > total:
             s_target = total
-        # point_at_arclength: the first segment that ends at or after s_target
-        for ax, ay, dx, dy, ux, uy, seg_len, _, s0, s1 in segments:
-            if s_target <= s1:
-                break
+        if not single:
+            # point_at_arclength: the first segment that ends at or after s_target
+            for ax, ay, dx, dy, ux, uy, seg_len, _, s0, s1 in segments:
+                if s_target <= s1:
+                    break
         t = (s_target - s0) / seg_len
         # with point_at_arclength's zero lateral-offset terms, so the target
         # is its position bit for bit, signed zeros included
@@ -150,6 +165,11 @@ def _clearance(flat: array, predictions: List[Tuple[List[float], List[float]]]) 
     return clearance
 
 
+def _start_key(ego: AgentState) -> bytes:
+    """The exact bits of an ego start, so 0.0 and -0.0 differ."""
+    return struct.pack("<4d", ego.position.x, ego.position.y, ego.heading, ego.speed)
+
+
 class LatticePlanner:
     """Deterministic candidate-enumeration planner (the system under test).
 
@@ -166,11 +186,15 @@ class LatticePlanner:
 
     Rows of one lane whose speed saturates at the first step (accel >= 0
     reaching v_max, or accel <= 0 reaching 0) share one array, since every
-    later step stays saturated. No row is mutated, so sharing is safe.
+    later step stays saturated. The plan a row gives, its first replan_every
+    states as AgentStates, is built the first time the row is chosen and
+    kept beside the tables; each call returns a new list of those states.
+    No row is mutated and AgentState is frozen, so sharing is safe.
 
     At the default horizon a table takes at most about 1.2 KB per row, 17 KB
-    for the 14 rows of a start on a two-lane road; the tables are dropped
-    when the planner is first asked to plan in a different scenario object.
+    for the 14 rows of a start on a two-lane road, and a row's plan about
+    1.7 KB more at replan_every 5; the tables and plans are dropped when
+    the planner is first asked to plan in a different scenario object.
     """
 
     def __init__(self):
@@ -178,6 +202,8 @@ class LatticePlanner:
         # packed ego start -> its candidates in planning order, and their
         # indices cheapest first
         self._tables: Dict[bytes, Tuple[List[TableRow], List[int]]] = {}
+        # (packed ego start, row index) -> the row's plan
+        self._plans: Dict[Tuple[bytes, int], List[AgentState]] = {}
 
     def _candidate_lanes(self, ego: AgentState, scenario: Scenario) -> List[Lane]:
         current, _, _, _ = scenario.map.nearest_lane(ego.position)
@@ -193,11 +219,11 @@ class LatticePlanner:
         """The ego start's rows and their cost order, built on first use."""
         if scenario is not self._scenario:
             self._scenario = scenario
-            self._tables = {}
-        start = (ego.position.x, ego.position.y, ego.heading, ego.speed)
-        key = struct.pack("<4d", *start)
+            self._tables, self._plans = {}, {}
+        key = _start_key(ego)
         entry = self._tables.get(key)
         if entry is None:
+            start = (ego.position.x, ego.position.y, ego.heading, ego.speed)
             horizon = max(HORIZON_STEPS, scenario.sim.replan_every)
             dt, v_max = scenario.sim.dt, scenario.sim.v_max
             goal_x, goal_y = scenario.ego_goal.x, scenario.ego_goal.y
@@ -243,7 +269,8 @@ class LatticePlanner:
         return predictions
 
     def plan(self, world: JointState, scenario: Scenario) -> List[AgentState]:
-        rows, order = self._table(world.states[scenario.ego.id], scenario)
+        ego = world.states[scenario.ego.id]
+        rows, order = self._table(ego, scenario)
         predictions = self._predictions(world, scenario)
         # the first cheapest feasible row, else the first of largest clearance;
         # rows are checked cheapest first, so the first feasible one is it
@@ -256,8 +283,12 @@ class LatticePlanner:
             clearances[i] = clearance
         else:
             best = max(range(len(rows)), key=clearances.__getitem__)
-        it = iter(rows[best][2][: 4 * scenario.sim.replan_every])
-        return [
-            AgentState(Point2(x, y), heading, speed)
-            for x, y, heading, speed in zip(it, it, it, it)
-        ]
+        key = (_start_key(ego), best)
+        plan = self._plans.get(key)
+        if plan is None:
+            it = iter(rows[best][2][: 4 * scenario.sim.replan_every])
+            plan = self._plans[key] = [
+                AgentState(Point2(x, y), heading, speed)
+                for x, y, heading, speed in zip(it, it, it, it)
+            ]
+        return plan.copy()

@@ -75,10 +75,12 @@ def bicycle_step(
     step; this is the only dynamics definition in the package. Both angles,
     the pursuit angle and the new heading, are wrapped into (-pi, pi] inline
     as atan2(sin, cos) with -pi sent to pi, which saves two calls a step.
+    hypot runs only when |dx| and |dy| are below 1 m: it is faithfully
+    rounded and at least the larger of them, so otherwise it is >= 1.0 too.
     """
     dx = target_x - x
     dy = target_y - y
-    if hypot(dx, dy) < 1.0:
+    if -1.0 < dx < 1.0 and -1.0 < dy < 1.0 and hypot(dx, dy) < 1.0:
         steer = 0.0
     else:
         alpha = atan2(dy, dx) - heading
@@ -205,6 +207,7 @@ def simulate_episode(
     ego_id = scenario.ego.id
     replan = scenario.sim.replan_every
     trace = [initial_joint_state(scenario)]
+    ordered = sorted(policies.items())
     collision, failure_reason = None, ""
     for t in range(scenario.sim.horizon_steps):
         world = trace[-1]
@@ -217,7 +220,7 @@ def simulate_episode(
                     raise TypeError(f"returned a {wrong[0]}, not an AgentState" if wrong
                                     else f"returned {len(plan)} states, expected {replan}")
             next_states = {ego_id: plan[t % replan]}
-            for aid, policy in sorted(policies.items()):
+            for aid, policy in ordered:
                 state = next_states[aid] = policy.step(world)
                 if not isinstance(state, AgentState):
                     raise TypeError(f"returned a {type(state).__name__}, not an AgentState")

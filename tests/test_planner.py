@@ -192,6 +192,36 @@ class TestRolloutMemo:
         assert _candidate_bits(scored_rows(planner, world, sc)) == _candidate_bits(in_sc)
 
 
+class TestPlanCache:
+    def test_repeat_plan_is_a_new_list_of_the_same_states(self, two_lane_scenario):
+        sc = two_lane_scenario
+        planner = LatticePlanner()
+        world = initial_joint_state(sc)
+        first = planner.plan(world, sc)
+        second = planner.plan(world, sc)
+        assert second == first and second is not first
+        assert all(b is a for a, b in zip(first, second))
+        # a caller that changes its list changes no later plan
+        first.append(first[0])
+        first[1] = None
+        assert len(second) == sc.sim.replan_every
+        third = planner.plan(world, sc)
+        assert third == second and all(c is b for b, c in zip(second, third))
+
+    def test_another_scenario_object_gets_new_states(self, two_lane_scenario):
+        sc = two_lane_scenario
+        same = dataclasses.replace(sc)
+        assert same == sc and same is not sc
+        planner = LatticePlanner()
+        world = initial_joint_state(sc)
+        first = planner.plan(world, sc)
+        in_same = planner.plan(world, same)
+        again = planner.plan(world, sc)
+        assert in_same == first == again
+        assert not any(b is a for a, b in zip(first, in_same))
+        assert not any(b is a for a, b in zip(first, again))
+
+
 class FreshPlanner:
     """Plans every replan with a new LatticePlanner, so nothing is memoised."""
 

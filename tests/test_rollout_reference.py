@@ -410,8 +410,35 @@ def _bend_agents(map_model, horizon, dt):
     return agents
 
 
-@pytest.mark.parametrize("name", ["curved", "front", "bend"])
+# a one-segment line, slanted so that its projections and waypoints round,
+# and two starts whose projections onto it clamp t at 0 and at 1
+STRAIGHT = Polyline((Point2(-1.3, -0.7), Point2(38.9, 6.1)))
+BEFORE_STRAIGHT, PAST_STRAIGHT = (-6.0, -3.0), (43.0, 4.0)
+
+
+@pytest.mark.parametrize("name", ["curved", "front", "bend", "straight"])
 def test_prediction_matches_reference(name):
+    if name == "straight":
+        # before the first vertex (s0 = 0), past the last (s0 = total) and
+        # near the end, where every later waypoint clamps at total_length
+        map_model = MapModel({"straight": Lane("straight", STRAIGHT, 3.5)})
+        starts = [BEFORE_STRAIGHT, PAST_STRAIGHT, (36.0, 6.5), (10.0, 0.4), (20.0, 6.0)]
+        clamped = 0
+        for horizon, dt in PREDICTION_STEPS:
+            for x, y in starts:
+                for heading in (0.0, -0.0, math.pi, 0.17):
+                    for speed in (0.0, 7.5, 30.0):
+                        agent = AgentState(Point2(x, y), heading, speed)
+                        _, s0, _, dist = map_model.nearest_lane(agent.position)
+                        assert dist <= LANE_SNAP_RANGE
+                        clamped += s0 + horizon * speed * dt > STRAIGHT.total_length
+                        new = predict_constant_velocity(agent, map_model, horizon, dt)
+                        ref = ref_predict_constant_velocity(agent, map_model, horizon, dt)
+                        assert [_bits(*wp) for wp in new] == [_bits(*wp) for wp in ref]
+        assert clamped
+        assert map_model.nearest_lane(Point2(*BEFORE_STRAIGHT))[1] == 0.0
+        assert map_model.nearest_lane(Point2(*PAST_STRAIGHT))[1] == STRAIGHT.total_length
+        return
     if name == "bend":
         map_model = MapModel({"bend": Lane("bend", BEND, 3.5)})
         for horizon, dt in PREDICTION_STEPS:
@@ -445,9 +472,17 @@ def test_prediction_matches_reference(name):
 @pytest.mark.parametrize("accel", [-4.0, 0.0, 3.0])
 @pytest.mark.parametrize("speed", [0.0, 3.0, 12.0])
 def test_rollout_matches_reference_on_ties_and_bends(accel, speed):
-    for line in (U_TURN, load_scenario(CURVED_YAML).map.lanes["left"].centerline):
-        for x, y in _probe_points()[:10]:
-            for heading in (0.0, 1.0, -2.5, math.pi):
+    # on STRAIGHT: starts before its first vertex and past its last, and
+    # starts whose lookahead clamps at total_length
+    straight_starts = [BEFORE_STRAIGHT, PAST_STRAIGHT, (34.0, 6.2), (36.9, 4.8), (5.0, 3.0)]
+    assert project_to_polyline(*BEFORE_STRAIGHT, STRAIGHT)[0] == 0.0
+    assert project_to_polyline(*PAST_STRAIGHT, STRAIGHT)[0] == STRAIGHT.total_length
+    assert project_to_polyline(34.0, 6.2, STRAIGHT)[0] + 5.0 > STRAIGHT.total_length
+    curved = load_scenario(CURVED_YAML).map.lanes["left"].centerline
+    for line, starts in ((U_TURN, _probe_points()[:10]), (curved, _probe_points()[:10]),
+                         (STRAIGHT, straight_starts)):
+        for x, y in starts:
+            for heading in (0.0, -0.0, 1.0, -2.5, math.pi):
                 start = AgentState(Point2(x, y), heading, speed)
                 ref = ref_rollout(start, line, accel, 30, 0.1, 15.0)
                 new = _rollout((x, y, heading, speed), line, accel, 30, 0.1, 15.0)
@@ -469,9 +504,15 @@ def test_rollout_lookahead_on_a_vertex():
 
 def test_bicycle_step_matches_reference():
     # signed zeros, targets within 1 m, behind and abeam, speeds past v_max
-    # and accelerations and steering past the vehicle limits
+    # and accelerations and steering past the vehicle limits; and targets at
+    # and next to 1 m, where steering switches on: on an axis, on the unit
+    # circle, and with a component too small to move hypot
+    below, above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
     targets = [(0.0, 0.0), (-0.0, -0.0), (0.5, -0.5), (10.0, 0.0), (-10.0, 0.0),
-               (-10.0, -0.0), (0.0, 10.0), (3.0, -40.0), (1.0, 0.2)]
+               (-10.0, -0.0), (0.0, 10.0), (3.0, -40.0), (1.0, 0.2),
+               (1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (below, 0.0), (above, 0.0),
+               (0.0, below), (0.0, above), (-below, 0.0), (0.0, -above),
+               (0.6, 0.8), (0.8, -0.6), (1.0, 1e-300)]
     for x, y in ((0.0, 0.0), (-0.0, -0.0), (12.3, -4.5)):
         for heading in (0.0, -0.0, math.pi, -3.0, 1.2):
             for speed in (-0.0, 0.0, 3.0, 12.0, 20.0):

@@ -1,0 +1,50 @@
+"""How much the closed loop computes, against committed counts.
+
+Campaign files pin what the loop computes; this pins how much of it: the
+`planner._rollout`, `sim.bicycle_step` (the planner's rollouts and the
+reactive policies together) and `LatticePlanner.plan` calls of budget-10
+Sobol campaigns on the three presets, each with a fresh planner. A speed-up
+that does the same work keeps these counts; one that skips or repeats work
+fails here even where its output is byte-identical, and a change that moves
+them on purpose re-pins them and says so.
+"""
+import pytest
+
+from avstress import planner as planner_module
+from avstress import sim
+from avstress.optimizer import SobolSampler, run_campaign
+from avstress.planner import LatticePlanner
+from avstress.scenario import load_preset
+
+WORK = {
+    "front": {"rollout": 692, "bicycle_step": 21370, "plan": 123},
+    "front_right": {"rollout": 612, "bicycle_step": 18982, "plan": 127},
+    "behind": {"rollout": 440, "bicycle_step": 14000, "plan": 160},
+}
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """A dict counting the calls of each pinned function, by its key in WORK."""
+    counts = dict.fromkeys(("rollout", "bicycle_step", "plan"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(planner_module, "_rollout", counting("rollout", planner_module._rollout))
+    # the planner and the reactive policies each call it through their own module
+    step = counting("bicycle_step", sim.bicycle_step)
+    monkeypatch.setattr(planner_module, "bicycle_step", step)
+    monkeypatch.setattr(sim, "bicycle_step", step)
+    monkeypatch.setattr(LatticePlanner, "plan", counting("plan", LatticePlanner.plan))
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(WORK))
+def test_sobol_campaign_does_the_pinned_work(name, work):
+    records = run_campaign(load_preset(name), SobolSampler(), LatticePlanner(), 10)
+    assert not any(r.failed for r in records)
+    assert work == WORK[name]
