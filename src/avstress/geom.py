@@ -123,7 +123,8 @@ def project_to_polyline(x: float, y: float, line: Polyline) -> Tuple[float, floa
     Returns (s, l, distance): arc-length of the closest point, signed lateral
     offset (positive left of travel direction) and the distance to it. Ties
     between equally close segments resolve to the smallest index. Points
-    beyond the ends clamp to the end vertices.
+    beyond the ends clamp to the end vertices. The planner calls it on
+    multi-segment lanes and inlines it on one-segment lanes.
     """
     best = None
     for ax, ay, dx, dy, _, _, seg_len, seg_sq, s0, _ in line.segments:
@@ -143,7 +144,8 @@ def project_to_polyline(x: float, y: float, line: Polyline) -> Tuple[float, floa
 def point_at_arclength(line: Polyline, s: float, l: float = 0.0) -> Tuple[float, float]:
     """(x, y) of the point at arc-length s, offset l to the left.
 
-    Raises ValueError if s is outside [0, total_length].
+    Raises ValueError if s is outside [0, total_length]. The planner calls
+    it on multi-segment lanes and inlines it on one-segment lanes.
     """
     total = line.total_length
     if not (-1e-9 <= s <= total + 1e-9):

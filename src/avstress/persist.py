@@ -23,6 +23,7 @@ import glob
 import json
 import os
 import shutil
+import stat
 import sys
 from dataclasses import astuple, fields
 from math import isfinite
@@ -71,14 +72,17 @@ def _writing(call, *args, **kwargs):
 
 def check_writable(path: str) -> None:
     """The InputError that opening `path` to write raises when it is a
-    directory or its directory is missing, raised without opening it, so a
-    command can fail before its slow part and leave no file behind."""
+    directory or its directory cannot be reached, raised without opening it,
+    so a command can fail before its slow part and leave no file behind."""
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(os.path.dirname(path) or "."):
-        code = errno.ENOENT
     else:
-        return
+        try:  # stat's error for the directory, or ENOTDIR if it is not one
+            if stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+                return
+            code = errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
     raise InputError(f"{path}: {os.strerror(code)}")
 
 

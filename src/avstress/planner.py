@@ -18,10 +18,7 @@ from array import array
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .geom import Point2, Polyline
-# bound here, though unused, because benchmarks/bench_trace.py counts the
-# planner's geometry calls through this module's names
-from .geom import point_at_arclength, project_to_polyline  # noqa: F401
+from .geom import Point2, Polyline, point_at_arclength, project_to_polyline
 from .scenario import Lane, MapModel, Scenario
 from .sim import AgentState, JointState, bicycle_step
 
@@ -58,10 +55,10 @@ def predict_constant_velocity(
     exponentially toward the center while arc-length advances at the current
     speed. Agents far from every lane fall back to a straight line.
 
-    The waypoint lookup is the body of `point_at_arclength` inlined, with the
-    same floating-point operations, and the decay factors are computed once
-    per (horizon, dt): calling the function once per waypoint made a
-    prediction more than twice as slow.
+    On a one-segment lane, such as every preset lane, the lookup is the body
+    of `point_at_arclength` inlined, with the same floating-point operations
+    (calling it per waypoint made a prediction over twice as slow); a longer
+    lane calls it. The decay factors are computed once per (horizon, dt).
     """
     lane, s0, l0, dist = map_model.nearest_lane(agent.position)
     speed = agent.speed
@@ -72,10 +69,14 @@ def predict_constant_velocity(
             (x + k * speed * dt * c, y + k * speed * dt * s)
             for k in range(1, horizon + 1)
         ]
-    segments = lane.centerline.segments
-    total = lane.centerline.total_length
-    single = len(segments) == 1  # then the first to end at or after any s
-    ax, ay, dx, dy, ux, uy, seg_len, _, seg_s0, s1 = segments[0]
+    line = lane.centerline
+    total = line.total_length
+    if len(line.segments) > 1:
+        return [
+            point_at_arclength(line, min(s0 + k * speed * dt, total), l0 * decay)
+            for k, decay in enumerate(_lateral_decay(horizon, dt), 1)
+        ]
+    ax, ay, dx, dy, ux, uy, seg_len, _, seg_s0, _ = line.segments[0]
     waypoints = []
     for k, decay in enumerate(_lateral_decay(horizon, dt), 1):
         # s0 >= 0 and speed >= 0, so s lies in [0, total] and needs neither
@@ -84,11 +85,6 @@ def predict_constant_velocity(
         if total < s:  # min(s, total)
             s = total
         l = l0 * decay
-        if not single:
-            # the first segment that ends at or after s
-            for ax, ay, dx, dy, ux, uy, seg_len, _, seg_s0, s1 in segments:
-                if s <= s1:
-                    break
         t = (s - seg_s0) / seg_len
         waypoints.append((ax + t * dx - l * uy, ay + t * dy + l * ux))
     return waypoints
@@ -102,18 +98,16 @@ def _rollout(
 
     Each step projects the ego onto the centerline, takes the point a
     lookahead of max(5 m, speed) further along it, and makes one
-    `bicycle_step` toward it. The two lookups are the bodies of
-    `project_to_polyline` and `point_at_arclength` inlined, with the same
-    floating-point operations: calling the functions on every step made a
-    rollout step 22-25% slower.
-
-    On a one-segment line, such as every preset lane, both take the segment
-    without a search or a distance: any finite distance picks it.
+    `bicycle_step` toward it. On a one-segment line, such as every preset
+    lane, the two lookups are the bodies of `project_to_polyline` and
+    `point_at_arclength` inlined, with the same floating-point operations
+    and no search or distance, since any finite distance picks the one
+    segment: calling the functions made a rollout step 22-25% slower. A
+    longer line calls them.
     """
-    segments = centerline.segments
     total = centerline.total_length
-    single = len(segments) == 1
-    ax, ay, dx, dy, ux, uy, seg_len, seg_sq, s0, s1 = segments[0]
+    single = len(centerline.segments) == 1
+    ax, ay, dx, dy, ux, uy, seg_len, seg_sq, s0, _ = centerline.segments[0]
     x, y, heading, speed = state
     states = []
     for _ in range(horizon):
@@ -122,30 +116,17 @@ def _rollout(
             t = t if t > 0.0 else 0.0  # min(1.0, max(0.0, t))
             t = t if t < 1.0 else 1.0
             s = s0 + t * seg_len
+            s_target = s + (speed if speed > 5.0 else 5.0)  # s + max(5.0, speed)
+            if s_target > total:
+                s_target = total
+            t = (s_target - s0) / seg_len
+            # with point_at_arclength's zero lateral-offset terms, so the
+            # target is its position bit for bit, signed zeros included
+            tx = ax + t * dx - 0.0 * uy
+            ty = ay + t * dy + 0.0 * ux
         else:
-            # project_to_polyline: closest segment, ties to the smallest index
-            best = math.inf
-            for ax, ay, dx, dy, _, _, seg_len, seg_sq, s0, _ in segments:
-                t = ((x - ax) * dx + (y - ay) * dy) / seg_sq
-                t = t if t > 0.0 else 0.0
-                t = t if t < 1.0 else 1.0
-                dist = math.hypot(x - (ax + t * dx), y - (ay + t * dy))
-                if dist < best - 1e-12:
-                    best = dist
-                    s = s0 + t * seg_len
-        s_target = s + (speed if speed > 5.0 else 5.0)  # s + max(5.0, speed)
-        if s_target > total:
-            s_target = total
-        if not single:
-            # point_at_arclength: the first segment that ends at or after s_target
-            for ax, ay, dx, dy, ux, uy, seg_len, _, s0, s1 in segments:
-                if s_target <= s1:
-                    break
-        t = (s_target - s0) / seg_len
-        # with point_at_arclength's zero lateral-offset terms, so the target
-        # is its position bit for bit, signed zeros included
-        tx = ax + t * dx - 0.0 * uy
-        ty = ay + t * dy + 0.0 * ux
+            s, _, _ = project_to_polyline(x, y, centerline)
+            tx, ty = point_at_arclength(centerline, min(s + max(5.0, speed), total))
         state = bicycle_step(x, y, heading, speed, accel, tx, ty, dt, v_max)
         states.append(state)
         x, y, heading, speed = state

@@ -31,6 +31,37 @@ sim: {dt: 0.1, horizon_steps: 80, replan_every: 5, v_max: 15.0}
 """
 
 
+def _arc(cx, cy, radius, degrees):
+    return [
+        [round(cx + radius * math.sin(math.radians(d)), 3),
+         round(cy - radius * math.cos(math.radians(d)), 3)]
+        for d in degrees
+    ]
+
+
+# a two-lane road that runs straight for 90 m, then bends 90 degrees to the
+# left in 10-degree chords: 11 vertices per lane
+CURVED_YAML = f"""
+map:
+  lanes:
+    - id: right
+      centerline: {[[-60.0, 0.0], [30.0, 0.0]] + _arc(30.0, 100.0, 100.0, range(10, 91, 10))}
+      width: 3.5
+      left_neighbor: left
+    - id: left
+      centerline: {[[-60.0, 3.5], [30.0, 3.5]] + _arc(30.0, 100.0, 96.5, range(10, 91, 10))}
+      width: 3.5
+      right_neighbor: right
+agents:
+  - {{id: ego, role: ego, x: 0.0, y: 3.5, heading: 0.0, speed: 10.0, length: 4.8, width: 2.0}}
+  - {{id: npc, role: simulated, x: 15.0, y: 3.5, heading: 0.0, speed: 10.0, length: 4.8, width: 2.0}}
+ego_goal: {{x: 106.6, y: 35.7}}
+goal_domains:
+  - {{agent_id: npc, lane: left, s_min: 75.0, s_max: 200.0, l_min: -5.25, l_max: 1.75}}
+sim: {{dt: 0.1, horizon_steps: 80, replan_every: 5, v_max: 15.0}}
+"""
+
+
 def agents_yaml(n_simulated):
     """TWO_LANE_YAML plus simulated agents npc2..npcN in the right lane."""
     extra_agents = "".join(

@@ -582,20 +582,27 @@ class TestReport:
         empty.mkdir()
         assert run_cli("report", str(empty)) == 2
 
-    @pytest.mark.parametrize("bad", ["missing_dir/x.csv", "a_directory"])
+    # each the error that opening the path to write would raise
+    UNWRITABLE_CSV = {"missing_dir/x.csv": "No such file or directory",
+                      "a_directory": "Is a directory", "a_file/x.csv": "Not a directory"}
+
+    @pytest.mark.parametrize("bad", sorted(UNWRITABLE_CSV))
     def test_unwritable_csv_path_exit_2_before_reading(self, bad, tmp_path, capsys, monkeypatch):
         out = str(tmp_path / "out")
         assert run_cli("run", "front", "--sampler", "sobol", "--budget", "2", "--out", out) == 0
         out_dir = capsys.readouterr().out.strip()
         (tmp_path / "a_directory").mkdir()
+        (tmp_path / "a_file").write_text("not a directory\n")
         read = []
         monkeypatch.setattr(cli, "_campaign_row", lambda d: read.append(d))
         csv_path = str(tmp_path / bad)
         assert run_cli("report", out_dir, "--csv", csv_path) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and csv_path in err
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {csv_path}: {self.UNWRITABLE_CSV[bad]}\n")
         assert read == []
         assert not os.path.exists(tmp_path / "missing_dir")
+        assert (tmp_path / "a_file").read_text() == "not a directory\n"
 
     def test_csv_that_cannot_be_opened_exit_2_before_the_table(self, tmp_path, monkeypatch,
                                                                capsys):
