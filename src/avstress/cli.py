@@ -39,30 +39,24 @@ def cmd_run(args) -> int:
     sampler = gp_ucb if args.sampler == "bo" else SobolSampler()
     scenario = load_scenario_file(scenario_path)
 
-    out_dir, campaign_log = persist.prepare_campaign(
-        args.out or os.environ.get(OUT_ROOT_ENV, "."), scenario.scenario_id, scenario_path,
+    out_dir, writer = persist.prepare_campaign(
+        args.out or os.environ.get(OUT_ROOT_ENV, "."), scenario, scenario_path,
         {"beta": args.beta, "budget": args.budget, "candidates": args.candidates,
          "kind": args.sampler})
     scores, paths = [], [[] for _ in scenario.agents]
 
     def sink(record, episode):
-        """Write the episode and its record's log line, and keep what the
+        """Hand the episode and its record to the writer, and keep what the
         statistics read of an episode that did not fail."""
-        ep_file = persist.episode_file(record.iteration)
-        persist.write_episode(os.path.join(out_dir, ep_file), episode, record.goals_world,
-                              scenario)
-        campaign_log.write(persist.campaign_record_to_json(record, ep_file) + "\n")
-        campaign_log.flush()
+        writer.write(record, episode)
         if record.failed:
             print(f"warning: episode {record.iteration} failed: {episode.failure_reason}",
                   file=sys.stderr)
         else:
             _keep_for_stats(scores, paths, record.metrics, episode, scenario)
 
-    try:
+    with writer:
         run_campaign(scenario, sampler, LatticePlanner(), args.budget, episode_sink=sink)
-    finally:
-        campaign_log.close()
 
     if len(scores) >= 2:
         stats = [(scenario.scenario_id, args.sampler, metrics.campaign_stats(scores, paths))]

@@ -15,6 +15,14 @@ rerun with the same inputs reproduces every file byte for byte. `write_csv`
 is the one CSV writer: it writes `stats.csv`, a `report --csv` file and
 `export-gp`'s gp_grid.csv and gp_samples.csv. A path that cannot be made,
 removed or opened to write raises an InputError that names it.
+
+`run` writes its episode files and `campaign.jsonl` lines through the
+`EpisodeWriter` that `prepare_campaign` returns. Where the campaign may run
+on 2 CPUs or more, that is a writer process forked at the first episode:
+the campaign's process builds each episode's header, plain trace values
+and log line and sends them, and the writer formats and writes them with
+the code `write_episode` runs, in order. The campaign's process writes the
+manifest, the scenario copy and `stats.csv` itself.
 """
 from __future__ import annotations
 
@@ -22,6 +30,8 @@ import errno
 import glob
 import json
 import os
+import pickle
+import select
 import shutil
 import stat
 import sys
@@ -30,6 +40,7 @@ from math import isfinite
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__ as TOOL_VERSION
+from .fit_helper import HELPER_EXIT_S, Helper
 from .geom import Point2
 from .metrics import CampaignStats
 from .optimizer import EpisodeRecord
@@ -86,12 +97,13 @@ def check_writable(path: str) -> None:
     raise InputError(f"{path}: {os.strerror(code)}")
 
 
-def prepare_campaign(out_root: str, scenario_id: str, scenario_path: str, sampler: dict):
-    """Make `<out_root>/<scenario_id>_<kind>/episodes`, clear the earlier
+def prepare_campaign(out_root: str, scenario: Scenario, scenario_path: str, sampler: dict):
+    """Make `<out_root>/<scenario id>_<kind>/episodes`, clear the earlier
     campaign there, copy the scenario and write the manifest; return the
-    directory and its log, open for writing. Only a path that cannot be made
-    raises before anything is written or deleted."""
-    out_dir = os.path.join(out_root, f"{scenario_id}_{sampler['kind']}")
+    directory and the `EpisodeWriter` of its episodes and log, which is open
+    for writing. Only a path that cannot be made raises before anything is
+    written or deleted."""
+    out_dir = os.path.join(out_root, f"{scenario.scenario_id}_{sampler['kind']}")
     episodes_dir = os.path.join(out_dir, EPISODES_DIR)
     _writing(os.makedirs, episodes_dir, exist_ok=True)
     # this run replaces any earlier campaign in the directory, and the GP
@@ -105,7 +117,8 @@ def prepare_campaign(out_root: str, scenario_id: str, scenario_path: str, sample
     if not (os.path.exists(scenario_copy) and os.path.samefile(scenario_path, scenario_copy)):
         _writing(shutil.copyfile, scenario_path, scenario_copy)
     write_manifest(out_dir, scenario_path, sampler)
-    return out_dir, _writing(open, os.path.join(out_dir, CAMPAIGN_LOG), "w")
+    log = _writing(open, os.path.join(out_dir, CAMPAIGN_LOG), "w")
+    return out_dir, EpisodeWriter(out_dir, log, scenario)
 
 
 def find_scenario_copy(episode_file: str) -> str:
@@ -160,7 +173,11 @@ def write_episode(
 ) -> None:
     """The episode file: a header (the scenario's id and dt, the goals the
     episode was run with, and how it ended), then one line per trace step."""
-    header = {
+    _write_episode(path, _header(episode, goals, scenario), _rows(episode.trace))
+
+
+def _header(episode: Episode, goals: Dict[str, Point2], scenario: Scenario) -> dict:
+    return {
         "type": "header",
         "scenario_id": scenario.scenario_id,
         "dt": scenario.sim.dt,
@@ -169,10 +186,23 @@ def write_episode(
         "failed": episode.failed,
         "failure_reason": episode.failure_reason,
     }
-    lines = [_dump(header)]
-    lines += map(_trace_line, episode.trace)
+
+
+def _rows(trace: List[JointState]) -> list:
+    """The trace's plain values, one (t, [(id, heading, speed, x, y), ...])
+    per step, which is all `_trace_line` reads."""
+    return [(joint.timestep, [(aid, s.heading, s.speed, s.position.x, s.position.y)
+                              for aid, s in joint.states.items()])
+            for joint in trace]
+
+
+def _write_episode(path: str, header: dict, rows: list) -> None:
+    """The file of a header and a trace's rows; every line is formatted
+    before the file is opened, so a value that cannot be written leaves no
+    file."""
+    text = "\n".join([_dump(header), *map(_trace_line, rows)]) + "\n"
     with _writing(open, path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def _collision_record(collision) -> Optional[dict]:
@@ -180,23 +210,22 @@ def _collision_record(collision) -> Optional[dict]:
     return {"t": collision[0], "pair": list(collision[1])} if collision else None
 
 
-def _trace_line(joint: JointState) -> str:
-    """One trace line, byte for byte what json.dumps(sort_keys=True) writes
-    for it: agent ids sorted and quoted as json quotes a key, each value
-    written by float.__repr__ as json writes a float.
+def _trace_line(row) -> str:
+    """One trace line from a row of `_rows`, byte for byte what
+    json.dumps(sort_keys=True) writes for its joint state: agent ids sorted
+    and quoted as json quotes a key, each value written by float.__repr__
+    as json writes a float.
 
     The simulator writes finite floats at int steps. A step that is not an
     int raises a TypeError, a value that is not finite a ValueError, and a
     value that is not a float the TypeError of float.__repr__.
     """
-    states = joint.states
-    t = joint.timestep
+    t, states = row
     if type(t) is not int:
         raise TypeError(f"timestep is not an int: {t!r}")
     parts = []
-    for aid in sorted(states):
-        s = states[aid]
-        x, y, heading, speed = s.position.x, s.position.y, s.heading, s.speed
+    # ids are unique, so the sort compares nothing but them
+    for aid, heading, speed, x, y in sorted(states):
         part = (
             f'{_quote(aid)}: {{"heading": {_float_repr(heading)}, '
             f'"speed": {_float_repr(speed)}, "x": {_float_repr(x)}, "y": {_float_repr(y)}}}'
@@ -205,6 +234,128 @@ def _trace_line(joint: JointState) -> str:
             raise ValueError(f"non-finite value in the state of {aid!r} at t={t}")
         parts.append(part)
     return f'{{"agents": {{{", ".join(parts)}}}, "t": {t}}}'
+
+
+# what the campaign's process raises when its episode writer is gone
+WRITER_GONE = "the episode writer exited before it wrote every episode"
+
+
+class EpisodeWriter(Helper):
+    """`run`'s writer of a campaign's episode files and `campaign.jsonl`
+    lines, in the order of the episodes.
+
+    Where the campaign may run on 2 CPUs or more, the first `write` forks a
+    writer process. From then on `write` builds only the episode's header,
+    its trace's plain values (`_rows`) and its log line, and sends them down
+    the pipe; the writer writes the file with the code that `write_episode`
+    runs, then appends and flushes the line. The campaign's process never
+    waits for a write: a full pipe is the only backpressure. The exception
+    of a write is the writer's one reply before the end, and the writer
+    writes nothing after it, so the files on disk are those a serial loop
+    leaves; the campaign raises it at its next `write`, or when it leaves
+    the writer's `with` block. Elsewhere `write` writes in the campaign's
+    own process.
+
+    Leaving the block sends an end message and waits up to HELPER_EXIT_S
+    for the writer's reply, which comes once every episode sent is written.
+    After a send cut off by an interrupt the pipe holds part of a message,
+    so closing it is the end: the writer writes the whole messages before
+    it and exits at EOF. The block then closes the log, and raises the
+    writer's error if it did not raise it already: a serial loop would have
+    stopped at that write, before anything the campaign raised after it.
+    """
+
+    def __init__(self, out_dir: str, log, scenario: Scenario):
+        super().__init__()
+        self.out_dir, self.log, self.scenario = out_dir, log, scenario
+        self.replies = None  # the poll object of the writer's end of the pipe
+        self.error = None  # the exception of a write in the writer
+        self.broken = False  # a send was cut off, or the writer is gone
+
+    def write(self, record: EpisodeRecord, episode: Episode) -> None:
+        ep_file = episode_file(record.iteration)
+        message = (os.path.join(self.out_dir, ep_file),
+                   _header(episode, record.goals_world, self.scenario), _rows(episode.trace),
+                   campaign_record_to_json(record, ep_file) + "\n")
+        if not self.started():
+            self._write(*message)
+        elif self.replies.poll(0):
+            self.error = self._reply()
+            raise self.error
+        else:
+            # what conn.send sends, without multiprocessing's pickler class,
+            # which takes 40% longer on a trace
+            self._send(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+
+    def _write(self, path: str, header: dict, rows: list, line: str) -> None:
+        """Write an episode's file, then append and flush its log line."""
+        _write_episode(path, header, rows)
+        self.log.write(line)
+        self.log.flush()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        ended = True
+        try:
+            if self.process is not None and not self.broken:
+                ended = False
+                self._send(pickle.dumps(None))
+                while (reply := self._reply(HELPER_EXIT_S)) is not None:
+                    self.error = reply
+                ended = True
+        finally:
+            self.close(kill=not ended)
+            self.log.close()
+        if self.error is not None and self.error is not exc:
+            raise self.error
+
+    def _start(self) -> None:
+        super()._start()
+        # conn.poll() builds a selector at every call
+        self.replies = select.poll()
+        self.replies.register(self.conn, select.POLLIN)
+
+    def _send(self, data: bytes) -> None:
+        try:
+            self.conn.send_bytes(data)
+        except OSError as exc:
+            self.broken = True
+            raise RuntimeError(WRITER_GONE) from exc
+        except BaseException:
+            self.broken = True
+            raise
+
+    def _reply(self, timeout: float = 0.0):
+        """The writer's next reply, due within `timeout` seconds: the
+        exception a write raised, or None, its reply to the end message."""
+        try:
+            if self.conn.poll(timeout):
+                return self.conn.recv()
+        except (EOFError, OSError) as exc:
+            self.broken = True
+            raise RuntimeError(WRITER_GONE) from exc
+        raise RuntimeError(f"the episode writer did not finish within {timeout} s")
+
+    def _serve(self, conn) -> None:
+        """The writer's loop, in its process: write each (path, header,
+        rows, log line) received; once a write raised, send its exception
+        and write nothing more. At the end message, None, reply None and
+        return; return too at EOF or once the campaign's end is gone."""
+        failed = False
+        try:
+            while (message := conn.recv()) is not None:
+                if failed:
+                    continue
+                try:
+                    self._write(*message)
+                except Exception as exc:
+                    failed = True
+                    try:
+                        conn.send(exc)
+                    except Exception:  # one that does not pickle, as its message
+                        conn.send(RuntimeError(str(exc)))
+            conn.send(None)
+        except (EOFError, OSError):
+            return
 
 
 # json.loads's own decoder, without the checks json.loads makes around it

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 from collections import namedtuple
 
 import pytest
@@ -239,3 +241,51 @@ def record_blas_threads(monkeypatch):
 
         monkeypatch.setattr(surrogate, name, recording)
     return controls, calls
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# the fit helper and the episode writer start only where the process may
+# run on 2 CPUs or more
+needs_two_cpus = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="helper processes run only on 2 CPUs or more"
+)
+
+
+def proc_state(pid):
+    """The state letter of /proc/<pid>/stat, or None once the pid is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
+def gone(pid):
+    # a zombie has exited; only its parent, or init once it is orphaned,
+    # can remove its entry
+    return proc_state(pid) in (None, "Z")
+
+
+def children(pid=None):
+    """Pids whose parent is `pid` (this process by default), zombies too."""
+    pid = os.getpid() if pid is None else pid
+    found = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                if int(fh.read().rpartition(")")[2].split()[1]) == pid:
+                    found.add(int(entry))
+        except (FileNotFoundError, ProcessLookupError):
+            pass
+    return found
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True

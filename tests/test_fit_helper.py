@@ -12,7 +12,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -22,51 +21,7 @@ from avstress.fit_helper import FitHelper
 from avstress.optimizer import GpUcbSampler, SobolSampler, run_campaign
 from avstress.planner import LatticePlanner
 from avstress.scenario import load_preset
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-needs_two_cpus = pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2, reason="the helper runs only on 2 CPUs or more"
-)
-
-
-def proc_state(pid):
-    """The state letter of /proc/<pid>/stat, or None once the pid is gone."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rpartition(")")[2].split()[0]
-    except (FileNotFoundError, ProcessLookupError):
-        return None
-
-
-def gone(pid):
-    # a zombie has exited; only its parent, or init once it is orphaned,
-    # can remove its entry
-    return proc_state(pid) in (None, "Z")
-
-
-def children(pid=None):
-    """Pids whose parent is `pid` (this process by default), zombies too."""
-    pid = os.getpid() if pid is None else pid
-    found = set()
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat") as fh:
-                if int(fh.read().rpartition(")")[2].split()[1]) == pid:
-                    found.add(int(entry))
-        except (FileNotFoundError, ProcessLookupError):
-            pass
-    return found
-
-
-def wait_until(predicate, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.02)
-    return True
+from conftest import SRC, children, gone, needs_two_cpus, proc_state, wait_until
 
 
 @pytest.fixture
@@ -424,32 +379,53 @@ def test_a_platform_without_sched_getaffinity_runs_fits_serially(
     assert_same_tree(pinned, unknown)
 
 
-# runs `avstress run` in a fresh interpreter, optionally on one CPU, and
-# says whether it loaded multiprocessing, which only a helper's start imports
+# runs a GP-UCB and a Sobol `avstress run` in a fresh interpreter, on one
+# CPU if its argument is 1, and prints, after their output, whether it
+# loaded multiprocessing, which only the start of a helper or of an episode
+# writer imports. The Sobol campaign's planner raises at every 23rd replan,
+# so some of its episodes fail and stderr has their warnings
 PINNED_RUN_SCRIPT = """
-import contextlib, io, os, sys
+import os, sys
 import avstress.cli
-out, pin = sys.argv[1], sys.argv[2] == "1"
-if pin:
+from avstress.planner import LatticePlanner
+if sys.argv[1] == "1":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-with contextlib.redirect_stdout(io.StringIO()):
-    assert avstress.cli.main(["run", "behind", "--sampler", "bo", "--budget", "12",
-                              "--out", out]) == 0
+
+class SometimesRaisingPlanner(LatticePlanner):
+    calls = 0
+
+    def plan(self, world, scenario):
+        self.calls += 1
+        if self.calls % 23 == 0:
+            raise RuntimeError("planner raised")
+        return super().plan(world, scenario)
+
+argv = ["run", "behind", "--sampler", "bo", "--budget", "12", "--out", "out"]
+assert avstress.cli.main(argv) == 0
+avstress.cli.LatticePlanner = SometimesRaisingPlanner
+argv = ["run", "front", "--sampler", "sobol", "--budget", "12", "--out", "out"]
+assert avstress.cli.main(argv) == 0
 print("multiprocessing" in sys.modules)
 """
 
 
 def test_campaign_on_one_cpu_equals_the_campaign_on_all(tmp_path):
-    loaded = []
+    runs = []
     for pin in ("1", "0"):
+        os.mkdir(tmp_path / pin)
         proc = subprocess.run(
-            [sys.executable, "-c", PINNED_RUN_SCRIPT, str(tmp_path / pin), pin],
+            [sys.executable, "-c", PINNED_RUN_SCRIPT, pin], cwd=tmp_path / pin,
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        loaded.append(proc.stdout.strip())
-    # pinned to one CPU no helper starts; unpinned one does where it can
-    assert loaded == ["False", str(len(os.sched_getaffinity(0)) >= 2)]
+        *out, loaded = proc.stdout.splitlines()
+        runs.append((out, proc.stderr, loaded))
+    # pinned to one CPU no process starts; unpinned, the episode writer and
+    # the fit helper do where they can
+    assert [loaded for *_, loaded in runs] == ["False", str(len(os.sched_getaffinity(0)) >= 2)]
+    assert runs[0][0] == [os.path.join("out", "behind_bo"), os.path.join("out", "front_sobol")]
+    assert runs[0][1].count("warning: episode") >= 3
+    assert runs[0][:2] == runs[1][:2]
     assert_same_tree(tmp_path / "1", tmp_path / "0")
 
 
