@@ -46,13 +46,10 @@ def cmd_run(args) -> int:
     scores, paths = [], [[] for _ in scenario.agents]
 
     def sink(record, episode):
-        """Hand the episode and its record to the writer, and keep what the
-        statistics read of an episode that did not fail."""
+        """Hand the episode and its record to the writer, which warns of a
+        failed one, and keep what the statistics read of one that did not."""
         writer.write(record, episode)
-        if record.failed:
-            print(f"warning: episode {record.iteration} failed: {episode.failure_reason}",
-                  file=sys.stderr)
-        else:
+        if not record.failed:
             _keep_for_stats(scores, paths, record.metrics, episode, scenario)
 
     with writer:

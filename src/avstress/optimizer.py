@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .fit_helper import FitHelper
+from .fit_helper import Helper
 from .geom import Point2
 from .metrics import EpisodeScore, score_episode
 from .scenario import InputError, Scenario, prompt_to_world
@@ -68,14 +68,14 @@ class SobolSampler:
     """The random baseline: the Sobol point after the records' prompts."""
 
     def propose(self, records: Sequence[EpisodeRecord], dim: int,
-                helper: Optional[FitHelper] = None) -> Tuple[float, ...]:
+                helper: Optional[Helper] = None) -> Tuple[float, ...]:
         return sobol_point(len(records) + 1, dim=dim)
 
 
 @dataclass(frozen=True)
 class GpUcbSampler:
     """GP-UCB over the records whose score is finite; Sobol points until
-    two are. `helper` is the campaign's `FitHelper`, which the GP fit hands
+    two are. `helper` is the campaign's fit helper, which the GP fit hands
     half of its starts; without one the fit runs them all in this process."""
 
     beta: float = 2.0
@@ -89,7 +89,7 @@ class GpUcbSampler:
             raise InputError("candidate count must be >= 16")
 
     def propose(self, records: Sequence[EpisodeRecord], dim: int,
-                helper: Optional[FitHelper] = None) -> Tuple[float, ...]:
+                helper: Optional[Helper] = None) -> Tuple[float, ...]:
         valid = [rec for rec in records if math.isfinite(rec.score)]
         if len(valid) < 2:
             return sobol_point(len(records) + 1, dim=dim)
@@ -107,7 +107,7 @@ class GpUcbSampler:
 
 
 def suggest_next(sampler, records: Sequence[EpisodeRecord], dim: int,
-                 helper: Optional[FitHelper] = None) -> Tuple[float, ...]:
+                 helper: Optional[Helper] = None) -> Tuple[float, ...]:
     """The campaign's one sampler call per iteration, which the benchmark times."""
     return sampler.propose(records, dim, helper)
 
@@ -158,13 +158,13 @@ def run_campaign(
     An episode fails only in `simulate_episode`; its record scores -inf, BO
     leaves it out of the GP fit, and it still consumes budget. Any other
     exception ends the campaign. The loop is deterministic given its
-    arguments. Every proposal is passed the campaign's `FitHelper` as
-    `helper`; its process, if a fit started one, is joined before this
-    returns or raises.
+    arguments. Every proposal is passed the campaign's fit helper
+    (`fit_helper.Helper`) as `helper`; its process, if a fit started one, is
+    joined before this returns or raises.
     """
     dim = prompt_dim(scenario)
     records: List[EpisodeRecord] = []
-    with FitHelper() as helper:
+    with Helper() as helper:
         for it in range(budget):
             prompt = suggest_next(sampler, records, dim, helper)
             goals = split_prompt(scenario, prompt)

@@ -18,11 +18,12 @@ removed or opened to write raises an InputError that names it.
 
 `run` writes its episode files and `campaign.jsonl` lines through the
 `EpisodeWriter` that `prepare_campaign` returns. Where the campaign may run
-on 2 CPUs or more, that is a writer process forked at the first episode:
-the campaign's process builds each episode's header, plain trace values
-and log line and sends them, and the writer formats and writes them with
-the code `write_episode` runs, in order. The campaign's process writes the
-manifest, the scenario copy and `stats.csv` itself.
+on 2 CPUs or more, a helper process forked at the first episode writes the
+episode files (`fit_helper.Helper`): the campaign's process builds each
+episode's header, plain trace values and log line, sends what the file
+needs, and appends the line once the helper confirms the file. Whatever
+the helper does not confirm, the campaign's process writes itself, in
+order. It writes the manifest, the scenario copy and `stats.csv` itself.
 """
 from __future__ import annotations
 
@@ -30,17 +31,16 @@ import errno
 import glob
 import json
 import os
-import pickle
-import select
 import shutil
 import stat
 import sys
+from collections import deque
 from dataclasses import astuple, fields
 from math import isfinite
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__ as TOOL_VERSION
-from .fit_helper import HELPER_EXIT_S, Helper
+from . import fit_helper
 from .geom import Point2
 from .metrics import CampaignStats
 from .optimizer import EpisodeRecord
@@ -236,126 +236,82 @@ def _trace_line(row) -> str:
     return f'{{"agents": {{{", ".join(parts)}}}, "t": {t}}}'
 
 
-# what the campaign's process raises when its episode writer is gone
-WRITER_GONE = "the episode writer exited before it wrote every episode"
+class EpisodeWriter:
+    """`run`'s writer of a campaign's episode files, their `campaign.jsonl`
+    lines and the warnings of failed episodes, in the order of the episodes.
 
+    `write` hands each episode file to the writer's `fit_helper.Helper`, to
+    write with `_write_episode`: the episode's path, header and trace's
+    plain values (`_rows`). It keeps them with the episode's log line until
+    the helper confirms the file, then appends and flushes the line and
+    prints the warning of an episode that failed. The campaign's process
+    never waits for a write: a full pipe is the only backpressure.
 
-class EpisodeWriter(Helper):
-    """`run`'s writer of a campaign's episode files and `campaign.jsonl`
-    lines, in the order of the episodes.
-
-    Where the campaign may run on 2 CPUs or more, the first `write` forks a
-    writer process. From then on `write` builds only the episode's header,
-    its trace's plain values (`_rows`) and its log line, and sends them down
-    the pipe; the writer writes the file with the code that `write_episode`
-    runs, then appends and flushes the line. The campaign's process never
-    waits for a write: a full pipe is the only backpressure. The exception
-    of a write is the writer's one reply before the end, and the writer
-    writes nothing after it, so the files on disk are those a serial loop
-    leaves; the campaign raises it at its next `write`, or when it leaves
-    the writer's `with` block. Elsewhere `write` writes in the campaign's
-    own process.
-
-    Leaving the block sends an end message and waits up to HELPER_EXIT_S
-    for the writer's reply, which comes once every episode sent is written.
-    After a send cut off by an interrupt the pipe holds part of a message,
-    so closing it is the end: the writer writes the whole messages before
-    it and exits at EOF. The block then closes the log, and raises the
-    writer's error if it did not raise it already: a serial loop would have
-    stopped at that write, before anything the campaign raised after it.
+    This process writes, in order, whatever the helper did not confirm:
+    every episode where the campaign may use only one CPU, and the rest after
+    a write that raised, after the helper died or did not reply within
+    `fit_helper.HELPER_EXIT_S`, or when the writer's `with` block raised,
+    which kills the helper. A write that raises here is where a serial loop
+    stops, so nothing after it is written: the files, the lines and stderr
+    are those of one process. Leaving the block waits for the helper's
+    replies, so every episode is written and logged when it returns.
     """
 
     def __init__(self, out_dir: str, log, scenario: Scenario):
-        super().__init__()
         self.out_dir, self.log, self.scenario = out_dir, log, scenario
-        self.replies = None  # the poll object of the writer's end of the pipe
-        self.error = None  # the exception of a write in the writer
-        self.broken = False  # a send was cut off, or the writer is gone
+        self.helper = fit_helper.Helper()
+        # (iteration, path, header, rows, log line) of each episode that the
+        # helper has not confirmed, in order
+        self.pending = deque()
+
+    def __enter__(self):
+        return self
 
     def write(self, record: EpisodeRecord, episode: Episode) -> None:
         ep_file = episode_file(record.iteration)
-        message = (os.path.join(self.out_dir, ep_file),
-                   _header(episode, record.goals_world, self.scenario), _rows(episode.trace),
-                   campaign_record_to_json(record, ep_file) + "\n")
-        if not self.started():
-            self._write(*message)
-        elif self.replies.poll(0):
-            self.error = self._reply()
-            raise self.error
-        else:
-            # what conn.send sends, without multiprocessing's pickler class,
-            # which takes 40% longer on a trace
-            self._send(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+        path = os.path.join(self.out_dir, ep_file)
+        header, rows = _header(episode, record.goals_world, self.scenario), _rows(episode.trace)
+        line = campaign_record_to_json(record, ep_file) + "\n"
+        self.pending.append((record.iteration, path, header, rows, line))
+        if not self.helper.send(_write_episode, path, header, rows):
+            self._write_pending()
+        # one reply at most: the helper sends one per episode
+        elif self.helper.conn.poll(0):
+            self._confirm()
 
-    def _write(self, path: str, header: dict, rows: list, line: str) -> None:
-        """Write an episode's file, then append and flush its log line."""
-        _write_episode(path, header, rows)
+    def _confirm(self, timeout: Optional[float] = None) -> None:
+        """Read the helper's reply to the oldest episode it has not
+        confirmed: log the episode if the file is written, else write it
+        and every later one here."""
+        if self.helper.receive(timeout)[0]:
+            iteration, _, header, _, line = self.pending.popleft()
+            self._log(iteration, header, line)
+        else:
+            self._write_pending()
+
+    def _log(self, iteration: int, header: dict, line: str) -> None:
         self.log.write(line)
         self.log.flush()
+        if header["failed"]:
+            print(f"warning: episode {iteration} failed: {header['failure_reason']}",
+                  file=sys.stderr)
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        ended = True
-        try:
-            if self.process is not None and not self.broken:
-                ended = False
-                self._send(pickle.dumps(None))
-                while (reply := self._reply(HELPER_EXIT_S)) is not None:
-                    self.error = reply
-                ended = True
-        finally:
-            self.close(kill=not ended)
-            self.log.close()
-        if self.error is not None and self.error is not exc:
-            raise self.error
+    def _write_pending(self) -> None:
+        """Write the episodes the helper did not confirm, in order, in this
+        process; those after one that raises are dropped."""
+        pending, self.pending = self.pending, deque()
+        for iteration, path, header, rows, line in pending:
+            _write_episode(path, header, rows)
+            self._log(iteration, header, line)
 
-    def _start(self) -> None:
-        super()._start()
-        # conn.poll() builds a selector at every call
-        self.replies = select.poll()
-        self.replies.register(self.conn, select.POLLIN)
-
-    def _send(self, data: bytes) -> None:
-        try:
-            self.conn.send_bytes(data)
-        except OSError as exc:
-            self.broken = True
-            raise RuntimeError(WRITER_GONE) from exc
-        except BaseException:
-            self.broken = True
-            raise
-
-    def _reply(self, timeout: float = 0.0):
-        """The writer's next reply, due within `timeout` seconds: the
-        exception a write raised, or None, its reply to the end message."""
-        try:
-            if self.conn.poll(timeout):
-                return self.conn.recv()
-        except (EOFError, OSError) as exc:
-            self.broken = True
-            raise RuntimeError(WRITER_GONE) from exc
-        raise RuntimeError(f"the episode writer did not finish within {timeout} s")
-
-    def _serve(self, conn) -> None:
-        """The writer's loop, in its process: write each (path, header,
-        rows, log line) received; once a write raised, send its exception
-        and write nothing more. At the end message, None, reply None and
-        return; return too at EOF or once the campaign's end is gone."""
-        failed = False
-        try:
-            while (message := conn.recv()) is not None:
-                if failed:
-                    continue
-                try:
-                    self._write(*message)
-                except Exception as exc:
-                    failed = True
-                    try:
-                        conn.send(exc)
-                    except Exception:  # one that does not pickle, as its message
-                        conn.send(RuntimeError(str(exc)))
-            conn.send(None)
-        except (EOFError, OSError):
-            return
+    def __exit__(self, exc_type, *_) -> None:
+        with self.log:
+            if exc_type is not None:
+                self.helper.close(kill=True)
+            with self.helper:
+                while self.pending and self.helper.process is not None:
+                    self._confirm(fit_helper.HELPER_EXIT_S)
+            self._write_pending()
 
 
 # json.loads's own decoder, without the checks json.loads makes around it

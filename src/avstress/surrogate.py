@@ -48,9 +48,9 @@ tests/test_lbfgsb_reference.py, tests/test_posterior_reference.py).
 themselves (`single_blas_thread`): callers do not wrap them.
 
 A fit's 8 L-BFGS-B starts are independent (Rasmussen & Williams 2006,
-section 5.4). Given the campaign's `fit_helper.FitHelper`, `fit` runs the
-odd-numbered starts in the helper process and the even-numbered ones here;
-without one, as in `export-gp`, it runs all 8 here.
+section 5.4). Given the campaign's fit helper (`fit_helper.Helper`), `fit`
+runs the odd-numbered starts in the helper process and the even-numbered
+ones here; without one, as in `export-gp`, it runs all 8 here.
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize._lbfgsb import setulb
 
-from .fit_helper import FitHelper
+from .fit_helper import Helper
 from .sobol import sobol_points
 
 JITTER_FLOOR = 1e-8
@@ -480,7 +480,7 @@ def _run_starts(
 
 def _multistart(
     X: np.ndarray, z: np.ndarray, lo: np.ndarray, hi: np.ndarray, starts: np.ndarray,
-    helper: Optional[FitHelper],
+    helper: Optional[Helper],
 ) -> List[_LbfgsbRun]:
     """Every start's run, in start order, each equal to the bit to the run
     of a serial loop. Given a helper that can run, the helper runs the
@@ -495,8 +495,8 @@ def _multistart(
             own = _run_starts(X, z, lo, hi, starts[0::2])
         except Exception:  # the serial loop below raises it in start order
             own = None
-        theirs = helper.receive()
-        if own is not None and theirs is not None:
+        ok, theirs = helper.receive()
+        if own is not None and ok:
             runs = [None] * len(starts)
             runs[0::2], runs[1::2] = own, theirs
             return runs
@@ -504,7 +504,7 @@ def _multistart(
 
 
 @single_blas_thread()
-def fit(inputs: np.ndarray, targets: np.ndarray, helper: Optional[FitHelper] = None) -> GpModel:
+def fit(inputs: np.ndarray, targets: np.ndarray, helper: Optional[Helper] = None) -> GpModel:
     """Fit hyperparameters by multi-start MLE and condition on the data.
 
     Eight L-BFGS starts are taken from a Sobol grid over the log-parameter
@@ -512,9 +512,9 @@ def fit(inputs: np.ndarray, targets: np.ndarray, helper: Optional[FitHelper] = N
     prediction. Of the runs, the first with the strictly lowest final
     objective wins.
 
-    `helper` is the campaign's `fit_helper.FitHelper`: on 2 CPUs or more
-    the odd-numbered starts run in its process and the even-numbered ones
-    here. Without a helper, or on one CPU, all run here. Every run, and so
+    `helper` is the campaign's fit helper (`fit_helper.Helper`): on 2 CPUs
+    or more the odd-numbered starts run in its process and the even-numbered
+    ones here. Without a helper, or on one CPU, all run here. Every run, and so
     the model, is the same to the bit either way.
     """
     X, y, _, _, z = _checked_data(inputs, targets)

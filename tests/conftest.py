@@ -1,3 +1,4 @@
+import filecmp
 import math
 import os
 import time
@@ -289,3 +290,14 @@ def wait_until(predicate, timeout=10.0):
             return False
         time.sleep(0.02)
     return True
+
+
+def assert_same_tree(a, b):
+    """The directories `a` and `b` hold the same names, and their files the
+    same bytes, all the way down."""
+    cmp = filecmp.dircmp(a, b)
+    assert not (cmp.left_only or cmp.right_only or cmp.funny_files), cmp.report()
+    _, mismatch, errors = filecmp.cmpfiles(a, b, cmp.common_files, shallow=False)
+    assert (mismatch, errors) == ([], [])
+    for sub in cmp.common_dirs:
+        assert_same_tree(a / sub, b / sub)

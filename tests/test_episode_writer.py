@@ -1,13 +1,15 @@
 """`run`'s episode writer (`persist.EpisodeWriter`).
 
 Where the process may run on 2 CPUs or more, `avstress run` forks one
-writer process at a campaign's first episode, which writes the episode
-files and `campaign.jsonl` lines while the campaign goes on. These tests
-check that no process outlives `run` whichever way it ends, and that a
-campaign leaves the files, stderr and exit code that the serial path leaves:
-each case runs once on one CPU, where `run` writes in its own process, and
-once on all.
+writer process (a `fit_helper.Helper`) at a campaign's first episode, which
+writes the episode files while the campaign goes on; the campaign's process
+appends each `campaign.jsonl` line once the writer confirms the file, and
+writes itself whatever the writer does not confirm. These tests check that
+no process outlives `run` whichever way it ends, and that a campaign leaves
+the files, stderr and exit code that the serial path leaves: each case runs
+once on one CPU, where `run` writes in its own process, and once on all.
 """
+import json
 import os
 import signal
 import subprocess
@@ -16,8 +18,9 @@ import time
 
 import pytest
 
-from avstress import cli, optimizer, persist
-from conftest import SRC, children, gone, needs_two_cpus, proc_state, wait_until
+from avstress import cli, fit_helper, optimizer, persist
+from conftest import (SRC, TuplePlanner, assert_same_tree, children, gone, needs_two_cpus,
+                      proc_state, wait_until)
 
 BUDGET = 8
 # the CPUs a case runs on: one, where no writer starts, or all
@@ -121,15 +124,16 @@ def block_write(seen, tmp_path, k):
 def slow_first_write(monkeypatch):
     """Make the first episode's write take 0.3 s, in whichever process
     writes it: the campaign sends every later episode before the writer
-    gets to the second."""
-    real = persist._write_episode
+    gets to the second. `_write_episode`, which the writer is sent by name,
+    opens the file through `_writing`."""
+    real = persist._writing
 
-    def slow(path, header, rows):
-        if path.endswith(persist.episode_file(0)):
+    def slow(call, *args, **kwargs):
+        if call is open and args[0].endswith(persist.episode_file(0)):
             time.sleep(0.3)
-        return real(path, header, rows)
+        return real(call, *args, **kwargs)
 
-    monkeypatch.setattr(persist, "_write_episode", slow)
+    monkeypatch.setattr(persist, "_writing", slow)
 
 
 @CPUS
@@ -179,39 +183,131 @@ def test_an_error_that_does_not_pickle_exits_as_the_serial_one(cpus, tmp_path, m
     class LocalError(Exception):
         pass
 
-    real = persist._write_episode
+    real = persist._writing
 
-    def failing(path, header, rows):
-        if path.endswith(persist.episode_file(2)):
+    def failing(call, *args, **kwargs):
+        if call is open and args[0].endswith(persist.episode_file(2)):
             raise LocalError("episode 2 did not format")
-        return real(path, header, rows)
+        return real(call, *args, **kwargs)
 
     on(cpus, monkeypatch)
-    # `write_episode` calls it in the campaign's process, and the writer
+    # `_write_episode` calls it in the campaign's process, and in the writer
     # forked after this
-    monkeypatch.setattr(persist, "_write_episode", failing)
+    monkeypatch.setattr(persist, "_writing", failing)
     assert run_front(tmp_path) == 3
     assert capsys.readouterr().err == "runtime error: episode 2 did not format\n"
     assert_left(tmp_path, 2)
     assert children() - seen[0] == set()
 
 
-@needs_two_cpus
-def test_a_writer_that_died_ends_the_campaign(tmp_path, monkeypatch, capsys, seen):
+def disturb_writer(seen, sig, state):
+    """A `simulate_episode` that sends `sig` to the writer at the start of
+    episode 4 and waits for it to reach `state`."""
     simulate = optimizer.simulate_episode
 
-    def killing(*args):
+    def disturbing(*args):
         if len(seen) == 4:
             (pid,) = seen[-1]
-            os.kill(pid, signal.SIGKILL)
-            assert wait_until(lambda: proc_state(pid) == "Z")
+            os.kill(pid, sig)
+            assert wait_until(lambda: proc_state(pid) == state)
         return simulate(*args)
 
-    monkeypatch.setattr(optimizer, "simulate_episode", killing)
-    assert run_front(tmp_path) == 3
-    assert capsys.readouterr().err == f"runtime error: {persist.WRITER_GONE}\n"
-    assert not (campaign_dir(tmp_path) / persist.STATS_CSV).exists()
+    return disturbing
+
+
+@needs_two_cpus
+def test_a_writer_that_died_leaves_the_tree_of_an_undisturbed_run(tmp_path, monkeypatch, capsys,
+                                                                  seen):
+    # the campaign writes what the dead writer did not confirm, episode 4
+    # among them, and episode 5's write forks a new writer
+    assert run_front(tmp_path / "undisturbed") == 0
+    seen.clear()
+    monkeypatch.setattr(optimizer, "simulate_episode", disturb_writer(seen, signal.SIGKILL, "Z"))
+    assert run_front(tmp_path) == 0
+    assert capsys.readouterr().err == ""
+    assert seen[5] == set() and len(seen[6]) == 1 and seen[6] != seen[4]
+    assert_same_tree(campaign_dir(tmp_path / "undisturbed"), campaign_dir(tmp_path))
     assert children() - seen[0] == set()
+
+
+@needs_two_cpus
+def test_a_stopped_writer_leaves_the_tree_of_an_undisturbed_run(tmp_path, monkeypatch, capsys,
+                                                                seen):
+    # the campaign sends episodes 4 to 7 to the stopped writer, which
+    # confirms none of them; at the end it waits HELPER_EXIT_S for a
+    # reply, kills the writer and writes them itself
+    assert run_front(tmp_path / "undisturbed") == 0
+    seen.clear()
+    monkeypatch.setattr(fit_helper, "HELPER_EXIT_S", 0.3)
+    monkeypatch.setattr(optimizer, "simulate_episode", disturb_writer(seen, signal.SIGSTOP, "T"))
+    assert run_front(tmp_path) == 0
+    assert capsys.readouterr().err == ""
+    assert all(pids == seen[1] for pids in seen[1:]), seen
+    assert_same_tree(campaign_dir(tmp_path / "undisturbed"), campaign_dir(tmp_path))
+    assert children() - seen[0] == set()
+
+
+@CPUS
+def test_failed_episodes_warn_up_to_a_failed_write(cpus, tmp_path, monkeypatch, capsys, seen):
+    # every episode fails and the write of episode 2 fails too: a serial
+    # loop warns of episodes 0 and 1, then stops at the write, and so does
+    # `run` where the writer runs and the campaign sends every episode
+    # before the writer is past the first
+    on(cpus, monkeypatch)
+    monkeypatch.setattr(cli, "LatticePlanner", TuplePlanner)
+    slow_first_write(monkeypatch)
+    path, blocking = block_write(seen, tmp_path, 2)
+    monkeypatch.setattr(optimizer, "simulate_episode", blocking)
+    assert run_front(tmp_path, budget=6) == 2
+    with open(campaign_dir(tmp_path) / persist.episode_file(0)) as fh:
+        reason = json.loads(fh.readline())["failure_reason"]
+    assert reason
+    assert capsys.readouterr().err == (
+        f"warning: episode 0 failed: {reason}\n"
+        f"warning: episode 1 failed: {reason}\n"
+        f"error: {path}: Is a directory\n"
+    )
+    assert_left(tmp_path, 2, [path.name])
+    assert children() - seen[0] == set()
+
+
+def sockets(pid):
+    """The socket inodes that the fds of process `pid` hold."""
+    found = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except FileNotFoundError:  # closed since the listing
+            continue
+        if target.startswith("socket:"):
+            found.add(target)
+    return found
+
+
+@needs_two_cpus
+def test_no_child_holds_a_pipe_end_of_the_campaign(tmp_path, monkeypatch, seen):
+    # where the writer and the fit helper both run, neither holds the
+    # campaign's end of its own pipe or of its sibling's, so each reads EOF
+    # once the campaign's process is gone. The sockets this process held
+    # before the run are left out: every child inherits them
+    before = sockets(os.getpid())
+    held = []
+    simulate = optimizer.simulate_episode
+
+    def recording(*args):
+        # seen[-1] is the children at the start of the last episode
+        if seen and len(seen[-1]) == 2 and not held:
+            held.append((sockets(os.getpid()) - before, [sockets(pid) for pid in seen[-1]]))
+        return simulate(*args)
+
+    monkeypatch.setattr(optimizer, "simulate_episode", recording)
+    assert cli.main(["run", "behind", "--sampler", "bo", "--budget", "4",
+                     "--out", str(tmp_path / "out")]) == 0
+    (campaign_ends, of_children), = held
+    assert len(campaign_ends) == 2
+    for sockets_of_child in of_children:
+        assert len(sockets_of_child - before) == 1  # its end of its own pipe
+        assert sockets_of_child & campaign_ends == set()
 
 
 # runs a long Sobol `avstress run` that prints its writer's pid once, at
@@ -232,9 +328,9 @@ simulate = optimizer.simulate_episode
 
 def printing(*args):
     writer = opened[-1]
-    if writer.process is not None and not getattr(writer, "printed", False):
+    if writer.helper.process is not None and not getattr(writer, "printed", False):
         writer.printed = True
-        print(writer.process.pid, flush=True)
+        print(writer.helper.process.pid, flush=True)
     return simulate(*args)
 
 optimizer.simulate_episode = printing

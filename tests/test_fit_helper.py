@@ -1,12 +1,12 @@
-"""The GP fit's helper process (`fit_helper.FitHelper`).
+"""The GP fit's helper process (`fit_helper.Helper`).
 
 Inside a campaign, and where the process may run on at least 2 CPUs, one
 forked helper runs the odd-numbered L-BFGS-B starts of every fit. These
 tests check that it changes no bit, that no process outlives the campaign
 whichever way it ends, and that a helper that raises or dies leaves the
-campaign as a serial loop would have left it.
+campaign as a serial loop would have left it: a helper whose work raised
+exits, and the next fit forks a new one.
 """
-import filecmp
 import math
 import os
 import signal
@@ -17,24 +17,25 @@ import numpy as np
 import pytest
 
 from avstress import cli, optimizer, surrogate
-from avstress.fit_helper import FitHelper
+from avstress.fit_helper import Helper
 from avstress.optimizer import GpUcbSampler, SobolSampler, run_campaign
 from avstress.planner import LatticePlanner
 from avstress.scenario import load_preset
-from conftest import SRC, children, gone, needs_two_cpus, proc_state, wait_until
+from conftest import (SRC, assert_same_tree, children, gone, needs_two_cpus, proc_state,
+                      wait_until)
 
 
 @pytest.fixture
 def opened(monkeypatch):
-    """The FitHelpers that campaigns open during the test, in order."""
+    """The fit helpers that campaigns open during the test, in order."""
     helpers = []
 
-    class Recording(FitHelper):
+    class Recording(Helper):
         def __init__(self):
             super().__init__()
             helpers.append(self)
 
-    monkeypatch.setattr(optimizer, "FitHelper", Recording)
+    monkeypatch.setattr(optimizer, "Helper", Recording)
     return helpers
 
 
@@ -54,15 +55,6 @@ def campaign_files(tmp_path, name, budget=20):
     assert cli.main(["run", "behind", "--sampler", "bo", "--budget", str(budget),
                      "--out", str(out)]) == 0
     return out / "behind_bo"
-
-
-def assert_same_tree(a, b):
-    cmp = filecmp.dircmp(a, b)
-    assert not (cmp.left_only or cmp.right_only or cmp.funny_files), cmp.report()
-    _, mismatch, errors = filecmp.cmpfiles(a, b, cmp.common_files, shallow=False)
-    assert (mismatch, errors) == ([], [])
-    for sub in cmp.common_dirs:
-        assert_same_tree(a / sub, b / sub)
 
 
 @needs_two_cpus
@@ -113,12 +105,12 @@ from avstress.scenario import load_preset
 
 printed, opened = [], []
 
-class Recording(optimizer.FitHelper):
+class Recording(optimizer.Helper):
     def __init__(self):
         super().__init__()
         opened.append(self)
 
-optimizer.FitHelper = Recording
+optimizer.Helper = Recording
 
 def sink(record, episode):
     helper = opened[-1]
@@ -275,15 +267,15 @@ class TestHelperFailure:
         with pytest.raises(np.linalg.LinAlgError) as serial_error:
             surrogate.fit(X, y)
         assert str(serial_error.value) == f"start {raised}"
-        with FitHelper() as helper:
+        before = children()
+        with Helper() as helper:
             with pytest.raises(np.linalg.LinAlgError) as helper_error:
                 surrogate.fit(X, y, helper=helper)
-            pid = helper.process.pid
-            # the reply was read before the fit raised: nothing is left in
-            # the pipe, and the next fit reads its own reply
-            assert not helper.conn.poll()
+            # the helper's starts raised, so it exited and was joined before
+            # the fit raised; the next fit forks a new one
+            assert (helper.process, helper.sent, children() - before) == (None, 1, set())
             model = surrogate.fit(X10, y10, helper=helper)
-            assert (helper.process.pid, helper.fits) == (pid, 2)
+            assert helper.process is not None and helper.sent == 2
         assert str(helper_error.value) == str(serial_error.value)
         assert model.params == expected.params
         assert model.alpha.tobytes() == expected.alpha.tobytes()
@@ -296,16 +288,17 @@ class TestHelperFailure:
         X, y = rng.random((12, 2)), rng.random(12)
         starts = self.first_fit_starts(monkeypatch, surrogate.fit, X, y)
         self.fail_at(monkeypatch, *starts, {3}, LocalError)
-        with FitHelper() as helper:
+        before = children()
+        with Helper() as helper:
             # the helper sends back no error, only that its starts failed;
             # this process then runs the starts and raises the error itself
             with pytest.raises(LocalError, match="start 3"):
                 surrogate.fit(X, y, helper=helper)
-            pid = helper.process.pid
-            # the same helper serves the next fit
-            assert not helper.conn.poll()
+            # the helper exited after its starts raised; the next fit forks
+            # a new one
+            assert (helper.process, helper.sent, children() - before) == (None, 1, set())
             surrogate.fit(X[:10], y[:10], helper=helper)
-            assert (helper.process.pid, helper.fits) == (pid, 2)
+            assert helper.process is not None and helper.sent == 2
         # the helper exited quietly
         assert "Traceback" not in capfd.readouterr().err
 
@@ -375,7 +368,7 @@ def test_a_platform_without_sched_getaffinity_runs_fits_serially(
     monkeypatch.delattr(os, "sched_getaffinity")
     unknown = campaign_files(tmp_path, "unknown")
     # no fit sent its starts, so no helper process was forked
-    assert [(helper.fits, helper.process) for helper in opened] == [(0, None), (0, None)]
+    assert [(helper.sent, helper.process) for helper in opened] == [(0, None), (0, None)]
     assert_same_tree(pinned, unknown)
 
 
