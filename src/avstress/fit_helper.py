@@ -49,7 +49,7 @@ import signal
 from typing import Any, Callable, Optional, Tuple
 
 # seconds a helper has to exit once its pipe is closed (an idle one exits at
-# once), and that the episode writer waits for each reply at the end
+# once), and that the episode writer waits for each reply
 HELPER_EXIT_S = 5.0
 
 

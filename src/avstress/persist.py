@@ -21,9 +21,10 @@ removed or opened to write raises an InputError that names it.
 on 2 CPUs or more, a helper process forked at the first episode writes the
 episode files (`fit_helper.Helper`): the campaign's process builds each
 episode's header, plain trace values and log line, sends what the file
-needs, and appends the line once the helper confirms the file. Whatever
-the helper does not confirm, the campaign's process writes itself, in
-order. It writes the manifest, the scenario copy and `stats.csv` itself.
+needs, and appends the line once the helper confirms the file; it waits
+for the helper once more than WRITER_BACKLOG episodes are unconfirmed.
+Whatever the helper does not confirm, the campaign's process writes itself,
+in order. It writes the manifest, the scenario copy and `stats.csv` itself.
 """
 from __future__ import annotations
 
@@ -53,6 +54,9 @@ TTC_CONVENTION = (
 )
 
 STATS_COLUMNS = ",".join(["scenario", "sampler"] + [f.name for f in fields(CampaignStats)])
+
+# the unconfirmed episodes past which `EpisodeWriter.write` waits for its helper
+WRITER_BACKLOG = 2
 
 
 def _dump(obj) -> str:
@@ -244,12 +248,16 @@ class EpisodeWriter:
     write with `_write_episode`: the episode's path, header and trace's
     plain values (`_rows`). It keeps them with the episode's log line until
     the helper confirms the file, then appends and flushes the line and
-    prints the warning of an episode that failed. The campaign's process
-    never waits for a write: a full pipe is the only backpressure.
+    prints the warning of an episode that failed. `write` waits for the
+    oldest reply once more than WRITER_BACKLOG episodes are unconfirmed, so
+    at most WRITER_BACKLOG + 1 messages are in the pipe: about 23 KB for a
+    preset and 45 KB for a 4-agent crowd, where a local socket takes about
+    200 KB before a send blocks. So no send to a stopped helper blocks,
+    unless a message passes about 60 KB (10 cars, `horizon_steps` over 130).
 
     This process writes, in order, whatever the helper did not confirm:
     every episode where the campaign may use only one CPU, and the rest after
-    a write that raised, after the helper died or did not reply within
+    a send or a write that failed, after the helper died or did not reply in
     `fit_helper.HELPER_EXIT_S`, or when the writer's `with` block raised,
     which kills the helper. A write that raises here is where a serial loop
     stops, so nothing after it is written: the files, the lines and stderr
@@ -273,21 +281,22 @@ class EpisodeWriter:
         header, rows = _header(episode, record.goals_world, self.scenario), _rows(episode.trace)
         line = campaign_record_to_json(record, ep_file) + "\n"
         self.pending.append((record.iteration, path, header, rows, line))
-        if not self.helper.send(_write_episode, path, header, rows):
-            self._write_pending()
-        # one reply at most: the helper sends one per episode
-        elif self.helper.conn.poll(0):
-            self._confirm()
+        self.helper.send(_write_episode, path, header, rows)
+        self._drain(WRITER_BACKLOG)
 
-    def _confirm(self, timeout: Optional[float] = None) -> None:
-        """Read the helper's reply to the oldest episode it has not
-        confirmed: log the episode if the file is written, else write it
-        and every later one here."""
-        if self.helper.receive(timeout)[0]:
-            iteration, _, header, _, line = self.pending.popleft()
-            self._log(iteration, header, line)
-        else:
-            self._write_pending()
+    def _drain(self, limit: int) -> None:
+        """Log the oldest episodes as the helper confirms them until at most
+        `limit` are unconfirmed; once the helper is gone, write the rest here
+        in order, none after one that raises."""
+        while len(self.pending) > limit and self.helper.process is not None:
+            if self.helper.receive(fit_helper.HELPER_EXIT_S)[0]:
+                iteration, _, header, _, line = self.pending.popleft()
+                self._log(iteration, header, line)
+        if self.helper.process is None:
+            pending, self.pending = self.pending, deque()
+            for iteration, path, header, rows, line in pending:
+                _write_episode(path, header, rows)
+                self._log(iteration, header, line)
 
     def _log(self, iteration: int, header: dict, line: str) -> None:
         self.log.write(line)
@@ -296,22 +305,12 @@ class EpisodeWriter:
             print(f"warning: episode {iteration} failed: {header['failure_reason']}",
                   file=sys.stderr)
 
-    def _write_pending(self) -> None:
-        """Write the episodes the helper did not confirm, in order, in this
-        process; those after one that raises are dropped."""
-        pending, self.pending = self.pending, deque()
-        for iteration, path, header, rows, line in pending:
-            _write_episode(path, header, rows)
-            self._log(iteration, header, line)
-
     def __exit__(self, exc_type, *_) -> None:
         with self.log:
             if exc_type is not None:
                 self.helper.close(kill=True)
             with self.helper:
-                while self.pending and self.helper.process is not None:
-                    self._confirm(fit_helper.HELPER_EXIT_S)
-            self._write_pending()
+                self._drain(0)
 
 
 # json.loads's own decoder, without the checks json.loads makes around it

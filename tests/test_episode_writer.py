@@ -3,11 +3,15 @@
 Where the process may run on 2 CPUs or more, `avstress run` forks one
 writer process (a `fit_helper.Helper`) at a campaign's first episode, which
 writes the episode files while the campaign goes on; the campaign's process
-appends each `campaign.jsonl` line once the writer confirms the file, and
-writes itself whatever the writer does not confirm. These tests check that
-no process outlives `run` whichever way it ends, and that a campaign leaves
-the files, stderr and exit code that the serial path leaves: each case runs
-once on one CPU, where `run` writes in its own process, and once on all.
+appends each `campaign.jsonl` line once the writer confirms the file, waits
+for the writer once more than `persist.WRITER_BACKLOG` episodes are
+unconfirmed, and writes itself whatever the writer does not confirm. These
+tests check that no process outlives `run` whichever way it ends, that a
+writer that dies or stops neither hangs a campaign nor changes its files,
+that the backlog stays within its bound, and that a campaign leaves the
+files, stderr and exit code that the serial path leaves: each such case
+runs once on one CPU, where `run` writes in its own process, and once on
+all.
 """
 import json
 import os
@@ -121,16 +125,16 @@ def block_write(seen, tmp_path, k):
     return path, blocking
 
 
-def slow_first_write(monkeypatch):
-    """Make the first episode's write take 0.3 s, in whichever process
-    writes it: the campaign sends every later episode before the writer
-    gets to the second. `_write_episode`, which the writer is sent by name,
-    opens the file through `_writing`."""
+def slow_writes(monkeypatch, iterations, seconds=0.3):
+    """Make the write of each episode file in `iterations` take `seconds`
+    longer, in whichever process writes it. `_write_episode`, which the
+    writer is sent by name, opens the file through `_writing`."""
+    names = tuple(persist.episode_file(i) for i in iterations)
     real = persist._writing
 
     def slow(call, *args, **kwargs):
-        if call is open and args[0].endswith(persist.episode_file(0)):
-            time.sleep(0.3)
+        if call is open and args[0].endswith(names):
+            time.sleep(seconds)
         return real(call, *args, **kwargs)
 
     monkeypatch.setattr(persist, "_writing", slow)
@@ -146,7 +150,8 @@ def test_a_failed_write_ends_the_campaign_where_it_failed(k, slow, cpus, tmp_pat
     # serial loop leaves
     on(cpus, monkeypatch)
     if slow:
-        slow_first_write(monkeypatch)
+        # the campaign waits for the first file at episode WRITER_BACKLOG
+        slow_writes(monkeypatch, [0])
     path, blocking = block_write(seen, tmp_path, k)
     monkeypatch.setattr(optimizer, "simulate_episode", blocking)
     assert run_front(tmp_path) == 2
@@ -233,29 +238,113 @@ def test_a_writer_that_died_leaves_the_tree_of_an_undisturbed_run(tmp_path, monk
 @needs_two_cpus
 def test_a_stopped_writer_leaves_the_tree_of_an_undisturbed_run(tmp_path, monkeypatch, capsys,
                                                                 seen):
-    # the campaign sends episodes 4 to 7 to the stopped writer, which
-    # confirms none of them; at the end it waits HELPER_EXIT_S for a
-    # reply, kills the writer and writes them itself
-    assert run_front(tmp_path / "undisturbed") == 0
+    # the writer, stopped at the start of episode 4, confirms no episode
+    # from 4 on. By episode 4 + WRITER_BACKLOG's write at the latest the
+    # campaign has waited HELPER_EXIT_S for a reply, killed the writer and
+    # written the unconfirmed episodes itself; the next write forks a new
+    # writer, which serves to the end
+    budget = 12
+    assert run_front(tmp_path / "undisturbed", budget) == 0
     seen.clear()
     monkeypatch.setattr(fit_helper, "HELPER_EXIT_S", 0.3)
     monkeypatch.setattr(optimizer, "simulate_episode", disturb_writer(seen, signal.SIGSTOP, "T"))
-    assert run_front(tmp_path) == 0
+    assert run_front(tmp_path, budget) == 0
     assert capsys.readouterr().err == ""
-    assert all(pids == seen[1] for pids in seen[1:]), seen
+    (stopped,) = seen[3]
+    replaced = 4 + persist.WRITER_BACKLOG + 2
+    assert len(seen[replaced]) == 1 and stopped not in seen[replaced], seen
+    assert all(pids == seen[replaced] for pids in seen[replaced:]), seen
     assert_same_tree(campaign_dir(tmp_path / "undisturbed"), campaign_dir(tmp_path))
     assert children() - seen[0] == set()
+
+
+# a Sobol `avstress run` of `front` at the budget argv[2] whose writer is
+# stopped at the start of episode 5, with HELPER_EXIT_S at 0.3 s; after
+# what `run` prints, prints its exit code and the number of children left
+STOP_WRITER_SCRIPT = """
+import os, signal, sys
+from avstress import cli, fit_helper, optimizer
+from conftest import children, proc_state, wait_until
+
+fit_helper.HELPER_EXIT_S = 0.3
+simulate = optimizer.simulate_episode
+started = []
+
+def stopping(*args):
+    if len(started) == 5:
+        (pid,) = children()  # the writer
+        os.kill(pid, signal.SIGSTOP)
+        assert wait_until(lambda: proc_state(pid) == "T")
+    started.append(None)
+    return simulate(*args)
+
+optimizer.simulate_episode = stopping
+code = cli.main(["run", "front", "--sampler", "sobol", "--budget", sys.argv[2],
+                 "--out", sys.argv[1]])
+print(code, len(children()), flush=True)
+"""
+
+
+@needs_two_cpus
+def test_a_writer_stopped_mid_run_does_not_hang_it(tmp_path):
+    # a campaign many times WRITER_BACKLOG long must not fill a stopped
+    # writer's pipe and block in a send. The run is in a session of its
+    # own, so that a hung one is killed with its stopped writer
+    budget = 40
+    assert run_front(tmp_path / "undisturbed", budget) == 0
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STOP_WRITER_SCRIPT, str(tmp_path / "out"), str(budget)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.path.dirname(__file__)])},
+    )
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        raise AssertionError("run hung with its writer stopped") from None
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
+    assert (proc.returncode, err) == (0, "")
+    assert out.splitlines() == [str(campaign_dir(tmp_path)), "0 0"]
+    assert_same_tree(campaign_dir(tmp_path / "undisturbed"), campaign_dir(tmp_path))
+
+
+@needs_two_cpus
+def test_the_backlog_never_passes_its_bound(tmp_path, monkeypatch):
+    # every write is far slower than an episode, so the writer falls
+    # behind at once; the campaign waits for it rather than queue more
+    backlogs = []
+
+    class Recording(persist.EpisodeWriter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            send = self.helper.send
+
+            def recording(*work):
+                backlogs.append(len(self.pending))
+                return send(*work)
+
+            self.helper.send = recording
+
+    monkeypatch.setattr(persist, "EpisodeWriter", Recording)
+    slow_writes(monkeypatch, range(BUDGET), seconds=0.05)
+    assert run_front(tmp_path) == 0
+    assert len(backlogs) == BUDGET
+    assert max(backlogs) == persist.WRITER_BACKLOG + 1, backlogs
 
 
 @CPUS
 def test_failed_episodes_warn_up_to_a_failed_write(cpus, tmp_path, monkeypatch, capsys, seen):
     # every episode fails and the write of episode 2 fails too: a serial
     # loop warns of episodes 0 and 1, then stops at the write, and so does
-    # `run` where the writer runs and the campaign sends every episode
-    # before the writer is past the first
+    # `run` where the writer runs and its first write is slow, so that the
+    # campaign waits for it with the next episodes sent
     on(cpus, monkeypatch)
     monkeypatch.setattr(cli, "LatticePlanner", TuplePlanner)
-    slow_first_write(monkeypatch)
+    slow_writes(monkeypatch, [0])
     path, blocking = block_write(seen, tmp_path, 2)
     monkeypatch.setattr(optimizer, "simulate_episode", blocking)
     assert run_front(tmp_path, budget=6) == 2
