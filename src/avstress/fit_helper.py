@@ -5,10 +5,10 @@ module-level functions in the order the campaign's process sends them, and
 replies to each whether it raised. It starts no process where the campaign
 may use only one CPU (or cannot tell), and the campaign does whatever its
 helper does not confirm: work that raised, work sent to a helper that died
-or, where the caller sets a timeout, did not reply in time. No exception
-crosses the pipe, so the campaign's process raises what a serial loop
-raises. A helper exits after work that raised, and the next `send` forks a
-new one.
+or did not reply within HELPER_EXIT_S. No exception crosses the pipe, so
+the campaign's process raises what a serial loop raises. A helper exits
+after work that raised, one whose reply did not come is killed, and the
+next `send` forks a new one.
 
 A fit's 8 L-BFGS-B starts are independent (Rasmussen & Williams 2006,
 section 5.4). `optimizer.run_campaign` opens the campaign's fit helper and
@@ -46,10 +46,10 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
-# seconds a helper has to exit once its pipe is closed (an idle one exits at
-# once), and that the episode writer waits for each reply
+# seconds the campaign's process waits for each reply of a helper, the fit's
+# and the episode writer's alike
 HELPER_EXIT_S = 5.0
 
 
@@ -75,9 +75,7 @@ def _child(conn) -> None:
 
 class Helper:
     """A child process of a campaign, forked by the first `send`, and the
-    campaign's end of its pipe to it. Leaving its `with` block closes it: an
-    exception, an interrupt among them, may have left the child in the
-    middle of its work, so it is then killed."""
+    campaign's end of its pipe to it. Leaving its `with` block closes it."""
 
     def __init__(self):
         self.process = self.conn = None
@@ -87,8 +85,8 @@ class Helper:
     def __enter__(self):
         return self
 
-    def __exit__(self, exc_type, *_) -> None:
-        self.close(kill=exc_type is not None)
+    def __exit__(self, *_) -> None:
+        self.close()
 
     def send(self, work: Callable, *args) -> bool:
         """Have the helper run `work(*args)`, `work` a module-level function,
@@ -106,17 +104,17 @@ class Helper:
             # which takes 40% longer on an episode's trace
             self.conn.send_bytes(pickle.dumps((self.sent, work, args), pickle.HIGHEST_PROTOCOL))
         except OSError:
-            self.close(kill=True)
+            self.close()
             return False
         return True
 
-    def receive(self, timeout: Optional[float] = None) -> Tuple[bool, Any]:
+    def receive(self) -> Tuple[bool, Any]:
         """(ok, result) of the oldest work sent and not replied to: (True,
         what it returned), or (False, None) where it raised, or the helper
-        died or did not reply within `timeout` seconds. After a False the
-        helper is closed, and the next `send` forks a new one."""
+        died or did not reply within HELPER_EXIT_S. After a False the helper
+        is closed, and the next `send` forks a new one."""
         try:
-            if timeout is None or self.conn.poll(timeout):
+            if self.conn.poll(HELPER_EXIT_S):
                 number, ok, result = self.conn.recv()
                 if number != self.replied + 1:
                     raise RuntimeError(f"helper replied to work {number}, not {self.replied + 1}")
@@ -125,7 +123,7 @@ class Helper:
                     return True, result
         except (EOFError, OSError):
             pass
-        self.close(kill=True)
+        self.close()
         return False, None
 
     def _start(self) -> None:
@@ -149,18 +147,14 @@ class Helper:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         self.process, self.conn, self.replied = process, conn, self.sent
 
-    def close(self, kill: bool = False) -> None:
-        """Close the pipe and join the child, which then exits at EOF;
-        `kill` it first where it may be in the middle of its work. A child
-        still there after HELPER_EXIT_S is killed, so that a fault in it
-        cannot hang the campaign."""
+    def close(self) -> None:
+        """Close the pipe, kill the child and join it. By then the child has
+        replied to all its work, or it cannot be trusted to: its work raised,
+        its reply did not come in time, a send failed or the campaign's
+        process raised."""
         if self.process is None:
             return
         self.conn.close()
-        if kill:
-            self.process.kill()
-        self.process.join(HELPER_EXIT_S)
-        if self.process.exitcode is None:
-            self.process.kill()
-            self.process.join()
+        self.process.kill()
+        self.process.join()
         self.process = self.conn = None

@@ -160,7 +160,7 @@ def run_campaign(
     exception ends the campaign. The loop is deterministic given its
     arguments. Every proposal is passed the campaign's fit helper
     (`fit_helper.Helper`) as `helper`; its process, if a fit started one, is
-    joined before this returns or raises.
+    killed and joined before this returns or raises.
     """
     dim = prompt_dim(scenario)
     records: List[EpisodeRecord] = []

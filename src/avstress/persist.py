@@ -289,7 +289,7 @@ class EpisodeWriter:
         `limit` are unconfirmed; once the helper is gone, write the rest here
         in order, none after one that raises."""
         while len(self.pending) > limit and self.helper.process is not None:
-            if self.helper.receive(fit_helper.HELPER_EXIT_S)[0]:
+            if self.helper.receive()[0]:
                 iteration, _, header, _, line = self.pending.popleft()
                 self._log(iteration, header, line)
         if self.helper.process is None:
@@ -308,7 +308,7 @@ class EpisodeWriter:
     def __exit__(self, exc_type, *_) -> None:
         with self.log:
             if exc_type is not None:
-                self.helper.close(kill=True)
+                self.helper.close()
             with self.helper:
                 self._drain(0)
 

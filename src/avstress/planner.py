@@ -38,6 +38,9 @@ StateTuple = Tuple[float, float, float, float]
 # one candidate of an ego start's table: lane id, accel, the rollout's states
 # flattened to 4 doubles each, terminal cost
 TableRow = Tuple[str, float, array, float]
+# a start's rows in planning order, their indices cheapest first, and each
+# row's plan, None until the row is first chosen
+Table = Tuple[List[TableRow], List[int], List[Optional[List[AgentState]]]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,22 +172,19 @@ class LatticePlanner:
     reaching v_max, or accel <= 0 reaching 0) share one array, since every
     later step stays saturated. The plan a row gives, its first replan_every
     states as AgentStates, is built the first time the row is chosen and
-    kept beside the tables; each call returns a new list of those states.
+    kept in the start's table; each call returns a new list of those states.
     No row is mutated and AgentState is frozen, so sharing is safe.
 
     At the default horizon a table takes at most about 1.2 KB per row, 17 KB
     for the 14 rows of a start on a two-lane road, and a row's plan about
-    1.7 KB more at replan_every 5; the tables and plans are dropped when
-    the planner is first asked to plan in a different scenario object.
+    1.7 KB more at replan_every 5; the tables are dropped when the planner
+    is first asked to plan in a different scenario object.
     """
 
     def __init__(self):
         self._scenario: Optional[Scenario] = None
-        # packed ego start -> its candidates in planning order, and their
-        # indices cheapest first
-        self._tables: Dict[bytes, Tuple[List[TableRow], List[int]]] = {}
-        # (packed ego start, row index) -> the row's plan
-        self._plans: Dict[Tuple[bytes, int], List[AgentState]] = {}
+        # packed ego start -> its table
+        self._tables: Dict[bytes, Table] = {}
 
     def _candidate_lanes(self, ego: AgentState, scenario: Scenario) -> List[Lane]:
         current, _, _, _ = scenario.map.nearest_lane(ego.position)
@@ -194,13 +194,11 @@ class LatticePlanner:
                 lanes.append(scenario.map.lanes[ref])
         return lanes
 
-    def _table(
-        self, ego: AgentState, scenario: Scenario
-    ) -> Tuple[List[TableRow], List[int]]:
-        """The ego start's rows and their cost order, built on first use."""
+    def _table(self, ego: AgentState, scenario: Scenario) -> Table:
+        """The ego start's table, built on first use."""
         if scenario is not self._scenario:
             self._scenario = scenario
-            self._tables, self._plans = {}, {}
+            self._tables = {}
         key = _start_key(ego)
         entry = self._tables.get(key)
         if entry is None:
@@ -232,7 +230,7 @@ class LatticePlanner:
                     rows.append((lane.id, accel, flat, cost))
             # sorted is stable, so rows of equal cost stay in planning order
             order = sorted(range(len(rows)), key=lambda i: rows[i][3])
-            entry = self._tables[key] = (rows, order)
+            entry = self._tables[key] = (rows, order, [None] * len(rows))
         return entry
 
     def _predictions(
@@ -240,9 +238,10 @@ class LatticePlanner:
     ) -> List[Tuple[List[float], List[float]]]:
         """Every other agent's predicted xs and ys, in sorted id order."""
         horizon = max(HORIZON_STEPS, scenario.sim.replan_every)
+        ego_id = scenario.ego.id
         predictions = []
         for aid in sorted(world.states):
-            if aid != scenario.ego.id:
+            if aid != ego_id:
                 wps = predict_constant_velocity(
                     world.states[aid], scenario.map, horizon, scenario.sim.dt
                 )
@@ -251,7 +250,7 @@ class LatticePlanner:
 
     def plan(self, world: JointState, scenario: Scenario) -> List[AgentState]:
         ego = world.states[scenario.ego.id]
-        rows, order = self._table(ego, scenario)
+        rows, order, plans = self._table(ego, scenario)
         predictions = self._predictions(world, scenario)
         # the first cheapest feasible row, else the first of largest clearance;
         # rows are checked cheapest first, so the first feasible one is it
@@ -264,11 +263,10 @@ class LatticePlanner:
             clearances[i] = clearance
         else:
             best = max(range(len(rows)), key=clearances.__getitem__)
-        key = (_start_key(ego), best)
-        plan = self._plans.get(key)
+        plan = plans[best]
         if plan is None:
             it = iter(rows[best][2][: 4 * scenario.sim.replan_every])
-            plan = self._plans[key] = [
+            plan = plans[best] = [
                 AgentState(Point2(x, y), heading, speed)
                 for x, y, heading, speed in zip(it, it, it, it)
             ]

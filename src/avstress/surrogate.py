@@ -487,9 +487,9 @@ def _multistart(
     odd-numbered starts and this process the even-numbered ones, and this
     process reads the helper's reply before it goes on (an interrupt leaves
     it unread, and leaving the helper's `with` block then kills it). If a
-    start raised in either process, or the helper died, the serial loop
-    runs every start here: it raises what the first start to raise in start
-    order raised."""
+    start raised in either process, or the helper died or did not reply
+    within `HELPER_EXIT_S`, the serial loop runs every start here: it raises
+    what the first start to raise in start order raised."""
     if helper is not None and helper.send(_run_starts, X, z, lo, hi, starts[1::2]):
         try:
             own = _run_starts(X, z, lo, hi, starts[0::2])

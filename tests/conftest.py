@@ -213,7 +213,7 @@ ScoredRow = namedtuple("ScoredRow", "target_lane accel states cost min_clearance
 def scored_rows(planner, world, scenario):
     """Every row of the planner's table for this replan, in planning order,
     with its clearance: plan() scores only the rows it needs."""
-    rows, _ = planner._table(world.states[scenario.ego.id], scenario)
+    rows, _, _ = planner._table(world.states[scenario.ego.id], scenario)
     predictions = planner._predictions(world, scenario)
     return [
         ScoredRow(

@@ -7,11 +7,11 @@ appends each `campaign.jsonl` line once the writer confirms the file, waits
 for the writer once more than `persist.WRITER_BACKLOG` episodes are
 unconfirmed, and writes itself whatever the writer does not confirm. These
 tests check that no process outlives `run` whichever way it ends, that a
-writer that dies or stops neither hangs a campaign nor changes its files,
-that the backlog stays within its bound, and that a campaign leaves the
-files, stderr and exit code that the serial path leaves: each such case
-runs once on one CPU, where `run` writes in its own process, and once on
-all.
+writer that dies or stops, or a stopped fit helper, neither hangs a
+campaign nor changes its files, that the backlog stays within its bound,
+and that a campaign leaves the files, stderr and exit code that the serial
+path leaves: each such case runs once on one CPU, where `run` writes in its
+own process, and once on all.
 """
 import json
 import os
@@ -52,13 +52,13 @@ def on(cpus, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
-def run_front(tmp_path, budget=BUDGET):
-    return cli.main(["run", "front", "--sampler", "sobol", "--budget", str(budget),
+def run_front(tmp_path, budget=BUDGET, sampler="sobol"):
+    return cli.main(["run", "front", "--sampler", sampler, "--budget", str(budget),
                      "--out", str(tmp_path / "out")])
 
 
-def campaign_dir(tmp_path):
-    return tmp_path / "out" / "front_sobol"
+def campaign_dir(tmp_path, sampler="sobol"):
+    return tmp_path / "out" / f"front_{sampler}"
 
 
 def assert_left(tmp_path, k, extra=()):
@@ -258,49 +258,64 @@ def test_a_stopped_writer_leaves_the_tree_of_an_undisturbed_run(tmp_path, monkey
     assert children() - seen[0] == set()
 
 
-# a Sobol `avstress run` of `front` at the budget argv[2] whose writer is
-# stopped at the start of episode 5, with HELPER_EXIT_S at 0.3 s; after
-# what `run` prints, prints its exit code and the number of children left
-STOP_WRITER_SCRIPT = """
+# an `avstress run` of `front` into argv[1] with the sampler argv[2] at the
+# budget argv[3] and HELPER_EXIT_S at 0.3 s. A Sobol run's writer is stopped
+# at the start of episode 5, a GP-UCB run's fit helper each time it is
+# forked. After what `run` prints, prints its exit code and the number of
+# children left
+STOP_HELPER_SCRIPT = """
 import os, signal, sys
 from avstress import cli, fit_helper, optimizer
 from conftest import children, proc_state, wait_until
 
 fit_helper.HELPER_EXIT_S = 0.3
-simulate = optimizer.simulate_episode
-started = []
+out, sampler, budget = sys.argv[1:]
 
-def stopping(*args):
-    if len(started) == 5:
-        (pid,) = children()  # the writer
-        os.kill(pid, signal.SIGSTOP)
-        assert wait_until(lambda: proc_state(pid) == "T")
-    started.append(None)
-    return simulate(*args)
+def stop(pid):
+    os.kill(pid, signal.SIGSTOP)
+    assert wait_until(lambda: proc_state(pid) == "T")
 
-optimizer.simulate_episode = stopping
-code = cli.main(["run", "front", "--sampler", "sobol", "--budget", sys.argv[2],
-                 "--out", sys.argv[1]])
+if sampler == "sobol":
+    simulate = optimizer.simulate_episode
+    started = []
+
+    def stopping(*args):
+        if len(started) == 5:
+            (pid,) = children()  # the writer
+            stop(pid)
+        started.append(None)
+        return simulate(*args)
+
+    optimizer.simulate_episode = stopping
+else:
+    class Stopped(optimizer.Helper):  # the fit helper's class
+        def _start(self):
+            super()._start()
+            stop(self.process.pid)
+
+    optimizer.Helper = Stopped
+code = cli.main(["run", "front", "--sampler", sampler, "--budget", budget, "--out", out])
 print(code, len(children()), flush=True)
 """
 
 
 @needs_two_cpus
-def test_a_writer_stopped_mid_run_does_not_hang_it(tmp_path):
+@pytest.mark.parametrize("sampler, budget", [("sobol", 40), ("bo", 12)], ids=["writer", "fit"])
+def test_a_helper_stopped_mid_run_does_not_hang_it(sampler, budget, tmp_path):
     # a campaign many times WRITER_BACKLOG long must not fill a stopped
-    # writer's pipe and block in a send. The run is in a session of its
-    # own, so that a hung one is killed with its stopped writer
-    budget = 40
-    assert run_front(tmp_path / "undisturbed", budget) == 0
+    # writer's pipe and block in a send, and a fit must not wait for good
+    # for a stopped fit helper's starts. The run is in a session of its
+    # own, so that a hung one is killed with its stopped helper
+    assert run_front(tmp_path / "undisturbed", budget, sampler) == 0
     proc = subprocess.Popen(
-        [sys.executable, "-c", STOP_WRITER_SCRIPT, str(tmp_path / "out"), str(budget)],
+        [sys.executable, "-c", STOP_HELPER_SCRIPT, str(tmp_path / "out"), sampler, str(budget)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.path.dirname(__file__)])},
     )
     try:
         out, err = proc.communicate(timeout=30)
     except subprocess.TimeoutExpired:
-        raise AssertionError("run hung with its writer stopped") from None
+        raise AssertionError("run hung with its helper stopped") from None
     finally:
         try:
             os.killpg(proc.pid, signal.SIGKILL)
@@ -308,8 +323,9 @@ def test_a_writer_stopped_mid_run_does_not_hang_it(tmp_path):
             pass
         proc.communicate()
     assert (proc.returncode, err) == (0, "")
-    assert out.splitlines() == [str(campaign_dir(tmp_path)), "0 0"]
-    assert_same_tree(campaign_dir(tmp_path / "undisturbed"), campaign_dir(tmp_path))
+    assert out.splitlines() == [str(campaign_dir(tmp_path, sampler)), "0 0"]
+    assert_same_tree(campaign_dir(tmp_path / "undisturbed", sampler),
+                     campaign_dir(tmp_path, sampler))
 
 
 @needs_two_cpus

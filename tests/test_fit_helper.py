@@ -3,20 +3,21 @@
 Inside a campaign, and where the process may run on at least 2 CPUs, one
 forked helper runs the odd-numbered L-BFGS-B starts of every fit. These
 tests check that it changes no bit, that no process outlives the campaign
-whichever way it ends, and that a helper that raises or dies leaves the
-campaign as a serial loop would have left it: a helper whose work raised
-exits, and the next fit forks a new one.
+whichever way it ends, and that a helper that raises, dies or replies
+after HELPER_EXIT_S leaves the campaign as a serial loop would have left
+it: such a helper is gone after its fit, and the next fit forks a new one.
 """
 import math
 import os
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from avstress import cli, optimizer, surrogate
+from avstress import cli, fit_helper, optimizer, surrogate
 from avstress.fit_helper import Helper
 from avstress.optimizer import GpUcbSampler, SobolSampler, run_campaign
 from avstress.planner import LatticePlanner
@@ -220,6 +221,42 @@ class TestHelperFailure:
         assert after == [first] * 4 + [None] + [second] * 4 + [None] + [third] * 8
         assert len({first, second, third}) == 3
         assert_same_tree(undisturbed, disturbed)
+
+    def test_a_late_reply_leaves_the_records_of_an_undisturbed_campaign(
+        self, monkeypatch, opened
+    ):
+        # the first fit's helper replies long after HELPER_EXIT_S: the fit
+        # runs every start here, the helper is killed, and the next fit
+        # forks a new one, which serves to the end
+        scenario = load_preset("behind")
+        undisturbed = run_campaign(scenario, GpUcbSampler(), LatticePlanner(), 10)
+        n, _ = self.first_fit_starts(
+            monkeypatch, run_campaign, scenario, GpUcbSampler(), LatticePlanner(), 10)
+        campaign = os.getpid()
+        fit, fit_pairs = surrogate.fit, surrogate.fit_pairs
+        after = []  # the helper's pid after each fit, None where there is none
+
+        def lagging(X):
+            # patched before the fork, so the helper's `_run_starts` calls
+            # it too, and only the helper sleeps
+            if os.getpid() != campaign and len(X) == n:
+                time.sleep(3.0)
+            return fit_pairs(X)
+
+        def recording(X, y, helper=None):
+            model = fit(X, y, helper=helper)
+            after.append(helper_pid(opened))
+            return model
+
+        monkeypatch.setattr(fit_helper, "HELPER_EXIT_S", 0.3)
+        monkeypatch.setattr(surrogate, "fit_pairs", lagging)
+        monkeypatch.setattr(surrogate, "fit", recording)
+        before = children()
+        records = run_campaign(scenario, GpUcbSampler(), LatticePlanner(), 10)
+        assert len(after) > 2 and after[0] is None and after[1] is not None
+        assert after[1:] == [after[1]] * (len(after) - 1)
+        assert records == undisturbed
+        assert children() - before == set()
 
     @staticmethod
     def first_fit_starts(monkeypatch, run, *args):

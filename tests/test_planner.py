@@ -399,7 +399,7 @@ class TestEarlyExit:
         """The index of the row plan() executes; checks it against ref_choice."""
         calls.clear()
         plan = planner.plan(world, sc)
-        rows, _ = planner._table(world.states["ego"], sc)
+        rows, _, _ = planner._table(world.states["ego"], sc)
         executed = [_hex(s.position.x, s.position.y, s.heading, s.speed) for s in plan]
         chosen = [i for i, c in enumerate(cands)
                   if [_hex(*s) for s in c.states[: sc.sim.replan_every]] == executed]
@@ -513,7 +513,7 @@ class TestRolloutReuse:
         planner = LatticePlanner()
         world = _with_ego(initial_joint_state(sc), "ego", speed=speed)
         ego = world.states["ego"]
-        rows, _ = planner._table(ego, sc)
+        rows, _, _ = planner._table(ego, sc)
         lanes = planner._candidate_lanes(ego, sc)
         start = (ego.position.x, ego.position.y, ego.heading, speed)
         _assert_rows_are_fresh_rollouts(rows, lanes, start, sc, real)

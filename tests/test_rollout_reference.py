@@ -229,7 +229,7 @@ class CheckedPlanner:
             assert [_state_bits(s) for s in c.states] == [_state_bits(s) for s in states]
             assert _bits(c.cost, c.min_clearance) == _bits(cost, clearance)
         # plan() checks rows in this order: cheapest first, ties by index
-        _, order = self.planner._table(world.states[scenario.ego.id], scenario)
+        _, order, _ = self.planner._table(world.states[scenario.ego.id], scenario)
         assert order == sorted(range(len(ref)), key=lambda i: (ref[i][3], i))
         plan = self.planner.plan(world, scenario)
         chosen = ref[ref_choice(ref, D_SAFE)]
