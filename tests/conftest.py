@@ -1,6 +1,10 @@
+import contextlib
 import filecmp
 import math
 import os
+import signal
+import subprocess
+import sys
 import time
 from collections import namedtuple
 
@@ -244,7 +248,41 @@ def record_blas_threads(monkeypatch):
     return controls, calls
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+BENCHMARKS = os.path.join(os.path.dirname(TESTS), "benchmarks")
+
+
+@contextlib.contextmanager
+def fresh_python(*args, cwd=None, env=None, path=()):
+    """The Popen of a fresh interpreter that runs `args` in `cwd`, in a
+    session of its own, with stdout and stderr on text pipes. Its
+    PYTHONPATH is SRC, then the directories in `path`; `env` sets other
+    variables, and a None value unsets one. However the block exits, even
+    by a failed assertion or a `TimeoutExpired`, every process of the
+    session's group is killed and `communicate()` reads both pipes to
+    their end and closes them, so no process or open pipe outlives it."""
+    environ = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join([SRC, *path])}
+    proc = subprocess.Popen(
+        [sys.executable, *args], cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env={k: v for k, v in environ.items() if v is not None},
+        start_new_session=True,
+    )
+    try:
+        yield proc
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # no process of the session is left
+            pass
+        proc.communicate()
+
+
+def one_cpu(monkeypatch):
+    """Let this process look as if it may run on one CPU: no helper starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 # the fit helper and the episode writer start only where the process may
 # run on 2 CPUs or more
 needs_two_cpus = pytest.mark.skipif(
@@ -301,3 +339,68 @@ def assert_same_tree(a, b):
     assert (mismatch, errors) == ([], [])
     for sub in cmp.common_dirs:
         assert_same_tree(a / sub, b / sub)
+
+
+# a campaign that prints the pid of its one child at the first episode that
+# starts with it alive, runs until it is interrupted and then prints how
+# many children it has left. Its argv[1] names the child: "fit", the fit
+# helper of a GP-UCB campaign on `behind`, or "writer", the episode writer
+# of a Sobol `avstress run` of `front` into argv[2]. Each `Helper.close`
+# first waits 0.5 s, so that a child that did not ignore SIGINT prints its
+# traceback before the campaign kills it
+PRINT_CHILD_SCRIPT = """
+import sys, time
+from avstress import cli, fit_helper, optimizer
+from avstress.planner import LatticePlanner
+from avstress.scenario import load_preset
+from conftest import children
+
+kind, out = sys.argv[1:]
+simulate, close, printed = optimizer.simulate_episode, fit_helper.Helper.close, []
+
+def printing(*args):
+    if not printed and children():
+        (pid,) = children()
+        printed.append(pid)
+        print(pid, flush=True)
+    return simulate(*args)
+
+def closing_late(helper):
+    time.sleep(0.5)
+    close(helper)
+
+optimizer.simulate_episode, fit_helper.Helper.close = printing, closing_late
+try:
+    if kind == "fit":
+        optimizer.run_campaign(load_preset("behind"), optimizer.GpUcbSampler(),
+                               LatticePlanner(), 400)
+    else:
+        cli.main(["run", "front", "--sampler", "sobol", "--budget", "3000", "--out", out])
+except KeyboardInterrupt:
+    print("interrupted", len(children()), flush=True)
+"""
+
+
+@contextlib.contextmanager
+def printing_child(kind, tmp_path):
+    """(proc, pid): a fresh interpreter that runs PRINT_CHILD_SCRIPT for
+    `kind`, and the pid of the child it printed."""
+    with fresh_python("-c", PRINT_CHILD_SCRIPT, kind, str(tmp_path / "out"), path=[TESTS]) as proc:
+        line = proc.stdout.readline()
+        assert line.strip().isdigit(), line or proc.communicate(timeout=10)[1]
+        yield proc, int(line)
+
+
+def interrupt_printing_child(kind, tmp_path):
+    """Send SIGINT to the group of a PRINT_CHILD_SCRIPT for `kind`, and
+    check that it ended as one KeyboardInterrupt in the campaign's process."""
+    with printing_child(kind, tmp_path) as (proc, pid):
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        # the campaign's process caught it once its helper had exited, and
+        # had no child left; the helper ignored it, so it printed no
+        # traceback of its own
+        assert out.split() == ["interrupted", "0"], err
+        assert "KeyboardInterrupt" not in err
+        assert proc.returncode == 0
+        assert gone(pid)

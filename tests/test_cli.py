@@ -4,8 +4,6 @@ import gc
 import json
 import math
 import os
-import subprocess
-import sys
 import weakref
 
 import pytest
@@ -23,6 +21,7 @@ from conftest import (
     ScoredPrompt,
     TuplePlanner,
     agents_yaml,
+    fresh_python,
     make_episode,
     record_blas_threads,
     stats_of,
@@ -713,13 +712,10 @@ class TestExportGp:
             for i in range(1, 7)
         ]
         (out_dir / "campaign.jsonl").write_text("\n".join(records) + "\n")
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", EXPORT_GP_SCRIPT, str(out_dir)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
-        )
-        assert json.loads(proc.stdout) == [2, []]
-        assert proc.stderr == "error: GP grid export supports 2-D prompt spaces only\n"
+        with fresh_python("-c", EXPORT_GP_SCRIPT, str(out_dir)) as proc:
+            out, err = proc.communicate(timeout=120)
+        assert json.loads(out) == [2, []]
+        assert err == "error: GP grid export supports 2-D prompt spaces only\n"
         assert not (out_dir / "gp_grid.csv").exists()
 
     def test_bad_resolution_exit_2_before_the_fit(self, tmp_path, capsys, monkeypatch):
@@ -1035,13 +1031,10 @@ def test_only_bo_loads_numpy_and_scipy(tmp_path):
     # BO campaign before its first GP fit, or its fit helper's module: the
     # campaign opens its helper when it starts. The last BO run shows that
     # the check sees the libraries when they are loaded.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADED_MODULES_SCRIPT, str(tmp_path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    after_import, after_sobol, after_bootstrap, after_helper, after_bo = json.loads(proc.stdout)
+    with fresh_python("-c", LOADED_MODULES_SCRIPT, str(tmp_path)) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    after_import, after_sobol, after_bootstrap, after_helper, after_bo = json.loads(out)
     assert after_import == []
     assert after_sobol == []
     assert after_bootstrap == []

@@ -11,24 +11,31 @@ writer that dies or stops, or a stopped fit helper, neither hangs a
 campaign nor changes its files, that the backlog stays within its bound,
 and that a campaign leaves the files, stderr and exit code that the serial
 path leaves: each such case runs once on one CPU, where `run` writes in its
-own process, and once on all.
+own process, and once on all. A `run` whose process is killed is the
+`[writer]` case of `test_fit_helper.py`'s kill test.
 """
 import json
 import os
 import signal
-import subprocess
-import sys
 import time
 
 import pytest
 
 from avstress import cli, fit_helper, optimizer, persist
-from conftest import (SRC, TuplePlanner, assert_same_tree, children, gone, needs_two_cpus,
-                      proc_state, wait_until)
+from conftest import (TESTS, TuplePlanner, assert_same_tree, children, fresh_python,
+                      interrupt_printing_child, needs_two_cpus, one_cpu, proc_state,
+                      wait_until)
 
 BUDGET = 8
-# the CPUs a case runs on: one, where no writer starts, or all
-CPUS = pytest.mark.parametrize("cpus", ["one", "all"])
+CPUS = pytest.mark.parametrize("cpus", ["one", "all"], indirect=True)
+
+
+@pytest.fixture
+def cpus(request, monkeypatch):
+    """The CPUs a case runs on: "one", where no writer starts, or "all"."""
+    if request.param == "one":
+        one_cpu(monkeypatch)
+    return request.param
 
 
 @pytest.fixture
@@ -45,11 +52,6 @@ def seen(monkeypatch):
 
     monkeypatch.setattr(optimizer, "simulate_episode", recording)
     return seen
-
-
-def on(cpus, monkeypatch):
-    if cpus == "one":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 def run_front(tmp_path, budget=BUDGET, sampler="sobol"):
@@ -83,8 +85,7 @@ def assert_writer_ran(cpus, seen):
 
 
 @CPUS
-def test_no_child_left_after_run_returns(cpus, tmp_path, monkeypatch, capsys, seen):
-    on(cpus, monkeypatch)
+def test_no_child_left_after_run_returns(cpus, tmp_path, capsys, seen):
     assert run_front(tmp_path) == 0
     assert capsys.readouterr().err == ""
     assert_writer_ran(cpus, seen)
@@ -102,7 +103,6 @@ def test_programming_error_leaves_the_episodes_before_it(cpus, tmp_path, monkeyp
             raise AssertionError("scoring broke at iteration 4")
         return real(episode, scenario)
 
-    on(cpus, monkeypatch)
     monkeypatch.setattr(optimizer, "score_episode", score)
     assert run_front(tmp_path) == 3
     assert capsys.readouterr().err == "runtime error: scoring broke at iteration 4\n"
@@ -148,7 +148,6 @@ def test_a_failed_write_ends_the_campaign_where_it_failed(k, slow, cpus, tmp_pat
     # the campaign hears of the failure at a later episode or at its end,
     # but the writer writes nothing after it, and `run` leaves what the
     # serial loop leaves
-    on(cpus, monkeypatch)
     if slow:
         # the campaign waits for the first file at episode WRITER_BACKLOG
         slow_writes(monkeypatch, [0])
@@ -172,7 +171,6 @@ def test_a_failed_write_outranks_a_later_programming_error(cpus, tmp_path, monke
             raise AssertionError("scoring broke at the last iteration")
         return real(episode, scenario)
 
-    on(cpus, monkeypatch)
     path, blocking = block_write(seen, tmp_path, BUDGET - 2)
     monkeypatch.setattr(optimizer, "simulate_episode", blocking)
     monkeypatch.setattr(optimizer, "score_episode", score)
@@ -195,7 +193,6 @@ def test_an_error_that_does_not_pickle_exits_as_the_serial_one(cpus, tmp_path, m
             raise LocalError("episode 2 did not format")
         return real(call, *args, **kwargs)
 
-    on(cpus, monkeypatch)
     # `_write_episode` calls it in the campaign's process, and in the writer
     # forked after this
     monkeypatch.setattr(persist, "_writing", failing)
@@ -304,24 +301,12 @@ print(code, len(children()), flush=True)
 def test_a_helper_stopped_mid_run_does_not_hang_it(sampler, budget, tmp_path):
     # a campaign many times WRITER_BACKLOG long must not fill a stopped
     # writer's pipe and block in a send, and a fit must not wait for good
-    # for a stopped fit helper's starts. The run is in a session of its
-    # own, so that a hung one is killed with its stopped helper
+    # for a stopped fit helper's starts. A hung run raises TimeoutExpired,
+    # and the runner kills it with its stopped helper
     assert run_front(tmp_path / "undisturbed", budget, sampler) == 0
-    proc = subprocess.Popen(
-        [sys.executable, "-c", STOP_HELPER_SCRIPT, str(tmp_path / "out"), sampler, str(budget)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.path.dirname(__file__)])},
-    )
-    try:
+    with fresh_python("-c", STOP_HELPER_SCRIPT, str(tmp_path / "out"), sampler, str(budget),
+                      path=[TESTS]) as proc:
         out, err = proc.communicate(timeout=30)
-    except subprocess.TimeoutExpired:
-        raise AssertionError("run hung with its helper stopped") from None
-    finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.communicate()
     assert (proc.returncode, err) == (0, "")
     assert out.splitlines() == [str(campaign_dir(tmp_path, sampler)), "0 0"]
     assert_same_tree(campaign_dir(tmp_path / "undisturbed", sampler),
@@ -358,7 +343,6 @@ def test_failed_episodes_warn_up_to_a_failed_write(cpus, tmp_path, monkeypatch, 
     # loop warns of episodes 0 and 1, then stops at the write, and so does
     # `run` where the writer runs and its first write is slow, so that the
     # campaign waits for it with the next episodes sent
-    on(cpus, monkeypatch)
     monkeypatch.setattr(cli, "LatticePlanner", TuplePlanner)
     slow_writes(monkeypatch, [0])
     path, blocking = block_write(seen, tmp_path, 2)
@@ -415,90 +399,9 @@ def test_no_child_holds_a_pipe_end_of_the_campaign(tmp_path, monkeypatch, seen):
         assert sockets_of_child & campaign_ends == set()
 
 
-# runs a long Sobol `avstress run` that prints its writer's pid once, at
-# its second episode, and keeps going until it is interrupted
-PRINT_WRITER_SCRIPT = """
-import os, sys
-from avstress import cli, optimizer, persist
-
-opened = []
-
-class Recording(persist.EpisodeWriter):
-    def __init__(self, *args):
-        super().__init__(*args)
-        opened.append(self)
-
-persist.EpisodeWriter = Recording
-simulate = optimizer.simulate_episode
-
-def printing(*args):
-    writer = opened[-1]
-    if writer.helper.process is not None and not getattr(writer, "printed", False):
-        writer.printed = True
-        print(writer.helper.process.pid, flush=True)
-    return simulate(*args)
-
-optimizer.simulate_episode = printing
-try:
-    cli.main(["run", "front", "--sampler", "sobol", "--budget", "3000", "--out", sys.argv[1]])
-except KeyboardInterrupt:
-    children = [
-        entry for entry in os.listdir("/proc") if entry.isdigit()
-        and os.path.exists(f"/proc/{entry}/stat")
-        and open(f"/proc/{entry}/stat").read().rpartition(")")[2].split()[1] == str(os.getpid())
-    ]
-    print("interrupted", len(children), flush=True)
-"""
-
-
-def start_printing_run(tmp_path, **kwargs):
-    """The process of PRINT_WRITER_SCRIPT and its writer's pid."""
-    proc = subprocess.Popen(
-        [sys.executable, "-c", PRINT_WRITER_SCRIPT, str(tmp_path / "out")],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": SRC}, **kwargs,
-    )
-    line = proc.stdout.readline()
-    if not line.strip().isdigit():
-        proc.kill()
-        raise AssertionError(proc.communicate(timeout=10)[1] or line)
-    return proc, int(line)
-
-
-def stop(proc, pid):
-    # neither the run nor a writer that failed its test may outlive it
-    proc.kill()
-    if not gone(pid):
-        os.kill(pid, signal.SIGKILL)
-    proc.communicate(timeout=10)
-
-
-@needs_two_cpus
-def test_writer_exits_when_the_campaign_process_is_killed(tmp_path):
-    proc, pid = start_printing_run(tmp_path)
-    try:
-        assert not gone(pid)
-        proc.kill()
-        proc.wait(timeout=10)
-        assert wait_until(lambda: gone(pid), timeout=10)
-    finally:
-        stop(proc, pid)
-
-
 @needs_two_cpus
 def test_sigint_to_the_group_leaves_the_episodes_before_it(tmp_path):
-    proc, pid = start_printing_run(tmp_path, start_new_session=True)
-    try:
-        os.killpg(proc.pid, signal.SIGINT)
-        out, err = proc.communicate(timeout=60)
-        # the campaign's process caught it once its writer had exited; the
-        # writer ignored it, so it printed no traceback of its own
-        assert out.split() == ["interrupted", "0"], err
-        assert "KeyboardInterrupt" not in err
-        assert proc.returncode == 0
-        assert gone(pid)
-    finally:
-        stop(proc, pid)
+    interrupt_printing_child("writer", tmp_path)
     # every episode sent before the interrupt was written, and its line logged
     out_dir = campaign_dir(tmp_path)
     log = persist.read_campaign_log(str(out_dir / persist.CAMPAIGN_LOG))

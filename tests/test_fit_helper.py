@@ -6,12 +6,14 @@ tests check that it changes no bit, that no process outlives the campaign
 whichever way it ends, and that a helper that raises, dies or replies
 after HELPER_EXIT_S leaves the campaign as a serial loop would have left
 it: such a helper is gone after its fit, and the next fit forks a new one.
+`TestSignals` kills a campaign's process in a fresh interpreter, once for
+each `Helper`: the fit helper (`[fit]`) and `run`'s episode writer
+(`[writer]`), and interrupts a GP-UCB campaign; `test_episode_writer.py`
+interrupts an `avstress run`.
 """
 import math
 import os
 import signal
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -22,8 +24,8 @@ from avstress.fit_helper import Helper
 from avstress.optimizer import GpUcbSampler, SobolSampler, run_campaign
 from avstress.planner import LatticePlanner
 from avstress.scenario import load_preset
-from conftest import (SRC, assert_same_tree, children, gone, needs_two_cpus, proc_state,
-                      wait_until)
+from conftest import (assert_same_tree, children, fresh_python, gone, interrupt_printing_child,
+                      needs_two_cpus, one_cpu, printing_child, proc_state, wait_until)
 
 
 @pytest.fixture
@@ -44,11 +46,6 @@ def helper_pid(helpers):
     """The pid of the last helper's process, None where it has none."""
     helper = helpers[-1] if helpers else None
     return None if helper is None or helper.process is None else helper.process.pid
-
-
-def serial(monkeypatch):
-    """Let the process look like it may run on one CPU: no helper starts."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 def campaign_files(tmp_path, name, budget=20):
@@ -96,88 +93,18 @@ class TestLifecycle:
         assert pids == {None}
 
 
-# runs a BO campaign that prints its helper's pid once and keeps going
-PRINT_HELPER_SCRIPT = """
-import os, sys
-from avstress import optimizer
-from avstress.optimizer import GpUcbSampler, run_campaign
-from avstress.planner import LatticePlanner
-from avstress.scenario import load_preset
-
-printed, opened = [], []
-
-class Recording(optimizer.Helper):
-    def __init__(self):
-        super().__init__()
-        opened.append(self)
-
-optimizer.Helper = Recording
-
-def sink(record, episode):
-    helper = opened[-1]
-    if not printed and helper.process is not None:
-        printed.append(helper.process.pid)
-        print(helper.process.pid, flush=True)
-
-try:
-    run_campaign(load_preset("behind"), GpUcbSampler(), LatticePlanner(), 400,
-                 episode_sink=sink)
-except KeyboardInterrupt:
-    children = [
-        entry for entry in os.listdir("/proc") if entry.isdigit()
-        and os.path.exists(f"/proc/{entry}/stat")
-        and open(f"/proc/{entry}/stat").read().rpartition(")")[2].split()[1] == str(os.getpid())
-    ]
-    print("interrupted", len(children), flush=True)
-"""
-
-
-def kill_if_left(pid):
-    # a helper that failed its test must not outlive it
-    if not gone(pid):
-        os.kill(pid, signal.SIGKILL)
-
-
-def start_printing_campaign(**kwargs):
-    proc = subprocess.Popen(
-        [sys.executable, "-c", PRINT_HELPER_SCRIPT], stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": SRC}, **kwargs,
-    )
-    line = proc.stdout.readline()
-    assert line.strip().isdigit(), proc.stderr.read() if proc.poll() is not None else line
-    return proc, int(line)
-
-
 @needs_two_cpus
 class TestSignals:
-    def test_helper_exits_when_the_campaign_process_is_killed(self):
-        proc, pid = start_printing_campaign()
-        try:
+    @pytest.mark.parametrize("kind", ["fit", "writer"])
+    def test_helper_exits_when_the_campaign_process_is_killed(self, kind, tmp_path):
+        with printing_child(kind, tmp_path) as (proc, pid):
             assert not gone(pid)
             proc.kill()
             proc.wait(timeout=10)
             assert wait_until(lambda: gone(pid), timeout=10)
-        finally:
-            proc.kill()
-            # before reading: a helper left alive holds the output pipes open
-            kill_if_left(pid)
-            proc.communicate(timeout=10)
 
-    def test_sigint_to_the_group_is_one_keyboard_interrupt_in_the_parent(self):
-        proc, pid = start_printing_campaign(start_new_session=True)
-        try:
-            os.killpg(proc.pid, signal.SIGINT)
-            out, err = proc.communicate(timeout=60)
-            # the campaign's process caught it and had no child left; the
-            # helper ignored it, so it printed no traceback of its own
-            assert out.split() == ["interrupted", "0"], err
-            assert "KeyboardInterrupt" not in err
-            assert proc.returncode == 0
-            assert gone(pid)
-        finally:
-            proc.kill()
-            kill_if_left(pid)
-            proc.wait(timeout=10)
+    def test_sigint_to_the_group_is_one_keyboard_interrupt_in_the_parent(self, tmp_path):
+        interrupt_printing_child("fit", tmp_path)
 
 
 @needs_two_cpus
@@ -349,7 +276,7 @@ class TestHelperFailure:
         for helper in (False, True):
             with monkeypatch.context() as m:
                 if not helper:
-                    serial(m)
+                    one_cpu(m)
                 with pytest.raises(np.linalg.LinAlgError) as error:
                     run_campaign(scenario, GpUcbSampler(), LatticePlanner(), 6)
             errors.append(str(error.value))
@@ -381,7 +308,7 @@ def test_runs_over_both_processes_count_every_serial_evaluation(monkeypatch, ope
         return lml(*args)
 
     with monkeypatch.context() as m:
-        serial(m)
+        one_cpu(m)
         m.setattr(surrogate, "_multistart", summing(0))
         m.setattr(surrogate, "log_marginal_likelihood", counted)
         serial_records = run_campaign(scenario, GpUcbSampler(), LatticePlanner(), 12)
@@ -400,7 +327,7 @@ def test_a_platform_without_sched_getaffinity_runs_fits_serially(
     # macOS and Windows have no os.sched_getaffinity: the helper takes such
     # a platform for one CPU, and the campaign is the pinned one
     with monkeypatch.context() as m:
-        serial(m)
+        one_cpu(m)
         pinned = campaign_files(tmp_path, "pinned")
     monkeypatch.delattr(os, "sched_getaffinity")
     unknown = campaign_files(tmp_path, "unknown")
@@ -443,13 +370,11 @@ def test_campaign_on_one_cpu_equals_the_campaign_on_all(tmp_path):
     runs = []
     for pin in ("1", "0"):
         os.mkdir(tmp_path / pin)
-        proc = subprocess.run(
-            [sys.executable, "-c", PINNED_RUN_SCRIPT, pin], cwd=tmp_path / pin,
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        *out, loaded = proc.stdout.splitlines()
-        runs.append((out, proc.stderr, loaded))
+        with fresh_python("-c", PINNED_RUN_SCRIPT, pin, cwd=tmp_path / pin) as proc:
+            out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        *out, loaded = out.splitlines()
+        runs.append((out, err, loaded))
     # pinned to one CPU no process starts; unpinned, the episode writer and
     # the fit helper do where they can
     assert [loaded for *_, loaded in runs] == ["False", str(len(os.sched_getaffinity(0)) >= 2)]
@@ -465,15 +390,13 @@ def test_campaign_and_grid_on_one_blas_thread_equal_the_default(tmp_path):
     # or of its grid. It does not show that the GP pins one thread: at this
     # size OpenBLAS does not split its work. TestBlasThreads in
     # test_surrogate.py and TestBlasThreadScope in test_optimizer.py do
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = SRC
-    for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+    for name, threads in (("one", "1"), ("default", None)):
         out = str(tmp_path / name)
         for argv in (["run", "behind", "--sampler", "bo", "--budget", "12", "--out", out],
                      ["export-gp", os.path.join(out, "behind_bo"), "--resolution", "33"]):
-            proc = subprocess.run([sys.executable, "-m", "avstress.cli", *argv],
-                                  capture_output=True, text=True, env={**env, **threads},
-                                  timeout=120)
-            assert proc.returncode == 0, proc.stderr
+            with fresh_python("-m", "avstress.cli", *argv,
+                              env={"OPENBLAS_NUM_THREADS": threads}) as proc:
+                err = proc.communicate(timeout=120)[1]
+            assert proc.returncode == 0, err
     assert (tmp_path / "one" / "behind_bo" / "gp_grid.csv").exists()
     assert_same_tree(tmp_path / "one", tmp_path / "default")

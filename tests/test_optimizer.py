@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 from importlib import resources
 
 import numpy as np
@@ -26,9 +23,11 @@ from avstress.sobol import sobol_point, sobol_points
 from avstress.surrogate import KernelParams, build_model, posterior_batch
 from conftest import (
     SAMPLERS,
+    TESTS,
     ConstantVelocityEgoStub,
     ScoredPrompt,
     TuplePlanner,
+    fresh_python,
     record_blas_threads,
     run_collecting,
     scenario_with_agents,
@@ -105,8 +104,7 @@ def edge_history(dim):
 # observation, over 900 MB with all 2^18
 BO_9_AGENTS_PEAK_RSS_MB = 250
 BO_9_AGENTS_SCRIPT = """
-import resource, sys
-sys.path.insert(0, sys.argv[1])
+import resource
 from conftest import scenario_with_agents
 from avstress.optimizer import GpUcbSampler, run_campaign
 from avstress.planner import LatticePlanner
@@ -140,14 +138,10 @@ class TestCandidateSet:
                 assert hex_rows([row]) == hex_rows([want])
 
     def test_nine_agent_campaign_in_bounded_memory(self):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
-        proc = subprocess.run(
-            [sys.executable, "-c", BO_9_AGENTS_SCRIPT, os.path.join(root, "tests")],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        failed, peak_kb = map(int, proc.stdout.split())
+        with fresh_python("-c", BO_9_AGENTS_SCRIPT, path=[TESTS]) as proc:
+            out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        failed, peak_kb = map(int, out.split())
         assert failed == 0
         assert peak_kb / 1024 < BO_9_AGENTS_PEAK_RSS_MB
 

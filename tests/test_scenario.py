@@ -1,4 +1,3 @@
-import os
 import re
 import sys
 from importlib import resources
@@ -16,10 +15,9 @@ from avstress.scenario import (
     prompt_to_world,
 )
 from avstress.sobol import MAX_DIM
-from conftest import TWO_LANE_YAML, agents_yaml, scenario_with_agents
+from conftest import BENCHMARKS, TWO_LANE_YAML, agents_yaml, scenario_with_agents
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "benchmarks"))
+sys.path.insert(0, BENCHMARKS)
 import crowd_scenario  # noqa: E402
 
 

@@ -5,16 +5,14 @@ attributes, names imported into other modules, class attributes). A deleted
 or renamed entry point would otherwise only show up when the benchmark runs
 with `--trace 1`.
 """
-import os
-import subprocess
 import sys
 
 import avstress
 import avstress.cli
 import avstress.persist
+from conftest import BENCHMARKS, fresh_python
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+sys.path.insert(0, BENCHMARKS)
 
 import bench_trace  # noqa: E402
 
@@ -63,9 +61,7 @@ def test_install_wraps_and_uninstall_restores(tmp_path, capsys, monkeypatch):
 # import it before this one runs; a fresh interpreter shows whether the
 # tracer finds it and every other binding after `import avstress.cli` alone
 FRESH_INSTALL_SCRIPT = """
-import sys
 import avstress.cli
-sys.path.insert(0, sys.argv[1])
 import bench_trace
 
 timed, counted = bench_trace._layers(avstress)
@@ -83,12 +79,9 @@ print(len(bindings), wrapped, restored)
 
 
 def test_install_in_a_fresh_interpreter_after_importing_the_cli():
-    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
-    proc = subprocess.run(
-        [sys.executable, "-c", FRESH_INSTALL_SCRIPT, os.path.join(ROOT, "benchmarks")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    n, wrapped, restored = map(int, proc.stdout.split())
+    with fresh_python("-c", FRESH_INSTALL_SCRIPT, path=[BENCHMARKS]) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    n, wrapped, restored = map(int, out.split())
     assert n == len(bindings())
     assert wrapped == restored == n
